@@ -5,16 +5,18 @@ Layering (each module only depends on the ones above it):
 
     ring        exact arithmetic: Q(i) and Q(i)(s)
     qseries     truncated series in p = q^{1/4} with lattice substitutions
+    witten      the four tensor-series characters and the one exact
+                Laurent product engine behind every theta product
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs
-    witten      the four tensor-series characters
     zem         the invariant functions Z / EM and the identity suites
     fixedpoint  manifold data, equivariant indices, rigidity
     cli         command-line surface
 
-All value types are immutable after construction and safe to share across
-threads; the only caches are thread-safe memoizations of exact series.
+All value types are immutable after construction.  The package runs
+single-threaded: its caches of exact series (lru_cache in elliptic, a
+bounded dict in qseries) are plain memoizations with no locking.
 """
 
 from .ring import (

@@ -4,9 +4,7 @@ rigidity computation, catalog access.
 Machine-readable JSON goes to stdout (sorted keys, no timestamps: a fixed
 seed and configuration reproduce the report byte for byte); a short human
 summary goes to stderr.  Exit codes: 0 all checks passed, 1 a mathematical
-failure was detected, 2 usage or input error.  ELLIPTICA_THREADS caps the
-worker count used for identity-suite trials; results are assembled in
-trial order regardless of scheduling.
+failure was detected, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 
 from .elliptic import (
@@ -49,14 +46,6 @@ MATH_FAILURE = 1
 ALL_SUITES = ("translations",) + SUITE_NAMES + ("degenerate-reduction",)
 
 
-def _workers():
-    raw = os.environ.get("ELLIPTICA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(report, out_path):
     text = json.dumps(report, sort_keys=True, indent=1)
     if out_path:
@@ -77,6 +66,16 @@ def _parse_tau(raw):
     return tau
 
 
+def _bounded_int(low):
+    def integer(raw):
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return value
+
+    return integer
+
+
 def cmd_verify(args):
     if args.suite == "all":
         suites = list(ALL_SUITES)
@@ -90,7 +89,6 @@ def cmd_verify(args):
                 return USAGE_ERROR
     results = []
     all_passed = True
-    workers = _workers()
     for suite in suites:
         if suite == "translations":
             params = EllipticParams(truncation_order=args.q_order)
@@ -109,7 +107,7 @@ def cmd_verify(args):
         else:
             rep = identity_check(
                 suite, trials=args.trials, dims=args.dims, seed=args.seed,
-                tol=args.tol, workers=workers,
+                tol=args.tol,
             )
             passed = rep.passed
             results.append(rep.to_json())
@@ -293,9 +291,10 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--trials", type=_bounded_int(1), default=100)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--q-order", dest="q_order", type=int, default=80)
+        p.add_argument("--q-order", dest="q_order", type=_bounded_int(0),
+                       default=80)
         p.add_argument("--tau", type=_parse_tau, default=None)
         p.add_argument("--out", default=None, help="write the JSON report here")
 

@@ -12,9 +12,12 @@ p = q^{1/4}.  The four quotients are infinite products
     phi_4(z) = (s-s^{-1})   * prod_n (1-p^{4n}t)(1-p^{4n}/t)
                                    / ((1+p^{4n-2}t)(1+p^{4n-2}/t))
 
-Exact backend: truncated PSeries over Q(i)(s), built by multiplying the
-finitely many product factors that matter below the truncation order
-(a factor with p-exponent e > M is 1 + O(p^{M+1})).
+Exact backend: truncated PSeries over Q(i)(s).  Each product is the W_i
+character on the weights (1, -1) (t and 1/t are the eigenvalues s^{2w}),
+built by the exact engine of the witten module from the finitely many
+factors that matter below the truncation order (a factor with p-exponent
+e > M is 1 + O(p^{M+1})); phi_i is that series times its prefactor,
+coefficient by coefficient.
 
 Numeric backend: the same products evaluated in complex floats with an
 explicit cutoff; the tail of the log of the product is bounded using
@@ -63,6 +66,7 @@ from functools import lru_cache
 
 from .ring import GaussianRational, RationalFunctionQi
 from .qseries import PSeries, Substitution, ps_substitute_t
+from .witten import LAYOUT, laurent_product, witten_char, witten_factors
 
 NUMERIC_TAIL_TARGET = 1e-18
 
@@ -121,21 +125,10 @@ class EllipticParams:
         return max(8, int(math.ceil(n)))
 
 
-# factor layout per quotient: (numerator sign, numerator p-stride offset,
-# denominator sign, denominator offset); stride is always 4 and the offset
-# is 0 for exponents 4n, -2 for exponents 4n-2.
-_LAYOUT = {
-    1: (+1, -2, +1, 0),
-    2: (-1, -2, -1, 0),
-    3: (+1, 0, +1, -2),
-    4: (-1, 0, -1, -2),
-}
-
-_GR_ONE = GaussianRational.one()
 _GR_I = GaussianRational.i()
 
 
-def _prefactor(i):
+def phi_prefactor(i):
     s = RationalFunctionQi.var()
     one = RationalFunctionQi.one()
     if i == 1:
@@ -149,100 +142,23 @@ def _prefactor(i):
     raise ValueError("phi index must be 1..4")
 
 
-# -- internal Laurent-dict series: list indexed by p-order of {s_exp: GR} --
-
-
-def _lone(order):
-    out = [dict() for _ in range(order + 1)]
-    out[0][0] = _GR_ONE
-    return out
-
-
-def _laccum(dst, src, d, sign):
-    for e, c in src.items():
-        key = e + d
-        val = c if sign > 0 else -c
-        old = dst.get(key)
-        if old is None:
-            dst[key] = val
-        else:
-            new = old + val
-            if new:
-                dst[key] = new
-            else:
-                del dst[key]
-
-
-def _lmul_factor(ls, e, d, sign):
-    """In place multiply by (1 + sign * p^e s^d)."""
-    for k in range(len(ls) - 1, e - 1, -1):
-        src = ls[k - e]
-        if src:
-            _laccum(ls[k], src, d, sign)
-
-
-def _lmul_geometric(ls, e, d, sign):
-    """In place multiply by 1/(1 - sign * p^e s^d)."""
-    for k in range(e, len(ls)):
-        src = ls[k - e]
-        if src:
-            _laccum(ls[k], src, d, sign)
-
-
-def _factor_exponents(offset, order):
-    out = []
-    n = 1
-    while True:
-        e = 4 * n + offset
-        if e > order:
-            return out
-        out.append(e)
-        n += 1
-
-
-def _lseries_to_ps(ls, pref=None):
-    coeffs = []
-    for slot in ls:
-        rf = RationalFunctionQi.from_laurent(slot)
-        if pref is not None:
-            rf = rf * pref
-        coeffs.append(rf)
-    return PSeries(coeffs, len(ls) - 1)
-
-
 @lru_cache(maxsize=64)
 def _numerator_series(i, order):
-    sign, off, _, _ = _LAYOUT[i]
-    ls = _lone(order)
-    for e in _factor_exponents(off, order):
-        _lmul_factor(ls, e, 2, sign)
-        _lmul_factor(ls, e, -2, sign)
-    return _lseries_to_ps(ls)
+    return laurent_product(order, witten_factors(i, (1, -1), order)[0])
 
 
 @lru_cache(maxsize=64)
 def _denominator_series(i, order):
     """The denominator product itself (not inverted)."""
-    _, _, sign, off = _LAYOUT[i]
-    ls = _lone(order)
-    for e in _factor_exponents(off, order):
-        _lmul_factor(ls, e, 2, -sign)
-        _lmul_factor(ls, e, -2, -sign)
-    return _lseries_to_ps(ls)
+    return laurent_product(order, witten_factors(i, (1, -1), order)[1])
 
 
 @lru_cache(maxsize=64)
 def phi_exact(i, order):
-    """Truncated series of phi_i over Q(i)(s) to the given p-order."""
-    nsign, noff, dsign, doff = _LAYOUT[i]
-    ls = _lone(order)
-    for e in _factor_exponents(noff, order):
-        _lmul_factor(ls, e, 2, nsign)
-        _lmul_factor(ls, e, -2, nsign)
-    for e in _factor_exponents(doff, order):
-        _lmul_geometric(ls, e, 2, dsign)
-        _lmul_geometric(ls, e, -2, dsign)
-    return _lseries_to_ps(ls, _prefactor(i))
+    """Truncated series of phi_i over Q(i)(s) to the given p-order: the
+    prefactor times the W_i character on the weights (1, -1)."""
+    params = EllipticParams(truncation_order=order)
+    return witten_char(i, (1, -1), params, backend="exact").scale(phi_prefactor(i))
 
 
 @lru_cache(maxsize=64)
@@ -295,7 +211,7 @@ def phi_numeric(i, params, z):
         raise ValueError("phi index must be 1..4")
     q = params.q
     qh = cmath.exp(1j * cmath.pi * tau)  # q^{1/2}, branch-free
-    nsign, noff, dsign, doff = _LAYOUT[i]
+    nsign, noff, dsign, doff = LAYOUT[i]
     nmax = params.cutoff(max(abs(t), 1.0 / abs(t)))
     out = pref
     qn = 1.0 + 0j
@@ -327,7 +243,7 @@ def phi(i, backend, params, z=None):
 
 
 @dataclass
-class IdentityReport:
+class TranslationReport:
     which: str
     truncation_order: int
     passed: bool
@@ -374,10 +290,6 @@ def denominator_series(i, order):
     return _denominator_series(i, order)
 
 
-def phi_prefactor(i):
-    return _prefactor(i)
-
-
 def geometric_series(e, d, order):
     """The series of 1/(1 - p^e s^d) truncated at ``order``."""
     zero = RationalFunctionQi.zero()
@@ -401,7 +313,7 @@ def _phi1_halfshifted(order):
 
 
 def phi_translate_check(which, params):
-    """Exact check of one translation identity; returns an IdentityReport
+    """Exact check of one translation identity; returns a TranslationReport
     with the first failing p-exponent on failure."""
     order = params.require_order()
     if which == "z+1":
@@ -448,7 +360,7 @@ def phi_translate_check(which, params):
         )
         ok_d = sub_d == rhs_d
         pref_series = PSeries(
-            (_prefactor(1),) + (RationalFunctionQi.zero(),) * order, order
+            (phi_prefactor(1),) + (RationalFunctionQi.zero(),) * order, order
         )
         sub_pref = ps_substitute_t(pref_series, Substitution.p_shift(2))
         rhs_pref = geom.map_coefficients(
@@ -466,7 +378,7 @@ def phi_translate_check(which, params):
                 if not ok:
                     first = l.first_difference(r)
                     break
-        return IdentityReport(
+        return TranslationReport(
             which=which,
             truncation_order=order,
             passed=lhs_ok,
@@ -477,7 +389,7 @@ def phi_translate_check(which, params):
         raise ValueError(f"unknown translation {which!r}")
 
     diff = lhs.first_difference(rhs)
-    return IdentityReport(
+    return TranslationReport(
         which=which,
         truncation_order=order,
         passed=diff is None,

@@ -34,8 +34,8 @@ from importlib import resources
 from math import gcd
 
 from .ring import RationalFunctionQi
-from .qseries import PSeries, ps_compose_power
-from .elliptic import phi_exact, phi_numeric
+from .qseries import PSeries
+from .elliptic import phi_numeric
 from .spinchar import RotationData
 from .zem import LatticeElement, z_fun
 
@@ -285,14 +285,10 @@ def equivariant_index(m, twist, params=None, backend="exact", z=None):
         )
     if backend == "exact":
         if kind == "tangent_witten":
-            order = params.require_order()
-            total = PSeries.zeros(RationalFunctionQi, order)
-            base = phi_exact(1, order)
+            total = PSeries.zeros(RationalFunctionQi, params.require_order())
             for pt in m.points:
-                term = PSeries.one(RationalFunctionQi, order)
-                for a in pt.weights:
-                    term = term * ps_compose_power(base, a)
-                total = total + term
+                jdata = RotationData(pt.weights, 1)
+                total = total + z_fun(None, jdata, None, params, backend="exact")
             return total
         total = RationalFunctionQi.zero()
         for i, pt in enumerate(m.points):

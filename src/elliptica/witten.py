@@ -13,6 +13,9 @@ eigenvalue list, never from matrices.
 Exact backend: eigenvalues are integers w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
 coefficient inside Q(i)(s); anything else belongs to the numeric backend.
+``laurent_product`` is the workbench's one exact product engine: the theta
+quotients, their bare numerator/denominator products and the exact
+Z-series are all built through it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from .ring import GaussianRational, RationalFunctionQi
 from .qseries import PSeries
 
 # (numerator sign, numerator offset, denominator sign, denominator offset);
-# p-exponents run over 4n + offset, offset -2 marks the q^{n-1/2} family
-_W_LAYOUT = {
+# p-exponents run over 4n + offset, offset -2 marks the q^{n-1/2} family.
+# The theta quotients of the elliptic module share this table: phi_i is
+# its prefactor times the character on the weights (1, -1).
+LAYOUT = {
     1: (+1, -2, +1, 0),
     2: (-1, -2, -1, 0),
     3: (+1, 0, +1, -2),
@@ -44,18 +49,46 @@ _GR_ONE = GaussianRational.one()
 
 
 def _exponents(offset, order):
-    out = []
-    n = 1
-    while 4 * n + offset <= order:
-        out.append(4 * n + offset)
-        n += 1
-    return out
+    """The p-exponents 4n + offset (n >= 1) up to ``order``."""
+    return range(4 + offset, order + 1, 4)
+
+
+def witten_factors(i, weights, order):
+    """Numerator and denominator factors of W_i on integer weights below
+    p-order ``order``: triples (e, d, c) standing for 1 + c p^e s^d."""
+    nsign, noff, dsign, doff = LAYOUT[i]
+    num = [(e, 2 * w, nsign) for e in _exponents(noff, order) for w in weights]
+    den = [(e, 2 * w, -dsign) for e in _exponents(doff, order) for w in weights]
+    return num, den
+
+
+def laurent_product(order, numerator, denominator=()):
+    """The PSeries over Q(i)(s), truncated at ``order``, of the product of
+    the ``numerator`` factors divided by the product of the ``denominator``
+    factors, each a triple (e, d, c) with e >= 1 standing for 1 + c p^e s^d.
+
+    Coefficients stay Laurent dicts {s-exponent: Q(i)} while multiplying;
+    a denominator factor is applied as its geometric series.
+    """
+    ls = [dict() for _ in range(order + 1)]
+    ls[0][0] = _GR_ONE
+    for e, d, c in numerator:
+        for k in range(order, e - 1, -1):
+            src = ls[k - e]
+            if src:
+                _accum(ls[k], src, d, c)
+    for e, d, c in denominator:
+        for k in range(e, order + 1):
+            src = ls[k - e]
+            if src:
+                _accum(ls[k], src, d, -c)
+    return PSeries([RationalFunctionQi.from_laurent(slot) for slot in ls], order)
 
 
 def witten_char(i, eigenvalues, params, backend="numeric"):
     """Character of W_{i,q} on the representation with the given eigenvalue
     list; PSeries over Q(i)(s) in the exact backend, complex otherwise."""
-    if i not in _W_LAYOUT:
+    if i not in LAYOUT:
         raise ValueError("Witten series index must be 1..4")
     if backend == "exact":
         return _witten_exact(i, eigenvalues, params.require_order())
@@ -71,30 +104,7 @@ def _witten_exact(i, weights, order):
                 "exact Witten characters need integer weights (eigenvalue "
                 f"s^(2w)); got {w!r}"
             )
-    nsign, noff, dsign, doff = _W_LAYOUT[i]
-    ls = [dict() for _ in range(order + 1)]
-    ls[0][0] = _GR_ONE
-
-    def mul_factor(e, d, sign):
-        for k in range(order, e - 1, -1):
-            src = ls[k - e]
-            if src:
-                _accum(ls[k], src, d, sign)
-
-    def mul_geometric(e, d, sign):
-        for k in range(e, order + 1):
-            src = ls[k - e]
-            if src:
-                _accum(ls[k], src, d, sign)
-
-    for e in _exponents(noff, order):
-        for w in weights:
-            mul_factor(e, 2 * w, nsign)
-    for e in _exponents(doff, order):
-        for w in weights:
-            mul_geometric(e, 2 * w, dsign)
-    coeffs = [RationalFunctionQi.from_laurent(slot) for slot in ls]
-    return PSeries(coeffs, order)
+    return laurent_product(order, *witten_factors(i, weights, order))
 
 
 def _accum(dst, src, d, sign):
@@ -117,7 +127,7 @@ def _witten_numeric(i, eigenvalues, params):
     if not xs:
         return 1.0 + 0j
     q = params.q
-    nsign, noff, dsign, doff = _W_LAYOUT[i]
+    nsign, noff, dsign, doff = LAYOUT[i]
     big = max(max(abs(x) for x in xs), 1.0)
     nmax = params.cutoff(big)
     # q^{1/2} taken as e^{i pi tau}, not a principal-branch power

@@ -35,7 +35,6 @@ from .elliptic import (
     geometric_series,
     lattice_distance,
     numerator_series,
-    phi_exact,
     phi_numeric,
     phi_prefactor,
 )
@@ -43,6 +42,7 @@ from .spinchar import (
     CyclicAction,
     RotationData,
     SpinCharError,
+    chi,
     epsilon_J,
     os_sign,
     spinor_trace,
@@ -186,7 +186,8 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
 
     exact backend: gamma must be None (it becomes the formal variable z,
     s = e^{i pi z}) and R must be None; the result is the PSeries
-    nu * prod_a phi_1(a z) over Q(i)(s).
+    nu * prod_a phi_1(a z) over Q(i)(s), built as the exact C_1/Str: the
+    W_1 character on the weights +-a times nu * prod_a 1/(s^{-a} - s^a).
     """
     if not J.is_integral():
         raise ZemError("z_fun needs integer rotation data J")
@@ -199,13 +200,9 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
                 "exact z_fun treats gamma as the formal variable: pass "
                 "gamma=None, R=None"
             )
-        order = params.require_order()
-        out = PSeries.one(RationalFunctionQi, order)
-        for a in J.entries:
-            out = out * ps_compose_power(phi_exact(1, order), a)
-        if J.orientation_sign < 0:
-            out = -out
-        return out
+        weights = J.entries + tuple(-a for a in J.entries)
+        series = witten_char(1, weights, params, backend="exact")
+        return series.scale(chi(None, J, exact=True))
     if backend != "numeric":
         raise ValueError(f"unknown backend {backend!r}")
     tau = params.tau
@@ -233,16 +230,23 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
             out *= phi_numeric(1, params, w)
         return out
     if route == "character":
-        angles = RotationData(tuple(_TWO_PI * w for w in args), 1)
+        angles, eigs = _offset_angles(args, 1)
         st = complex(nu) * spinor_trace("str", angles)
         if abs(st) < 1e-140:
             raise ZemError("supertrace vanished in the character route")
-        eigs = []
-        for w in args:
-            e = cmath.exp(2j * cmath.pi * w)
-            eigs.extend((e, 1.0 / e))
         return witten_char(1, eigs, params) / st
     raise ValueError(f"unknown route {route!r}")
+
+
+def _offset_angles(offsets, sign):
+    """Offsets r (z-scale) as angle data 2 pi r with orientation ``sign``,
+    plus the eigenvalue pairs (e, 1/e), e = e^{2 pi i r}, of their planes."""
+    angles = RotationData(tuple(_TWO_PI * complex(r) for r in offsets), sign)
+    eigs = []
+    for r in offsets:
+        e = cmath.exp(2j * cmath.pi * complex(r))
+        eigs.extend((e, 1.0 / e))
+    return angles, eigs
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +303,7 @@ def em_eps(gamma, R, params, backend="numeric"):
     planes = R.planes
     if backend == "numeric":
         c = _c_constant_numeric(case, gamma.alpha, gamma.beta, planes, params)
-        angles = RotationData(
-            tuple(_TWO_PI * complex(r) for r in R.entries), R.orientation_sign
-        )
-        eigs = []
-        for r in R.entries:
-            e = cmath.exp(2j * cmath.pi * complex(r))
-            eigs.extend((e, 1.0 / e))
+        angles, eigs = _offset_angles(R.entries, R.orientation_sign)
         if case == (1, 0):
             return c * witten_char(2, eigs, params) / spinor_trace("tr", angles)
         if case == (0, 1):
@@ -494,8 +492,6 @@ def _trial_k_transfer(rng, dims, params):
     r = [_draw_angle(rng) for _ in range(planes_total)]
     theta = [_draw_angle(rng) for _ in range(n1)]
 
-    from .spinchar import chi
-
     lhs = 1.0 + 0j
     if n0:
         lhs *= chi(None, RotationData(tuple(y[j] + r[j] for j in range(n0)), sig0))
@@ -611,16 +607,10 @@ def _trial_z_periodicity(rng, dims, params):
 
 def _z_tau_series_value(R, params):
     """Z(tau, N, o_N)(R) at offsets R through the character route."""
-    angles = RotationData(
-        tuple(_TWO_PI * complex(x) for x in R.entries), R.orientation_sign
-    )
+    angles, eigs = _offset_angles(R.entries, R.orientation_sign)
     st = spinor_trace("str", angles)
     if abs(st) < 1e-140:
         raise ZemError("supertrace vanished")
-    eigs = []
-    for x in R.entries:
-        e = cmath.exp(2j * cmath.pi * complex(x))
-        eigs.extend((e, 1.0 / e))
     return witten_char(1, eigs, params) / st
 
 
@@ -658,11 +648,7 @@ def _trial_all_w(rng, dims, params):
     r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), 1)
     tau = params.tau
     os_k = os_sign(J.scaled(_TWO_PI / k))
-    angles = RotationData(tuple(_TWO_PI * complex(x) for x in r.entries), sig)
-    eigs = []
-    for x in r.entries:
-        e = cmath.exp(2j * cmath.pi * complex(x))
-        eigs.extend((e, 1.0 / e))
+    angles, eigs = _offset_angles(r.entries, sig)
 
     res = 0.0
     data = {"k": k, "em_eps_checked": False, "cases": []}
@@ -731,7 +717,7 @@ def _trial_em_welldef(rng, dims, params):
     return res, {"k": k, "residues": list(res_list), "gamma": str(gamma)}
 
 
-def _transfer_sides(rng, params, k, n0, n1, sig0, sig1, sig_n, j0, j1,
+def _transfer_sides(params, k, n0, n1, sig0, sig1, sig_n, j0, j1,
                     residues, gamma, y, r):
     """Both sides of the transfer identity; returns (lhs, rhs_unsigned,
     epsilon)."""
@@ -775,7 +761,7 @@ def _trial_elliptic_transfer(rng, dims, params):
     y = complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.06, 0.06))
     r = [_draw_offset(rng) for _ in range(planes)]
     lhs, rhs_core, eps = _transfer_sides(
-        rng, params, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y, r
+        params, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y, r
     )
     return _residual(lhs, eps * rhs_core), {
         "k": k,
@@ -830,7 +816,7 @@ def _trial_spin_transfer(rng, dims, params):
     r = [_draw_offset(rng) for _ in range(planes)]
     r_sorted = [r[j] for j in idx0] + [r[j] for j in idx1]
     lhs, rhs_core, eps = _transfer_sides(
-        rng, params, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y,
+        params, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y,
         r_sorted,
     )
     if abs(eps - 1) > 1e-12:
@@ -908,50 +894,52 @@ def _exact_component(suite, seed, order=_EXACT_ORDER):
     return None
 
 
-def _run_trial(suite, seed, trial, dims):
-    body = _SUITES[suite]
-    rng = _trial_rng(seed, suite, trial)
+# a draw that lands on one of these is retried with a fresh tau
+_RETRIED = (PoleError, SpecialCollisionError, SpinCharError, ZemError,
+            WittenDenominatorError, ZeroDivisionError)
+
+
+def _retry_draws(rng, attempt, label):
+    """attempt(tau) on up to 60 fresh tau draws from rng; the first result
+    that raises none of the retried errors is returned.  DegenerateDrawError
+    is a verdict on the whole trial and propagates."""
     last_error = None
     for _attempt in range(60):
         tau = _draw_tau(rng)
-        params = EllipticParams(tau=tau)
         try:
-            return body(rng, dims, params)
-        except (PoleError, SpecialCollisionError, SpinCharError, ZemError,
-                WittenDenominatorError, ZeroDivisionError) as exc:
-            if isinstance(exc, DegenerateDrawError):
-                raise
+            return attempt(tau)
+        except DegenerateDrawError:
+            raise
+        except _RETRIED as exc:
             last_error = exc
     raise DegenerateDrawError(
-        f"suite {suite}, trial {trial}: no valid draw in 60 attempts "
-        f"(last: {last_error})"
+        f"{label}: no valid draw in 60 attempts (last: {last_error})"
     )
 
 
-def identity_check(suite, trials=100, dims=8, seed=0, tol=1e-8, workers=1):
+def _run_trial(suite, seed, trial, dims):
+    body = _SUITES[suite]
+    rng = _trial_rng(seed, suite, trial)
+    return _retry_draws(
+        rng, lambda tau: body(rng, dims, EllipticParams(tau=tau)),
+        f"suite {suite}, trial {trial}",
+    )
+
+
+def identity_check(suite, trials=100, dims=8, seed=0, tol=1e-8):
     """Run one named identity suite; returns an IdentityReport.
 
     Each trial draws its own tau (Im in [0.5, 2]), torus data bounded by
     ``dims`` (the real dimension cap), and random signs; degenerate draws
     (poles, vanishing supertraces) are retried a bounded number of times.
-    Trials derive their generators from (seed, suite, trial), so the report
-    is identical whatever the worker count.
+    Trials derive their generators from (seed, suite, trial), so a fixed
+    seed reproduces the report.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda t: _run_trial(suite, seed, t, dims), range(trials)
-                )
-            )
-    else:
-        results = [_run_trial(suite, seed, t, dims) for t in range(trials)]
-    for trial, (residual, data) in enumerate(results):
+    for trial in range(trials):
+        residual, data = _run_trial(suite, seed, trial, dims)
         report.record(trial, residual, data)
     exact = _exact_component(suite, seed)
     if exact is not None:
@@ -985,28 +973,15 @@ def degenerate_reduction_check(trials=100, dims=8, seed=0, tol=1e-10):
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):
         rng = _trial_rng(seed, suite, trial)
-        last_error = None
-        for _attempt in range(60):
-            tau = _draw_tau(rng)
-            q0 = _q0_params(tau)
-            try:
-                residual, data = _trial_degenerate(rng, dims, q0)
-                break
-            except (PoleError, SpecialCollisionError, SpinCharError, ZemError,
-                    WittenDenominatorError, ZeroDivisionError) as exc:
-                last_error = exc
-        else:
-            raise DegenerateDrawError(
-                f"degenerate-reduction trial {trial}: no valid draw "
-                f"(last: {last_error})"
-            )
+        residual, data = _retry_draws(
+            rng, lambda tau: _trial_degenerate(rng, dims, _q0_params(tau)),
+            f"degenerate-reduction trial {trial}",
+        )
         report.record(trial, residual, data)
     return report
 
 
 def _trial_degenerate(rng, dims, q0):
-    from .spinchar import chi
-
     planes = rng.randint(1, _max_planes(dims))
     n1 = rng.randint(1, planes)
     n0 = planes - n1
@@ -1028,7 +1003,7 @@ def _trial_degenerate(rng, dims, q0):
     r = [_draw_offset(rng) for _ in range(planes)]
 
     lhs_q0, rhs_core_q0, eps = _transfer_sides(
-        rng, q0, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y, r
+        q0, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y, r
     )
     rhs_q0 = eps * rhs_core_q0
 

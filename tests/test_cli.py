@@ -150,11 +150,18 @@ def test_console_script_runs():
     assert "manifolds" in proc.stdout
 
 
-def test_threads_env_does_not_change_report(capsys, monkeypatch):
-    code1, out1, _ = run_cli(capsys, "verify", "--suite", "Z-periodicity",
-                             "--trials", "6", "--seed", "2")
-    monkeypatch.setenv("ELLIPTICA_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, "verify", "--suite", "Z-periodicity",
-                             "--trials", "6", "--seed", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("command", ["expand", "index", "rigidity", "verify"])
+def test_negative_q_order_is_usage_error(capsys, command):
+    extra = {"expand": ["--phi", "1"], "index": ["--manifold", "s2"],
+             "rigidity": ["--manifold", "s2"], "verify": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, "--q-order", "-1"])
+    assert exc.value.code == 2
+    assert "must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_verify_zero_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "K-transfer", "--trials", "0"])
+    assert exc.value.code == 2
+    assert "must be an integer >= 1" in capsys.readouterr().err

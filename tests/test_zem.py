@@ -242,11 +242,10 @@ def test_identity_check_unknown_suite():
         identity_check("nosuch", trials=1)
 
 
-def test_identity_check_deterministic_and_parallel_safe():
+def test_identity_check_deterministic():
     a = identity_check("K-transfer", trials=12, seed=9)
     b = identity_check("K-transfer", trials=12, seed=9)
-    c = identity_check("K-transfer", trials=12, seed=9, workers=4)
-    assert a.to_json() == b.to_json() == c.to_json()
+    assert a.to_json() == b.to_json()
 
 
 def test_degenerate_reduction_quick():
