@@ -4,9 +4,11 @@ indices of spin circle-manifolds with isolated fixed points.
 Layering (each module only depends on the ones above it):
 
     ring        exact arithmetic: Q(i) and Q(i)(s)
-    qseries     truncated series in p = q^{1/4} with lattice substitutions
+    qseries     truncated series in p = q^{1/4} with lattice substitutions,
+                and the monomial regrading of integer Laurent rows
     witten      the four tensor-series characters and the one exact
-                Laurent product engine behind every theta product
+                product engine, on integer Laurent rows, behind every
+                theta product
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs

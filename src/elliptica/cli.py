@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from .elliptic import (
@@ -46,8 +47,24 @@ MATH_FAILURE = 1
 ALL_SUITES = ("translations",) + SUITE_NAMES + ("degenerate-reduction",)
 
 
+def _json_safe(value):
+    """The report with every non-finite float replaced by its name as a
+    string ("NaN", "Infinity", "-Infinity"), which standard JSON can carry;
+    finite reports come back unchanged."""
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=1)
+    text = json.dumps(_json_safe(report), sort_keys=True, indent=1,
+                      allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

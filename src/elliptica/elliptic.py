@@ -16,8 +16,10 @@ Exact backend: truncated PSeries over Q(i)(s).  Each product is the W_i
 character on the weights (1, -1) (t and 1/t are the eigenvalues s^{2w}),
 built by the exact engine of the witten module from the finitely many
 factors that matter below the truncation order (a factor with p-exponent
-e > M is 1 + O(p^{M+1})); phi_i is that series times its prefactor,
-coefficient by coefficient.
+e > M is 1 + O(p^{M+1})).  The engine works on integer Laurent rows, one
+dict {s-exponent: int} per p-order, since every factor constant is +-1;
+phi_i is that series times its prefactor, coefficient by coefficient, and
+the rows become rational functions only there, once per coefficient.
 
 Numeric backend: the same products evaluated in complex floats with an
 explicit cutoff; the tail of the log of the product is bounded using
@@ -39,13 +41,17 @@ and the five identities checked here are
 
 Exact verification of the regrading rules needs care: a truncated series
 does not determine its own image under s -> p^m s at every order, because
-discarded tail coefficients can land low.  Two valuation bounds make the
-checks sound:
+discarded tail coefficients can land low.  The checks work on the integer
+rows of the products, where s -> p^m s is a monomial move
+p^k s^d -> p^{k+md} s^d and a closed-form prefactor is applied once as its
+exact image, so no series is inverted and no gcd is taken.  Two valuation
+bounds make the checks sound:
 
-* full phi_1 series: the coefficient of p^k has denominator monomial
-  valuation at most k/2 + 1, so under s -> p s a coefficient beyond order
-  2M + 4 only lands above M.  The tau/2 checks therefore substitute into
-  phi_1 computed with doubled depth.
+* the W_1 rows on (1, -1) (equivalently, the full phi_1 series): the
+  coefficient of p^k has no power of s below s^{-(k/2 + 1)}, so under
+  s -> p s a row beyond order 2M + 4 only lands above M.  The tau/2
+  checks therefore regrade rows computed with doubled depth and multiply
+  by the prefactor's image p s / (1 - p^2 s^2).
 * bare product parts N (numerator product) and D (denominator product):
   reaching s^{-2j} costs at least 2j^2 in p-order, so the span is
   O(sqrt(k)) and a square-root headroom suffices.  The full-period check
@@ -65,8 +71,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ring import GaussianRational, RationalFunctionQi
-from .qseries import PSeries, Substitution, ps_substitute_t
-from .witten import LAYOUT, laurent_product, witten_char, witten_factors
+from .qseries import (
+    PSeries,
+    Substitution,
+    ps_substitute_t,
+    regrade_rows,
+    series_from_rows,
+)
+from .witten import (
+    LAYOUT,
+    divide_factor,
+    laurent_product,
+    laurent_rows,
+    multiply_factor,
+    witten_char,
+    witten_factors,
+)
 
 NUMERIC_TAIL_TARGET = 1e-18
 
@@ -265,15 +285,11 @@ def halfperiod_headroom(order):
     return 2 * order + 6
 
 
-def fullperiod_headroom(order):
-    """Input depth for the cross-multiplied s -> p^2 s check; a discarded
-    coefficient of the product parts beyond this depth can only land above
-    ``order`` (square-root span bound, fixed-point iterated with slack)."""
-    return composed_fullperiod_headroom(1, order)
-
-
 def composed_fullperiod_headroom(a, order):
-    """Same bound for the parts composed with s -> s^a (span scales by a)."""
+    """Input depth for the cross-multiplied s -> p^2 s check on the product
+    parts composed with s -> s^a; a discarded coefficient beyond this depth
+    can only land above ``order`` (square-root span bound, scaled by a and
+    fixed-point iterated with slack)."""
     h = 8
     for _ in range(4):
         h = int(math.ceil(2.0 * a * math.sqrt(2.0 * (order + h)))) + 4
@@ -281,8 +297,8 @@ def composed_fullperiod_headroom(a, order):
 
 
 def numerator_series(i, order):
-    """The numerator product of phi_i (public accessor for the identity
-    suites that need the cross-multiplied form)."""
+    """The numerator product of phi_i as a PSeries over Q(i)(s); the
+    full-period checks read the same product as integer rows."""
     return _numerator_series(i, order)
 
 
@@ -305,11 +321,54 @@ TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")
 
 @lru_cache(maxsize=8)
 def _phi1_halfshifted(order):
-    """phi_1 under s -> p s, exact to ``order`` (computed with doubled
-    depth); shared by the two checks whose translations contain tau/2,
-    since scalar substitutions commute with the regrading."""
-    deep = phi_exact(1, halfperiod_headroom(order))
-    return ps_substitute_t(deep, Substitution.p_shift(1)).truncate(order)
+    """phi_1 under s -> p s, exact to ``order``; shared by the two checks
+    whose translations contain tau/2, since scalar substitutions commute
+    with the regrading.
+
+    The W_1 rows on (1, -1) are regraded from depth
+    ``halfperiod_headroom(order)`` and multiplied by the prefactor's exact
+    image p s / (1 - p^2 s^2), that is out_k = s W'_{k-1} + s^2 out_{k-2}.
+    """
+    deep = halfperiod_headroom(order)
+    char = laurent_rows(deep, *witten_factors(1, (1, -1), deep))
+    rows = regrade_rows(char, 1, order, post_p=1, post_s=1)
+    divide_factor(rows, 2, 2, -1)
+    return series_from_rows(rows)
+
+
+def _first_row_difference(a, b):
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def fullperiod_parts_check(a, order):
+    """First p-exponent at which the bare parts of phi_1(a z) fail their
+    full-period relations, or None.  With N_a, D_a the numerator and
+    denominator products composed with s -> s^a (a >= 1):
+
+        (i)   p^{2a^2} s^{2a^2} N_a(p^2 s)           == N_a(s)
+        (ii)  (-1)^a p^{2a(a-1)} s^{2a^2} D_a(p^2 s) == (1-s^{2a}) D_a(s)
+                                                        / (1 - p^{4a} s^{2a})
+
+    Both sides are integer Laurent rows; the composition maps s^d to
+    s^{a d} and the regrading is a monomial move, so no rational function
+    is formed.
+    """
+    deep = composed_fullperiod_headroom(a, order)
+    num, den = witten_factors(1, (1, -1), deep)
+    n_rows = [{a * d: c for d, c in row.items()} for row in laurent_rows(deep, num)]
+    d_rows = [{a * d: c for d, c in row.items()} for row in laurent_rows(deep, den)]
+    sub_n = regrade_rows(n_rows, 2, order, post_p=2 * a * a, post_s=2 * a * a)
+    first = _first_row_difference(sub_n, n_rows)
+    if first is not None:
+        return first
+    sub_d = regrade_rows(
+        d_rows, 2, order, post_p=2 * a * (a - 1), post_s=2 * a * a,
+        sign=-1 if a % 2 else 1,
+    )
+    rhs_d = d_rows[: order + 1]
+    divide_factor(rhs_d, 4 * a, 2 * a, -1)
+    multiply_factor(rhs_d, 0, 2 * a, -1)
+    return _first_row_difference(sub_d, rhs_d)
 
 
 def phi_translate_check(which, params):
@@ -337,51 +396,25 @@ def phi_translate_check(which, params):
         )
         detail = "phi1(z+1/2+tau/2) vs i*p*phi4(z)"
     elif which == "z+tau":
-        # Verified in product form.  With N, D the numerator/denominator
-        # products and pref = s/(1-s^2), three exact relations are checked:
-        #   (a)  p^2 s^2 N(p^2 s)  == N(s)
-        #   (b)  -s^2 D(p^2 s)     == (1-s^2) D(s) / (1-p^4 s^2)
-        #   (c)  pref(p^2 s)       == p^2 s / (1-p^4 s^2)
-        # from which phi1(z+tau) = pref(p^2 s) N(p^2 s)/D(p^2 s)
-        # = -s N / ((1-s^2) D) = -phi1(z) by clearing (1-p^4 s^2).
-        deep = fullperiod_headroom(order)
-        geom = _geometric_p4s2(order)
-        sub_n = ps_substitute_t(
-            _numerator_series(1, deep), Substitution.p_shift(2), post_p=2, post_s=2
-        ).truncate(order)
-        ok_n = sub_n == _numerator_series(1, order)
-        sub_d = ps_substitute_t(
-            _denominator_series(1, deep), Substitution.p_shift(2), post_s=2,
-            post_scale=-1,
-        ).truncate(order)
-        one_minus_s2 = RationalFunctionQi.one() - RationalFunctionQi.var() ** 2
-        rhs_d = (_denominator_series(1, order) * geom).map_coefficients(
-            lambda c: c * one_minus_s2 if c else c
-        )
-        ok_d = sub_d == rhs_d
-        pref_series = PSeries(
-            (phi_prefactor(1),) + (RationalFunctionQi.zero(),) * order, order
-        )
-        sub_pref = ps_substitute_t(pref_series, Substitution.p_shift(2))
-        rhs_pref = geom.map_coefficients(
-            lambda c: c * RationalFunctionQi.var() if c else c
-        ).shift_p(2)
-        ok_pref = sub_pref == rhs_pref
-        lhs_ok = ok_n and ok_d and ok_pref
-        first = None
-        if not lhs_ok:
-            for ok, l, r in (
-                (ok_n, sub_n, _numerator_series(1, order)),
-                (ok_d, sub_d, rhs_d),
-                (ok_pref, sub_pref, rhs_pref),
-            ):
-                if not ok:
-                    first = l.first_difference(r)
-                    break
+        # Verified in product form: the relations (i) and (ii) of
+        # fullperiod_parts_check at a = 1, and
+        #   (iii)  pref(p^2 s) == p^2 s / (1-p^4 s^2)
+        # for pref = s/(1-s^2); then phi1(z+tau) = pref(p^2 s) N(p^2 s) /
+        # D(p^2 s) = -s N / ((1-s^2) D) = -phi1(z) by clearing (1-p^4 s^2).
+        first = fullperiod_parts_check(1, order)
+        if first is None:
+            pref_series = PSeries(
+                (phi_prefactor(1),) + (RationalFunctionQi.zero(),) * order, order
+            )
+            sub_pref = ps_substitute_t(pref_series, Substitution.p_shift(2))
+            rhs_pref = _geometric_p4s2(order).map_coefficients(
+                lambda c: c * RationalFunctionQi.var() if c else c
+            ).shift_p(2)
+            first = sub_pref.first_difference(rhs_pref)
         return TranslationReport(
             which=which,
             truncation_order=order,
-            passed=lhs_ok,
+            passed=first is None,
             first_failing_exponent=first,
             detail="phi1(z+tau) vs -phi1(z), cross-multiplied product form",
         )

@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd
 
-from .ring import RationalFunctionQi
+from .ring import PoleEvaluationError, RationalFunctionQi
 from .qseries import PSeries
-from .elliptic import phi_numeric
+from .elliptic import PoleError, phi_numeric
 from .spinchar import RotationData
-from .zem import LatticeElement, z_fun
+from .witten import WittenDenominatorError
+from .zem import LatticeElement, SpecialCollisionError, _worst, z_fun
 
 
 class ManifoldValidationError(ValueError):
@@ -118,6 +119,11 @@ class SpinCircleManifold:
         return TwistSpec(kind="bundle", bundle_weights=self.twists[name])
 
 
+def _is_int(x):
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def manifold_from_dict(data):
     """Validate raw JSON data into a SpinCircleManifold, with precise
     error locations on failure."""
@@ -127,7 +133,7 @@ def manifold_from_dict(data):
     if not isinstance(name, str) or not name:
         raise ManifoldValidationError("name", "nonempty string required")
     half_dim = data.get("half_dim")
-    if not isinstance(half_dim, int) or half_dim < 1:
+    if not _is_int(half_dim) or half_dim < 1:
         raise ManifoldValidationError("half_dim", "positive integer required")
     raw_points = data.get("points")
     if not isinstance(raw_points, list) or not raw_points:
@@ -147,7 +153,7 @@ def manifold_from_dict(data):
                 f"expected {half_dim} weights, got {len(ws)}",
             )
         for j, w in enumerate(ws):
-            if not isinstance(w, int):
+            if not _is_int(w):
                 raise ManifoldValidationError(
                     f"points[{i}].weights[{j}]", "integer required"
                 )
@@ -167,9 +173,7 @@ def manifold_from_dict(data):
                 f"one weight list per fixed point required ({len(points)})",
             )
         for i, ws in enumerate(lists):
-            if not isinstance(ws, list) or not all(
-                isinstance(w, int) for w in ws
-            ):
+            if not isinstance(ws, list) or not all(_is_int(w) for w in ws):
                 raise ManifoldValidationError(
                     f"twists.{tname}[{i}]", "list of integers required"
                 )
@@ -441,6 +445,12 @@ class ConsistencyReport:
         }
 
 
+# the errors of a draw that lands on a pole or a special point; any other
+# error is a bug and propagates
+_DEGENERATE_DRAW = (PoleError, SpecialCollisionError, WittenDenominatorError,
+                    PoleEvaluationError, ZeroDivisionError)
+
+
 def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
     """At a non-special torsion point, the tangent-Witten index evaluated
     through each point's local invariant (the character route of Z) must
@@ -478,11 +488,11 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
                 term = z_fun(gamma, jdata, offsets, params, route="character")
                 local += term
                 scale = max(scale, abs(term))
-        except (ValueError, ZeroDivisionError):
+        except _DEGENERATE_DRAW:
             continue
         # the fixed-point sum cancels (often to exactly 0), so residuals are
         # measured against the size of the individual contributions
-        worst = max(worst, abs(direct - local) / scale)
+        worst = _worst(worst, abs(direct - local) / scale)
         done += 1
     if done < trials:
         raise SpecialPointError("could not complete consistency trials")

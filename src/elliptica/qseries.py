@@ -17,9 +17,12 @@ underlying variable z (s = e^{i pi z}):
     s -> 1/s       (z -> -z)
     s -> p^m * s   (z -> z + m*tau/2, a regrading of the series)
 
-The p^m rule re-expands every coefficient n(s)/(s^v * d(s)), d(0) != 0, by
-substituting p^m*s and re-collecting by p-exponent; the geometric expansion
-of 1/d(p^m s) only ever raises the p-order, so each output order receives
+On Laurent data the p^m rule is a monomial move, p^k s^d -> p^{k+md} s^d:
+``regrade_rows`` applies it to integer Laurent rows (one dict
+{s-exponent: int} per p-order) with nothing to expand.  The general rule
+re-expands every coefficient n(s)/(s^v * d(s)), d(0) != 0, by substituting
+p^m*s and re-collecting by p-exponent; the geometric expansion of
+1/d(p^m s) only ever raises the p-order, so each output order receives
 finitely many contributions *from the stored coefficients*.  Contributions
 that tail coefficients beyond the truncation would have made are the
 caller's responsibility: callers must supply enough input depth that the
@@ -406,6 +409,44 @@ def _inverse_expansion(dhat, m, depth):
                 rows[t] = row
         entry["upto"] = depth
     return sorted((t, r) for t, r in rows.items() if t <= depth)
+
+
+def series_from_rows(rows):
+    """The PSeries over Q(i)(s) of Laurent rows: rows[k] is the coefficient
+    of p^k as a dict {s-exponent: integer}; the order is len(rows) - 1."""
+    return PSeries(
+        [RationalFunctionQi.from_laurent(row) for row in rows], len(rows) - 1
+    )
+
+
+def regrade_rows(rows, m, order, *, post_p=0, post_s=0, sign=1):
+    """s -> p^m s on Laurent rows, times sign * p^post_p s^post_s, truncated
+    at ``order``.
+
+    On Laurent data the substitution is a monomial move, p^k s^d ->
+    p^{k + m d} s^d, so nothing is inverted or expanded.  A term landing
+    below p^0 raises SubstitutionError, as in ``ps_substitute_t``; the
+    caller owes the same input depth, since rows beyond the input are not
+    seen.
+    """
+    out = [dict() for _ in range(order + 1)]
+    for k, row in enumerate(rows):
+        for d, c in row.items():
+            t = k + m * d + post_p
+            if t < 0:
+                raise SubstitutionError(
+                    f"term s^{d} at p^{k} lands at p^{t} < 0 under "
+                    f"s -> p^{m} s"
+                )
+            if t <= order:
+                slot = out[t]
+                key = d + post_s
+                new = slot.get(key, 0) + sign * c
+                if new:
+                    slot[key] = new
+                else:
+                    del slot[key]
+    return out
 
 
 def ps_compose_power(a, n):

@@ -302,17 +302,22 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm (remainders normalized monic)."""
+    """Monic gcd via the Euclidean algorithm (remainders normalized monic).
+
+    Each operand's own power of s is split off first: s is prime, so
+    gcd(s^i f, s^j g) = s^min(i, j) gcd(f, g) when f(0) g(0) != 0.  A
+    Laurent numerator against s^v (1 - s^2) then costs one division by the
+    degree-2 factor instead of a Euclid run at the numerator's degree.
+    """
     a = poly_trim(a)
     b = poly_trim(b)
-    # strip the common power of s first: cheap and very frequent here
+    v = 0
     if a and b:
-        v = min(poly_valuation(a), poly_valuation(b))
-    else:
-        v = 0
-    if v:
-        a = tuple(a[v:])
-        b = tuple(b[v:])
+        va = poly_valuation(a)
+        vb = poly_valuation(b)
+        v = min(va, vb)
+        a = a[va:]
+        b = b[vb:]
     while b:
         _, r = poly_divmod(a, b)
         if r:

@@ -13,17 +13,18 @@ eigenvalue list, never from matrices.
 Exact backend: eigenvalues are integers w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
 coefficient inside Q(i)(s); anything else belongs to the numeric backend.
-``laurent_product`` is the workbench's one exact product engine: the theta
+``laurent_rows`` is the workbench's one exact product engine: the theta
 quotients, their bare numerator/denominator products and the exact
-Z-series are all built through it.
+Z-series are all built through it.  Every factor is 1 +- p^e s^d, so the
+product is kept as integer Laurent rows, one dict {s-exponent: int} per
+p-order, and turned into rational functions only by ``laurent_product``.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .ring import GaussianRational, RationalFunctionQi
-from .qseries import PSeries
+from .qseries import series_from_rows
 
 # (numerator sign, numerator offset, denominator sign, denominator offset);
 # p-exponents run over 4n + offset, offset -2 marks the q^{n-1/2} family.
@@ -45,9 +46,6 @@ class WittenDenominatorError(ValueError):
         self.n = n
 
 
-_GR_ONE = GaussianRational.one()
-
-
 def _exponents(offset, order):
     """The p-exponents 4n + offset (n >= 1) up to ``order``."""
     return range(4 + offset, order + 1, 4)
@@ -62,27 +60,47 @@ def witten_factors(i, weights, order):
     return num, den
 
 
-def laurent_product(order, numerator, denominator=()):
-    """The PSeries over Q(i)(s), truncated at ``order``, of the product of
-    the ``numerator`` factors divided by the product of the ``denominator``
-    factors, each a triple (e, d, c) with e >= 1 standing for 1 + c p^e s^d.
+def laurent_rows(order, numerator, denominator=()):
+    """Integer Laurent rows of the product of the ``numerator`` factors
+    divided by the product of the ``denominator`` factors, truncated at
+    ``order``: one dict {s-exponent: int} per p-order 0..order.
 
-    Coefficients stay Laurent dicts {s-exponent: Q(i)} while multiplying;
-    a denominator factor is applied as its geometric series.
+    Each factor is a triple (e, d, c) with e >= 1 and c an integer,
+    standing for 1 + c p^e s^d; a denominator factor is applied as its
+    geometric series.  The coefficient of p^k is the Laurent polynomial
+    sum_d rows[k][d] s^d, exactly.
     """
-    ls = [dict() for _ in range(order + 1)]
-    ls[0][0] = _GR_ONE
-    for e, d, c in numerator:
-        for k in range(order, e - 1, -1):
-            src = ls[k - e]
-            if src:
-                _accum(ls[k], src, d, c)
-    for e, d, c in denominator:
-        for k in range(e, order + 1):
-            src = ls[k - e]
-            if src:
-                _accum(ls[k], src, d, -c)
-    return PSeries([RationalFunctionQi.from_laurent(slot) for slot in ls], order)
+    rows = [dict() for _ in range(order + 1)]
+    rows[0][0] = 1
+    for factor in numerator:
+        multiply_factor(rows, *factor)
+    for factor in denominator:
+        divide_factor(rows, *factor)
+    return rows
+
+
+def multiply_factor(rows, e, d, c):
+    """Multiply Laurent rows in place by 1 + c p^e s^d (e >= 0)."""
+    for k in range(len(rows) - 1, e - 1, -1):
+        src = rows[k - e]
+        if src:
+            # e = 0 reads the row it writes, so it reads a copy
+            _accum(rows[k], src if e else dict(src), d, c)
+
+
+def divide_factor(rows, e, d, c):
+    """Divide Laurent rows in place by 1 + c p^e s^d (e >= 1), that is,
+    multiply by its geometric series."""
+    for k in range(e, len(rows)):
+        src = rows[k - e]
+        if src:
+            _accum(rows[k], src, d, -c)
+
+
+def laurent_product(order, numerator, denominator=()):
+    """The PSeries over Q(i)(s) of ``laurent_rows(order, numerator,
+    denominator)``."""
+    return series_from_rows(laurent_rows(order, numerator, denominator))
 
 
 def witten_char(i, eigenvalues, params, backend="numeric"):
@@ -107,19 +125,15 @@ def _witten_exact(i, weights, order):
     return laurent_product(order, *witten_factors(i, weights, order))
 
 
-def _accum(dst, src, d, sign):
-    for e, c in src.items():
+def _accum(dst, src, d, c):
+    """dst += c s^d src on Laurent dicts with integer coefficients."""
+    for e, v in src.items():
         key = e + d
-        val = c if sign > 0 else -c
-        old = dst.get(key)
-        if old is None:
-            dst[key] = val
+        new = dst.get(key, 0) + c * v
+        if new:
+            dst[key] = new
         else:
-            new = old + val
-            if new:
-                dst[key] = new
-            else:
-                del dst[key]
+            del dst[key]
 
 
 def _witten_numeric(i, eigenvalues, params):

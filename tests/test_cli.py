@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from elliptica.cli import main
+from elliptica import zem
+from elliptica.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -165,3 +167,48 @@ def test_verify_zero_trials_is_usage_error(capsys):
         main(["verify", "--suite", "K-transfer", "--trials", "0"])
     assert exc.value.code == 2
     assert "must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["half_dim", "weights", "twist"])
+def test_boolean_manifold_fields_exit_2(capsys, tmp_path, field):
+    data = {"name": "b", "half_dim": 1,
+            "points": [{"weights": [1]}, {"weights": [-1]}],
+            "twists": {"t": [[1], [1]]}}
+    if field == "half_dim":
+        data["half_dim"] = True
+    elif field == "weights":
+        data["points"][1]["weights"] = [True]
+    else:
+        data["twists"]["t"][0] = [False]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "index", "--manifold", str(path))
+    assert code == 2
+    assert "invalid manifold data" in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_emit_writes_non_finite_floats_as_standard_json(tmp_path):
+    path = tmp_path / "r.json"
+    _emit({"a": math.nan, "b": [math.inf, -math.inf, 0.5], "c": (1.0,)},
+          str(path))
+    assert _strict_json(path.read_text()) == {
+        "a": "NaN", "b": ["Infinity", "-Infinity", 0.5], "c": [1.0],
+    }
+
+
+def test_verify_nan_residual_fails_visibly(capsys, monkeypatch):
+    monkeypatch.setattr(zem, "_residual", lambda lhs, rhs: math.nan)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "K-transfer",
+                           "--trials", "3")
+    assert code == 1
+    suite = _strict_json(out)["suites"][0]
+    assert suite["passed"] is False
+    assert suite["max_residual"] == "NaN"
+    assert [f["residual"] for f in suite["failures"]] == ["NaN"] * 3

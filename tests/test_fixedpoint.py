@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from elliptica.elliptic import EllipticParams
+from elliptica import fixedpoint
+from elliptica.elliptic import EllipticParams, PoleError
 from elliptica.fixedpoint import (
     ManifoldValidationError,
     SpecialPointError,
@@ -19,8 +21,9 @@ from elliptica.fixedpoint import (
     sym2_weights,
     tangent_complex_weights,
 )
-from elliptica.ring import RationalFunctionQi
-from elliptica.zem import LatticeElement
+from elliptica.ring import PoleEvaluationError, RationalFunctionQi
+from elliptica.witten import WittenDenominatorError
+from elliptica.zem import LatticeElement, SpecialCollisionError
 
 RF = RationalFunctionQi
 
@@ -234,3 +237,75 @@ def test_load_manifold_from_path(tmp_path):
     assert equivariant_index(m, TwistSpec("none")) == RF.zero()
     with pytest.raises(FileNotFoundError):
         load_manifold("does_not_exist")
+
+
+@pytest.mark.parametrize("path, data", [
+    ("half_dim", {"name": "x", "half_dim": True,
+                  "points": [{"weights": [1]}]}),
+    ("points[0].weights[0]", {"name": "x", "half_dim": 3,
+                              "points": [{"weights": [True, 2, 3]}]}),
+    ("twists.t[1]", {"name": "x", "half_dim": 1,
+                     "points": [{"weights": [1]}, {"weights": [-1]}],
+                     "twists": {"t": [[1], [False]]}}),
+])
+def test_schema_rejects_json_booleans(path, data):
+    with pytest.raises(ManifoldValidationError) as err:
+        manifold_from_dict(data)
+    assert err.value.path == path
+
+
+def _cp3_consistency(trials=4):
+    return consistency_check(
+        load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
+        EllipticParams(tau=0.2 + 1.1j), trials=trials,
+    )
+
+
+def test_consistency_check_nan_residual_fails(monkeypatch):
+    real = fixedpoint.equivariant_index
+    calls = []
+
+    def one_nan(*args, **kwargs):
+        calls.append(None)
+        value = real(*args, **kwargs)
+        return complex("nan") if len(calls) == 2 else value
+
+    monkeypatch.setattr(fixedpoint, "equivariant_index", one_nan)
+    rep = _cp3_consistency()
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+
+
+class _Bug(ValueError):
+    pass
+
+
+def test_consistency_check_surfaces_bugs(monkeypatch):
+    def broken(*args, **kwargs):
+        raise _Bug("not a degenerate draw")
+
+    monkeypatch.setattr(fixedpoint, "z_fun", broken)
+    with pytest.raises(_Bug):
+        _cp3_consistency()
+
+
+@pytest.mark.parametrize("error", [
+    PoleError("pole", 0.0),
+    SpecialCollisionError("collision", 1),
+    WittenDenominatorError("denominator", 1),
+    PoleEvaluationError("pole", 0.0),
+    ZeroDivisionError("zero"),
+])
+def test_consistency_check_retries_degenerate_draws(monkeypatch, error):
+    real = fixedpoint.z_fun
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "z_fun", fails_once)
+    rep = _cp3_consistency()
+    assert rep.passed and rep.trials == 4

@@ -13,10 +13,12 @@ from elliptica.zem import (
     AdaptedKError,
     BothEvenError,
     DegenerateDrawError,
+    IdentityReport,
     LatticeElement,
     SUITE_NAMES,
     SpecialCollisionError,
     ZemError,
+    _c_constant_numeric,
     adapted_k,
     degenerate_reduction_check,
     em_eps,
@@ -266,3 +268,29 @@ def test_report_json_shape():
     assert set(js) >= {"suite", "trials", "seed", "max_residual", "failures",
                        "passed"}
     assert js["suite"] == "allW" and js["trials"] == 5
+
+
+@pytest.mark.parametrize("residuals", [
+    [math.nan, 1e-12], [1e-12, math.nan], [1e-12, math.nan, 1e-11],
+])
+def test_nan_residual_fails_and_stays_in_max_residual(residuals):
+    rep = IdentityReport(suite="x", trials=len(residuals), seed=0, tol=1e-8)
+    for trial, residual in enumerate(residuals):
+        rep.record(trial, residual, {})
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+
+
+def test_worst_residual_keeps_nan_in_any_position():
+    from elliptica.zem import _worst
+
+    assert math.isnan(_worst(0.1, math.nan, 0.2))
+    assert math.isnan(_worst(0.1, 0.2, math.nan))
+    assert _worst(0.1, 0.3, 0.2) == 0.3
+
+
+def test_c_constant_guard_is_an_explicit_error():
+    # (alpha, beta) = (1, 0) on one plane is not in parity case (0, 0)
+    with pytest.raises(ValueError, match="parity case"):
+        _c_constant_numeric((0, 0), 1, 0, 1, PARAMS)
+    assert _c_constant_numeric((1, 0), 1, 0, 1, PARAMS) == 1j
