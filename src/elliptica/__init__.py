@@ -4,11 +4,11 @@ indices of spin circle-manifolds with isolated fixed points.
 Layering (each module only depends on the ones above it):
 
     ring        exact arithmetic: Q(i) and Q(i)(s)
-    qseries     truncated series in p = q^{1/4} with lattice substitutions,
-                and the monomial regrading of integer Laurent rows
+    qseries     truncated series in p = q^{1/4} with lattice substitutions
     witten      the four tensor-series characters and the one exact
                 product engine, on integer Laurent rows, behind every
-                theta product
+                theta product, with the substitution s -> p^m s on its
+                factors
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs
@@ -17,8 +17,8 @@ Layering (each module only depends on the ones above it):
     cli         command-line surface
 
 All value types are immutable after construction.  The package runs
-single-threaded: its caches of exact series (lru_cache in elliptic, a
-bounded dict in qseries) are plain memoizations with no locking.
+single-threaded: its caches of exact series (lru_cache in elliptic) are
+plain memoizations with no locking.
 """
 
 from .ring import (

@@ -76,11 +76,35 @@ def _summary(line):
     print(line, file=sys.stderr)
 
 
+def _parse_complex(raw):
+    try:
+        return complex(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a complex number: {raw!r}"
+        ) from None
+
+
 def _parse_tau(raw):
-    tau = complex(raw.replace(" ", ""))
-    if tau.imag <= 0:
-        raise argparse.ArgumentTypeError("tau needs positive imaginary part")
+    tau = _parse_complex(raw.replace(" ", ""))
+    try:
+        EllipticParams(tau=tau)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tau
+
+
+def _parse_point(raw):
+    """A point z, checked here and kept as typed, since reports echo it."""
+    _parse_complex(raw)
+    return raw
+
+
+def _positive_float(raw):
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
 
 
 def _bounded_int(low):
@@ -93,11 +117,24 @@ def _bounded_int(low):
     return integer
 
 
+_SHARED_OPTIONS = {
+    "seed": ("--seed", dict(type=int, default=0)),
+    "trials": ("--trials", dict(type=_bounded_int(1), default=100)),
+    "tol": ("--tol", dict(type=_positive_float, default=1e-8)),
+    "q_order": ("--q-order", dict(dest="q_order", type=_bounded_int(0),
+                                  default=80)),
+    "tau": ("--tau", dict(type=_parse_tau, default=None)),
+}
+
+
 def cmd_verify(args):
     if args.suite == "all":
         suites = list(ALL_SUITES)
     else:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not suites:
+            _summary(f"no suite named in {args.suite!r}")
+            return USAGE_ERROR
         for s in suites:
             if s not in ALL_SUITES:
                 _summary(
@@ -152,10 +189,11 @@ def _load_or_exit(source):
         return load_manifold(source), 0
     except ManifoldValidationError as exc:
         _summary(f"invalid manifold data: {exc}")
-        return None, USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        _summary(f"invalid manifold data: {source}: {exc}")
+    except OSError as exc:
         _summary(str(exc))
-        return None, USAGE_ERROR
+    return None, USAGE_ERROR
 
 
 def cmd_index(args):
@@ -306,17 +344,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=_bounded_int(1), default=100)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--q-order", dest="q_order", type=_bounded_int(0),
-                       default=80)
-        p.add_argument("--tau", type=_parse_tau, default=None)
+    def common(p, *names):
+        """The shared options named, each declared only by the subcommands
+        that read it, and --out, which every subcommand reads."""
+        for name in names:
+            flag, kwargs = _SHARED_OPTIONS[name]
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("verify", help="run identity suites")
-    common(p)
+    common(p, "seed", "trials", "tol", "q_order")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated list of suite names")
     p.add_argument("--dims", type=int, default=8,
@@ -324,16 +361,17 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("index", help="equivariant index from fixed-point data")
-    common(p)
+    common(p, "q_order", "tau")
     p.add_argument("--manifold", required=True,
                    help="path to a manifold JSON file or a catalog name")
     p.add_argument("--twist", default="none",
                    help="none | tangent_witten | a named bundle twist")
-    p.add_argument("--at", default=None, help="also evaluate numerically at z")
+    p.add_argument("--at", type=_parse_point, default=None,
+                   help="also evaluate numerically at z")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("rigidity", help="per-coefficient constancy check")
-    common(p)
+    common(p, "q_order")
     p.add_argument("--manifold", required=True)
     p.set_defaults(func=cmd_rigidity)
 
@@ -343,14 +381,15 @@ def build_parser():
     p.set_defaults(func=cmd_special)
 
     p = sub.add_parser("expand", help="exact series of a theta quotient")
-    common(p)
+    common(p, "q_order", "tau")
     p.add_argument("--phi", type=int, choices=(1, 2, 3, 4), required=True)
-    p.add_argument("--at", default=None, help="also evaluate numerically at z")
+    p.add_argument("--at", type=_parse_point, default=None,
+                   help="also evaluate numerically at z")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("consistency",
                        help="local vs direct evaluation at a nonspecial point")
-    common(p)
+    common(p, "seed", "trials", "tol", "tau")
     p.add_argument("--manifold", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", type=int, required=True)

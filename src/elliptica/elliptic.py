@@ -41,26 +41,21 @@ and the five identities checked here are
 
 Exact verification of the regrading rules needs care: a truncated series
 does not determine its own image under s -> p^m s at every order, because
-discarded tail coefficients can land low.  The checks work on the integer
-rows of the products, where s -> p^m s is a monomial move
-p^k s^d -> p^{k+md} s^d and a closed-form prefactor is applied once as its
-exact image, so no series is inverted and no gcd is taken.  Two valuation
-bounds make the checks sound:
+discarded tail coefficients can land low.  The checks therefore substitute
+into the factors, not into the series.  Every factor is 1 + c p^e s^d with
+c = +-1, and s -> p^m s sends it to 1 + c p^{e+md} s^d; a negative new
+exponent e' is cleared by the flip identity
 
-* the W_1 rows on (1, -1) (equivalently, the full phi_1 series): the
-  coefficient of p^k has no power of s below s^{-(k/2 + 1)}, so under
-  s -> p s a row beyond order 2M + 4 only lands above M.  The tau/2
-  checks therefore regrade rows computed with doubled depth and multiply
-  by the prefactor's image p s / (1 - p^2 s^2).
-* bare product parts N (numerator product) and D (denominator product):
-  reaching s^{-2j} costs at least 2j^2 in p-order, so the span is
-  O(sqrt(k)) and a square-root headroom suffices.  The full-period check
-  is done in cross-multiplied form on these parts:
+    1 + c x = c x (1 + c x^{-1}),    x = p^{e'} s^d,
 
-      p^2 s^2 (pref*N)(p^2 s) * D  ==  p^2 * (pref*N) * (-s^2 D(p^2 s))
-
-  which is equivalent to phi_1(z+tau) = -phi_1(z) after clearing
-  denominators, and never needs to invert a substituted series.
+which leaves a monomial c p^{e'} s^d and the factor 1 + c p^{-e'} s^{-d}.
+A factor with e > M + m max|d| lands above p^M, so the substituted product
+is exact at depth M once the factor list reaches that exponent: M + 2 for
+the tau/2 checks, whose W_1 factors on (1, -1) have |d| = 2, and M + 4a
+for the full period of phi_1(a z).  The full-period check is done on the
+bare parts N (numerator product), D (denominator product) and the
+prefactor, in the relations listed at ``fullperiod_parts_check``, so no
+divided factor ever needs a flip and no substituted series is inverted.
 """
 
 from __future__ import annotations
@@ -72,18 +67,15 @@ from functools import lru_cache
 
 from .ring import GaussianRational, RationalFunctionQi
 from .qseries import (
-    PSeries,
     Substitution,
+    SubstitutionError,
     ps_substitute_t,
-    regrade_rows,
     series_from_rows,
 )
 from .witten import (
     LAYOUT,
-    divide_factor,
-    laurent_product,
     laurent_rows,
-    multiply_factor,
+    regrade_factors,
     witten_char,
     witten_factors,
 )
@@ -110,8 +102,17 @@ class EllipticParams:
     pole_guard: float = 1e-8
 
     def __post_init__(self):
-        if self.tau is not None and self.tau.imag <= 0:
-            raise ValueError("tau must have positive imaginary part")
+        if self.tau is not None:
+            if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
+                raise ValueError(
+                    f"tau must be finite with positive imaginary part, got "
+                    f"{self.tau}"
+                )
+            if not 0.0 < abs(self.q) < 1.0:
+                raise ValueError(
+                    f"tau = {self.tau} gives |q| = {abs(self.q)}, outside "
+                    "(0, 1) in floating point"
+                )
         if self.truncation_order is not None and self.truncation_order < 0:
             raise ValueError("truncation order must be >= 0")
 
@@ -163,28 +164,11 @@ def phi_prefactor(i):
 
 
 @lru_cache(maxsize=64)
-def _numerator_series(i, order):
-    return laurent_product(order, witten_factors(i, (1, -1), order)[0])
-
-
-@lru_cache(maxsize=64)
-def _denominator_series(i, order):
-    """The denominator product itself (not inverted)."""
-    return laurent_product(order, witten_factors(i, (1, -1), order)[1])
-
-
-@lru_cache(maxsize=64)
 def phi_exact(i, order):
     """Truncated series of phi_i over Q(i)(s) to the given p-order: the
     prefactor times the W_i character on the weights (1, -1)."""
     params = EllipticParams(truncation_order=order)
     return witten_char(i, (1, -1), params, backend="exact").scale(phi_prefactor(i))
-
-
-@lru_cache(maxsize=64)
-def _geometric_p4s2(order):
-    """The series of 1/(1 - p^4 s^2): sum_j p^{4j} s^{2j}."""
-    return geometric_series(4, 2, order)
 
 
 def _pole_shift(i, tau):
@@ -280,43 +264,25 @@ class TranslationReport:
         }
 
 
-def halfperiod_headroom(order):
-    """Input depth so that s -> p s on full phi_1 is exact to ``order``."""
-    return 2 * order + 6
-
-
-def composed_fullperiod_headroom(a, order):
-    """Input depth for the cross-multiplied s -> p^2 s check on the product
-    parts composed with s -> s^a; a discarded coefficient beyond this depth
-    can only land above ``order`` (square-root span bound, scaled by a and
-    fixed-point iterated with slack)."""
-    h = 8
-    for _ in range(4):
-        h = int(math.ceil(2.0 * a * math.sqrt(2.0 * (order + h)))) + 4
-    return order + h
-
-
-def numerator_series(i, order):
-    """The numerator product of phi_i as a PSeries over Q(i)(s); the
-    full-period checks read the same product as integer rows."""
-    return _numerator_series(i, order)
-
-
-def denominator_series(i, order):
-    return _denominator_series(i, order)
-
-
-def geometric_series(e, d, order):
-    """The series of 1/(1 - p^e s^d) truncated at ``order``."""
-    zero = RationalFunctionQi.zero()
-    coeffs = [
-        RationalFunctionQi.monomial((k // e) * d) if k % e == 0 else zero
-        for k in range(order + 1)
-    ]
-    return PSeries(coeffs, order)
-
-
 TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")
+
+
+def _regraded_rows(m, order, numerator, denominator=(), *, post):
+    """Laurent rows at depth ``order`` of prod(numerator) / prod(denominator)
+    under s -> p^m s, times the monomial post = (p-power, s-power, sign).
+
+    Both factor lists go through ``regrade_factors``, so they must reach
+    p^{order + m max|d|}; the flip monomials join ``post``, whose p-power
+    must come out >= 0, since the rows hold nothing beyond their depth.
+    """
+    (p_pow, s_pow, sign), numerator = regrade_factors(numerator, m, order)
+    _, denominator = regrade_factors(denominator, m, order, divided=True)
+    p_pow, s_pow, sign = p_pow + post[0], s_pow + post[1], sign * post[2]
+    if p_pow < 0:
+        raise SubstitutionError(f"p^{p_pow} would need rows beyond p^{order}")
+    rows = laurent_rows(order, numerator, denominator)
+    shifted = [{d + s_pow: sign * c for d, c in row.items()} for row in rows]
+    return [dict() for _ in rows[:p_pow]] + shifted[: order + 1 - p_pow]
 
 
 @lru_cache(maxsize=8)
@@ -325,15 +291,14 @@ def _phi1_halfshifted(order):
     whose translations contain tau/2, since scalar substitutions commute
     with the regrading.
 
-    The W_1 rows on (1, -1) are regraded from depth
-    ``halfperiod_headroom(order)`` and multiplied by the prefactor's exact
-    image p s / (1 - p^2 s^2), that is out_k = s W'_{k-1} + s^2 out_{k-2}.
+    phi_1 is s times the W_1 factors on (1, -1) over the prefactor factor
+    1 - s^2: each factor goes to its image, the monomial s to p s, and
+    every |d| is 2, so W_1 factors through p^{order + 2} suffice.
     """
-    deep = halfperiod_headroom(order)
-    char = laurent_rows(deep, *witten_factors(1, (1, -1), deep))
-    rows = regrade_rows(char, 1, order, post_p=1, post_s=1)
-    divide_factor(rows, 2, 2, -1)
-    return series_from_rows(rows)
+    num, den = witten_factors(1, (1, -1), order + 2)
+    return series_from_rows(
+        _regraded_rows(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
+    )
 
 
 def _first_row_difference(a, b):
@@ -341,34 +306,44 @@ def _first_row_difference(a, b):
 
 
 def fullperiod_parts_check(a, order):
-    """First p-exponent at which the bare parts of phi_1(a z) fail their
-    full-period relations, or None.  With N_a, D_a the numerator and
-    denominator products composed with s -> s^a (a >= 1):
+    """First p-exponent at which phi_1(a z) fails its full-period relations,
+    or None.  With N_a, D_a the numerator and denominator products composed
+    with s -> s^a (a >= 1) and the prefactor pref_a = s^a / (1 - s^{2a}):
 
         (i)   p^{2a^2} s^{2a^2} N_a(p^2 s)           == N_a(s)
         (ii)  (-1)^a p^{2a(a-1)} s^{2a^2} D_a(p^2 s) == (1-s^{2a}) D_a(s)
                                                         / (1 - p^{4a} s^{2a})
+        (iii) pref_a(p^2 s)                          == p^{2a} s^a
+                                                        / (1 - p^{4a} s^{2a})
 
-    Both sides are integer Laurent rows; the composition maps s^d to
-    s^{a d} and the regrading is a monomial move, so no rational function
-    is formed.
+    They give phi_1(a(z+tau)) = pref_a(p^2 s) N_a(p^2 s) / D_a(p^2 s)
+    = (-1)^a phi_1(a z) after clearing the common (1 - p^{4a} s^{2a}).
+    Each left side is a product of regraded factors (m = 2, |d| = 2a, so
+    factors through p^{order + 4a} suffice); no series is regraded.
     """
-    deep = composed_fullperiod_headroom(a, order)
-    num, den = witten_factors(1, (1, -1), deep)
-    n_rows = [{a * d: c for d, c in row.items()} for row in laurent_rows(deep, num)]
-    d_rows = [{a * d: c for d, c in row.items()} for row in laurent_rows(deep, den)]
-    sub_n = regrade_rows(n_rows, 2, order, post_p=2 * a * a, post_s=2 * a * a)
-    first = _first_row_difference(sub_n, n_rows)
-    if first is not None:
-        return first
-    sub_d = regrade_rows(
-        d_rows, 2, order, post_p=2 * a * (a - 1), post_s=2 * a * a,
-        sign=-1 if a % 2 else 1,
+    num, den = witten_factors(1, (1, -1), order + 4 * a)
+    num = [(e, a * d, c) for e, d, c in num]
+    den = [(e, a * d, c) for e, d, c in den]
+    first = _first_row_difference(
+        _regraded_rows(2, order, num, post=(2 * a * a, 2 * a * a, 1)),
+        laurent_rows(order, num),
     )
-    rhs_d = d_rows[: order + 1]
-    divide_factor(rhs_d, 4 * a, 2 * a, -1)
-    multiply_factor(rhs_d, 0, 2 * a, -1)
-    return _first_row_difference(sub_d, rhs_d)
+    if first is None:
+        first = _first_row_difference(
+            _regraded_rows(
+                2, order, den, post=(2 * a * (a - 1), 2 * a * a, (-1) ** a)
+            ),
+            laurent_rows(order, den + [(0, 2 * a, -1)], [(4 * a, 2 * a, -1)]),
+        )
+    if first is None:
+        geometric = [dict() for _ in range(order + 1)]
+        for k in range(2 * a, order + 1, 4 * a):
+            geometric[k][a + (k - 2 * a) // 2] = 1
+        first = _first_row_difference(
+            _regraded_rows(2, order, (), [(0, 2 * a, -1)], post=(2 * a, a, 1)),
+            geometric,
+        )
+    return first
 
 
 def phi_translate_check(which, params):
@@ -386,7 +361,7 @@ def phi_translate_check(which, params):
     elif which == "z+tau/2":
         lhs = _phi1_halfshifted(order)
         rhs = phi_exact(3, order).shift_p(1)
-        detail = "phi1(z+tau/2) vs p*phi3(z), s -> p s with doubled depth"
+        detail = "phi1(z+tau/2) vs p*phi3(z), s -> p s on the factors"
     elif which == "z+1/2+tau/2":
         lhs = ps_substitute_t(_phi1_halfshifted(order), Substitution.i_s())
         rhs = (
@@ -396,21 +371,7 @@ def phi_translate_check(which, params):
         )
         detail = "phi1(z+1/2+tau/2) vs i*p*phi4(z)"
     elif which == "z+tau":
-        # Verified in product form: the relations (i) and (ii) of
-        # fullperiod_parts_check at a = 1, and
-        #   (iii)  pref(p^2 s) == p^2 s / (1-p^4 s^2)
-        # for pref = s/(1-s^2); then phi1(z+tau) = pref(p^2 s) N(p^2 s) /
-        # D(p^2 s) = -s N / ((1-s^2) D) = -phi1(z) by clearing (1-p^4 s^2).
         first = fullperiod_parts_check(1, order)
-        if first is None:
-            pref_series = PSeries(
-                (phi_prefactor(1),) + (RationalFunctionQi.zero(),) * order, order
-            )
-            sub_pref = ps_substitute_t(pref_series, Substitution.p_shift(2))
-            rhs_pref = _geometric_p4s2(order).map_coefficients(
-                lambda c: c * RationalFunctionQi.var() if c else c
-            ).shift_p(2)
-            first = sub_pref.first_difference(rhs_pref)
         return TranslationReport(
             which=which,
             truncation_order=order,

@@ -36,9 +36,15 @@ from math import gcd
 from .ring import PoleEvaluationError, RationalFunctionQi
 from .qseries import PSeries
 from .elliptic import PoleError, phi_numeric
-from .spinchar import RotationData
+from .spinchar import RotationData, chi
 from .witten import WittenDenominatorError
-from .zem import LatticeElement, SpecialCollisionError, _worst, z_fun
+from .zem import (
+    LatticeElement,
+    SpecialCollisionError,
+    _require_tol,
+    _worst,
+    z_fun,
+)
 
 
 class ManifoldValidationError(ValueError):
@@ -262,10 +268,6 @@ def special_orders(m):
 # indices
 
 
-def _chi_factor(a):
-    return RationalFunctionQi.from_laurent({-a: 1, a: -1}).inverse()
-
-
 def _bundle_character(ws):
     char = {}
     for w in ws:
@@ -296,9 +298,7 @@ def equivariant_index(m, twist, params=None, backend="exact", z=None):
             return total
         total = RationalFunctionQi.zero()
         for i, pt in enumerate(m.points):
-            term = RationalFunctionQi.one()
-            for a in pt.weights:
-                term = term * _chi_factor(a)
+            term = chi(None, RotationData(pt.weights, 1), exact=True)
             if kind == "bundle":
                 term = term * _bundle_character(twist.bundle_weights[i])
             total = total + term
@@ -457,6 +457,7 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
     match the direct product evaluation at gamma + y + z."""
     if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
         raise SpecialPointError("consistency_check needs a torsion point")
+    _require_tol(tol)
     orders, _ = special_orders(m)
     if gamma.k in orders:
         raise SpecialPointError(

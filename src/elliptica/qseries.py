@@ -17,17 +17,17 @@ underlying variable z (s = e^{i pi z}):
     s -> 1/s       (z -> -z)
     s -> p^m * s   (z -> z + m*tau/2, a regrading of the series)
 
-On Laurent data the p^m rule is a monomial move, p^k s^d -> p^{k+md} s^d:
-``regrade_rows`` applies it to integer Laurent rows (one dict
-{s-exponent: int} per p-order) with nothing to expand.  The general rule
-re-expands every coefficient n(s)/(s^v * d(s)), d(0) != 0, by substituting
-p^m*s and re-collecting by p-exponent; the geometric expansion of
-1/d(p^m s) only ever raises the p-order, so each output order receives
-finitely many contributions *from the stored coefficients*.  Contributions
-that tail coefficients beyond the truncation would have made are the
-caller's responsibility: callers must supply enough input depth that the
-discarded tail can only land above the orders they read (see the elliptic
-module for the valuation bounds used there).
+``ps_substitute_t`` applies the p^m rule to a whole series: it re-expands
+every coefficient n(s)/(s^v * d(s)), d(0) != 0, by substituting p^m*s and
+re-collecting by p-exponent; the geometric expansion of 1/d(p^m s) only
+ever raises the p-order, so each output order receives finitely many
+contributions *from the stored coefficients*.  Contributions that tail
+coefficients beyond the truncation would have made are the caller's
+responsibility: a caller of ``ps_substitute_t`` must supply enough input
+depth that the discarded tail can only land above the orders it reads.
+The exact translation checks of the elliptic module avoid that obligation
+by substituting into the product factors instead (``regrade_factors`` in
+the witten module).
 """
 
 from __future__ import annotations
@@ -367,48 +367,30 @@ def _regrade(a, m, post_p, post_s):
     return PSeries(coeffs, order)
 
 
-_INV_EXPANSION_CACHE: dict = {}
-
-
 def _inverse_expansion(dhat, m, depth):
     """p-series rows of 1/dhat(p^m s) for a polynomial dhat with dhat(0)=1.
 
     Returns [(p_order, {s_exp: coeff}), ...] up to p-order ``depth``; the
     substitution only raises p-orders, so the recursion g_t = -sum_w
-    dhat_w s^w g_{t-mw} closes at each order.  Rows are memoized per
-    (dhat, m) since the same denominator shape recurs across coefficients.
+    dhat_w s^w g_{t-mw} closes at each order.
     """
-    if len(dhat) == 1 or depth <= 0:
-        return [(0, {0: GaussianRational.one()})]
-    key = (dhat, m)
-    entry = _INV_EXPANSION_CACHE.get(key)
-    if entry is None:
-        entry = {"rows": {0: {0: GaussianRational.one()}}, "upto": 0}
-        if len(_INV_EXPANSION_CACHE) > 64:
-            _INV_EXPANSION_CACHE.clear()
-        _INV_EXPANSION_CACHE[key] = entry
-    rows = entry["rows"]
-    if depth > entry["upto"]:
-        supp = [(w, c) for w, c in enumerate(dhat) if w >= 1 and c]
-        for t in range(entry["upto"] + 1, depth + 1):
-            row = {}
-            for w, cw in supp:
-                tw = t - m * w
-                if tw < 0:
-                    continue
-                prev = rows.get(tw)
-                if not prev:
-                    continue
-                for se, ce in prev.items():
-                    key2 = se + w
-                    val = cw * ce
-                    old = row.get(key2)
-                    row[key2] = -val if old is None else old - val
-            row = {k: c for k, c in row.items() if c}
-            if row:
-                rows[t] = row
-        entry["upto"] = depth
-    return sorted((t, r) for t, r in rows.items() if t <= depth)
+    rows = {0: {0: GaussianRational.one()}}
+    supp = [(w, c) for w, c in enumerate(dhat) if w >= 1 and c]
+    for t in range(1, depth + 1):
+        row = {}
+        for w, cw in supp:
+            prev = rows.get(t - m * w)
+            if not prev:
+                continue
+            for se, ce in prev.items():
+                key = se + w
+                val = cw * ce
+                old = row.get(key)
+                row[key] = -val if old is None else old - val
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            rows[t] = row
+    return sorted(rows.items())
 
 
 def series_from_rows(rows):
@@ -417,36 +399,6 @@ def series_from_rows(rows):
     return PSeries(
         [RationalFunctionQi.from_laurent(row) for row in rows], len(rows) - 1
     )
-
-
-def regrade_rows(rows, m, order, *, post_p=0, post_s=0, sign=1):
-    """s -> p^m s on Laurent rows, times sign * p^post_p s^post_s, truncated
-    at ``order``.
-
-    On Laurent data the substitution is a monomial move, p^k s^d ->
-    p^{k + m d} s^d, so nothing is inverted or expanded.  A term landing
-    below p^0 raises SubstitutionError, as in ``ps_substitute_t``; the
-    caller owes the same input depth, since rows beyond the input are not
-    seen.
-    """
-    out = [dict() for _ in range(order + 1)]
-    for k, row in enumerate(rows):
-        for d, c in row.items():
-            t = k + m * d + post_p
-            if t < 0:
-                raise SubstitutionError(
-                    f"term s^{d} at p^{k} lands at p^{t} < 0 under "
-                    f"s -> p^{m} s"
-                )
-            if t <= order:
-                slot = out[t]
-                key = d + post_s
-                new = slot.get(key, 0) + sign * c
-                if new:
-                    slot[key] = new
-                else:
-                    del slot[key]
-    return out
 
 
 def ps_compose_power(a, n):

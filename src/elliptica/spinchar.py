@@ -162,10 +162,7 @@ def chi(g, R, exact=False):
     if g is not None:
         shift = [complex(t) for t in g.entries]
         sign *= g.orientation_sign
-        base = RotationData(R.entries, 1)
-    else:
-        base = RotationData(R.entries, 1)
-    st = spinor_trace("str", base, shift=shift)
+    st = spinor_trace("str", RotationData(R.entries, 1), shift=shift)
     st *= sign
     if abs(st) < 1e-12:
         raise SupertraceZeroError(

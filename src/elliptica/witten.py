@@ -18,13 +18,15 @@ quotients, their bare numerator/denominator products and the exact
 Z-series are all built through it.  Every factor is 1 +- p^e s^d, so the
 product is kept as integer Laurent rows, one dict {s-exponent: int} per
 p-order, and turned into rational functions only by ``laurent_product``.
+``regrade_factors`` applies the lattice translation s -> p^m s to the
+factors themselves, before any product is formed.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .qseries import series_from_rows
+from .qseries import SubstitutionError, series_from_rows
 
 # (numerator sign, numerator offset, denominator sign, denominator offset);
 # p-exponents run over 4n + offset, offset -2 marks the q^{n-1/2} family.
@@ -60,14 +62,50 @@ def witten_factors(i, weights, order):
     return num, den
 
 
+def regrade_factors(factors, m, order, divided=False):
+    """The substitution s -> p^m s on factors (e, d, c) = 1 + c p^e s^d.
+
+    Each factor goes to 1 + c p^{e+md} s^d.  For c = +-1 a negative
+    exponent e' = e + md is cleared by 1 + c x = c x (1 + c x^{-1}): the
+    factor becomes the monomial c p^{e'} s^d times (-e', -d, c).  Returns
+    ((p-power, s-power, sign), factors): the product of those monomials and
+    the regraded factors with exponent <= ``order``, so the product is
+    exact to ``order`` whenever the caller's input held every factor with
+    e <= order + m * max|d|.  Factors to be ``divided`` must land at e' >= 1
+    (``divide_factor``); one that would not, flipped or not, raises
+    SubstitutionError.
+    """
+    p_pow = s_pow = 0
+    sign = 1
+    out = []
+    for e, d, c in factors:
+        e2 = e + m * d
+        if divided and e2 < 1:
+            raise SubstitutionError(
+                f"divided factor (1 + {c} p^{e} s^{d}) lands at p^{e2} under "
+                f"s -> p^{m} s"
+            )
+        if e2 < 0:
+            if c not in (1, -1):
+                raise SubstitutionError(
+                    f"factor (1 + {c} p^{e} s^{d}) needs a flip, which holds "
+                    "only for c = +-1"
+                )
+            p_pow, s_pow, sign = p_pow + e2, s_pow + d, sign * c
+            e2, d = -e2, -d
+        if e2 <= order:
+            out.append((e2, d, c))
+    return (p_pow, s_pow, sign), out
+
+
 def laurent_rows(order, numerator, denominator=()):
     """Integer Laurent rows of the product of the ``numerator`` factors
     divided by the product of the ``denominator`` factors, truncated at
     ``order``: one dict {s-exponent: int} per p-order 0..order.
 
-    Each factor is a triple (e, d, c) with e >= 1 and c an integer,
-    standing for 1 + c p^e s^d; a denominator factor is applied as its
-    geometric series.  The coefficient of p^k is the Laurent polynomial
+    Each factor is a triple (e, d, c) with c an integer, standing for
+    1 + c p^e s^d, e >= 0 in the numerator and e >= 1 in the denominator,
+    where a factor is applied as its geometric series.  The coefficient of p^k is the Laurent polynomial
     sum_d rows[k][d] s^d, exactly.
     """
     rows = [dict() for _ in range(order + 1)]

@@ -26,15 +26,13 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .ring import GaussianRational, RationalFunctionQi
-from .qseries import PSeries, Substitution, ps_substitute_t
+from .qseries import Substitution, ps_substitute_t
 from .elliptic import (
     EllipticParams,
     PoleError,
     fullperiod_parts_check,
-    geometric_series,
     lattice_distance,
     phi_numeric,
-    phi_prefactor,
 )
 from .spinchar import (
     CyclicAction,
@@ -228,11 +226,7 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
             out *= phi_numeric(1, params, w)
         return out
     if route == "character":
-        angles, eigs = _offset_angles(args, 1)
-        st = complex(nu) * spinor_trace("str", angles)
-        if abs(st) < 1e-140:
-            raise ZemError("supertrace vanished in the character route")
-        return witten_char(1, eigs, params) / st
+        return _z_tau_series_value(RotationData(args, nu), params)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -245,6 +239,16 @@ def _offset_angles(offsets, sign):
         e = cmath.exp(2j * cmath.pi * complex(r))
         eigs.extend((e, 1.0 / e))
     return angles, eigs
+
+
+def _z_tau_series_value(R, params):
+    """Z(tau, N, o_N)(R) at offsets R as C_1 / Str: the character route of
+    ``z_fun``, whose offsets are the points a * gamma + r_a."""
+    angles, eigs = _offset_angles(R.entries, R.orientation_sign)
+    st = spinor_trace("str", angles)
+    if abs(st) < 1e-140:
+        raise ZemError("supertrace vanished in the character route")
+    return witten_char(1, eigs, params) / st
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +317,6 @@ def em_eps(gamma, R, params, backend="numeric"):
         raise ValueError(f"unknown backend {backend!r}")
     if not R.is_integral():
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
-    order = params.require_order()
     weights = []
     for c_off in R.entries:
         weights.extend((c_off, -c_off))
@@ -323,21 +326,19 @@ def em_eps(gamma, R, params, backend="numeric"):
     if case == (1, 0):
         tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
         ser = witten_char(2, weights, params, backend="exact")
-        inv_tr = PSeries.constant(tr.inverse(), order)
-        out = (ser * inv_tr).scale(RationalFunctionQi.constant(i_pow * sign))
-        return out
+        return ser.scale(tr.inverse()).scale(
+            RationalFunctionQi.constant(i_pow * sign)
+        )
     if case == (0, 1):
         tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
         ser = witten_char(3, weights, params, backend="exact")
-        out = (ser * PSeries.constant(tr, order)).scale(
+        out = ser.scale(tr).scale(
             RationalFunctionQi.constant(GaussianRational(sign))
         )
         return out.shift_p(planes)  # the q^{dim N/8} prefactor, one p per plane
     st = spinor_trace("str", R, exact=True)
     ser = witten_char(4, weights, params, backend="exact")
-    out = (ser * PSeries.constant(st, order)).scale(
-        RationalFunctionQi.constant(i_pow * sign)
-    )
+    out = ser.scale(st).scale(RationalFunctionQi.constant(i_pow * sign))
     return out.shift_p(planes)
 
 
@@ -442,6 +443,13 @@ def _worst(*residuals):
     return max(residuals)
 
 
+def _require_tol(tol):
+    """Reject a tolerance under which no verdict means anything: a NaN or
+    infinite one passes every finite residual, a non-positive one none."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _residual(lhs, rhs):
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return abs(lhs - rhs) / scale
@@ -530,37 +538,14 @@ def _z_exact_gamma_plus_one(J, order):
     return lhs.first_difference(rhs)
 
 
-def _factor_tau_relations(a, order):
-    """Exact check that phi_1(a(z+tau)) = (-1)^a phi_1(az), in the
-    cross-multiplied form: the relations (i) and (ii) of
-    ``fullperiod_parts_check`` on the composed product parts, and
-
-        (iii) pref_a(p^2 s) == p^{2a} s^a / (1 - p^{4a} s^{2a})
-
-    for the composed prefactor pref_a (a >= 1); the three relations
-    assemble to the factor identity by clearing the common
-    (1 - p^{4a} s^{2a}).
-    """
-    if fullperiod_parts_check(a, order) is not None:
-        return False
-    geom = geometric_series(4 * a, 2 * a, order)
-    pref_a = phi_prefactor(1).compose_power(a)
-    pref_series = PSeries(
-        (pref_a,) + (RationalFunctionQi.zero(),) * order, order
-    )
-    sub_pref = ps_substitute_t(pref_series, Substitution.p_shift(2))
-    rhs_pref = geom.map_coefficients(
-        lambda c: c * RationalFunctionQi.monomial(a) if c else c
-    ).shift_p(2 * a)
-    return sub_pref.first_difference(rhs_pref) is None
-
-
 def _z_periodicity_exact(entries, order):
     """Exact gamma -> gamma+1 and gamma -> gamma+tau periodicity of the
     formal Z-series for positive rotation numbers ``entries``."""
     J = RotationData(tuple(entries), 1)
     out = {"gamma_plus_one_first_diff": _z_exact_gamma_plus_one(J, order)}
-    tau_ok = all(_factor_tau_relations(a, order) for a in sorted(set(entries)))
+    tau_ok = all(
+        fullperiod_parts_check(a, order) is None for a in sorted(set(entries))
+    )
     out["gamma_plus_tau_ok"] = tau_ok
     out["epsilon"] = epsilon_J(J)
     return out
@@ -589,15 +574,6 @@ def _trial_z_periodicity(rng, dims, params):
     res = _worst(res, _residual(z_fun(gamma + tau, J, r, params), eps * base))
     res = _worst(res, _residual(z_fun(gamma, J, r, params, route="character"), base))
     return res, {"entries": list(entries), "gamma": str(gamma)}
-
-
-def _z_tau_series_value(R, params):
-    """Z(tau, N, o_N)(R) at offsets R through the character route."""
-    angles, eigs = _offset_angles(R.entries, R.orientation_sign)
-    st = spinor_trace("str", angles)
-    if abs(st) < 1e-140:
-        raise ZemError("supertrace vanished")
-    return witten_char(1, eigs, params) / st
 
 
 def _trial_order_k_trivial(rng, dims, params):
@@ -923,6 +899,7 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=1e-8):
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
+    _require_tol(tol)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):
         residual, data = _run_trial(suite, seed, trial, dims)
@@ -956,6 +933,7 @@ def degenerate_reduction_check(trials=100, dims=8, seed=0, tol=1e-10):
     twisted multiplicativity identity among themselves.
     """
     suite = "degenerate-reduction"
+    _require_tol(tol)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):
         rng = _trial_rng(seed, suite, trial)

@@ -26,9 +26,6 @@ from elliptica.zem import degenerate_reduction_check, identity_check
 
 def _fresh_caches():
     elliptic.phi_exact.cache_clear()
-    elliptic._numerator_series.cache_clear()
-    elliptic._denominator_series.cache_clear()
-    elliptic._geometric_p4s2.cache_clear()
     elliptic._phi1_halfshifted.cache_clear()
 
 

@@ -212,3 +212,72 @@ def test_verify_nan_residual_fails_visibly(capsys, monkeypatch):
     assert suite["passed"] is False
     assert suite["max_residual"] == "NaN"
     assert [f["residual"] for f in suite["failures"]] == ["NaN"] * 3
+
+
+@pytest.mark.parametrize("kind", ["json", "directory", "undecodable"])
+def test_unreadable_manifold_file_exit_2(capsys, tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"{" if kind == "json" else b"\xff\xfe")
+    code, out, err = run_cli(capsys, "rigidity", "--manifold", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["expand", "index"])
+def test_malformed_point_is_usage_error(capsys, command):
+    extra = {"expand": ["--phi", "1"], "index": ["--manifold", "s2"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, "--q-order", "2", "--at", "foo"])
+    assert exc.value.code == 2
+    assert "not a complex number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j"])
+def test_degenerate_tau_is_usage_error(capsys, tau):
+    """NaN and infinite tau, and tau whose q rounds to |q| = 1 or to 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--phi", "1", "--q-order", "2", "--at", "0.2",
+              "--tau", tau])
+    assert exc.value.code == 2
+    assert "argument --tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_bad_tol_is_usage_error(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "K-transfer", "--trials", "2",
+              "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", [",", " , ,"])
+def test_verify_empty_suite_list_is_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2 and out == ""
+    assert "no suite named" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "K-transfer", "--tau", "1j"),
+        ("index", "--manifold", "s2", "--seed", "1"),
+        ("rigidity", "--manifold", "s2", "--tol", "1e-3"),
+        ("special", "--manifold", "s2", "--q-order", "4"),
+        ("expand", "--phi", "1", "--trials", "3"),
+        ("consistency", "--manifold", "cp3", "--alpha", "1", "--beta", "1",
+         "--order-k", "5", "--q-order", "4"),
+        ("catalog", "--tau", "1j"),
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_unread_option_is_usage_error(capsys, argv):
+    """Each subcommand declares only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from elliptica.elliptic import (
     EllipticParams,
     PoleError,
     TRANSLATIONS,
-    halfperiod_headroom,
     phi,
     phi_exact,
     phi_numeric,
@@ -51,13 +51,14 @@ def test_translation_z_plus_one_at_order_zero():
 
 
 def test_halfperiod_headroom_is_sufficient():
-    # doubling the input depth must not change the regraded series
+    # doubling the input depth 2M+6 must not change the regraded series
     order = 16
+    deep = 2 * order + 6
     a = ps_substitute_t(
-        phi_exact(1, halfperiod_headroom(order)), Substitution.p_shift(1)
+        phi_exact(1, deep), Substitution.p_shift(1)
     ).truncate(order)
     b = ps_substitute_t(
-        phi_exact(1, 2 * halfperiod_headroom(order)), Substitution.p_shift(1)
+        phi_exact(1, 2 * deep), Substitution.p_shift(1)
     ).truncate(order)
     assert a == b
 
@@ -101,6 +102,18 @@ def test_numeric_tail_bound_doubling():
             a = phi_numeric(i, params, z)
             b = phi_numeric(i, doubled, z)
             assert abs(a - b) / abs(b) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [complex(math.nan, 1.0), complex(0.0, math.nan), complex(0.0, math.inf),
+     complex(math.inf, 1.0), 1e-300j, 200j],
+)
+def test_params_reject_degenerate_tau(tau):
+    """Non-finite tau, and tau whose q rounds to |q| = 1 or to 0, would
+    break the product cutoff."""
+    with pytest.raises(ValueError):
+        EllipticParams(tau=tau)
 
 
 def test_pole_guard():

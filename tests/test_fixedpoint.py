@@ -215,6 +215,15 @@ def test_consistency_check_nonspecial():
     assert rep.passed
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_consistency_check_rejects_vacuous_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        consistency_check(
+            load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
+            EllipticParams(tau=1j), trials=2, tol=tol,
+        )
+
+
 def test_consistency_check_rejects_special():
     cp3 = load_manifold("cp3")
     with pytest.raises(SpecialPointError) as err:

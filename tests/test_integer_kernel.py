@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptica import elliptic
 from elliptica.elliptic import (
     _phi1_halfshifted,
-    composed_fullperiod_headroom,
-    halfperiod_headroom,
+    _regraded_rows,
+    fullperiod_parts_check,
     phi_exact,
 )
 from elliptica.qseries import (
@@ -19,63 +20,97 @@ from elliptica.qseries import (
     SubstitutionError,
     ps_compose_power,
     ps_substitute_t,
-    regrade_rows,
     series_from_rows,
 )
 from elliptica.ring import GaussianRational, RationalFunctionQi
-from elliptica.witten import (
-    divide_factor,
-    laurent_product,
-    laurent_rows,
-    witten_factors,
-)
+from elliptica.witten import laurent_product, regrade_factors, witten_factors
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
 def test_phi1_halfshifted_matches_series_regrade(order):
-    deep = phi_exact(1, halfperiod_headroom(order))
+    deep = phi_exact(1, 2 * order + 6)
     ref = ps_substitute_t(deep, Substitution.p_shift(1)).truncate(order)
     assert _phi1_halfshifted(order) == ref
 
 
 def test_phi1_halfshift_headroom_is_load_bearing():
-    """Negative control: the same regrade fed rows only as deep as the
-    output order misses tail rows that land low."""
-    order = 16
-    rows = laurent_rows(order, *witten_factors(1, (1, -1), order))
-    shallow = regrade_rows(rows, 1, order, post_p=1, post_s=1)
-    divide_factor(shallow, 2, 2, -1)
-    assert series_from_rows(shallow) != _phi1_halfshifted(order)
+    """Negative control: W_1 factors taken only to the output order miss
+    the factor 1 + p^18 s^-2, whose image lands at p^16 (p^17 with the
+    prefactor), so the factor list must reach order + 2."""
+    order = 17
+    num, den = witten_factors(1, (1, -1), order)
+    rows = _regraded_rows(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
+    assert series_from_rows(rows) != _phi1_halfshifted(order)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
 @pytest.mark.parametrize("part", [0, 1])
 def test_row_regrade_of_parts_matches_series_regrade(a, part):
-    """The regrades of the full-period check (N: part 0, D: part 1) with the
-    post arguments of fullperiod_parts_check at a, against ps_substitute_t
-    on the composed RationalFunctionQi series."""
+    """The regraded factor rows of the full-period check (N: part 0, D: part
+    1), with the monomials of fullperiod_parts_check at a, against
+    ps_substitute_t on the composed RationalFunctionQi series, at an input
+    depth that doubling shows to be enough."""
     order = 8
-    deep = composed_fullperiod_headroom(a, order)
-    factors = witten_factors(1, (1, -1), deep)[part]
     post_p = 2 * a * a if part == 0 else 2 * a * (a - 1)
     sign = -1 if part == 1 and a % 2 else 1
-    rows = [{a * d: c for d, c in row.items()} for row in laurent_rows(deep, factors)]
-    got = regrade_rows(rows, 2, order, post_p=post_p, post_s=2 * a * a, sign=sign)
-    series = ps_compose_power(laurent_product(deep, factors), a)
-    ref = ps_substitute_t(
-        series, Substitution.p_shift(2), post_p=post_p, post_s=2 * a * a,
-        post_scale=sign,
-    ).truncate(order)
+
+    def series_regrade(depth):
+        factors = witten_factors(1, (1, -1), depth)[part]
+        series = ps_compose_power(laurent_product(depth, factors), a)
+        return ps_substitute_t(
+            series, Substitution.p_shift(2), post_p=post_p, post_s=2 * a * a,
+            post_scale=sign,
+        ).truncate(order)
+
+    deep = 2 * order + 10 * a * a
+    ref = series_regrade(deep)
+    assert series_regrade(2 * deep) == ref
+    factors = witten_factors(1, (1, -1), order + 4 * a)[part]
+    factors = [(e, a * d, c) for e, d, c in factors]
+    got = _regraded_rows(2, order, factors, post=(post_p, 2 * a * a, sign))
     assert series_from_rows(got) == ref
 
 
-def test_regrade_rows_rejects_negative_landing():
+def test_regrade_factors_flips_negative_exponent():
+    # 1 + s^-2 under s -> p s is 1 + p^-2 s^-2 = p^-2 s^-2 (1 + p^2 s^2)
+    assert regrade_factors([(0, -2, 1)], 1, 5) == ((-2, -2, 1), [(2, 2, 1)])
+    assert regrade_factors([(1, -2, -1)], 1, 5) == ((-1, -2, -1), [(1, 2, -1)])
+    # factors landing above the order are 1 + O(p^{order+1}); a flipped
+    # one still leaves its monomial
+    assert regrade_factors([(4, 2, 1), (0, -9, 1)], 1, 5) == ((-9, -9, 1), [])
+
+
+def test_regrade_rejects_negative_landing():
     rows = [{}, {-2: 1}]  # p s^-2 lands at p^-1 under s -> p s
     with pytest.raises(SubstitutionError):
-        regrade_rows(rows, 1, 1)
-    with pytest.raises(SubstitutionError):
         ps_substitute_t(series_from_rows(rows), Substitution.p_shift(1))
-    assert regrade_rows(rows, 1, 1, post_p=1) == [{-2: 1}, {}]
+    # a divided factor cannot be flipped, nor divided at p^0
+    with pytest.raises(SubstitutionError):
+        regrade_factors([(1, -2, 1)], 1, 5, divided=True)
+    with pytest.raises(SubstitutionError):
+        regrade_factors([(2, -2, 1)], 1, 5, divided=True)
+    with pytest.raises(SubstitutionError):
+        regrade_factors([(1, -2, 3)], 1, 5)  # the flip needs c = +-1
+
+
+@pytest.mark.parametrize(
+    "a, mutate",
+    [(1, lambda p, s, sign: (0, 0, sign)),
+     (3, lambda p, s, sign: (0, 0, sign)),
+     (2, lambda p, s, sign: (p, s, 1))],
+    ids=["a1-no-monomial", "a3-no-monomial", "a2-no-sign"],
+)
+def test_parts_check_needs_the_flip_monomial(monkeypatch, a, mutate):
+    """Negative control: dropping the flip's monomial (or, where the flips
+    carry c = -1, its sign) makes the full-period check fail."""
+    assert fullperiod_parts_check(a, 16) is None
+
+    def broken(factors, m, order, divided=False):
+        monomial, out = regrade_factors(factors, m, order, divided)
+        return mutate(*monomial), out
+
+    monkeypatch.setattr(elliptic, "regrade_factors", broken)
+    assert fullperiod_parts_check(a, 16) is not None
 
 
 def _reference_product(order, numerator, denominator):

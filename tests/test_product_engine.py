@@ -6,8 +6,6 @@ import pytest
 
 from elliptica.elliptic import (
     EllipticParams,
-    denominator_series,
-    numerator_series,
     phi_exact,
     phi_prefactor,
 )
@@ -15,6 +13,7 @@ from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
 from elliptica.qseries import PSeries, ps_compose_power, ps_invert
 from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import RotationData
+from elliptica.witten import laurent_product, witten_factors
 from elliptica.zem import z_fun
 
 ORDER = 6
@@ -52,5 +51,6 @@ def test_tangent_witten_index_matches_phi1_products(name):
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_phi_exact_matches_inverted_denominator(i):
     order = 12
-    quotient = numerator_series(i, order) * ps_invert(denominator_series(i, order))
+    num, den = witten_factors(i, (1, -1), order)
+    quotient = laurent_product(order, num) * ps_invert(laurent_product(order, den))
     assert phi_exact(i, order) == quotient.scale(phi_prefactor(i))

@@ -250,6 +250,14 @@ def test_identity_check_deterministic():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_suites_reject_vacuous_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        identity_check("K-transfer", trials=2, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        degenerate_reduction_check(trials=2, tol=tol)
+
+
 def test_degenerate_reduction_quick():
     rep = degenerate_reduction_check(trials=20, dims=8, seed=1, tol=1e-10)
     assert rep.passed, rep.failures[:1]
