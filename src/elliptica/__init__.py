@@ -7,7 +7,7 @@ Layering (each module only depends on the ones above it):
     qseries     truncated series in p = q^{1/4} with lattice substitutions
     witten      the four tensor-series characters and the one exact
                 product engine, on integer Laurent rows, behind every
-                theta product, with the substitution s -> p^m s on its
+                exact series, with the substitution s -> p^m s on its
                 factors
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities

@@ -117,10 +117,14 @@ def _bounded_int(low):
     return integer
 
 
+# the tolerance of every suite but degenerate-reduction when --tol is not given
+DEFAULT_TOL = 1e-8
+_SUITE_TOL = {"degenerate-reduction": 1e-10}
+
 _SHARED_OPTIONS = {
     "seed": ("--seed", dict(type=int, default=0)),
     "trials": ("--trials", dict(type=_bounded_int(1), default=100)),
-    "tol": ("--tol", dict(type=_positive_float, default=1e-8)),
+    "tol": ("--tol", dict(type=_positive_float, default=DEFAULT_TOL)),
     "q_order": ("--q-order", dict(dest="q_order", type=_bounded_int(0),
                                   default=80)),
     "tau": ("--tau", dict(type=_parse_tau, default=None)),
@@ -144,6 +148,8 @@ def cmd_verify(args):
     results = []
     all_passed = True
     for suite in suites:
+        # verify's --tol defaults to None: each suite keeps its own tolerance
+        tol = _SUITE_TOL.get(suite, DEFAULT_TOL) if args.tol is None else args.tol
         if suite == "translations":
             params = EllipticParams(truncation_order=args.q_order)
             checks = [phi_translate_check(w, params).to_json() for w in TRANSLATIONS]
@@ -154,14 +160,14 @@ def cmd_verify(args):
             )
         elif suite == "degenerate-reduction":
             rep = degenerate_reduction_check(
-                trials=args.trials, dims=args.dims, seed=args.seed, tol=1e-10
+                trials=args.trials, dims=args.dims, seed=args.seed, tol=tol
             )
             passed = rep.passed
             results.append(rep.to_json())
         else:
             rep = identity_check(
                 suite, trials=args.trials, dims=args.dims, seed=args.seed,
-                tol=args.tol,
+                tol=tol,
             )
             passed = rep.passed
             results.append(rep.to_json())
@@ -172,7 +178,7 @@ def cmd_verify(args):
         "config": {
             "seed": args.seed,
             "trials": args.trials,
-            "tol": args.tol,
+            "tol": DEFAULT_TOL if args.tol is None else args.tol,
             "q_order": args.q_order,
             "dims": args.dims,
         },
@@ -356,9 +362,9 @@ def build_parser():
     common(p, "seed", "trials", "tol", "q_order")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated list of suite names")
-    p.add_argument("--dims", type=int, default=8,
+    p.add_argument("--dims", type=_bounded_int(2), default=8,
                    help="cap on the real dimension of random torus data")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, tol=None)
 
     p = sub.add_parser("index", help="equivariant index from fixed-point data")
     common(p, "q_order", "tau")

@@ -16,10 +16,10 @@ Exact backend: truncated PSeries over Q(i)(s).  Each product is the W_i
 character on the weights (1, -1) (t and 1/t are the eigenvalues s^{2w}),
 built by the exact engine of the witten module from the finitely many
 factors that matter below the truncation order (a factor with p-exponent
-e > M is 1 + O(p^{M+1})).  The engine works on integer Laurent rows, one
-dict {s-exponent: int} per p-order, since every factor constant is +-1;
-phi_i is that series times its prefactor, coefficient by coefficient, and
-the rows become rational functions only there, once per coefficient.
+e > M is 1 + O(p^{M+1})).  The prefactor is written in the same factors
+(``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a single
+``laurent_sum`` term on integer Laurent rows, whose coefficients become
+rational functions once each, over the prefactor's denominator.
 
 Numeric backend: the same products evaluated in complex floats with an
 explicit cutoff; the tail of the log of the product is bounded using
@@ -66,17 +66,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ring import GaussianRational, RationalFunctionQi
-from .qseries import (
-    Substitution,
-    SubstitutionError,
-    ps_substitute_t,
-    series_from_rows,
-)
+from .qseries import Substitution, ps_substitute_t
 from .witten import (
     LAYOUT,
     laurent_rows,
+    laurent_sum,
     regrade_factors,
-    witten_char,
     witten_factors,
 )
 
@@ -149,26 +144,27 @@ class EllipticParams:
 _GR_I = GaussianRational.i()
 
 
-def phi_prefactor(i):
-    s = RationalFunctionQi.var()
-    one = RationalFunctionQi.one()
-    if i == 1:
-        return one / (RationalFunctionQi.monomial(-1) - s)
-    if i == 2:
-        return one / (s + RationalFunctionQi.monomial(-1))
-    if i == 3:
-        return s + RationalFunctionQi.monomial(-1)
-    if i == 4:
-        return s - RationalFunctionQi.monomial(-1)
-    raise ValueError("phi index must be 1..4")
+# The prefactors of phi_1..phi_4 as (numerator factors, denominator factors,
+# monomial) in the factor notation of the witten module:
+# 1/(s^-1 - s) = s/(1 - s^2), 1/(s + s^-1) = s/(1 + s^2),
+# s + s^-1 = s^-1 (1 + s^2) and s - s^-1 = -s^-1 (1 - s^2).
+PREFACTOR = {
+    1: ((), ((0, 2, -1),), (0, 1, 1)),
+    2: ((), ((0, 2, 1),), (0, 1, 1)),
+    3: (((0, 2, 1),), (), (0, -1, 1)),
+    4: (((0, 2, -1),), (), (0, -1, -1)),
+}
 
 
 @lru_cache(maxsize=64)
 def phi_exact(i, order):
     """Truncated series of phi_i over Q(i)(s) to the given p-order: the
     prefactor times the W_i character on the weights (1, -1)."""
-    params = EllipticParams(truncation_order=order)
-    return witten_char(i, (1, -1), params, backend="exact").scale(phi_prefactor(i))
+    if i not in PREFACTOR:
+        raise ValueError("phi index must be 1..4")
+    pnum, pden, monomial = PREFACTOR[i]
+    num, den = witten_factors(i, (1, -1), order)
+    return laurent_sum(order, [(num + list(pnum), den + list(pden), monomial)])
 
 
 def _pole_shift(i, tau):
@@ -267,22 +263,18 @@ class TranslationReport:
 TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")
 
 
-def _regraded_rows(m, order, numerator, denominator=(), *, post):
-    """Laurent rows at depth ``order`` of prod(numerator) / prod(denominator)
-    under s -> p^m s, times the monomial post = (p-power, s-power, sign).
+def _regraded_term(m, order, numerator, denominator=(), *, post):
+    """prod(numerator) / prod(denominator) under s -> p^m s, times the
+    monomial post = (p-power, s-power, sign), as a term of ``laurent_rows``
+    or ``laurent_sum`` at depth ``order``.
 
     Both factor lists go through ``regrade_factors``, so they must reach
     p^{order + m max|d|}; the flip monomials join ``post``, whose p-power
-    must come out >= 0, since the rows hold nothing beyond their depth.
+    must come out >= 0, since the rows hold nothing below p^0.
     """
     (p_pow, s_pow, sign), numerator = regrade_factors(numerator, m, order)
     _, denominator = regrade_factors(denominator, m, order, divided=True)
-    p_pow, s_pow, sign = p_pow + post[0], s_pow + post[1], sign * post[2]
-    if p_pow < 0:
-        raise SubstitutionError(f"p^{p_pow} would need rows beyond p^{order}")
-    rows = laurent_rows(order, numerator, denominator)
-    shifted = [{d + s_pow: sign * c for d, c in row.items()} for row in rows]
-    return [dict() for _ in rows[:p_pow]] + shifted[: order + 1 - p_pow]
+    return numerator, denominator, (p_pow + post[0], s_pow + post[1], sign * post[2])
 
 
 @lru_cache(maxsize=8)
@@ -291,13 +283,15 @@ def _phi1_halfshifted(order):
     whose translations contain tau/2, since scalar substitutions commute
     with the regrading.
 
-    phi_1 is s times the W_1 factors on (1, -1) over the prefactor factor
-    1 - s^2: each factor goes to its image, the monomial s to p s, and
-    every |d| is 2, so W_1 factors through p^{order + 2} suffice.
+    phi_1 is its prefactor s / (1 - s^2) times the W_1 factors on (1, -1):
+    each factor goes to its image, the monomial s to p s, and every |d| is
+    2, so W_1 factors through p^{order + 2} suffice.
     """
+    pnum, pden, (p_pow, s_pow, sign) = PREFACTOR[1]
     num, den = witten_factors(1, (1, -1), order + 2)
-    return series_from_rows(
-        _regraded_rows(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
+    post = (p_pow + s_pow, s_pow, sign)
+    return laurent_sum(
+        order, [_regraded_term(1, order, num + list(pnum), den + list(pden), post=post)]
     )
 
 
@@ -324,26 +318,21 @@ def fullperiod_parts_check(a, order):
     num, den = witten_factors(1, (1, -1), order + 4 * a)
     num = [(e, a * d, c) for e, d, c in num]
     den = [(e, a * d, c) for e, d, c in den]
-    first = _first_row_difference(
-        _regraded_rows(2, order, num, post=(2 * a * a, 2 * a * a, 1)),
-        laurent_rows(order, num),
+    relations = (  # (left factors, left post, right term) of (i), (ii), (iii)
+        (num, (), (2 * a * a, 2 * a * a, 1), (num, (), (0, 0, 1))),
+        (den, (), (2 * a * (a - 1), 2 * a * a, (-1) ** a),
+         (den + [(0, 2 * a, -1)], [(4 * a, 2 * a, -1)], (0, 0, 1))),
+        ((), [(0, 2 * a, -1)], (2 * a, a, 1),
+         ((), [(4 * a, 2 * a, -1)], (2 * a, a, 1))),
     )
-    if first is None:
+    for numerator, denominator, post, right in relations:
+        left = _regraded_term(2, order, numerator, denominator, post=post)
         first = _first_row_difference(
-            _regraded_rows(
-                2, order, den, post=(2 * a * (a - 1), 2 * a * a, (-1) ** a)
-            ),
-            laurent_rows(order, den + [(0, 2 * a, -1)], [(4 * a, 2 * a, -1)]),
+            laurent_rows(order, *left), laurent_rows(order, *right)
         )
-    if first is None:
-        geometric = [dict() for _ in range(order + 1)]
-        for k in range(2 * a, order + 1, 4 * a):
-            geometric[k][a + (k - 2 * a) // 2] = 1
-        first = _first_row_difference(
-            _regraded_rows(2, order, (), [(0, 2 * a, -1)], post=(2 * a, a, 1)),
-            geometric,
-        )
-    return first
+        if first is not None:
+            return first
+    return None
 
 
 def phi_translate_check(which, params):
@@ -391,6 +380,3 @@ def phi_translate_check(which, params):
         detail=detail,
     )
 
-
-def phi_translate_check_all(params):
-    return [phi_translate_check(w, params) for w in TRANSLATIONS]

@@ -14,7 +14,9 @@ sign.  The spin-parity condition (all points share the parity of the
 weight sum) is validated and flagged, not enforced: non-spin data is
 allowed through so the rigidity checker can demonstrate failure on it.
 
-The equivariant index of a twisted Dirac operator is a virtual character,
+The exact fixed-point sum of every twist is one ``laurent_sum`` of the
+points' ``z_term``s, over the common denominator prod (1 - s^{2a}).  The
+equivariant index of a twisted Dirac operator is a virtual character,
 hence a finite Laurent polynomial in u with integer coefficients;
 ``simplify_character`` reduces the rational-function sum to that form or
 reports the residual denominator.  Witten rigidity is the statement that
@@ -33,17 +35,17 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import gcd
 
-from .ring import PoleEvaluationError, RationalFunctionQi
-from .qseries import PSeries
+from .ring import PoleEvaluationError
 from .elliptic import PoleError, phi_numeric
-from .spinchar import RotationData, chi
-from .witten import WittenDenominatorError
+from .spinchar import RotationData
+from .witten import WittenDenominatorError, laurent_sum
 from .zem import (
     LatticeElement,
     SpecialCollisionError,
     _require_tol,
     _worst,
     z_fun,
+    z_term,
 )
 
 
@@ -268,19 +270,13 @@ def special_orders(m):
 # indices
 
 
-def _bundle_character(ws):
-    char = {}
-    for w in ws:
-        char[2 * w] = char.get(2 * w, 0) + 1
-    return RationalFunctionQi.from_laurent(char)
-
-
 def equivariant_index(m, twist, params=None, backend="exact", z=None):
     """Fixed-point sum for the twisted Dirac index.
 
-    exact: a RationalFunctionQi in s (kinds 'none'/'bundle') or a PSeries
-    over Q(i)(s) (kind 'tangent_witten', truncated at
-    params.truncation_order).  numeric: a complex value at z.
+    exact: a PSeries over Q(i)(s) (kind 'tangent_witten', truncated at
+    params.truncation_order) or, from the same sum at depth 0, a
+    RationalFunctionQi in s (kinds 'none'/'bundle', one term per bundle
+    weight w with s^{2w} in its monomial).  numeric: a complex value at z.
     """
     kind = twist.kind
     if kind == "bundle" and len(twist.bundle_weights) != len(m.points):
@@ -290,19 +286,14 @@ def equivariant_index(m, twist, params=None, backend="exact", z=None):
             f"{len(twist.bundle_weights)}",
         )
     if backend == "exact":
-        if kind == "tangent_witten":
-            total = PSeries.zeros(RationalFunctionQi, params.require_order())
-            for pt in m.points:
-                jdata = RotationData(pt.weights, 1)
-                total = total + z_fun(None, jdata, None, params, backend="exact")
-            return total
-        total = RationalFunctionQi.zero()
+        order = params.require_order() if kind == "tangent_witten" else 0
+        terms = []
         for i, pt in enumerate(m.points):
-            term = chi(None, RotationData(pt.weights, 1), exact=True)
-            if kind == "bundle":
-                term = term * _bundle_character(twist.bundle_weights[i])
-            total = total + term
-        return total
+            num, den, (p_pow, s_pow, sign) = z_term(pt.weights, order)
+            ws = twist.bundle_weights[i] if kind == "bundle" else (0,)
+            terms += [(num, den, (p_pow, s_pow + 2 * w, sign)) for w in ws]
+        series = laurent_sum(order, terms)
+        return series if kind == "tangent_witten" else series.coeffs[0]
     if backend != "numeric":
         raise ValueError(f"unknown backend {backend!r}")
     if z is None:
@@ -395,7 +386,7 @@ class RigidityReport:
         }
 
 
-def rigidity_check(m, q_order, params=None):
+def rigidity_check(m, q_order):
     """Expand the tangent-Witten index and test, coefficient by
     coefficient, that the rational function in s is a constant."""
     from .elliptic import EllipticParams

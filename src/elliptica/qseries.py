@@ -2,8 +2,8 @@
 
 A ``PSeries`` holds coefficients for p^0 .. p^M with M the explicit
 truncation order.  Coefficients may be any exact field elements supporting
-+, -, *, /, bool and the ``zero()`` / ``one()`` classmethods;
-in practice they are GaussianRational or RationalFunctionQi.
++, -, *, /, bool and the ``zero()`` / ``one()`` classmethods; the
+workbench's series are over RationalFunctionQi, built by ``laurent_sum``.
 
 The p-grading is global for the whole workbench: q itself sits at p^4, the
 half-period factor q^(1/4) at p^1, and series given in powers of q^(1/2)
@@ -34,12 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import (
-    GaussianRational,
-    RationalFunctionQi,
-    RingError,
-    poly_valuation,
-)
+from .ring import GaussianRational, RationalFunctionQi, poly_valuation
 
 
 class QSeriesError(ValueError):
@@ -391,14 +386,6 @@ def _inverse_expansion(dhat, m, depth):
         if row:
             rows[t] = row
     return sorted(rows.items())
-
-
-def series_from_rows(rows):
-    """The PSeries over Q(i)(s) of Laurent rows: rows[k] is the coefficient
-    of p^k as a dict {s-exponent: integer}; the order is len(rows) - 1."""
-    return PSeries(
-        [RationalFunctionQi.from_laurent(row) for row in rows], len(rows) - 1
-    )
 
 
 def ps_compose_power(a, n):

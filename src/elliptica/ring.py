@@ -151,13 +151,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational._new(self.re, -self.im)
-
-    @property
-    def is_rational(self):
-        return not self.im
-
     def is_integer(self):
         return self.im == 0 and self.re.denominator == 1
 
@@ -248,10 +241,6 @@ def poly_add(a, b):
 
 def poly_neg(a):
     return tuple(-c for c in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
 
 
 def poly_scale(a, c):
@@ -614,9 +603,6 @@ class RationalFunctionQi:
         return nv / dv
 
     # -- misc ----------------------------------------------------------------
-
-    def num_degree(self):
-        return poly_degree(self.num)
 
     def den_degree(self):
         return poly_degree(self.den)

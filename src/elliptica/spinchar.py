@@ -8,9 +8,10 @@ sign relative to the listed planes.  Two readings of the entries coexist:
   (complex angles are allowed); the Spin-level half-angle phi/2 is what
   enters every trace formula, matching the two-dimensional model
   g = exp(theta e1 e2) whose supertrace is e^{-i theta} - e^{i theta};
-* exact operations require integer entries a ("rotation numbers": the
-  plane turns with speed a in the circle parameter z, angle 2 pi a z) and
-  return rational functions of s = e^{i pi z}.
+* exact operations (``spinor_trace`` only) require integer entries a
+  ("rotation numbers": the plane turns with speed a in the circle
+  parameter z, angle 2 pi a z) and return rational functions of
+  s = e^{i pi z}; the exact 1/Str is the depth-0 ``z_term`` of zem.
 
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function
@@ -86,9 +87,6 @@ class RotationData:
             tuple(a * factor for a in self.entries), self.orientation_sign
         )
 
-    def with_sign(self, sign):
-        return RotationData(self.entries, sign)
-
 
 def _half_angles(R, shift):
     out = []
@@ -140,7 +138,7 @@ def spinor_trace(kind, R, shift=None, exact=False):
     return out
 
 
-def chi(g, R, exact=False):
+def chi(g, R):
     """1/Str(g e^R): the reciprocal-supertrace invariant function.
 
     ``g`` is None (untwisted) or RotationData whose entries are Spin-level
@@ -150,13 +148,6 @@ def chi(g, R, exact=False):
     """
     if g is not None and g.planes != R.planes:
         raise SpinCharError("g and R must share the plane structure")
-    if exact:
-        if g is not None:
-            raise SpinCharError("exact chi supports only the untwisted case")
-        st = spinor_trace("str", R, exact=True)
-        if not st:
-            raise SupertraceZeroError("supertrace vanishes identically")
-        return st.inverse()
     shift = None
     sign = R.orientation_sign
     if g is not None:

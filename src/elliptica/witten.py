@@ -14,19 +14,24 @@ Exact backend: eigenvalues are integers w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
 coefficient inside Q(i)(s); anything else belongs to the numeric backend.
 ``laurent_rows`` is the workbench's one exact product engine: the theta
-quotients, their bare numerator/denominator products and the exact
-Z-series are all built through it.  Every factor is 1 +- p^e s^d, so the
-product is kept as integer Laurent rows, one dict {s-exponent: int} per
-p-order, and turned into rational functions only by ``laurent_product``.
-``regrade_factors`` applies the lattice translation s -> p^m s to the
-factors themselves, before any product is formed.
+quotients, their bare numerator/denominator products, the exact Z-series
+and the fixed-point sums of the indices are all built through it.  A term
+is a monomial c p^k s^j times a product of factors 1 + c p^e s^d, kept as
+integer Laurent rows, one dict {s-exponent: int} per p-order.
+``laurent_sum`` is the only place where rows become rational functions:
+it adds terms over one common denominator of the factors with e = 0 and
+reduces each coefficient once.  ``regrade_factors`` applies the lattice
+translation s -> p^m s to the factors themselves, before any product is
+formed.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 
-from .qseries import SubstitutionError, series_from_rows
+from .ring import RationalFunctionQi
+from .qseries import PSeries, SubstitutionError
 
 # (numerator sign, numerator offset, denominator sign, denominator offset);
 # p-exponents run over 4n + offset, offset -2 marks the q^{n-1/2} family.
@@ -98,18 +103,25 @@ def regrade_factors(factors, m, order, divided=False):
     return (p_pow, s_pow, sign), out
 
 
-def laurent_rows(order, numerator, denominator=()):
-    """Integer Laurent rows of the product of the ``numerator`` factors
-    divided by the product of the ``denominator`` factors, truncated at
-    ``order``: one dict {s-exponent: int} per p-order 0..order.
+def laurent_rows(order, numerator, denominator=(), monomial=(0, 0, 1)):
+    """Integer Laurent rows of the ``monomial`` (p-power, s-power, sign)
+    times the product of the ``numerator`` factors divided by the product
+    of the ``denominator`` factors, truncated at ``order``: one dict
+    {s-exponent: int} per p-order 0..order.
 
     Each factor is a triple (e, d, c) with c an integer, standing for
     1 + c p^e s^d, e >= 0 in the numerator and e >= 1 in the denominator,
-    where a factor is applied as its geometric series.  The coefficient of p^k is the Laurent polynomial
-    sum_d rows[k][d] s^d, exactly.
+    where a factor is applied as its geometric series.  The coefficient of
+    p^k is the Laurent polynomial sum_d rows[k][d] s^d, exactly.  The rows
+    start from the monomial, whose p-power must be >= 0 (SubstitutionError
+    otherwise), since they hold nothing below p^0.
     """
+    p_pow, s_pow, sign = monomial
+    if p_pow < 0:
+        raise SubstitutionError(f"p^{p_pow} would need rows below p^0")
     rows = [dict() for _ in range(order + 1)]
-    rows[0][0] = 1
+    if p_pow <= order:
+        rows[p_pow][s_pow] = sign
     for factor in numerator:
         multiply_factor(rows, *factor)
     for factor in denominator:
@@ -135,10 +147,33 @@ def divide_factor(rows, e, d, c):
             _accum(rows[k], src, d, -c)
 
 
-def laurent_product(order, numerator, denominator=()):
-    """The PSeries over Q(i)(s) of ``laurent_rows(order, numerator,
-    denominator)``."""
-    return series_from_rows(laurent_rows(order, numerator, denominator))
+def laurent_sum(order, terms):
+    """The PSeries over Q(i)(s), truncated at ``order``, of a sum of terms
+    (numerator factors, denominator factors, monomial), each standing for
+    the monomial times ``laurent_rows`` of its factors.
+
+    Denominator factors with e = 0 are not expanded in p: they form one
+    common s-denominator, in which each factor appears as often as in the
+    term that has it most, and every term's rows are multiplied by the part
+    of it that the term lacks.  The summed rows over that denominator give
+    each coefficient as one reduced rational function.
+    """
+    owns = [Counter((d, c) for e, d, c in den if not e) for _, den, _ in terms]
+    common = Counter()
+    for own in owns:
+        common |= own
+    total = [dict() for _ in range(order + 1)]
+    for (numerator, denominator, monomial), own in zip(terms, owns):
+        missing = [(0, d, c) for d, c in (common - own).elements()]
+        denominator = [f for f in denominator if f[0]]
+        rows = laurent_rows(order, [*numerator, *missing], denominator, monomial)
+        for dst, src in zip(total, rows):
+            _accum(dst, src, 0, 1)
+    (den,) = laurent_rows(0, [(0, d, c) for d, c in common.elements()])
+    inv_den = RationalFunctionQi.from_laurent(den).inverse()
+    return PSeries(
+        [RationalFunctionQi.from_laurent(row) * inv_den for row in total], order
+    )
 
 
 def witten_char(i, eigenvalues, params, backend="numeric"):
@@ -160,7 +195,7 @@ def _witten_exact(i, weights, order):
                 "exact Witten characters need integer weights (eigenvalue "
                 f"s^(2w)); got {w!r}"
             )
-    return laurent_product(order, *witten_factors(i, weights, order))
+    return laurent_sum(order, [(*witten_factors(i, weights, order), (0, 0, 1))])
 
 
 def _accum(dst, src, d, c):

@@ -44,7 +44,7 @@ from .spinchar import (
     spinor_trace,
     v_sign,
 )
-from .witten import WittenDenominatorError, witten_char
+from .witten import WittenDenominatorError, laurent_sum, witten_char, witten_factors
 
 _TWO_PI = 2.0 * math.pi
 
@@ -182,8 +182,7 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
 
     exact backend: gamma must be None (it becomes the formal variable z,
     s = e^{i pi z}) and R must be None; the result is the PSeries
-    nu * prod_a phi_1(a z) over Q(i)(s), built as the exact C_1/Str: the
-    W_1 character on the weights +-a times nu * prod_a 1/(s^{-a} - s^a).
+    nu * prod_a phi_1(a z) over Q(i)(s), the ``laurent_sum`` of ``z_term``.
     """
     if not J.is_integral():
         raise ZemError("z_fun needs integer rotation data J")
@@ -196,9 +195,8 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
                 "exact z_fun treats gamma as the formal variable: pass "
                 "gamma=None, R=None"
             )
-        weights = J.entries + tuple(-a for a in J.entries)
-        series = witten_char(1, weights, params, backend="exact")
-        return series.scale(chi(None, J, exact=True))
+        order = params.require_order()
+        return laurent_sum(order, [z_term(J.entries, order, J.orientation_sign)])
     if backend != "numeric":
         raise ValueError(f"unknown backend {backend!r}")
     tau = params.tau
@@ -228,6 +226,18 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
     if route == "character":
         return _z_tau_series_value(RotationData(args, nu), params)
     raise ValueError(f"unknown route {route!r}")
+
+
+def z_term(entries, order, nu=1):
+    """nu * prod_a phi_1(a z) for integer rotation numbers ``entries`` as a
+    ``laurent_sum`` term at depth ``order``: the W_1 factors on the weights
+    +-a times nu * prod_a 1/(s^{-a} - s^a), where each
+    1/(s^{-a} - s^a) = sign(a) s^{|a|} / (1 - s^{2|a|}).  At depth 0 it is
+    the reciprocal supertrace alone."""
+    num, den = witten_factors(1, tuple(entries) + tuple(-a for a in entries), order)
+    den += [(0, 2 * abs(a), -1) for a in entries]
+    sign = nu * (-1) ** sum(a < 0 for a in entries)
+    return num, den, (0, sum(abs(a) for a in entries), sign)
 
 
 def _offset_angles(offsets, sign):
@@ -317,29 +327,25 @@ def em_eps(gamma, R, params, backend="numeric"):
         raise ValueError(f"unknown backend {backend!r}")
     if not R.is_integral():
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
-    weights = []
-    for c_off in R.entries:
-        weights.extend((c_off, -c_off))
     e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
     sign = -1 if (e // 4) % 2 else 1
-    i_pow = GaussianRational.i() ** planes
+    # Tr = prod s^{-|a|} (1 + s^{2|a|}), Str = nu prod sign(a) s^{-|a|} (1 - s^{2|a|})
+    i, c = {(1, 0): (2, 1), (0, 1): (3, 1), (1, 1): (4, -1)}[case]
+    order = params.require_order()
+    num, den = witten_factors(i, R.entries + tuple(-a for a in R.entries), order)
+    trace = [(0, 2 * abs(a), c) for a in R.entries]
+    half = sum(abs(a) for a in R.entries)
     if case == (1, 0):
-        tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
-        ser = witten_char(2, weights, params, backend="exact")
-        return ser.scale(tr.inverse()).scale(
-            RationalFunctionQi.constant(i_pow * sign)
-        )
+        term = (num, den + trace, (0, half, sign))
+    else:
+        if case == (1, 1):
+            sign *= R.orientation_sign * (-1) ** sum(a < 0 for a in R.entries)
+        # the q^{dim N/8} prefactor, one p per plane
+        term = (num + trace, den, (planes, -half, sign))
+    series = laurent_sum(order, [term])
     if case == (0, 1):
-        tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
-        ser = witten_char(3, weights, params, backend="exact")
-        out = ser.scale(tr).scale(
-            RationalFunctionQi.constant(GaussianRational(sign))
-        )
-        return out.shift_p(planes)  # the q^{dim N/8} prefactor, one p per plane
-    st = spinor_trace("str", R, exact=True)
-    ser = witten_char(4, weights, params, backend="exact")
-    out = ser.scale(st).scale(RationalFunctionQi.constant(i_pow * sign))
-    return out.shift_p(planes)
+        return series
+    return series.scale(RationalFunctionQi.constant(GaussianRational.i() ** planes))
 
 
 def adapted_k(zeta):
@@ -491,8 +497,14 @@ def _draw_reduced_torsion(rng, k, bound=2):
     raise DegenerateDrawError(f"no reduced torsion point of order {k} found")
 
 
+def _require_dims(dims):
+    """Reject a dimension cap with no room for one plane."""
+    if not dims >= 2:
+        raise ValueError(f"dims must be >= 2 (room for one plane), got {dims!r}")
+
+
 def _max_planes(dims):
-    return max(1, int(dims) // 2)
+    return int(dims) // 2
 
 
 # -- suite bodies (one trial each; raise PoleError and friends to retry) ----
@@ -900,6 +912,7 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=1e-8):
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
     _require_tol(tol)
+    _require_dims(dims)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):
         residual, data = _run_trial(suite, seed, trial, dims)
@@ -934,6 +947,7 @@ def degenerate_reduction_check(trials=100, dims=8, seed=0, tol=1e-10):
     """
     suite = "degenerate-reduction"
     _require_tol(tol)
+    _require_dims(dims)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):
         rng = _trial_rng(seed, suite, trial)

@@ -87,6 +87,13 @@ def test_rigidity_command_and_negative_control(capsys, tmp_path):
     assert json.loads(out)["rigid"] is False
 
 
+def test_rigidity_at_default_q_order(capsys):
+    code, out, _ = run_cli(capsys, "rigidity", "--manifold", "cp3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["q_order"] == 80 and data["rigid"] is True
+
+
 def test_verify_single_suite_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "K-transfer",
                              "--trials", "10", "--seed", "3")
@@ -281,3 +288,28 @@ def test_unread_option_is_usage_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_verify_tol_reaches_degenerate_reduction(capsys):
+    argv = ("verify", "--suite", "degenerate-reduction,K-transfer",
+            "--trials", "3")
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+    data = json.loads(out)
+    assert code == 0
+    assert data["config"]["tol"] == 1e-3
+    assert [rep["tol"] for rep in data["suites"]] == [1e-3, 1e-3]
+    # without --tol each suite keeps its own tolerance
+    code, out, _ = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0
+    assert data["config"]["tol"] == 1e-8
+    assert [rep["tol"] for rep in data["suites"]] == [1e-10, 1e-8]
+
+
+@pytest.mark.parametrize("dims", ["1", "0", "-4"])
+def test_verify_dims_without_a_plane_is_usage_error(capsys, dims):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "K-transfer", "--trials", "2",
+              "--dims", dims])
+    assert exc.value.code == 2
+    assert "must be an integer >= 2" in capsys.readouterr().err

@@ -113,6 +113,32 @@ def test_rigidity_catalog_through_q2():
         assert rep.constants[0] == "0"  # untwisted value is the q^0 term
 
 
+FLIPPED_CP3 = {
+    "name": "cp3_flipped",
+    "half_dim": 3,
+    "points": [
+        {"weights": [-1, 2, 3]},
+        {"weights": [-1, 1, 2]},
+        {"weights": [-2, -1, 1]},
+        {"weights": [-3, -2, -1]},
+    ],
+    "twists": {},
+}
+
+
+@pytest.mark.parametrize("name", ["s2", "cp3", "cp3_alt", "s2xs2xs2"])
+def test_rigidity_catalog_through_q_order_80(name):
+    rep = rigidity_check(load_manifold(name), 80)
+    assert rep.rigid, (name, rep.nonconstant_orders)
+    assert rep.constants == ["0"] * 81
+
+
+def test_negative_control_at_q_order_80():
+    rep = rigidity_check(manifold_from_dict(FLIPPED_CP3), 80)
+    assert not rep.rigid
+    assert rep.nonconstant_orders[:3] == [0, 2, 4]
+
+
 def test_negative_control_detects_flipped_weight():
     raw = {
         "name": "cp3_broken",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from elliptica import elliptic
 from elliptica.elliptic import (
     _phi1_halfshifted,
-    _regraded_rows,
+    _regraded_term,
     fullperiod_parts_check,
     phi_exact,
 )
@@ -20,10 +20,9 @@ from elliptica.qseries import (
     SubstitutionError,
     ps_compose_power,
     ps_substitute_t,
-    series_from_rows,
 )
 from elliptica.ring import GaussianRational, RationalFunctionQi
-from elliptica.witten import laurent_product, regrade_factors, witten_factors
+from elliptica.witten import laurent_sum, regrade_factors, witten_factors
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
@@ -39,8 +38,8 @@ def test_phi1_halfshift_headroom_is_load_bearing():
     prefactor), so the factor list must reach order + 2."""
     order = 17
     num, den = witten_factors(1, (1, -1), order)
-    rows = _regraded_rows(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
-    assert series_from_rows(rows) != _phi1_halfshifted(order)
+    term = _regraded_term(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
+    assert laurent_sum(order, [term]) != _phi1_halfshifted(order)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -56,7 +55,7 @@ def test_row_regrade_of_parts_matches_series_regrade(a, part):
 
     def series_regrade(depth):
         factors = witten_factors(1, (1, -1), depth)[part]
-        series = ps_compose_power(laurent_product(depth, factors), a)
+        series = ps_compose_power(laurent_sum(depth, [(factors, (), (0, 0, 1))]), a)
         return ps_substitute_t(
             series, Substitution.p_shift(2), post_p=post_p, post_s=2 * a * a,
             post_scale=sign,
@@ -67,8 +66,8 @@ def test_row_regrade_of_parts_matches_series_regrade(a, part):
     assert series_regrade(2 * deep) == ref
     factors = witten_factors(1, (1, -1), order + 4 * a)[part]
     factors = [(e, a * d, c) for e, d, c in factors]
-    got = _regraded_rows(2, order, factors, post=(post_p, 2 * a * a, sign))
-    assert series_from_rows(got) == ref
+    got = _regraded_term(2, order, factors, post=(post_p, 2 * a * a, sign))
+    assert laurent_sum(order, [got]) == ref
 
 
 def test_regrade_factors_flips_negative_exponent():
@@ -81,9 +80,10 @@ def test_regrade_factors_flips_negative_exponent():
 
 
 def test_regrade_rejects_negative_landing():
-    rows = [{}, {-2: 1}]  # p s^-2 lands at p^-1 under s -> p s
+    # p s^-2 lands at p^-1 under s -> p s
+    series = PSeries([RationalFunctionQi.zero(), RationalFunctionQi.monomial(-2)])
     with pytest.raises(SubstitutionError):
-        ps_substitute_t(series_from_rows(rows), Substitution.p_shift(1))
+        ps_substitute_t(series, Substitution.p_shift(1))
     # a divided factor cannot be flipped, nor divided at p^0
     with pytest.raises(SubstitutionError):
         regrade_factors([(1, -2, 1)], 1, 5, divided=True)
@@ -120,7 +120,7 @@ def _reference_product(order, numerator, denominator):
     ls[0][0] = GaussianRational.one()
 
     def accum(dst, src, d, c):
-        for e, v in src.items():
+        for e, v in list(src.items()):
             dst[e + d] = dst.get(e + d, GaussianRational.zero()) + v * c
 
     for e, d, c in numerator:
@@ -136,17 +136,47 @@ def _reference_product(order, numerator, denominator):
     return PSeries(coeffs, order)
 
 
+def _reference_sum(order, terms):
+    """sum over terms of monomial * product / (its e = 0 denominator
+    factors), with the e = 0 factors as RationalFunctionQi and the series
+    added over unlike denominators."""
+    out = PSeries.zeros(RationalFunctionQi, order)
+    for numerator, denominator, (p_pow, s_pow, sign) in terms:
+        if p_pow > order:
+            continue
+        scale = RationalFunctionQi.monomial(s_pow, sign)
+        for e, d, c in denominator:
+            if not e:
+                scale = scale / RationalFunctionQi.from_laurent({0: 1, d: c})
+        product = _reference_product(
+            order, numerator, [f for f in denominator if f[0]]
+        )
+        out = out + product.shift_p(p_pow).scale(scale)
+    return out
+
+
 _FACTOR = st.tuples(
     st.integers(1, 12), st.integers(-6, 6), st.sampled_from([-2, -1, 1, 3])
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    order=st.integers(0, 10),
-    numerator=st.lists(_FACTOR, max_size=5),
-    denominator=st.lists(_FACTOR, max_size=5),
+# factors without p: in a denominator they stay in the common s-denominator
+_S_FACTOR = st.tuples(
+    st.just(0), st.integers(-4, 4).filter(bool), st.sampled_from([-2, -1, 1, 3])
 )
-def test_laurent_product_matches_gaussian_reference(order, numerator, denominator):
-    got = laurent_product(order, numerator, denominator)
-    assert got == _reference_product(order, numerator, denominator)
+_TERM = st.tuples(
+    st.lists(st.one_of(_FACTOR, _S_FACTOR), max_size=4),
+    st.lists(st.one_of(_FACTOR, _S_FACTOR), max_size=4),
+    st.tuples(st.integers(-1, 4), st.integers(-6, 6), st.sampled_from([-1, 1])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(0, 10), terms=st.lists(_TERM, max_size=3))
+def test_laurent_product_matches_gaussian_reference(order, terms):
+    """laurent_sum on several terms, with p-free denominator factors and
+    monomials carrying p-powers, against the reference; a monomial below
+    p^0 cannot be held by the rows and raises."""
+    if any(p_pow < 0 for _, _, (p_pow, _, _) in terms):
+        with pytest.raises(SubstitutionError):
+            laurent_sum(order, terms)
+        return
+    assert laurent_sum(order, terms) == _reference_sum(order, terms)

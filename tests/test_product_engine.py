@@ -1,22 +1,35 @@
 """The shared exact product engine against the slower constructions it
 replaced, kept here as references: whole-series products of composed
-phi_1 factors, and phi_i assembled from its inverted denominator."""
+phi_1 factors, phi_i assembled from its inverted denominator and its
+rational-function prefactor, the untwisted and bundle indices summed as
+reciprocal supertraces times characters, and EM_eps as Witten characters
+scaled by rational-function (super)traces."""
 
 import pytest
 
-from elliptica.elliptic import (
-    EllipticParams,
-    phi_exact,
-    phi_prefactor,
-)
+from elliptica.elliptic import EllipticParams, phi_exact
 from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
 from elliptica.qseries import PSeries, ps_compose_power, ps_invert
-from elliptica.ring import RationalFunctionQi
-from elliptica.spinchar import RotationData
-from elliptica.witten import laurent_product, witten_factors
-from elliptica.zem import z_fun
+from elliptica.ring import GaussianRational, RationalFunctionQi
+from elliptica.spinchar import RotationData, spinor_trace
+from elliptica.witten import laurent_sum, witten_char, witten_factors
+from elliptica.zem import LatticeElement, em_eps, z_fun
 
 ORDER = 6
+CATALOG = ["s2", "cp3", "cp3_alt", "s2xs2xs2"]
+
+
+def phi_prefactor(i):
+    """The prefactor of phi_i as a rational function in s."""
+    s = RationalFunctionQi.var()
+    one = RationalFunctionQi.one()
+    inv_s = RationalFunctionQi.monomial(-1)
+    return {
+        1: one / (inv_s - s),
+        2: one / (s + inv_s),
+        3: s + inv_s,
+        4: s - inv_s,
+    }[i]
 
 
 def _phi1_product(weights, order):
@@ -37,7 +50,7 @@ def test_exact_z_fun_matches_phi1_products(entries, nu):
     assert got == (ref if nu > 0 else -ref)
 
 
-@pytest.mark.parametrize("name", ["s2", "cp3", "cp3_alt", "s2xs2xs2"])
+@pytest.mark.parametrize("name", CATALOG)
 def test_tangent_witten_index_matches_phi1_products(name):
     m = load_manifold(name)
     params = EllipticParams(truncation_order=ORDER)
@@ -52,5 +65,58 @@ def test_tangent_witten_index_matches_phi1_products(name):
 def test_phi_exact_matches_inverted_denominator(i):
     order = 12
     num, den = witten_factors(i, (1, -1), order)
-    quotient = laurent_product(order, num) * ps_invert(laurent_product(order, den))
+    quotient = laurent_sum(order, [(num, (), (0, 0, 1))]) * ps_invert(
+        laurent_sum(order, [(den, (), (0, 0, 1))])
+    )
     assert phi_exact(i, order) == quotient.scale(phi_prefactor(i))
+
+
+@pytest.mark.parametrize(
+    "name, twist_name",
+    [(name, t) for name in CATALOG
+     for t in ["none", *sorted(load_manifold(name).twists)]],
+)
+def test_untwisted_and_bundle_index_match_supertrace_sum(name, twist_name):
+    """The depth-0 z_term sum against sum over points of 1/Str times the
+    bundle character sum_w s^{2w} (1 for the untwisted index)."""
+    m = load_manifold(name)
+    twist = TwistSpec() if twist_name == "none" else m.bundle_twist(twist_name)
+    ref = RationalFunctionQi.zero()
+    for i, pt in enumerate(m.points):
+        term = spinor_trace("str", RotationData(pt.weights, 1), exact=True).inverse()
+        if twist.kind == "bundle":
+            char = {}
+            for w in twist.bundle_weights[i]:
+                char[2 * w] = char.get(2 * w, 0) + 1
+            term = term * RationalFunctionQi.from_laurent(char)
+        ref = ref + term
+    assert equivariant_index(m, twist) == ref
+
+
+def _em_eps_reference(gamma, R, order):
+    """Exact EM_eps as the W_i character scaled by the rational-function
+    trace or supertrace and the constants c2, c3, c4 of ``em_eps``."""
+    params = EllipticParams(truncation_order=order)
+    case = (gamma.alpha % 2, gamma.beta % 2)
+    planes = R.planes
+    weights = [w for a in R.entries for w in (a, -a)]
+    e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
+    sign = -1 if (e // 4) % 2 else 1
+    const = RationalFunctionQi.constant(GaussianRational.i() ** planes * sign)
+    tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
+    if case == (1, 0):
+        return witten_char(2, weights, params, "exact").scale(tr.inverse() * const)
+    if case == (0, 1):
+        return witten_char(3, weights, params, "exact").scale(tr * sign).shift_p(planes)
+    st = spinor_trace("str", R, exact=True)
+    return witten_char(4, weights, params, "exact").scale(st * const).shift_p(planes)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 3)])
+@pytest.mark.parametrize("entries, nu", [((1,), 1), ((-2,), 1), ((1, -3), -1),
+                                         ((2, 1, -1), 1), ((-1, -2, 3), -1)])
+def test_exact_em_eps_matches_trace_products(alpha, beta, entries, nu):
+    gamma = LatticeElement.torsion(alpha, beta, 2)
+    R = RotationData(entries, nu)
+    got = em_eps(gamma, R, EllipticParams(truncation_order=ORDER), backend="exact")
+    assert got == _em_eps_reference(gamma, R, ORDER)

@@ -258,6 +258,14 @@ def test_suites_reject_vacuous_tol(tol):
         degenerate_reduction_check(trials=2, tol=tol)
 
 
+@pytest.mark.parametrize("dims", [1, 0, -4])
+def test_suites_reject_dims_without_a_plane(dims):
+    with pytest.raises(ValueError, match="dims must be >= 2"):
+        identity_check("K-transfer", trials=2, dims=dims)
+    with pytest.raises(ValueError, match="dims must be >= 2"):
+        degenerate_reduction_check(trials=2, dims=dims)
+
+
 def test_degenerate_reduction_quick():
     rep = degenerate_reduction_check(trials=20, dims=8, seed=1, tol=1e-10)
     assert rep.passed, rep.failures[:1]
