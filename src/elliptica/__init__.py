@@ -4,11 +4,11 @@ indices of spin circle-manifolds with isolated fixed points.
 Layering (each module only depends on the ones above it):
 
     ring        exact arithmetic: Q(i) and Q(i)(s)
-    qseries     truncated series in p = q^{1/4} with lattice substitutions
+    qseries     truncated series in p = q^{1/4}
     witten      the four tensor-series characters and the one exact
                 product engine, on integer Laurent rows, behind every
-                exact series, with the substitution s -> p^m s on its
-                factors
+                exact series and check, with the substitutions s -> p^m s
+                on its factors and s -> i^k s on its rows
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs
@@ -17,8 +17,8 @@ Layering (each module only depends on the ones above it):
     cli         command-line surface
 
 All value types are immutable after construction.  The package runs
-single-threaded: its caches of exact series (lru_cache in elliptic) are
-plain memoizations with no locking.
+single-threaded: its one cache of exact series (``phi_exact``'s lru_cache
+in elliptic) is a plain memoization with no locking.
 """
 
 from .ring import (
@@ -30,12 +30,9 @@ from .ring import (
 )
 from .qseries import (
     PSeries,
-    Substitution,
     SubstitutionError,
     ps_arith,
-    ps_compose_power,
     ps_invert,
-    ps_substitute_t,
 )
 from .elliptic import (
     EllipticParams,
@@ -87,12 +84,9 @@ __all__ = [
     "rf_arith",
     "rf_eval",
     "PSeries",
-    "Substitution",
     "SubstitutionError",
     "ps_arith",
-    "ps_compose_power",
     "ps_invert",
-    "ps_substitute_t",
     "EllipticParams",
     "PoleError",
     "phi",

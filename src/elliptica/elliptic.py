@@ -19,7 +19,9 @@ factors that matter below the truncation order (a factor with p-exponent
 e > M is 1 + O(p^{M+1})).  The prefactor is written in the same factors
 (``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a single
 ``laurent_sum`` term on integer Laurent rows, whose coefficients become
-rational functions once each, over the prefactor's denominator.
+rational functions once each, over the prefactor's denominator.  The
+translation checks never build those rational functions: they compare
+integer rows over the prefactor's denominator.
 
 Numeric backend: the same products evaluated in complex floats with an
 explicit cutoff; the tail of the log of the product is bounded using
@@ -56,6 +58,14 @@ for the full period of phi_1(a z).  The full-period check is done on the
 bare parts N (numerator product), D (denominator product) and the
 prefactor, in the relations listed at ``fullperiod_parts_check``, so no
 divided factor ever needs a flip and no substituted series is inverted.
+
+The scalar substitutions s -> -s and s -> i s act on the rows of a side,
+multiplying each s^d entry by (-1)^d or i^d (``unit_substitute``).  The
+s-exponents of a theta quotient's rows share one parity r, so i^r factors
+out and the rows stay integer.  Both sides of every identity are then
+fractions N / D of integer rows over a p-free denominator D, and an
+identity holds through p^M when N_L D_R = N_R D_L there, up to the power
+of i that each side carries; no coefficient is reduced and no gcd is taken.
 """
 
 from __future__ import annotations
@@ -65,13 +75,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import GaussianRational, RationalFunctionQi
-from .qseries import Substitution, ps_substitute_t
 from .witten import (
     LAYOUT,
-    laurent_rows,
+    fraction_difference,
+    laurent_fraction,
     laurent_sum,
     regrade_factors,
+    unit_difference,
     witten_factors,
 )
 
@@ -141,9 +151,6 @@ class EllipticParams:
         return max(8, int(math.ceil(n)))
 
 
-_GR_I = GaussianRational.i()
-
-
 # The prefactors of phi_1..phi_4 as (numerator factors, denominator factors,
 # monomial) in the factor notation of the witten module:
 # 1/(s^-1 - s) = s/(1 - s^2), 1/(s + s^-1) = s/(1 + s^2),
@@ -156,15 +163,21 @@ PREFACTOR = {
 }
 
 
+def _phi_term(i, order, p_pow=0):
+    """p^p_pow phi_i as a ``laurent_sum`` term at depth ``order``: the
+    prefactor times the W_i factors on the weights (1, -1)."""
+    pnum, pden, (mono_p, mono_s, sign) = PREFACTOR[i]
+    num, den = witten_factors(i, (1, -1), order)
+    return num + list(pnum), den + list(pden), (mono_p + p_pow, mono_s, sign)
+
+
 @lru_cache(maxsize=64)
 def phi_exact(i, order):
     """Truncated series of phi_i over Q(i)(s) to the given p-order: the
     prefactor times the W_i character on the weights (1, -1)."""
     if i not in PREFACTOR:
         raise ValueError("phi index must be 1..4")
-    pnum, pden, monomial = PREFACTOR[i]
-    num, den = witten_factors(i, (1, -1), order)
-    return laurent_sum(order, [(num + list(pnum), den + list(pden), monomial)])
+    return laurent_sum(order, [_phi_term(i, order)])
 
 
 def _pole_shift(i, tau):
@@ -277,26 +290,17 @@ def _regraded_term(m, order, numerator, denominator=(), *, post):
     return numerator, denominator, (p_pow + post[0], s_pow + post[1], sign * post[2])
 
 
-@lru_cache(maxsize=8)
 def _phi1_halfshifted(order):
-    """phi_1 under s -> p s, exact to ``order``; shared by the two checks
-    whose translations contain tau/2, since scalar substitutions commute
-    with the regrading.
+    """phi_1 under s -> p s as a term exact to ``order``; shared by the two
+    checks whose translations contain tau/2, since scalar substitutions
+    commute with the regrading.
 
     phi_1 is its prefactor s / (1 - s^2) times the W_1 factors on (1, -1):
     each factor goes to its image, the monomial s to p s, and every |d| is
     2, so W_1 factors through p^{order + 2} suffice.
     """
-    pnum, pden, (p_pow, s_pow, sign) = PREFACTOR[1]
-    num, den = witten_factors(1, (1, -1), order + 2)
-    post = (p_pow + s_pow, s_pow, sign)
-    return laurent_sum(
-        order, [_regraded_term(1, order, num + list(pnum), den + list(pden), post=post)]
-    )
-
-
-def _first_row_difference(a, b):
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    num, den, (p_pow, s_pow, sign) = _phi_term(1, order + 2)
+    return _regraded_term(1, order, num, den, post=(p_pow + s_pow, s_pow, sign))
 
 
 def fullperiod_parts_check(a, order):
@@ -327,56 +331,45 @@ def fullperiod_parts_check(a, order):
     )
     for numerator, denominator, post, right in relations:
         left = _regraded_term(2, order, numerator, denominator, post=post)
-        first = _first_row_difference(
-            laurent_rows(order, *left), laurent_rows(order, *right)
+        first = fraction_difference(
+            laurent_fraction(order, [left]), laurent_fraction(order, [right])
         )
         if first is not None:
             return first
     return None
 
 
+# The four checks of phi_1, or of its image under s -> p s, under
+# s -> i^k s (k = 0 for none) against i^unit p^p_pow phi_i:
+# which -> (image under s -> p s?, k, (i, unit, p_pow), detail).
+_UNIT_CHECKS = {
+    "z+1": (False, 2, (1, 2, 0),
+            "phi1(z+1) vs -phi1(z), direct substitution s -> -s"),
+    "z+1/2": (False, 1, (2, 1, 0),
+              "phi1(z+1/2) vs i*phi2(z), direct substitution s -> i s"),
+    "z+tau/2": (True, 0, (3, 0, 1),
+                "phi1(z+tau/2) vs p*phi3(z), s -> p s on the factors"),
+    "z+1/2+tau/2": (True, 1, (4, 1, 1), "phi1(z+1/2+tau/2) vs i*p*phi4(z)"),
+}
+
+
 def phi_translate_check(which, params):
     """Exact check of one translation identity; returns a TranslationReport
     with the first failing p-exponent on failure."""
     order = params.require_order()
-    if which == "z+1":
-        lhs = ps_substitute_t(phi_exact(1, order), Substitution.neg_s())
-        rhs = -phi_exact(1, order)
-        detail = "phi1(z+1) vs -phi1(z), direct substitution s -> -s"
-    elif which == "z+1/2":
-        lhs = ps_substitute_t(phi_exact(1, order), Substitution.i_s())
-        rhs = phi_exact(2, order).scale(RationalFunctionQi.constant(_GR_I))
-        detail = "phi1(z+1/2) vs i*phi2(z), direct substitution s -> i s"
-    elif which == "z+tau/2":
-        lhs = _phi1_halfshifted(order)
-        rhs = phi_exact(3, order).shift_p(1)
-        detail = "phi1(z+tau/2) vs p*phi3(z), s -> p s on the factors"
-    elif which == "z+1/2+tau/2":
-        lhs = ps_substitute_t(_phi1_halfshifted(order), Substitution.i_s())
-        rhs = (
-            phi_exact(4, order)
-            .shift_p(1)
-            .scale(RationalFunctionQi.constant(_GR_I))
-        )
-        detail = "phi1(z+1/2+tau/2) vs i*p*phi4(z)"
-    elif which == "z+tau":
+    if which == "z+tau":
         first = fullperiod_parts_check(1, order)
-        return TranslationReport(
-            which=which,
-            truncation_order=order,
-            passed=first is None,
-            first_failing_exponent=first,
-            detail="phi1(z+tau) vs -phi1(z), cross-multiplied product form",
-        )
+        detail = "phi1(z+tau) vs -phi1(z), cross-multiplied product form"
+    elif which in _UNIT_CHECKS:
+        halfshifted, k, (i, unit, p_pow), detail = _UNIT_CHECKS[which]
+        left = _phi1_halfshifted(order) if halfshifted else _phi_term(1, order)
+        first = unit_difference(order, left, k, _phi_term(i, order, p_pow), unit)
     else:
         raise ValueError(f"unknown translation {which!r}")
-
-    diff = lhs.first_difference(rhs)
     return TranslationReport(
         which=which,
         truncation_order=order,
-        passed=diff is None,
-        first_failing_exponent=diff,
+        passed=first is None,
+        first_failing_exponent=first,
         detail=detail,
     )
-

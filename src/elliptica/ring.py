@@ -405,16 +405,6 @@ class RationalFunctionQi:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, exp, coeff=_GR_ONE):
-        """coeff * s^exp, with exp any integer (negative goes downstairs)."""
-        coeff = _coerce_gr(coeff)
-        if not coeff:
-            return _RF_ZERO
-        if exp >= 0:
-            return cls(poly_monomial(exp, coeff))
-        return cls((coeff,), poly_monomial(-exp))
-
-    @classmethod
     def from_laurent(cls, terms):
         """Build from {exponent: coefficient} with arbitrary integer keys."""
         if not terms:
@@ -544,52 +534,6 @@ class RationalFunctionQi:
         c = _coerce_gr(c)
         return RationalFunctionQi(poly_scale(self.num, c), self.den)
 
-    # -- substitutions -------------------------------------------------------
-
-    def substitute_scale(self, c):
-        """f(c*s) for a scalar c in Q(i)."""
-        c = _coerce_gr(c)
-        if not c:
-            raise RingError("substitute_scale: scalar must be nonzero")
-        if not self.num:
-            return self
-        # a unit substitution is a ring automorphism: reducedness survives,
-        # only the denominator normalization has to be redone
-        num = list(self.num)
-        den = list(self.den)
-        ck = _GR_ONE
-        for k in range(1, max(len(num), len(den))):
-            ck = ck * c
-            if k < len(num):
-                num[k] = num[k] * ck
-            if k < len(den):
-                den[k] = den[k] * ck
-        v = poly_valuation(tuple(den))
-        lead = den[v]
-        if lead != _GR_ONE:
-            inv = lead.inverse()
-            num = [a * inv for a in num]
-            den = [a * inv for a in den]
-        return RationalFunctionQi(tuple(num), tuple(den), _canonical=True)
-
-    def compose_power(self, a):
-        """f(s^a) for a nonzero integer a (negative allowed)."""
-        if a == 0:
-            raise RingError("compose_power: exponent must be nonzero")
-        if a > 0:
-            return RationalFunctionQi(_stretch(self.num, a), _stretch(self.den, a))
-        b = -a
-        dn = poly_degree(self.num)
-        dd = poly_degree(self.den)
-        num = _stretch(tuple(reversed(self.num)), b)
-        den = _stretch(tuple(reversed(self.den)), b)
-        e = b * (dd - dn)
-        if e >= 0:
-            num = poly_shift(num, e)
-        else:
-            den = poly_shift(den, -e)
-        return RationalFunctionQi(num, den)
-
     # -- numeric bridge ------------------------------------------------------
 
     def evaluate(self, s0):
@@ -618,17 +562,6 @@ class RationalFunctionQi:
 
     def __repr__(self):
         return f"<RationalFunctionQi {self}>"
-
-
-def _stretch(a, k):
-    """Replace s by s^k in a polynomial (k >= 1)."""
-    if not a or k == 1:
-        return a
-    out = [_GR_ZERO] * ((len(a) - 1) * k + 1)
-    for e, c in enumerate(a):
-        if c:
-            out[e * k] = c
-    return tuple(out)
 
 
 def _reduce(num, den):

@@ -18,11 +18,15 @@ quotients, their bare numerator/denominator products, the exact Z-series
 and the fixed-point sums of the indices are all built through it.  A term
 is a monomial c p^k s^j times a product of factors 1 + c p^e s^d, kept as
 integer Laurent rows, one dict {s-exponent: int} per p-order.
-``laurent_sum`` is the only place where rows become rational functions:
-it adds terms over one common denominator of the factors with e = 0 and
-reduces each coefficient once.  ``regrade_factors`` applies the lattice
+``laurent_fraction`` adds terms over one common denominator of the
+factors with e = 0: integer rows over one integer s-denominator row, the
+form in which every exact check is stated.  ``laurent_sum`` is the only
+place where rows become rational functions: it reduces each coefficient
+of that fraction once.  ``regrade_factors`` applies the lattice
 translation s -> p^m s to the factors themselves, before any product is
-formed.
+formed; ``unit_substitute`` applies s -> -s and s -> i s to rows, and
+``fraction_difference`` compares two fractions by cross-multiplication,
+so no check reduces a coefficient.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def laurent_rows(order, numerator, denominator=(), monomial=(0, 0, 1)):
 
     Each factor is a triple (e, d, c) with c an integer, standing for
     1 + c p^e s^d, e >= 0 in the numerator and e >= 1 in the denominator,
-    where a factor is applied as its geometric series.  The coefficient of
+    where a factor is applied as its geometric series (SubstitutionError
+    for e <= 0).  The coefficient of
     p^k is the Laurent polynomial sum_d rows[k][d] s^d, exactly.  The rows
     start from the monomial, whose p-power must be >= 0 (SubstitutionError
     otherwise), since they hold nothing below p^0.
@@ -141,22 +146,27 @@ def multiply_factor(rows, e, d, c):
 def divide_factor(rows, e, d, c):
     """Divide Laurent rows in place by 1 + c p^e s^d (e >= 1), that is,
     multiply by its geometric series."""
+    if e < 1:
+        raise SubstitutionError(
+            f"divided factor (1 + {c} p^{e} s^{d}) has no geometric series "
+            "in p: it needs e >= 1"
+        )
     for k in range(e, len(rows)):
         src = rows[k - e]
         if src:
             _accum(rows[k], src, d, -c)
 
 
-def laurent_sum(order, terms):
-    """The PSeries over Q(i)(s), truncated at ``order``, of a sum of terms
-    (numerator factors, denominator factors, monomial), each standing for
-    the monomial times ``laurent_rows`` of its factors.
+def laurent_fraction(order, terms):
+    """A sum of terms (numerator factors, denominator factors, monomial),
+    each standing for the monomial times ``laurent_rows`` of its factors,
+    as (rows, den): integer Laurent rows to ``order`` over one p-free
+    s-denominator, a single Laurent row.
 
-    Denominator factors with e = 0 are not expanded in p: they form one
-    common s-denominator, in which each factor appears as often as in the
+    Denominator factors with e = 0 are not expanded in p: they form the
+    common denominator, in which each factor appears as often as in the
     term that has it most, and every term's rows are multiplied by the part
-    of it that the term lacks.  The summed rows over that denominator give
-    each coefficient as one reduced rational function.
+    of it that the term lacks.
     """
     owns = [Counter((d, c) for e, d, c in den if not e) for _, den, _ in terms]
     common = Counter()
@@ -170,10 +180,77 @@ def laurent_sum(order, terms):
         for dst, src in zip(total, rows):
             _accum(dst, src, 0, 1)
     (den,) = laurent_rows(0, [(0, d, c) for d, c in common.elements()])
+    return total, den
+
+
+def laurent_sum(order, terms):
+    """The PSeries over Q(i)(s), truncated at ``order``, of a sum of terms:
+    ``laurent_fraction`` with each coefficient reduced once."""
+    rows, den = laurent_fraction(order, terms)
     inv_den = RationalFunctionQi.from_laurent(den).inverse()
     return PSeries(
-        [RationalFunctionQi.from_laurent(row) * inv_den for row in total], order
+        [RationalFunctionQi.from_laurent(row) * inv_den for row in rows], order
     )
+
+
+def unit_substitute(rows, k):
+    """Laurent rows under s -> i^k s, as (j, rows'): rows(i^k s) equals
+    i^j rows'(s) with rows' integer.
+
+    Each s^d entry picks up i^{kd}.  For even k that is (-1)^{kd/2} and
+    j = 0.  For odd k every s-exponent must have one parity r
+    (SubstitutionError otherwise), as those of a theta quotient or a
+    Z-series do: j = kr mod 4 and the entry keeps i^{k(d - r)} = +-1.
+    """
+    parities = {d % 2 for row in rows for d in row} if k % 2 else set()
+    if len(parities) > 1:
+        raise SubstitutionError(
+            f"s -> i^{k} s on rows with s-exponents of both parities"
+        )
+    r = parities.pop() if parities else 0
+    return k * r % 4, [
+        {d: -v if k * (d - r) // 2 % 2 else v for d, v in row.items()}
+        for row in rows
+    ]
+
+
+def fraction_difference(left, right, unit=0):
+    """The first p-order at which i^unit N_L / D_L and N_R / D_R differ, or
+    None, for fractions (rows, den) of ``laurent_fraction`` to one order.
+
+    The denominators are free of p, so the p-orders at which the two sides
+    differ are those at which N_L D_R and N_R D_L do, and no coefficient is
+    reduced.  For odd ``unit`` integer rows agree only where both vanish.
+    """
+    (num_l, den_l), (num_r, den_r) = left, right
+    sign = -1 if unit % 4 == 2 else 1
+    for k, (a, b) in enumerate(zip(num_l, num_r)):
+        x, y = _times(a, den_r, sign), _times(b, den_l, 1)
+        if (x or y) if unit % 2 else x != y:
+            return k
+    return None
+
+
+def unit_difference(order, left, k, right, unit):
+    """The first p-order at which the term ``left`` under s -> i^k s and
+    i^unit times the term ``right`` differ, or None: ``fraction_difference``
+    of the two ``laurent_fraction``s, the left one through
+    ``unit_substitute``.  A denominator is a product of factors 1 + c s^d,
+    so its constant term is 1 and no power of i factors out of it."""
+    rows, den = laurent_fraction(order, [left])
+    j, rows = unit_substitute(rows, k)
+    _, (den,) = unit_substitute([den], k)
+    return fraction_difference(
+        (rows, den), laurent_fraction(order, [right]), j - unit
+    )
+
+
+def _times(row, den, c):
+    """c * row * den on Laurent dicts with integer coefficients."""
+    out = {}
+    for d, v in den.items():
+        _accum(out, row, d, c * v)
+    return out
 
 
 def witten_char(i, eigenvalues, params, backend="numeric"):

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .ring import GaussianRational, RationalFunctionQi
-from .qseries import Substitution, ps_substitute_t
 from .elliptic import (
     EllipticParams,
     PoleError,
@@ -44,7 +43,13 @@ from .spinchar import (
     spinor_trace,
     v_sign,
 )
-from .witten import WittenDenominatorError, laurent_sum, witten_char, witten_factors
+from .witten import (
+    WittenDenominatorError,
+    laurent_sum,
+    unit_difference,
+    witten_char,
+    witten_factors,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -542,12 +547,10 @@ def _trial_k_transfer(rng, dims, params):
 
 
 def _z_exact_gamma_plus_one(J, order):
-    params = EllipticParams(truncation_order=order)
-    z = z_fun(None, J, None, params, backend="exact")
-    lhs = ps_substitute_t(z, Substitution.neg_s())
-    eps = epsilon_J(J)
-    rhs = z if eps > 0 else -z
-    return lhs.first_difference(rhs)
+    """First p-order at which Z(z+1) = eps_J Z(z) fails, on the rows of
+    ``z_term`` under s -> -s."""
+    term = z_term(J.entries, order, J.orientation_sign)
+    return unit_difference(order, term, 2, term, 0 if epsilon_J(J) > 0 else 2)
 
 
 def _z_periodicity_exact(entries, order):

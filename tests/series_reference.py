@@ -1,0 +1,279 @@
+"""Substitutions on whole series over Q(i)(s): the general rational-function
+path that the exact checks of the package replaced with integer Laurent
+rows.  The tests keep it as their reference.
+
+Lattice translations of z (s = e^{i pi z}) act on series as
+
+    s -> -s        (z -> z+1)
+    s -> i*s       (z -> z+1/2)
+    s -> 1/s       (z -> -z)
+    s -> p^m * s   (z -> z + m*tau/2, a regrading of the series)
+
+``ps_substitute_t`` applies the p^m rule to a whole series: it re-expands
+every coefficient n(s)/(s^v * d(s)), d(0) != 0, by substituting p^m*s and
+re-collecting by p-exponent; the geometric expansion of 1/d(p^m s) only
+ever raises the p-order, so each output order receives finitely many
+contributions *from the stored coefficients*.  Contributions that tail
+coefficients beyond the truncation would have made are the caller's
+responsibility: a caller of ``ps_substitute_t`` must supply enough input
+depth that the discarded tail can only land above the orders it reads.
+"""
+
+from dataclasses import dataclass
+
+from elliptica.qseries import PSeries, QSeriesError, SubstitutionError
+from elliptica.ring import (
+    GaussianRational,
+    RationalFunctionQi,
+    RingError,
+    poly_degree,
+    poly_monomial,
+    poly_shift,
+    poly_valuation,
+)
+
+
+def monomial(exp, coeff=1):
+    """coeff * s^exp, with exp any integer (negative goes downstairs)."""
+    if not isinstance(coeff, GaussianRational):
+        coeff = GaussianRational(coeff)
+    if not coeff:
+        return RationalFunctionQi.zero()
+    if exp >= 0:
+        return RationalFunctionQi(poly_monomial(exp, coeff))
+    return RationalFunctionQi((coeff,), poly_monomial(-exp))
+
+
+def shift_p(a, m):
+    """Multiply by p^m (m >= 0); the truncation order is unchanged, so the
+    top m input coefficients fall off the end."""
+    if m < 0:
+        raise QSeriesError("shift_p: negative shift")
+    if m == 0:
+        return a
+    zero = type(a.coeffs[0]).zero()
+    out = (zero,) * m + a.coeffs[: a.truncation_order + 1 - m]
+    return PSeries(out, a.truncation_order)
+
+
+# ---------------------------------------------------------------------------
+# substitutions on one rational function
+
+
+def substitute_scale(f, c):
+    """f(c*s) for a scalar c in Q(i)."""
+    if not isinstance(c, GaussianRational):
+        c = GaussianRational(c)
+    if not c:
+        raise RingError("substitute_scale: scalar must be nonzero")
+    if not f.num:
+        return f
+    # a unit substitution is a ring automorphism: reducedness survives,
+    # only the denominator normalization has to be redone
+    num = list(f.num)
+    den = list(f.den)
+    ck = GaussianRational.one()
+    for k in range(1, max(len(num), len(den))):
+        ck = ck * c
+        if k < len(num):
+            num[k] = num[k] * ck
+        if k < len(den):
+            den[k] = den[k] * ck
+    v = poly_valuation(tuple(den))
+    lead = den[v]
+    if lead != GaussianRational.one():
+        inv = lead.inverse()
+        num = [a * inv for a in num]
+        den = [a * inv for a in den]
+    return RationalFunctionQi(tuple(num), tuple(den), _canonical=True)
+
+
+def compose_power(f, a):
+    """f(s^a) for a nonzero integer a (negative allowed)."""
+    if a == 0:
+        raise RingError("compose_power: exponent must be nonzero")
+    if a > 0:
+        return RationalFunctionQi(_stretch(f.num, a), _stretch(f.den, a))
+    b = -a
+    dn = poly_degree(f.num)
+    dd = poly_degree(f.den)
+    num = _stretch(tuple(reversed(f.num)), b)
+    den = _stretch(tuple(reversed(f.den)), b)
+    e = b * (dd - dn)
+    if e >= 0:
+        num = poly_shift(num, e)
+    else:
+        den = poly_shift(den, -e)
+    return RationalFunctionQi(num, den)
+
+
+def _stretch(a, k):
+    """Replace s by s^k in a polynomial (k >= 1)."""
+    if not a or k == 1:
+        return a
+    out = [GaussianRational.zero()] * ((len(a) - 1) * k + 1)
+    for e, c in enumerate(a):
+        if c:
+            out[e * k] = c
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# substitutions on series
+
+
+@dataclass(frozen=True)
+class Substitution:
+    """One of the supported variable substitutions on series over Q(i)(s)."""
+
+    kind: str  # 'neg_s' | 'i_s' | 'inv_s' | 'p_shift'
+    m: int = 0
+
+    @classmethod
+    def neg_s(cls):
+        return cls("neg_s")
+
+    @classmethod
+    def i_s(cls):
+        return cls("i_s")
+
+    @classmethod
+    def inv_s(cls):
+        return cls("inv_s")
+
+    @classmethod
+    def p_shift(cls, m):
+        if not isinstance(m, int) or m < 1:
+            raise ValueError("p_shift requires an integer m >= 1")
+        return cls("p_shift", m)
+
+
+def ps_substitute_t(a, rule, *, post_p=0, post_s=0):
+    """Apply a variable substitution to a series over RationalFunctionQi.
+
+    For the scalar rules (s -> -s, s -> i*s, s -> 1/s) the substitution acts
+    coefficient-wise and is exact at every order.
+
+    For s -> p^m * s each coefficient n(s)/(s^v d(s)) with d(0) != 0 is
+    re-expanded and the terms re-collected by p-exponent; ``post_p`` and
+    ``post_s`` multiply the *result* by p^post_p s^post_s (folded in during
+    accumulation so that compensated checks never see negative exponents).
+    A term that would land at a negative p-exponent raises
+    SubstitutionError naming the coefficient.
+
+    The output is truncated at the input's order and accounts only for the
+    stored coefficients; see the module docstring for the caller-side tail
+    obligation.
+    """
+    for c in a.coeffs:
+        if not isinstance(c, RationalFunctionQi):
+            raise SubstitutionError(
+                "substitutions are defined for series over Q(i)(s); got "
+                f"coefficient of type {type(c).__name__}"
+            )
+    if rule.kind == "neg_s":
+        out = a.map_coefficients(lambda c: substitute_scale(c, -1))
+    elif rule.kind == "i_s":
+        iu = GaussianRational.i()
+        out = a.map_coefficients(lambda c: substitute_scale(c, iu))
+    elif rule.kind == "inv_s":
+        out = a.map_coefficients(lambda c: compose_power(c, -1) if c else c)
+    elif rule.kind == "p_shift":
+        out = _regrade(a, rule.m, post_p, post_s)
+        post_p = 0
+        post_s = 0
+    else:
+        raise ValueError(f"unknown substitution {rule.kind!r}")
+    if post_s:
+        mono = monomial(post_s)
+        out = out.map_coefficients(lambda c: c * mono)
+    return shift_p(out, post_p)
+
+
+def _regrade(a, m, post_p, post_s):
+    """s -> p^m s on a series over Q(i)(s), re-collected by p-exponent."""
+    order = a.truncation_order
+    acc = [dict() for _ in range(order + 1)]  # p-order -> {s-exponent: GR}
+
+    def put(t, e, c):
+        if t > order or not c:
+            return
+        if t < 0:
+            raise SubstitutionError(
+                f"substitution s -> p^{m} s lands at negative p-exponent {t}"
+            )
+        slot = acc[t]
+        prev = slot.get(e)
+        slot[e] = c if prev is None else prev + c
+
+    for k, f in enumerate(a.coeffs):
+        if not f:
+            continue
+        num, den = f.num, f.den
+        v = poly_valuation(den)
+        lead_inv = den[v].inverse()
+        dhat = tuple(c * lead_inv for c in den[v:])  # dhat[0] == 1
+        nn = [c * lead_inv for c in num]
+        u = poly_valuation(tuple(num))
+        floor = k + m * (u - v) + post_p
+        if floor < 0:
+            raise SubstitutionError(
+                f"coefficient at p^{k} ({f}) needs p-exponent {floor} < 0 "
+                f"under s -> p^{m} s"
+            )
+        depth = order - floor
+        if depth < 0:
+            continue
+        inv_rows = _inverse_expansion(dhat, m, depth)
+        for e, ne in enumerate(nn):
+            if not ne:
+                continue
+            base = k + m * (e - v) + post_p
+            if base > order:
+                continue
+            sbase = e - v + post_s
+            for t, row in inv_rows:
+                tt = base + t
+                if tt > order:
+                    break
+                for se, ce in row.items():
+                    put(tt, sbase + se, ne * ce)
+
+    coeffs = [RationalFunctionQi.from_laurent(slot) for slot in acc]
+    return PSeries(coeffs, order)
+
+
+def _inverse_expansion(dhat, m, depth):
+    """p-series rows of 1/dhat(p^m s) for a polynomial dhat with dhat(0)=1.
+
+    Returns [(p_order, {s_exp: coeff}), ...] up to p-order ``depth``; the
+    substitution only raises p-orders, so the recursion g_t = -sum_w
+    dhat_w s^w g_{t-mw} closes at each order.
+    """
+    rows = {0: {0: GaussianRational.one()}}
+    supp = [(w, c) for w, c in enumerate(dhat) if w >= 1 and c]
+    for t in range(1, depth + 1):
+        row = {}
+        for w, cw in supp:
+            prev = rows.get(t - m * w)
+            if not prev:
+                continue
+            for se, ce in prev.items():
+                key = se + w
+                val = cw * ce
+                old = row.get(key)
+                row[key] = -val if old is None else old - val
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            rows[t] = row
+    return sorted(rows.items())
+
+
+def ps_compose_power(a, n):
+    """Coefficient-wise s -> s^n (n a nonzero integer); the p-grading is
+    untouched."""
+    if n == 0:
+        raise QSeriesError("compose power must be nonzero")
+    if n == 1:
+        return a
+    return a.map_coefficients(lambda c: compose_power(c, n) if c else c)

@@ -6,8 +6,6 @@ import json
 import random
 import time
 
-import pytest
-
 from elliptica import elliptic
 from elliptica.cli import main as cli_main
 from elliptica.elliptic import EllipticParams, TRANSLATIONS, phi_translate_check
@@ -26,7 +24,6 @@ from elliptica.zem import degenerate_reduction_check, identity_check
 
 def _fresh_caches():
     elliptic.phi_exact.cache_clear()
-    elliptic._phi1_halfshifted.cache_clear()
 
 
 def test_criterion_1_exact_translation_identities_p80():

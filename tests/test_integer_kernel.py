@@ -1,35 +1,50 @@
-"""The integer Laurent kernel against the slow paths it replaced, kept here
-as references: the rational-function regrading ``ps_substitute_t`` on
-``RationalFunctionQi`` series, and the GaussianRational-accumulating
-product engine."""
+"""The integer Laurent kernel against the slow paths it replaced, kept as
+references: the rational-function regrading ``ps_substitute_t`` on
+``RationalFunctionQi`` series (in ``series_reference``), and, here, the
+GaussianRational-accumulating product engine."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptica import elliptic
+from elliptica import elliptic, ring, witten, zem
 from elliptica.elliptic import (
+    TRANSLATIONS,
+    EllipticParams,
     _phi1_halfshifted,
     _regraded_term,
     fullperiod_parts_check,
     phi_exact,
+    phi_translate_check,
 )
-from elliptica.qseries import (
-    PSeries,
+from elliptica.qseries import PSeries, SubstitutionError
+from elliptica.ring import GaussianRational, RationalFunctionQi
+from elliptica.spinchar import RotationData
+from elliptica.witten import (
+    laurent_fraction,
+    laurent_rows,
+    laurent_sum,
+    regrade_factors,
+    unit_substitute,
+    witten_factors,
+)
+from elliptica.zem import z_term
+from series_reference import (
     Substitution,
-    SubstitutionError,
+    monomial,
     ps_compose_power,
     ps_substitute_t,
+    shift_p,
 )
-from elliptica.ring import GaussianRational, RationalFunctionQi
-from elliptica.witten import laurent_sum, regrade_factors, witten_factors
 
 
 @pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
 def test_phi1_halfshifted_matches_series_regrade(order):
     deep = phi_exact(1, 2 * order + 6)
     ref = ps_substitute_t(deep, Substitution.p_shift(1)).truncate(order)
-    assert _phi1_halfshifted(order) == ref
+    assert laurent_sum(order, [_phi1_halfshifted(order)]) == ref
 
 
 def test_phi1_halfshift_headroom_is_load_bearing():
@@ -39,7 +54,7 @@ def test_phi1_halfshift_headroom_is_load_bearing():
     order = 17
     num, den = witten_factors(1, (1, -1), order)
     term = _regraded_term(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
-    assert laurent_sum(order, [term]) != _phi1_halfshifted(order)
+    assert laurent_sum(order, [term]) != laurent_sum(order, [_phi1_halfshifted(order)])
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -58,8 +73,7 @@ def test_row_regrade_of_parts_matches_series_regrade(a, part):
         series = ps_compose_power(laurent_sum(depth, [(factors, (), (0, 0, 1))]), a)
         return ps_substitute_t(
             series, Substitution.p_shift(2), post_p=post_p, post_s=2 * a * a,
-            post_scale=sign,
-        ).truncate(order)
+        ).scale(RationalFunctionQi.constant(sign)).truncate(order)
 
     deep = 2 * order + 10 * a * a
     ref = series_regrade(deep)
@@ -81,7 +95,7 @@ def test_regrade_factors_flips_negative_exponent():
 
 def test_regrade_rejects_negative_landing():
     # p s^-2 lands at p^-1 under s -> p s
-    series = PSeries([RationalFunctionQi.zero(), RationalFunctionQi.monomial(-2)])
+    series = PSeries([RationalFunctionQi.zero(), monomial(-2)])
     with pytest.raises(SubstitutionError):
         ps_substitute_t(series, Substitution.p_shift(1))
     # a divided factor cannot be flipped, nor divided at p^0
@@ -144,14 +158,14 @@ def _reference_sum(order, terms):
     for numerator, denominator, (p_pow, s_pow, sign) in terms:
         if p_pow > order:
             continue
-        scale = RationalFunctionQi.monomial(s_pow, sign)
+        scale = monomial(s_pow, sign)
         for e, d, c in denominator:
             if not e:
                 scale = scale / RationalFunctionQi.from_laurent({0: 1, d: c})
         product = _reference_product(
             order, numerator, [f for f in denominator if f[0]]
         )
-        out = out + product.shift_p(p_pow).scale(scale)
+        out = out + shift_p(product, p_pow).scale(scale)
     return out
 
 
@@ -180,3 +194,135 @@ def test_laurent_product_matches_gaussian_reference(order, terms):
             laurent_sum(order, terms)
         return
     assert laurent_sum(order, terms) == _reference_sum(order, terms)
+
+
+@pytest.mark.parametrize("factor", [(0, 2, -1), (-1, 2, -1)])
+def test_divided_factor_needs_a_positive_p_exponent(factor):
+    """A divided factor at e <= 0 has no geometric series in p; the error
+    names the factor."""
+    e, d, c = factor
+    with pytest.raises(SubstitutionError, match=re.escape(f"(1 + {c} p^{e} s^{d})")):
+        laurent_rows(4, [], [factor])
+
+
+def test_unit_substitute_scales_each_entry():
+    """s -> -s multiplies s^d by (-1)^d; s -> i s by i^d, with i^r factored
+    out for the common parity r of the exponents."""
+    rows = [{1: 1, 3: 2, -1: 5}, {}, {5: -7}]
+    assert unit_substitute(rows, 2) == (0, [{1: -1, 3: -2, -1: -5}, {}, {5: 7}])
+    assert unit_substitute(rows, 1) == (1, [{1: 1, 3: -2, -1: -5}, {}, {5: -7}])
+    assert unit_substitute([{0: 1, 2: 3, -2: 4}], 1) == (0, [{0: 1, 2: -3, -2: -4}])
+
+
+def _unit_image(order, term, k):
+    """The term under s -> i^k s from the rows of the exact checks: its
+    ``laurent_fraction`` through ``unit_substitute``, each coefficient
+    reduced as ``laurent_sum`` reduces it."""
+    rows, den = laurent_fraction(order, [term])
+    j, rows = unit_substitute(rows, k)
+    j_den, (den,) = unit_substitute([den], k)
+    unit = RationalFunctionQi.constant(GaussianRational.i() ** ((j - j_den) % 4))
+    inv_den = RationalFunctionQi.from_laurent(den).inverse()
+    return PSeries(
+        [RationalFunctionQi.from_laurent(row) * inv_den * unit for row in rows], order
+    )
+
+
+def _phi1(order):
+    return elliptic._phi_term(1, order)
+
+
+def _z(entries, nu):
+    return lambda order: z_term(entries, order, nu)
+
+
+_UNIT_CASES = {  # the left side of each unit check: (term, k, reference rule)
+    "z+1": (_phi1, 2, Substitution.neg_s()),
+    "z+1/2": (_phi1, 1, Substitution.i_s()),
+    "z+1/2+tau/2": (_phi1_halfshifted, 1, Substitution.i_s()),
+    "Z(1,2,3)-neg_s": (_z((1, 2, 3), 1), 2, Substitution.neg_s()),
+    "Z(2,-1)-neg_s": (_z((2, -1), -1), 2, Substitution.neg_s()),
+    "Z(1,2,3)-i_s": (_z((1, 2, 3), 1), 1, Substitution.i_s()),
+    "Z(2,-1)-i_s": (_z((2, -1), -1), 1, Substitution.i_s()),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
+@pytest.mark.parametrize("case", list(_UNIT_CASES))
+def test_unit_substituted_rows_match_series_substitution(case, order):
+    """The substituted rows and denominator of each unit check, reduced,
+    against ps_substitute_t on the reduced series of the same term."""
+    term, k, rule = _UNIT_CASES[case]
+    ref = ps_substitute_t(laurent_sum(order, [term(order)]), rule)
+    assert _unit_image(order, term(order), k) == ref
+
+
+def _translation(which, order=24):
+    params = EllipticParams(truncation_order=order)
+    return lambda: phi_translate_check(which, params).first_failing_exponent
+
+
+def _z_gamma_plus_one():
+    return zem._z_exact_gamma_plus_one(RotationData((1, 2), 1), 16)
+
+
+_unit_substitute = witten.unit_substitute
+_epsilon_J = zem.epsilon_J
+_NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
+    "z+1/2-against-phi1": (
+        lambda mp: mp.setitem(elliptic._UNIT_CHECKS, "z+1/2",
+                              (False, 1, (1, 1, 0), "")),
+        _translation("z+1/2"), 0,
+    ),
+    "factored-i-dropped": (
+        lambda mp: mp.setattr(witten, "unit_substitute",
+                              lambda rows, k: (0, _unit_substitute(rows, k)[1])),
+        _translation("z+1/2"), 0,
+    ),
+    "phi4-without-p-shift": (
+        lambda mp: mp.setitem(elliptic._UNIT_CHECKS, "z+1/2+tau/2",
+                              (True, 1, (4, 1, 0), "")),
+        _translation("z+1/2+tau/2"), 0,
+    ),
+    "Z-wrong-epsilon": (
+        lambda mp: mp.setattr(zem, "epsilon_J", lambda J: -_epsilon_J(J)),
+        _z_gamma_plus_one, 0,
+    ),
+    "i-on-mixed-parity": (
+        lambda mp: None,
+        lambda: unit_substitute([{1: 1}, {0: 2, 3: -1}], 1), SubstitutionError,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, check, expected", _NEGATIVE_CONTROLS.values(), ids=list(_NEGATIVE_CONTROLS)
+)
+def test_row_checks_negative_controls(monkeypatch, mutate, check, expected):
+    """Each row check passes as it stands and fails at the stated p-order
+    once one ingredient is wrong; s -> i s refuses rows whose s-exponents
+    have both parities, since no single power of i factors out."""
+    mutate(monkeypatch)
+    if expected is SubstitutionError:
+        with pytest.raises(SubstitutionError):
+            check()
+        return
+    assert check() == expected
+    monkeypatch.undo()
+    assert check() is None
+
+
+def test_exact_checks_reduce_no_rational_function(monkeypatch):
+    """All five translation checks and the exact Z-periodicity run on
+    integer rows: with poly_gcd raising, they still pass."""
+
+    def no_gcd(a, b):
+        raise RuntimeError("poly_gcd called")
+
+    elliptic.phi_exact.cache_clear()
+    monkeypatch.setattr(ring, "poly_gcd", no_gcd)
+    params = EllipticParams(truncation_order=24)
+    for which in TRANSLATIONS:
+        assert phi_translate_check(which, params).passed, which
+    out = zem._z_periodicity_exact([1, 2, 3], 16)
+    assert out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]

@@ -1,6 +1,7 @@
 """Static checks of the package's imports: each module imports only the
-modules listed above it in the layering of the package docstring, and no
-module imports a name it never uses."""
+modules listed above it in the layering of the package docstring, no
+module imports from the tests, and no module or test file imports a name it
+never uses."""
 
 import ast
 import re
@@ -12,6 +13,8 @@ import elliptica
 
 SRC = Path(elliptica.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(p.stem for p in TESTS.glob("*.py"))
 
 
 def _layering():
@@ -22,8 +25,8 @@ def _layering():
     return names
 
 
-def _tree(name):
-    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+def _tree(name, root=SRC):
+    return ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
 
 
 def _package_imports(tree):
@@ -50,6 +53,28 @@ def test_layering_reader_sees_imports():
     assert {"ring", "qseries"} <= _package_imports(_tree("witten"))
 
 
+def _absolute_imports(tree):
+    """The top-level names of the modules a module imports absolutely."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_package_does_not_import_the_tests(name):
+    """The references under tests/ stay out of the package."""
+    assert not _absolute_imports(_tree(name)) & {"tests", *TEST_FILES}
+
+
+def test_test_import_reader_sees_the_reference():
+    """The check above is not vacuous: the tests import their reference."""
+    assert "series_reference" in _absolute_imports(_tree("test_qseries", TESTS))
+
+
 def _unused_imports(tree):
     bound = {}
     for node in ast.walk(tree):
@@ -67,9 +92,14 @@ def _unused_imports(tree):
     return sorted(name for name in bound if name not in used)
 
 
-@pytest.mark.parametrize("name", ["__init__", *MODULES])
-def test_no_unused_imports(name):
-    assert _unused_imports(_tree(name)) == []
+@pytest.mark.parametrize(
+    "name, root",
+    [*((name, SRC) for name in ["__init__", *MODULES]),
+     *((name, TESTS) for name in TEST_FILES)],
+    ids=[*["__init__", *MODULES], *(f"tests/{name}" for name in TEST_FILES)],
+)
+def test_no_unused_imports(name, root):
+    assert _unused_imports(_tree(name, root)) == []
 
 
 def test_unused_import_reader_flags_a_dead_name():

@@ -9,11 +9,12 @@ import pytest
 
 from elliptica.elliptic import EllipticParams, phi_exact
 from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
-from elliptica.qseries import PSeries, ps_compose_power, ps_invert
+from elliptica.qseries import PSeries, ps_invert
 from elliptica.ring import GaussianRational, RationalFunctionQi
 from elliptica.spinchar import RotationData, spinor_trace
 from elliptica.witten import laurent_sum, witten_char, witten_factors
 from elliptica.zem import LatticeElement, em_eps, z_fun
+from series_reference import monomial, ps_compose_power, shift_p
 
 ORDER = 6
 CATALOG = ["s2", "cp3", "cp3_alt", "s2xs2xs2"]
@@ -23,7 +24,7 @@ def phi_prefactor(i):
     """The prefactor of phi_i as a rational function in s."""
     s = RationalFunctionQi.var()
     one = RationalFunctionQi.one()
-    inv_s = RationalFunctionQi.monomial(-1)
+    inv_s = monomial(-1)
     return {
         1: one / (inv_s - s),
         2: one / (s + inv_s),
@@ -107,9 +108,9 @@ def _em_eps_reference(gamma, R, order):
     if case == (1, 0):
         return witten_char(2, weights, params, "exact").scale(tr.inverse() * const)
     if case == (0, 1):
-        return witten_char(3, weights, params, "exact").scale(tr * sign).shift_p(planes)
+        return shift_p(witten_char(3, weights, params, "exact").scale(tr * sign), planes)
     st = spinor_trace("str", R, exact=True)
-    return witten_char(4, weights, params, "exact").scale(st * const).shift_p(planes)
+    return shift_p(witten_char(4, weights, params, "exact").scale(st * const), planes)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 3)])

@@ -2,16 +2,9 @@ import random
 
 import pytest
 
-from elliptica.qseries import (
-    PSeries,
-    Substitution,
-    SubstitutionError,
-    ps_arith,
-    ps_compose_power,
-    ps_invert,
-    ps_substitute_t,
-)
+from elliptica.qseries import PSeries, SubstitutionError, ps_arith, ps_invert
 from elliptica.ring import GaussianRational, RationalFunctionQi
+from series_reference import Substitution, ps_compose_power, ps_substitute_t
 
 RF = RationalFunctionQi
 ONE = RF.one()

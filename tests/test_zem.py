@@ -5,14 +5,12 @@ import random
 import pytest
 
 from elliptica.elliptic import EllipticParams, phi_numeric
-from elliptica.qseries import Substitution, ps_substitute_t
 from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import CyclicAction, RotationData, spinor_trace, v_sign
 from elliptica.witten import witten_char
 from elliptica.zem import (
     AdaptedKError,
     BothEvenError,
-    DegenerateDrawError,
     IdentityReport,
     LatticeElement,
     SUITE_NAMES,
