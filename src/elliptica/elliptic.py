@@ -19,7 +19,8 @@ factors that matter below the truncation order (a factor with p-exponent
 e > M is 1 + O(p^{M+1})).  The prefactor is written in the same factors
 (``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a single
 ``laurent_sum`` term on integer Laurent rows, whose coefficients become
-rational functions once each, over the prefactor's denominator.  The
+rational functions once each, over the prefactor's denominator, reduced
+by a gcd over Z[s].  The
 translation checks never build those rational functions: they compare
 integer rows over the prefactor's denominator.
 

@@ -13,6 +13,11 @@ Coefficient tower used by everything above this module:
   is a plain coefficient comparison and 1/(1-s^2)-type denominators print
   the way they are usually written.
 
+Integer polynomials, lists of int indexed by exponent with no trailing
+zeros, carry one reduction: ``RationalFunctionQi.from_integer_laurent``
+takes the gcd of a quotient of integer Laurent polynomials over Z[s], by a
+primitive pseudo-remainder sequence, instead of over Q(i)[s].
+
 Nothing in this module rounds.  Degree growth is never truncated here;
 truncation belongs to the series layer.
 """
@@ -20,6 +25,7 @@ truncation belongs to the series layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class RingError(ValueError):
@@ -176,9 +182,9 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_GR_ZERO = GaussianRational(0)
-_GR_ONE = GaussianRational(1)
-_GR_I = GaussianRational(0, 1)
+_GR_ZERO = GaussianRational._new(_ZERO_F, _ZERO_F)
+_GR_ONE = GaussianRational._new(_ONE_F, _ZERO_F)
+_GR_I = GaussianRational._new(_ZERO_F, _ONE_F)
 
 
 def _coerce_gr(x):
@@ -358,6 +364,102 @@ def poly_str(a, var="s"):
 
 
 # ---------------------------------------------------------------------------
+# polynomials over Z: lists of int, no trailing zeros
+
+
+def zpoly_gcd(a, b):
+    """The gcd over Z[s] of two integer polynomials, with a positive leading
+    coefficient (the empty list when both are zero).
+
+    Primitive pseudo-remainder sequence: the contents are split off, and
+    each pseudo-remainder is made primitive before it divides again, so the
+    coefficients stay as small as the inputs allow for any leading
+    coefficients.
+    """
+    if not a or not b:
+        a = a or b
+        return [-x for x in a] if a and a[-1] < 0 else list(a)
+    content = gcd(gcd(*a), gcd(*b))
+    a, b = _zpoly_primitive(a), _zpoly_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _zpoly_prem(a, b)
+        a, b = b, _zpoly_primitive(r) if r else r
+    sign = -content if a[-1] < 0 else content
+    return [sign * x for x in a]
+
+
+def _zpoly_primitive(a):
+    """A nonzero integer polynomial divided by the gcd of its coefficients."""
+    c = gcd(*a)
+    return [x // c for x in a] if c != 1 else a
+
+
+def _zpoly_prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b over Q.
+
+    The remainder is multiplied by lead(b) only at a step where lead(b)
+    does not divide its leading coefficient, so a divisor with leading
+    coefficient +-1 divides exactly.
+    """
+    lb = b[-1]
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        f, m = divmod(r[-1], lb)
+        if m:
+            f = r[-1]
+            r = [x * lb for x in r]
+        k = len(r) - 1 - db
+        for j, c in terms:
+            r[k + j] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _zpoly_exquo(a, b):
+    """a / b for integer polynomials with b dividing a in Z[s]."""
+    lb = b[-1]
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    db = len(b) - 1
+    r = list(a)
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        if r[k]:
+            f = r[k] // lb
+            quot[k - db] = f
+            for j, c in terms:
+                r[k - db + j] -= f * c
+    return quot
+
+
+def _zpoly_dense(terms, low):
+    """The integer polynomial sum_e terms[e] s^(e - low)."""
+    out = [0] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        out[e - low] = c
+    return out
+
+
+def _zpoly_over(a, lead, shift):
+    """s^shift * a / lead as a polynomial over Q(i): zero coefficients are
+    the shared zero, and every imaginary part is the shared zero Fraction."""
+    out = [_GR_ZERO] * shift
+    for x in a:
+        if not x:
+            out.append(_GR_ZERO)
+        elif x == lead:
+            out.append(_GR_ONE)
+        else:
+            re = Fraction(x) if lead == 1 else Fraction(x, lead)
+            out.append(GaussianRational._new(re, _ZERO_F))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # rational functions in s over Q(i)
 
 
@@ -419,6 +521,35 @@ class RationalFunctionQi:
         if shift < 0:
             return cls(num, poly_monomial(-shift))
         return cls(num)
+
+    @classmethod
+    def from_integer_laurent(cls, num, den):
+        """The quotient of two Laurent polynomials {exponent: int}, reduced
+        over Z[s]: equal to ``from_laurent(num) / from_laurent(den)``.
+
+        The common power of s is split off, the gcd of the rest is taken
+        over Z[s] (``zpoly_gcd``) and divided out exactly, and the lowest
+        denominator coefficient is normalized to 1, the canonical form.
+        """
+        den = {e: c for e, c in den.items() if c}
+        if not den:
+            raise RationalFunctionDivisionError("division by zero rational function")
+        num = {e: c for e, c in num.items() if c}
+        if not num:
+            return _RF_ZERO
+        n_low, d_low = min(num), min(den)
+        a, b = _zpoly_dense(num, n_low), _zpoly_dense(den, d_low)
+        if len(b) > 1:
+            g = zpoly_gcd(a, b)
+            if len(g) > 1:
+                a, b = _zpoly_exquo(a, g), _zpoly_exquo(b, g)
+        shift = n_low - d_low
+        lead = b[0]
+        return cls(
+            _zpoly_over(a, lead, max(shift, 0)),
+            _zpoly_over(b, lead, max(-shift, 0)),
+            _canonical=True,
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -531,8 +662,11 @@ class RationalFunctionQi:
         return out
 
     def scale(self, c):
+        # a nonzero constant factor leaves a reduced quotient reduced
         c = _coerce_gr(c)
-        return RationalFunctionQi(poly_scale(self.num, c), self.den)
+        if not c:
+            return _RF_ZERO
+        return RationalFunctionQi(poly_scale(self.num, c), self.den, _canonical=True)
 
     # -- numeric bridge ------------------------------------------------------
 

@@ -22,7 +22,9 @@ integer Laurent rows, one dict {s-exponent: int} per p-order.
 factors with e = 0: integer rows over one integer s-denominator row, the
 form in which every exact check is stated.  ``laurent_sum`` is the only
 place where rows become rational functions: it reduces each coefficient
-of that fraction once.  ``regrade_factors`` applies the lattice
+of that fraction once, an integer row over the integer denominator, with
+a gcd over Z[s] (``RationalFunctionQi.from_integer_laurent``) and no
+arithmetic over Q(i).  ``regrade_factors`` applies the lattice
 translation s -> p^m s to the factors themselves, before any product is
 formed; ``unit_substitute`` applies s -> -s and s -> i s to rows, and
 ``fraction_difference`` compares two fractions by cross-multiplication,
@@ -185,11 +187,10 @@ def laurent_fraction(order, terms):
 
 def laurent_sum(order, terms):
     """The PSeries over Q(i)(s), truncated at ``order``, of a sum of terms:
-    ``laurent_fraction`` with each coefficient reduced once."""
+    ``laurent_fraction`` with each coefficient reduced once, over Z[s]."""
     rows, den = laurent_fraction(order, terms)
-    inv_den = RationalFunctionQi.from_laurent(den).inverse()
     return PSeries(
-        [RationalFunctionQi.from_laurent(row) * inv_den for row in rows], order
+        [RationalFunctionQi.from_integer_laurent(row, den) for row in rows], order
     )
 
 

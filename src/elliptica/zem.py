@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
-from .ring import GaussianRational, RationalFunctionQi
+from .ring import GaussianRational
 from .elliptic import (
     EllipticParams,
     PoleError,
@@ -350,7 +350,8 @@ def em_eps(gamma, R, params, backend="numeric"):
     series = laurent_sum(order, [term])
     if case == (0, 1):
         return series
-    return series.scale(RationalFunctionQi.constant(GaussianRational.i() ** planes))
+    unit = GaussianRational.i() ** planes
+    return series.map_coefficients(lambda c: c.scale(unit))
 
 
 def adapted_k(zeta):
@@ -812,15 +813,14 @@ def _trial_spin_periodicity(rng, dims, params):
     v = v_sign(zeta, sig)
 
     base = em_fun(gamma, zeta, r, params)
-    res = _residual(em_fun(gamma.translate(1, 0), zeta, r, params), v * base)
+    shifted = em_fun(gamma.translate(1, 0), zeta, r, params)
+    res = _residual(shifted, v * base)
     res = _worst(
         res, _residual(em_fun(gamma.translate(0, 1), zeta, r, params), v * base)
     )
     data = {"k": k, "residues": list(residues), "v": v}
     if v == 1:
-        res = _worst(
-            res, _residual(em_fun(gamma.translate(1, 0), zeta, r, params), base)
-        )
+        res = _worst(res, _residual(shifted, base))
         data["spin_case"] = True
     return res, data
 

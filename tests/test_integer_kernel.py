@@ -14,11 +14,13 @@ from elliptica.elliptic import (
     TRANSLATIONS,
     EllipticParams,
     _phi1_halfshifted,
+    _phi_term,
     _regraded_term,
     fullperiod_parts_check,
     phi_exact,
     phi_translate_check,
 )
+from elliptica.fixedpoint import equivariant_index, load_manifold, rigidity_check
 from elliptica.qseries import PSeries, SubstitutionError
 from elliptica.ring import GaussianRational, RationalFunctionQi
 from elliptica.spinchar import RotationData
@@ -30,7 +32,7 @@ from elliptica.witten import (
     unit_substitute,
     witten_factors,
 )
-from elliptica.zem import z_term
+from elliptica.zem import LatticeElement, em_eps, z_term
 from series_reference import (
     Substitution,
     monomial,
@@ -229,7 +231,7 @@ def _unit_image(order, term, k):
 
 
 def _phi1(order):
-    return elliptic._phi_term(1, order)
+    return _phi_term(1, order)
 
 
 def _z(entries, nu):
@@ -314,15 +316,33 @@ def test_row_checks_negative_controls(monkeypatch, mutate, check, expected):
 
 def test_exact_checks_reduce_no_rational_function(monkeypatch):
     """All five translation checks and the exact Z-periodicity run on
-    integer rows: with poly_gcd raising, they still pass."""
+    integer rows, and the exact series built on ``laurent_sum`` (phi_exact,
+    rigidity, an index, em_eps) reduce over Z[s]: with poly_gcd raising,
+    the checks pass, phi_exact matches the Q(i) reference and the others
+    reproduce the values computed before poly_gcd is replaced."""
 
     def no_gcd(a, b):
         raise RuntimeError("poly_gcd called")
 
+    # alpha odd, beta even: the trace divides, so the denominator is not a
+    # monomial, and the factor i^planes is i^3
+    gamma = LatticeElement.torsion(1, 0, 2)
+    rot = RotationData((1, 2, 3), 1)
+    params = EllipticParams(truncation_order=24)
+    cp3 = load_manifold("cp3")
+    lambda3t = cp3.bundle_twist("lambda3t")
+    terms = [_phi_term(i, 24) for i in (1, 2, 3, 4)]
+    phis = [_reference_sum(24, [term]) for term in terms]
+    em = em_eps(gamma, rot, params, backend="exact")
+    index = equivariant_index(cp3, lambda3t)
+
     elliptic.phi_exact.cache_clear()
     monkeypatch.setattr(ring, "poly_gcd", no_gcd)
-    params = EllipticParams(truncation_order=24)
     for which in TRANSLATIONS:
         assert phi_translate_check(which, params).passed, which
     out = zem._z_periodicity_exact([1, 2, 3], 16)
     assert out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]
+    assert [phi_exact(i, 24) for i in (1, 2, 3, 4)] == phis
+    assert rigidity_check(cp3, 8).rigid
+    assert equivariant_index(cp3, lambda3t) == index
+    assert em_eps(gamma, rot, params, backend="exact") == em

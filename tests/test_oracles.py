@@ -1,5 +1,5 @@
 """Oracles independent of this codebase: sympy for the exact gcd and
-reduction over Q(i), mpmath's q-Pochhammer symbol for the numeric
+reduction over Q(i) and the gcd over Z[s], mpmath's q-Pochhammer symbol for the numeric
 products."""
 
 import cmath
@@ -16,6 +16,7 @@ from elliptica.ring import (
     poly_mul,
     poly_trim,
     poly_valuation,
+    zpoly_gcd,
 )
 from elliptica.witten import _witten_numeric
 
@@ -66,6 +67,40 @@ def test_poly_gcd_matches_sympy():
     for a, b in _gcd_cases():
         want = _to_sympy(sympy, a, s).gcd(_to_sympy(sympy, b, s)).monic()
         assert _to_sympy(sympy, poly_gcd(a, b), s) == want, (a, b)
+
+
+def _integer_gcd_cases(count=80):
+    """Pairs c f, c g of integer polynomials with a shared factor c; leading
+    coefficients and contents other than +-1, and powers of s, included."""
+    rng = random.Random(20261018)
+
+    def poly(degree):
+        coeffs = [rng.randint(-5, 5) for _ in range(degree)]
+        return coeffs + [rng.choice([1, -1, 2, -2, 3, 6])]
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for _ in range(count):
+        common = [0] * rng.choice([0, 0, 1]) + poly(rng.randint(0, 3))
+        yield (mul(common, poly(rng.randint(0, 5))),
+               mul(common, poly(rng.randint(1, 5))))
+
+
+def test_zpoly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def to_sympy(a):
+        return sympy.Poly.from_list(a[::-1] or [0], s, domain=sympy.ZZ)
+
+    for a, b in _integer_gcd_cases():
+        want = to_sympy(a).gcd(to_sympy(b))
+        assert to_sympy(zpoly_gcd(a, b)) == want, (a, b)
 
 
 def test_reduce_matches_sympy():

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from elliptica import ring
 from elliptica.ring import (
     GaussianRational,
     PoleEvaluationError,
@@ -14,6 +15,7 @@ from elliptica.ring import (
     poly_mul,
     rf_arith,
     rf_eval,
+    zpoly_gcd,
 )
 from series_reference import compose_power, monomial, substitute_scale
 
@@ -153,6 +155,85 @@ def test_gaussian_rational_basics():
     assert x * x.inverse() == GaussianRational.one()
     assert str(GaussianRational(1, 1)) == "1+i"
     assert str(GaussianRational(0, -1)) == "-i"
+
+
+# -- the reduction over Z[s] ------------------------------------------------
+
+
+def _times(laurent, d, c):
+    """A Laurent dict {exponent: int} times 1 + c s^d."""
+    out = dict(laurent)
+    for e, v in laurent.items():
+        out[e + d] = out.get(e + d, 0) + c * v
+    return out
+
+
+def _product(laurent, factors):
+    for d, c in factors:
+        laurent = _times(laurent, d, c)
+    return laurent
+
+
+_LAURENT = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)
+# the factors 1 + c s^d of the exact series' denominators, with c != +-1 too
+_INT_FACTORS = st.lists(
+    st.tuples(st.integers(-4, 4).filter(bool), st.sampled_from([-2, -1, 1, 2, 3])),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=_LAURENT,
+    shared=_INT_FACTORS,
+    own=_INT_FACTORS,
+    low=st.integers(-5, 5),
+    lead=st.sampled_from([1, -1, 2, -3]),
+)
+@example(num={}, shared=[], own=[(2, -1)], low=0, lead=1)  # zero numerator
+@example(num={-2: 3, 4: 0}, shared=[], own=[], low=-3, lead=-3)  # monomial d
+@example(num={0: 1}, shared=[(1, 3), (-2, -2)], own=[(3, 2)], low=1, lead=2)
+def test_from_integer_laurent_matches_division(num, shared, own, low, lead):
+    """The reduction over Z[s] equals the quotient over Q(i), factor by
+    factor shared between numerator and denominator or not."""
+    n = _product(num, shared)
+    d = _product({low: lead}, shared + own)
+    got = RF.from_integer_laurent(n, d)
+    assert got == RF.from_laurent(n) / RF.from_laurent(d)
+    # the coefficients share their zero parts rather than allocate them
+    for c in got.num + got.den:
+        assert c.im is ring._ZERO_F
+        assert c or c is GaussianRational.zero()
+
+
+def test_from_integer_laurent_rejects_a_zero_denominator():
+    with pytest.raises(RationalFunctionDivisionError):
+        RF.from_integer_laurent({0: 1}, {3: 0})
+
+
+def test_zpoly_gcd_examples():
+    # (2s + 3)(s^2 - 2) and (2s + 3)(3s + 1) * 4: leading coefficients
+    # other than +-1, and content on one side only
+    a = [-6, -4, 3, 2]
+    b = [12, 44, 24]
+    assert zpoly_gcd(a, b) == [3, 2]
+    assert zpoly_gcd([-4, 0, -2], [6, 0, 3]) == [2, 0, 1]
+    assert zpoly_gcd([0, 0, 6], [0, 4]) == [0, 2]
+    assert zpoly_gcd([], [-3, -1]) == [3, 1]
+    assert zpoly_gcd([], []) == []
+
+
+def test_scale_takes_no_gcd(monkeypatch):
+    f = (ONE + S) / (ONE - S * S * S)
+    i = GaussianRational.i()
+    want = f * RF.constant(i)
+
+    def no_gcd(a, b):
+        raise RuntimeError("poly_gcd called")
+
+    monkeypatch.setattr(ring, "poly_gcd", no_gcd)
+    assert f.scale(i) == want
+    assert f.scale(0) == RF.zero()
 
 
 def test_poly_gcd_monomial_fast_path():
