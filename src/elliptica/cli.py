@@ -17,6 +17,7 @@ import sys
 
 from .elliptic import (
     EllipticParams,
+    PoleError,
     TRANSLATIONS,
     phi_exact,
     phi_numeric,
@@ -34,6 +35,7 @@ from .fixedpoint import (
     simplify_character,
     special_orders,
 )
+from .witten import WittenDenominatorError
 from .zem import (
     SUITE_NAMES,
     LatticeElement,
@@ -190,6 +192,17 @@ def cmd_verify(args):
     return 0 if all_passed else MATH_FAILURE
 
 
+# what a numeric evaluation at a point raises at a pole, or where its floats
+# overflow or underflow (|Im z| in the hundreds)
+_AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
+              OverflowError)
+
+
+def _cannot_evaluate(at, exc):
+    _summary(f"cannot evaluate at z = {at}: {exc}")
+    return USAGE_ERROR
+
+
 def _load_or_exit(source):
     try:
         return load_manifold(source), 0
@@ -234,9 +247,12 @@ def cmd_index(args):
     if args.at is not None:
         tau = args.tau if args.tau is not None else 1j
         params = EllipticParams(tau=tau)
-        value = equivariant_index(
-            m, twist, params, backend="numeric", z=complex(args.at)
-        )
+        try:
+            value = equivariant_index(
+                m, twist, params, backend="numeric", z=complex(args.at)
+            )
+        except _AT_ERRORS as exc:
+            return _cannot_evaluate(args.at, exc)
         report["at"] = {"z": str(args.at), "tau": str(tau), "value": str(value)}
     _emit(report, args.out)
     _summary(f"index of {m.name} / {args.twist} computed")
@@ -284,14 +300,18 @@ def cmd_expand(args):
     if args.at is not None:
         tau = args.tau if args.tau is not None else 1j
         nparams = EllipticParams(tau=tau)
-        value = phi_numeric(args.phi, nparams, complex(args.at))
-        s0 = cmath.exp(1j * cmath.pi * complex(args.at))
         p0 = cmath.exp(0.5j * cmath.pi * tau)
+        try:
+            value = phi_numeric(args.phi, nparams, complex(args.at))
+            s0 = cmath.exp(1j * cmath.pi * complex(args.at))
+            series_value = series.evaluate(s0, p0)
+        except _AT_ERRORS as exc:
+            return _cannot_evaluate(args.at, exc)
         report["at"] = {
             "z": str(args.at),
             "tau": str(tau),
             "numeric": str(value),
-            "series_value": str(series.evaluate(s0, p0)),
+            "series_value": str(series_value),
         }
     _emit(report, args.out)
     _summary(f"phi_{args.phi} expanded to order p^{args.q_order}")

@@ -27,7 +27,14 @@ integer rows over the prefactor's denominator.
 Numeric backend: the same products evaluated in complex floats with an
 explicit cutoff; the tail of the log of the product is bounded using
 log(1 +- x) <= 2|x| for |x| <= 1/2, so the cutoff is chosen to push the
-bound below 1e-18 relative.
+bound below 1e-18 relative.  What depends on tau alone is computed once
+per ``EllipticParams``: q, q^{1/2}, p, the pole shifts and, per layout of
+``witten.LAYOUT``, a table of the factor coefficients (+-q_num^n,
++-q_den^n), built by the recurrence q^n = q^{n-1} q and extended when a
+larger cutoff is asked for.  ``phi_numeric`` and the Witten characters
+read the table with the operands and the order of float operations of a
+per-call loop (tests/numeric_reference.py), so their values do not depend
+on which calls came first.
 
 Lattice translations of z act on (s, p) as
 
@@ -100,7 +107,13 @@ class PoleError(ValueError):
 @dataclass(frozen=True)
 class EllipticParams:
     """Backend parameters: tau/product_cutoff drive the numeric backend,
-    truncation_order the exact one."""
+    truncation_order the exact one.
+
+    With tau set, everything that depends on tau alone is computed once,
+    here: q, |q|, log|q|, q^{1/2}, p, the pole shifts of phi_1..phi_4 and,
+    per layout, a table of product factors extended as cutoffs grow
+    (``factors``).  None of it takes part in equality or hashing.
+    """
 
     tau: complex | None = None
     truncation_order: int | None = None
@@ -114,27 +127,45 @@ class EllipticParams:
                     f"tau must be finite with positive imaginary part, got "
                     f"{self.tau}"
                 )
-            if not 0.0 < abs(self.q) < 1.0:
+            q = cmath.exp(2j * cmath.pi * self.tau)
+            if not 0.0 < abs(q) < 1.0:
                 raise ValueError(
-                    f"tau = {self.tau} gives |q| = {abs(self.q)}, outside "
+                    f"tau = {self.tau} gives |q| = {abs(q)}, outside "
                     "(0, 1) in floating point"
                 )
+            half = self.tau / 2.0
+            # the instance is frozen: set the derived values past __setattr__
+            self.__dict__.update({
+                "_q": q,
+                "_q_abs": abs(q),
+                "_log_q_abs": math.log(abs(q)),
+                # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
+                # principal-branch powers, which could wrap
+                "_q_half": cmath.exp(1j * cmath.pi * self.tau),
+                "_p": cmath.exp(0.5j * cmath.pi * self.tau),
+                "_pole_shift": {1: 0j, 2: 0.5 + 0j, 3: half, 4: 0.5 + half},
+                # q^n for n = 0, 1, .. by the recurrence q^n = q^{n-1} q
+                "_powers": [1.0 + 0j],
+                "_tables": {i: [] for i in LAYOUT},
+            })
         if self.truncation_order is not None and self.truncation_order < 0:
             raise ValueError("truncation order must be >= 0")
 
-    @property
-    def q(self):
+    def _require_tau(self):
         if self.tau is None:
             raise ValueError("numeric parameters need tau")
-        return cmath.exp(2j * cmath.pi * self.tau)
+
+    @property
+    def q(self):
+        self._require_tau()
+        return self._q
 
     @property
     def p(self):
         """The canonical fourth root q^{1/4} = e^{i pi tau / 2} (not a
         principal-branch power, which could wrap)."""
-        if self.tau is None:
-            raise ValueError("numeric parameters need tau")
-        return cmath.exp(0.5j * cmath.pi * self.tau)
+        self._require_tau()
+        return self._p
 
     def require_order(self):
         if self.truncation_order is None:
@@ -146,10 +177,32 @@ class EllipticParams:
         t_abs (and down to 1/t_abs)."""
         if self.product_cutoff is not None:
             return self.product_cutoff
-        qa = abs(self.q)
-        scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - qa)
-        n = math.log(NUMERIC_TAIL_TARGET / scale) / math.log(qa)
+        self._require_tau()
+        scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - self._q_abs)
+        n = math.log(NUMERIC_TAIL_TARGET / scale) / self._log_q_abs
         return max(8, int(math.ceil(n)))
+
+    def factors(self, i, t_abs=1.0):
+        """The first ``cutoff(t_abs)`` factors of the layout-i products, as
+        pairs (a_n, b_n) = (nsign q_num^n, dsign q_den^n) in the notation of
+        ``witten.LAYOUT``, where q_num^n and q_den^n are q^n or q^{n-1/2}:
+        the numerator factors are 1 + a_n x and the denominator ones
+        1 - b_n x.  The table is extended, never rebuilt, when a larger
+        cutoff is asked for; |b_n| falls with n.  The list returned may be
+        the table itself, to be read and not changed."""
+        self._require_tau()
+        n = self.cutoff(t_abs)
+        table = self._tables[i]
+        if len(table) < n:
+            nsign, noff, dsign, doff = LAYOUT[i]
+            powers = self._powers
+            while len(powers) <= n:
+                powers.append(powers[-1] * self._q)
+            for qn in powers[len(table) + 1:n + 1]:
+                qn_half = qn / self._q_half
+                table.append((nsign * (qn_half if noff else qn),
+                              dsign * (qn_half if doff else qn)))
+        return table if len(table) == n else table[:n]
 
 
 # The prefactors of phi_1..phi_4 as (numerator factors, denominator factors,
@@ -181,16 +234,6 @@ def phi_exact(i, order):
     return laurent_sum(order, [_phi_term(i, order)])
 
 
-def _pole_shift(i, tau):
-    if i == 1:
-        return 0j
-    if i == 2:
-        return 0.5 + 0j
-    if i == 3:
-        return tau / 2.0
-    return 0.5 + tau / 2.0
-
-
 def lattice_distance(w, tau):
     """Distance from w to the lattice Z + Z tau."""
     y = w.imag / tau.imag
@@ -201,12 +244,19 @@ def lattice_distance(w, tau):
 
 
 def phi_numeric(i, params, z):
-    """Evaluate phi_i at a complex point from the defining products."""
+    """Evaluate phi_i at a complex point from the defining products, with
+    the factor table of ``params``."""
+    if i not in LAYOUT:
+        raise ValueError("phi index must be 1..4")
     tau = params.tau
     if tau is None:
         raise ValueError("numeric backend needs tau in params")
     z = complex(z)
-    dist = lattice_distance(z - _pole_shift(i, tau), tau)
+    # lattice_distance(z - pole, tau), inlined: this runs on every call
+    w = z - params._pole_shift[i]
+    y = w.imag / tau.imag
+    x = w.real - y * tau.real
+    dist = abs(x - round(x) + (y - round(y)) * tau)
     if dist < params.pole_guard:
         raise PoleError(
             f"phi_{i} evaluated within {dist:.2e} of a pole", dist
@@ -219,24 +269,14 @@ def phi_numeric(i, params, z):
         pref = 1.0 / (s + 1.0 / s)
     elif i == 3:
         pref = s + 1.0 / s
-    elif i == 4:
-        pref = s - 1.0 / s
     else:
-        raise ValueError("phi index must be 1..4")
-    q = params.q
-    qh = cmath.exp(1j * cmath.pi * tau)  # q^{1/2}, branch-free
-    nsign, noff, dsign, doff = LAYOUT[i]
-    nmax = params.cutoff(max(abs(t), 1.0 / abs(t)))
+        pref = s - 1.0 / s
+    t_abs = abs(t)
     out = pref
-    qn = 1.0 + 0j
     ti = 1.0 / t
-    for n in range(1, nmax + 1):
-        qn *= q
-        qnum = qn / qh if noff else qn
-        qden = qn / qh if doff else qn
-        out *= (1.0 + nsign * qnum * t) * (1.0 + nsign * qnum * ti)
-        den = (1.0 - dsign * qden * t) * (1.0 - dsign * qden * ti)
-        out /= den
+    for a, b in params.factors(i, max(t_abs, 1.0 / t_abs)):
+        out *= (1.0 + a * t) * (1.0 + a * ti)
+        out /= (1.0 - b * t) * (1.0 - b * ti)
     return out
 
 

@@ -52,7 +52,8 @@ class RotationData:
     orientation_sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
         if self.orientation_sign not in (1, -1):
             raise SpinCharError("orientation_sign must be +1 or -1")
         if not self.entries and self.orientation_sign != 1:

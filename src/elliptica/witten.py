@@ -33,7 +33,6 @@ so no check reduces a coefficient.
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
 
 from .ring import RationalFunctionQi
@@ -291,25 +290,24 @@ def _witten_numeric(i, eigenvalues, params):
     xs = [complex(x) for x in eigenvalues]
     if not xs:
         return 1.0 + 0j
-    q = params.q
-    nsign, noff, dsign, doff = LAYOUT[i]
     big = max(max(abs(x) for x in xs), 1.0)
-    nmax = params.cutoff(big)
-    # q^{1/2} taken as e^{i pi tau}, not a principal-branch power
-    qh = cmath.exp(1j * cmath.pi * params.tau)
+    table = params.factors(i, big)
     out = 1.0 + 0j
-    qn = 1.0 + 0j
-    for n in range(1, nmax + 1):
-        qn *= q
-        qnum = qn / qh if noff else qn
-        qden = qn / qh if doff else qn
+    if not table or big * abs(table[0][1]) <= 0.5:
+        # |b_n| <= |b_1| for every n, so no |1 - b_n x| is below 1/2
+        for a, b in table:
+            for x in xs:
+                out *= 1.0 + a * x
+                out /= 1.0 - b * x
+        return out
+    for n, (a, b) in enumerate(table, 1):
         for x in xs:
-            out *= 1.0 + nsign * qnum * x
-            den = 1.0 - dsign * qden * x
+            out *= 1.0 + a * x
+            den = 1.0 - b * x
             if abs(den) < 1e-12:
                 raise WittenDenominatorError(
                     f"denominator factor vanishes at n = {n} "
-                    f"(|1 - ({dsign}) q^... x| = {abs(den):.2e})",
+                    f"(|1 - ({LAYOUT[i][2]}) q^... x| = {abs(den):.2e})",
                     n,
                 )
             out /= den

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from elliptica import zem
+from elliptica import cli, zem
 from elliptica.cli import _emit, main
+from elliptica.witten import WittenDenominatorError
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,38 @@ def test_malformed_point_is_usage_error(capsys, command):
         main([command, *extra, "--q-order", "2", "--at", "foo"])
     assert exc.value.code == 2
     assert "not a complex number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["expand", "--phi", "1"], "0"),
+        (["expand", "--phi", "4"], "0.5+0.5j"),
+        (["index", "--manifold", "cp3", "--twist", "none"], "0"),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "1"),
+        (["index", "--manifold", "cp3", "--twist", "s2t"], "0"),
+        # |Im z| in the hundreds: s = e^{i pi z} overflows or underflows
+        (["expand", "--phi", "1"], "-400.3j"),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "400.3j"),
+    ],
+)
+def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):
+    code, out, err = run_cli(capsys, *argv, f"--at={at}", "--q-order", "2")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"cannot evaluate at z = {at}: ")
+
+
+def test_vanishing_witten_denominator_at_point_is_usage_error(capsys,
+                                                              monkeypatch):
+    def vanishing(*args):
+        raise WittenDenominatorError("denominator factor vanishes at n = 1", 1)
+
+    monkeypatch.setattr(cli, "phi_numeric", vanishing)
+    code, out, err = run_cli(capsys, "expand", "--phi", "1", "--at", "0.3")
+    assert code == 2 and out == ""
+    assert err == "cannot evaluate at z = 0.3: denominator factor vanishes " \
+        "at n = 1\n"
 
 
 @pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j"])

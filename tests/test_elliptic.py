@@ -128,6 +128,27 @@ def test_pole_guard():
         phi_numeric(4, params, 0.5 + 0.5j)
 
 
+@pytest.mark.parametrize("i", [0, 5, -1])
+def test_invalid_index_is_rejected_before_the_pole_check(i):
+    """Near 1/2 + tau/2, the pole of phi_4, an invalid index is a ValueError
+    and not a PoleError, which the identity suites would retry as a
+    degenerate draw."""
+    params = EllipticParams(tau=1j)
+    with pytest.raises(ValueError, match="phi index must be 1..4") as err:
+        phi_numeric(i, params, 0.5 + 0.5j + 1e-12)
+    assert not isinstance(err.value, PoleError)
+
+
+def test_tau_tables_stay_out_of_equality():
+    """Equality and hashing read the declared fields only: the per-tau
+    values and factor tables do not enter them."""
+    a, b = EllipticParams(tau=0.1 + 0.7j), EllipticParams(tau=0.1 + 0.7j)
+    a.factors(1, 50.0)
+    assert a == b and hash(a) == hash(b)
+    assert len(b.factors(1)) == b.cutoff() < len(a.factors(1, 50.0))
+    assert repr(a) == repr(b)
+
+
 def test_numeric_translations_spot_check():
     params = EllipticParams(tau=0.2 + 0.9j)
     q4 = cmath.exp(0.5j * cmath.pi * params.tau)

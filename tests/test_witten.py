@@ -95,6 +95,26 @@ def test_vanishing_denominator_names_factor():
     assert err.value.n == 1
 
 
+@pytest.mark.parametrize(
+    "i, power, sign, n",
+    [
+        (1, 2, 1, 2),     # x = q^{-2}: 1 - q^2 x vanishes at n = 2
+        (2, 2, -1, 2),    # x = -q^{-2}: 1 + q^2 x
+        (3, 0.5, 1, 1),   # x = q^{-1/2}: 1 - q^{1/2} x at n = 1
+        (4, 0.5, -1, 1),  # x = -q^{-1/2}: 1 + q^{1/2} x
+        (3, 1.5, 1, 2),   # x = q^{-3/2}: 1 - q^{3/2} x at n = 2
+    ],
+)
+def test_vanishing_denominator_at_n2_and_half_integer_powers(i, power, sign, n):
+    """Zeros at n = 2 and in the half-integer family q^{n-1/2}: the guard
+    that is skipped when no |1 - b_n x| can be small must still see them."""
+    tau = 0.2 + 0.9j
+    x = sign * cmath.exp(-2j * cmath.pi * power * tau)
+    with pytest.raises(WittenDenominatorError) as err:
+        witten_char(i, [0.5, x], EllipticParams(tau=tau))
+    assert err.value.n == n
+
+
 def test_exact_requires_integer_weights():
     with pytest.raises(ValueError):
         witten_char(1, [0.5], EllipticParams(truncation_order=4), backend="exact")
