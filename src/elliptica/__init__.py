@@ -12,7 +12,8 @@ Layering (each module only depends on the ones above it):
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs
-    zem         the invariant functions Z / EM and the identity suites
+    zem         the invariant functions Z / EM and the identity suites,
+                the q -> 0 degeneration among them
     fixedpoint  manifold data, equivariant indices, rigidity
     cli         command-line surface
 
@@ -37,7 +38,6 @@ from .qseries import (
 from .elliptic import (
     EllipticParams,
     PoleError,
-    phi,
     phi_exact,
     phi_numeric,
     phi_translate_check,
@@ -58,7 +58,6 @@ from .zem import (
     IdentityReport,
     LatticeElement,
     adapted_k,
-    degenerate_reduction_check,
     em_eps,
     em_fun,
     identity_check,
@@ -89,7 +88,6 @@ __all__ = [
     "ps_invert",
     "EllipticParams",
     "PoleError",
-    "phi",
     "phi_exact",
     "phi_numeric",
     "phi_translate_check",
@@ -106,7 +104,6 @@ __all__ = [
     "IdentityReport",
     "LatticeElement",
     "adapted_k",
-    "degenerate_reduction_check",
     "em_eps",
     "em_fun",
     "identity_check",

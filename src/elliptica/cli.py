@@ -36,17 +36,12 @@ from .fixedpoint import (
     special_orders,
 )
 from .witten import WittenDenominatorError
-from .zem import (
-    SUITE_NAMES,
-    LatticeElement,
-    degenerate_reduction_check,
-    identity_check,
-)
+from .zem import SUITE_NAMES, LatticeElement, identity_check
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
-ALL_SUITES = ("translations",) + SUITE_NAMES + ("degenerate-reduction",)
+ALL_SUITES = ("translations",) + SUITE_NAMES
 
 
 def _json_safe(value):
@@ -98,7 +93,10 @@ def _parse_tau(raw):
 
 def _parse_point(raw):
     """A point z, checked here and kept as typed, since reports echo it."""
-    _parse_complex(raw)
+    if not cmath.isfinite(_parse_complex(raw)):
+        raise argparse.ArgumentTypeError(
+            f"not a complex number with finite parts: {raw!r}"
+        )
     return raw
 
 
@@ -119,9 +117,9 @@ def _bounded_int(low):
     return integer
 
 
-# the tolerance of every suite but degenerate-reduction when --tol is not given
+# the tolerance that verify's config echoes, and consistency's default, when
+# --tol is not given
 DEFAULT_TOL = 1e-8
-_SUITE_TOL = {"degenerate-reduction": 1e-10}
 
 _SHARED_OPTIONS = {
     "seed": ("--seed", dict(type=int, default=0)),
@@ -150,8 +148,6 @@ def cmd_verify(args):
     results = []
     all_passed = True
     for suite in suites:
-        # verify's --tol defaults to None: each suite keeps its own tolerance
-        tol = _SUITE_TOL.get(suite, DEFAULT_TOL) if args.tol is None else args.tol
         if suite == "translations":
             params = EllipticParams(truncation_order=args.q_order)
             checks = [phi_translate_check(w, params).to_json() for w in TRANSLATIONS]
@@ -160,16 +156,11 @@ def cmd_verify(args):
                 {"suite": "translations", "checks": checks, "passed": passed,
                  "q_order": args.q_order}
             )
-        elif suite == "degenerate-reduction":
-            rep = degenerate_reduction_check(
-                trials=args.trials, dims=args.dims, seed=args.seed, tol=tol
-            )
-            passed = rep.passed
-            results.append(rep.to_json())
         else:
+            # --tol defaults to None here: each suite keeps its own tolerance
             rep = identity_check(
                 suite, trials=args.trials, dims=args.dims, seed=args.seed,
-                tol=tol,
+                tol=args.tol,
             )
             passed = rep.passed
             results.append(rep.to_json())

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .witten import (
@@ -94,6 +94,9 @@ from .witten import (
 )
 
 NUMERIC_TAIL_TARGET = 1e-18
+# a numeric evaluation this close to a pole, or a free point this close to
+# the lattice, counts as on it
+POLE_GUARD = 1e-8
 
 
 class PoleError(ValueError):
@@ -118,7 +121,6 @@ class EllipticParams:
     tau: complex | None = None
     truncation_order: int | None = None
     product_cutoff: int | None = None
-    pole_guard: float = 1e-8
 
     def __post_init__(self):
         if self.tau is not None:
@@ -179,6 +181,11 @@ class EllipticParams:
             return self.product_cutoff
         self._require_tau()
         scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - self._q_abs)
+        if not math.isfinite(scale):
+            # far from the real axis t = s^2 or 1/t overflows; the log of the
+            # bound below would fail with a bare "math domain error"
+            error = ValueError if math.isnan(t_abs) else OverflowError
+            raise error(f"no product cutoff bounds the tail at |t| = {t_abs}")
         n = math.log(NUMERIC_TAIL_TARGET / scale) / self._log_q_abs
         return max(8, int(math.ceil(n)))
 
@@ -257,7 +264,7 @@ def phi_numeric(i, params, z):
     y = w.imag / tau.imag
     x = w.real - y * tau.real
     dist = abs(x - round(x) + (y - round(y)) * tau)
-    if dist < params.pole_guard:
+    if dist < POLE_GUARD:
         raise PoleError(
             f"phi_{i} evaluated within {dist:.2e} of a pole", dist
         )
@@ -280,18 +287,6 @@ def phi_numeric(i, params, z):
     return out
 
 
-def phi(i, backend, params, z=None):
-    """phi_i in the requested backend: a PSeries over Q(i)(s) ('exact') or a
-    complex value at z ('numeric')."""
-    if backend == "exact":
-        return phi_exact(i, params.require_order())
-    if backend == "numeric":
-        if z is None:
-            raise ValueError("numeric backend needs the argument z")
-        return phi_numeric(i, params, z)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 # ---------------------------------------------------------------------------
 # translation identities
 
@@ -305,13 +300,7 @@ class TranslationReport:
     detail: str = ""
 
     def to_json(self):
-        return {
-            "which": self.which,
-            "truncation_order": self.truncation_order,
-            "passed": self.passed,
-            "first_failing_exponent": self.first_failing_exponent,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")

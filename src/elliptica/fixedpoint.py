@@ -31,7 +31,7 @@ import json
 import os
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from math import gcd
 
@@ -375,15 +375,7 @@ class RigidityReport:
     spin_parity_ok: bool
 
     def to_json(self):
-        return {
-            "manifold": self.manifold,
-            "twist": self.twist,
-            "q_order": self.q_order,
-            "rigid": self.rigid,
-            "constants": self.constants,
-            "nonconstant_orders": self.nonconstant_orders,
-            "spin_parity_ok": self.spin_parity_ok,
-        }
+        return asdict(self)
 
 
 def rigidity_check(m, q_order):
@@ -426,14 +418,7 @@ class ConsistencyReport:
     passed: bool
 
     def to_json(self):
-        return {
-            "manifold": self.manifold,
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # the errors of a draw that lands on a pole or a special point; any other

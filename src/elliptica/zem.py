@@ -11,9 +11,14 @@ cases at even-order torsion points via the W_2/W_3/W_4 characters with
 their scalar constants; EM glues an adapted-K Z-value on the part where
 the cyclic action has no -1 eigenvalue with EM_eps on the -1 eigenspace.
 
-``identity_check`` runs randomized numeric verifications (and, for the
-periodicity suites, exact coefficient comparisons) of the transfer and
-periodicity identities.  Every trial derives its generator from
+``identity_check`` runs the nine identity suites of ``SUITE_NAMES``.
+Eight are randomized numeric verifications (and, for the two periodicity
+suites, exact coefficient comparisons) of the transfer and periodicity
+identities, at a default tolerance of 1e-8.  The ninth,
+``degenerate-reduction``, is the q -> 0 limit of the transfer identity:
+with the products cut to zero factors (product cutoff 0), both sides must
+equal their reciprocal-supertrace (chi) expressions, at a default
+tolerance of 1e-10.  Every trial derives its generator from
 (seed, suite, trial), so reports are reproducible and trials independent.
 """
 
@@ -27,6 +32,7 @@ from math import gcd
 
 from .ring import GaussianRational
 from .elliptic import (
+    POLE_GUARD,
     EllipticParams,
     PoleError,
     fullperiod_parts_check,
@@ -160,12 +166,12 @@ def _as_gamma_value(gamma, tau):
     return complex(gamma)
 
 
-def _collides(gamma, gv, a, tau, guard=1e-8):
-    """Does a*gamma lie on the lattice (exactly for torsion, within guard
-    for free points)?  gv is the value of gamma at tau."""
+def _collides(gamma, gv, a, tau):
+    """Does a*gamma lie on the lattice (exactly for torsion, within
+    POLE_GUARD for free points)?  gv is the value of gamma at tau."""
     if isinstance(gamma, LatticeElement) and gamma.is_torsion:
         return (a * gamma.alpha) % gamma.k == 0 and (a * gamma.beta) % gamma.k == 0
-    return lattice_distance(a * gv, tau) < guard
+    return lattice_distance(a * gv, tau) < POLE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -821,144 +827,21 @@ def _trial_spin_periodicity(rng, dims, params):
     return res, data
 
 
-_SUITES = {
-    "K-transfer": _trial_k_transfer,
-    "Z-periodicity": _trial_z_periodicity,
-    "order-k-trivial": _trial_order_k_trivial,
-    "allW": _trial_all_w,
-    "EM-welldef": _trial_em_welldef,
-    "elliptic-transfer": _trial_elliptic_transfer,
-    "spin-transfer": _trial_spin_transfer,
-    "spin-periodicity": _trial_spin_periodicity,
-}
-
-SUITE_NAMES = tuple(_SUITES)
-
-_EXACT_ORDER = 16
-
-
-def _exact_component(suite, seed, order=_EXACT_ORDER):
-    """Exact coefficient comparisons attached to the periodicity suites."""
-    rng = random.Random(f"{seed}|{suite}|exact")
-    if suite == "Z-periodicity":
-        entries = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
-        out = _z_periodicity_exact(entries, order)
-        out["entries"] = entries
-        out["order"] = order
-        out["passed"] = (
-            out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]
-        )
-        return out
-    if suite == "spin-periodicity":
-        # even total rotation number: exp(J) = 1 in the spin group, so the
-        # gamma+1 substitution must reproduce the series with no sign
-        entries = [rng.randint(1, 3) for _ in range(2)]
-        if sum(entries) % 2:
-            entries[0] += 1
-        out = _z_periodicity_exact(entries, order)
-        out["entries"] = entries
-        out["order"] = order
-        out["passed"] = (
-            out["gamma_plus_one_first_diff"] is None
-            and out["gamma_plus_tau_ok"]
-            and out["epsilon"] == 1
-        )
-        return out
-    return None
-
-
-# a draw that lands on one of these is retried with a fresh tau
-_RETRIED = (PoleError, SpecialCollisionError, SpinCharError, ZemError,
-            WittenDenominatorError, ZeroDivisionError)
-
-
-def _retry_draws(rng, attempt, label):
-    """attempt(tau) on up to 60 fresh tau draws from rng; the first result
-    that raises none of the retried errors is returned.  DegenerateDrawError
-    is a verdict on the whole trial and propagates."""
-    last_error = None
-    for _attempt in range(60):
-        tau = _draw_tau(rng)
-        try:
-            return attempt(tau)
-        except DegenerateDrawError:
-            raise
-        except _RETRIED as exc:
-            last_error = exc
-    raise DegenerateDrawError(
-        f"{label}: no valid draw in 60 attempts (last: {last_error})"
-    )
-
-
-def _run_trial(suite, seed, trial, dims):
-    body = _SUITES[suite]
-    rng = _trial_rng(seed, suite, trial)
-    return _retry_draws(
-        rng, lambda tau: body(rng, dims, EllipticParams(tau=tau)),
-        f"suite {suite}, trial {trial}",
-    )
-
-
-def identity_check(suite, trials=100, dims=8, seed=0, tol=1e-8):
-    """Run one named identity suite; returns an IdentityReport.
-
-    Each trial draws its own tau (Im in [0.5, 2]), torus data bounded by
-    ``dims`` (the real dimension cap), and random signs; degenerate draws
-    (poles, vanishing supertraces) are retried a bounded number of times.
-    Trials derive their generators from (seed, suite, trial), so a fixed
-    seed reproduces the report.
-    """
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
-    _require_tol(tol)
-    _require_dims(dims)
-    report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
-    for trial in range(trials):
-        residual, data = _run_trial(suite, seed, trial, dims)
-        report.record(trial, residual, data)
-    exact = _exact_component(suite, seed)
-    if exact is not None:
-        report.exact_checks = exact
-        if not exact["passed"]:
-            report.passed = False
-    return report
-
-
-# ---------------------------------------------------------------------------
-# q -> 0 degeneration of the transfer identity
-
-
-def _q0_params(tau):
-    """Parameters whose products are cut to zero factors: every Witten
-    character becomes 1 and phi_1 its reciprocal-sine prefactor."""
-    return EllipticParams(tau=tau, product_cutoff=0)
-
-
-def degenerate_reduction_check(trials=100, dims=8, seed=0, tol=1e-10):
-    """The constant q-term of transfer draws against the reciprocal
-    supertrace machinery.
-
-    Draws have beta = 0 (real torsion gamma = alpha/k), where the formal
-    q-expansion of both transfer sides exists; with the products cut off,
-    each side must coincide with the matching combination of chi
-    functions, and those combinations must satisfy the finite-order
-    twisted multiplicativity identity among themselves.
-    """
-    suite = "degenerate-reduction"
-    _require_tol(tol)
-    _require_dims(dims)
-    report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
-    for trial in range(trials):
-        rng = _trial_rng(seed, suite, trial)
-        residual, data = _retry_draws(
-            rng, lambda tau: _trial_degenerate(rng, dims, _q0_params(tau)),
-            f"degenerate-reduction trial {trial}",
-        )
-        report.record(trial, residual, data)
-    return report
+# -- q -> 0 degeneration of the transfer identity ---------------------------
 
 
 def _trial_degenerate(rng, dims, q0):
+    """The constant q-term of a transfer draw against the reciprocal
+    supertrace machinery.
+
+    q0 cuts the products to zero factors: every Witten character becomes 1
+    and phi_1 its reciprocal-sine prefactor.  Draws have beta = 0 (real
+    torsion gamma = alpha/k), where the formal q-expansion of both transfer
+    sides exists; with the products cut off, each side must coincide with
+    the matching combination of chi functions, and those combinations must
+    satisfy the finite-order twisted multiplicativity identity among
+    themselves.
+    """
     planes = rng.randint(1, _max_planes(dims))
     n1 = rng.randint(1, planes)
     n0 = planes - n1
@@ -1041,3 +924,109 @@ def _trial_degenerate(rng, dims, q0):
         "n0_planes": n0,
         "n1_planes": n1,
     }
+
+
+# -- the suite table ---------------------------------------------------------
+
+# name -> (trial body, product cutoff, default tolerance); the order is that
+# of ``verify --suite all``.  The q -> 0 suite cuts every product to zero
+# factors.
+_SUITES = {
+    "K-transfer": (_trial_k_transfer, None, 1e-8),
+    "Z-periodicity": (_trial_z_periodicity, None, 1e-8),
+    "order-k-trivial": (_trial_order_k_trivial, None, 1e-8),
+    "allW": (_trial_all_w, None, 1e-8),
+    "EM-welldef": (_trial_em_welldef, None, 1e-8),
+    "elliptic-transfer": (_trial_elliptic_transfer, None, 1e-8),
+    "spin-transfer": (_trial_spin_transfer, None, 1e-8),
+    "spin-periodicity": (_trial_spin_periodicity, None, 1e-8),
+    "degenerate-reduction": (_trial_degenerate, 0, 1e-10),
+}
+
+SUITE_NAMES = tuple(_SUITES)
+
+_EXACT_ORDER = 16
+
+
+def _exact_component(suite, seed, order=_EXACT_ORDER):
+    """Exact coefficient comparisons attached to the periodicity suites."""
+    if suite not in ("Z-periodicity", "spin-periodicity"):
+        return None
+    rng = random.Random(f"{seed}|{suite}|exact")
+    if suite == "Z-periodicity":
+        entries = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    else:
+        # even total rotation number: exp(J) = 1 in the spin group, so the
+        # gamma+1 substitution must reproduce the series with no sign
+        entries = [rng.randint(1, 3) for _ in range(2)]
+        if sum(entries) % 2:
+            entries[0] += 1
+    out = _z_periodicity_exact(entries, order)
+    out["entries"] = entries
+    out["order"] = order
+    out["passed"] = (
+        out["gamma_plus_one_first_diff"] is None
+        and out["gamma_plus_tau_ok"]
+        and (suite == "Z-periodicity" or out["epsilon"] == 1)
+    )
+    return out
+
+
+# a draw that lands on one of these is retried with a fresh tau
+_RETRIED = (PoleError, SpecialCollisionError, SpinCharError, ZemError,
+            WittenDenominatorError, ZeroDivisionError)
+
+
+def _retry_draws(rng, attempt, label):
+    """attempt(tau) on up to 60 fresh tau draws from rng; the first result
+    that raises none of the retried errors is returned.  DegenerateDrawError
+    is a verdict on the whole trial and propagates."""
+    last_error = None
+    for _attempt in range(60):
+        tau = _draw_tau(rng)
+        try:
+            return attempt(tau)
+        except DegenerateDrawError:
+            raise
+        except _RETRIED as exc:
+            last_error = exc
+    raise DegenerateDrawError(
+        f"{label}: no valid draw in 60 attempts (last: {last_error})"
+    )
+
+
+def _run_trial(suite, seed, trial, dims):
+    body, cutoff, _ = _SUITES[suite]
+    rng = _trial_rng(seed, suite, trial)
+
+    def attempt(tau):
+        return body(rng, dims, EllipticParams(tau=tau, product_cutoff=cutoff))
+
+    return _retry_draws(rng, attempt, f"suite {suite}, trial {trial}")
+
+
+def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
+    """Run one named identity suite; returns an IdentityReport.
+
+    Each trial draws its own tau (Im in [0.5, 2]), torus data bounded by
+    ``dims`` (the real dimension cap), and random signs; degenerate draws
+    (poles, vanishing supertraces) are retried a bounded number of times.
+    Trials derive their generators from (seed, suite, trial), so a fixed
+    seed reproduces the report.  ``tol`` None is the suite's own tolerance.
+    """
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
+    if tol is None:
+        tol = _SUITES[suite][2]
+    _require_tol(tol)
+    _require_dims(dims)
+    report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
+    for trial in range(trials):
+        residual, data = _run_trial(suite, seed, trial, dims)
+        report.record(trial, residual, data)
+    exact = _exact_component(suite, seed)
+    if exact is not None:
+        report.exact_checks = exact
+        if not exact["passed"]:
+            report.passed = False
+    return report

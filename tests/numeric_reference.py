@@ -11,7 +11,7 @@ exactly, not to a tolerance (tests/test_numeric_tables.py).
 import cmath
 import math
 
-from elliptica.elliptic import NUMERIC_TAIL_TARGET, PoleError
+from elliptica.elliptic import NUMERIC_TAIL_TARGET, POLE_GUARD, PoleError
 from elliptica.witten import LAYOUT, WittenDenominatorError
 
 
@@ -48,7 +48,7 @@ def phi_numeric(i, params, z):
         raise ValueError("numeric backend needs tau in params")
     z = complex(z)
     dist = _lattice_distance(z - _pole_shift(i, tau), tau)
-    if dist < params.pole_guard:
+    if dist < POLE_GUARD:
         raise PoleError(f"phi_{i} evaluated within {dist:.2e} of a pole", dist)
     s = cmath.exp(1j * cmath.pi * z)
     t = s * s

@@ -19,7 +19,7 @@ from elliptica.fixedpoint import (
 )
 from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import RotationData, chi, j_factor, pfaffian
-from elliptica.zem import degenerate_reduction_check, identity_check
+from elliptica.zem import identity_check
 
 
 def _fresh_caches():
@@ -101,7 +101,8 @@ def test_criterion_3_elliptic_identity_suites():
 
 
 def test_criterion_4_degenerate_reduction_to_chi():
-    rep = degenerate_reduction_check(trials=100, dims=8, seed=7, tol=1e-10)
+    rep = identity_check("degenerate-reduction", trials=100, dims=8, seed=7,
+                         tol=1e-10)
     assert rep.passed, rep.failures[:1]
     assert rep.max_residual < 1e-10
     print("\n[criterion 4] PASS q->0 constant term of 100 transfer draws "

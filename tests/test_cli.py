@@ -237,10 +237,11 @@ def test_unreadable_manifold_file_exit_2(capsys, tmp_path, kind):
 @pytest.mark.parametrize("command", ["expand", "index"])
 def test_malformed_point_is_usage_error(capsys, command):
     extra = {"expand": ["--phi", "1"], "index": ["--manifold", "s2"]}[command]
-    with pytest.raises(SystemExit) as exc:
-        main([command, *extra, "--q-order", "2", "--at", "foo"])
-    assert exc.value.code == 2
-    assert "not a complex number" in capsys.readouterr().err
+    for at in ("foo", "nan", "inf", "nan+1j"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--q-order", "2", "--at", at])
+        assert exc.value.code == 2
+        assert "not a complex number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -254,6 +255,10 @@ def test_malformed_point_is_usage_error(capsys, command):
         # |Im z| in the hundreds: s = e^{i pi z} overflows or underflows
         (["expand", "--phi", "1"], "-400.3j"),
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "400.3j"),
+        # t = s^2 or 1/t overflows to inf: no product cutoff bounds the tail
+        (["expand", "--phi", "1"], "0.3+115j"),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
+         "0.3-120.5j"),
     ],
 )
 def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):
@@ -324,19 +329,20 @@ def test_unread_option_is_usage_error(capsys, argv):
 
 
 def test_verify_tol_reaches_degenerate_reduction(capsys):
-    argv = ("verify", "--suite", "degenerate-reduction,K-transfer",
-            "--trials", "3")
-    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
-    data = json.loads(out)
-    assert code == 0
-    assert data["config"]["tol"] == 1e-3
-    assert [rep["tol"] for rep in data["suites"]] == [1e-3, 1e-3]
-    # without --tol each suite keeps its own tolerance
-    code, out, _ = run_cli(capsys, *argv)
-    data = json.loads(out)
-    assert code == 0
-    assert data["config"]["tol"] == 1e-8
-    assert [rep["tol"] for rep in data["suites"]] == [1e-10, 1e-8]
+    for other in ("K-transfer", "allW"):
+        argv = ("verify", "--suite", f"degenerate-reduction,{other}",
+                "--trials", "3")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+        data = json.loads(out)
+        assert code == 0
+        assert data["config"]["tol"] == 1e-3
+        assert [rep["tol"] for rep in data["suites"]] == [1e-3, 1e-3]
+        # without --tol each suite keeps its own tolerance
+        code, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0
+        assert data["config"]["tol"] == 1e-8
+        assert [rep["tol"] for rep in data["suites"]] == [1e-10, 1e-8]
 
 
 @pytest.mark.parametrize("dims", ["1", "0", "-4"])

@@ -8,7 +8,6 @@ from elliptica.elliptic import (
     EllipticParams,
     PoleError,
     TRANSLATIONS,
-    phi,
     phi_exact,
     phi_numeric,
     phi_translate_check,
@@ -173,14 +172,6 @@ def test_numeric_translations_near_branch_wrap():
     lhs = phi_numeric(1, params, z + params.tau / 2)
     rhs = q4 * phi_numeric(3, params, z)
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
-
-
-def test_phi_dispatcher():
-    params = EllipticParams(tau=1j, truncation_order=4)
-    assert phi(1, "exact", params) == phi_exact(1, 4)
-    assert phi(1, "numeric", params, 0.3) == phi_numeric(1, params, 0.3)
-    with pytest.raises(ValueError):
-        phi(1, "numeric", params)
 
 
 def test_params_validation():

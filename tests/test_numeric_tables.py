@@ -98,11 +98,9 @@ def test_witten_guard_paths_equal_reference(i):
 WITHOUT_PRODUCTS = {"K-transfer"}
 
 
-@pytest.mark.parametrize("suite", [*zem.SUITE_NAMES, "degenerate-reduction"])
+@pytest.mark.parametrize("suite", zem.SUITE_NAMES)
 def test_suite_reports_equal_with_reference_products(suite, monkeypatch):
     def report():
-        if suite == "degenerate-reduction":
-            return zem.degenerate_reduction_check(trials=200).to_json()
         return zem.identity_check(suite, trials=200).to_json()
 
     calls = Counter()

@@ -1,5 +1,7 @@
 import cmath
+import math
 import random
+import re
 
 import pytest
 
@@ -113,6 +115,16 @@ def test_vanishing_denominator_at_n2_and_half_integer_powers(i, power, sign, n):
     with pytest.raises(WittenDenominatorError) as err:
         witten_char(i, [0.5, x], EllipticParams(tau=tau))
     assert err.value.n == n
+
+
+@pytest.mark.parametrize("x, error", [(math.inf, OverflowError),
+                                      (1e308, OverflowError),
+                                      (math.nan, ValueError)])
+def test_non_finite_eigenvalue_is_named(x, error):
+    """An eigenvalue whose size overflows the product cutoff's tail bound is
+    named in the error, where the log of that bound would fail bare."""
+    with pytest.raises(error, match=re.escape(f"|t| = {x}") + "$"):
+        witten_char(1, [x], EllipticParams(tau=1j))
 
 
 def test_exact_requires_integer_weights():

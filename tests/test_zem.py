@@ -18,7 +18,6 @@ from elliptica.zem import (
     ZemError,
     _c_constant_numeric,
     adapted_k,
-    degenerate_reduction_check,
     em_eps,
     em_fun,
     identity_check,
@@ -253,7 +252,7 @@ def test_suites_reject_vacuous_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite"):
         identity_check("K-transfer", trials=2, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite"):
-        degenerate_reduction_check(trials=2, tol=tol)
+        identity_check("degenerate-reduction", trials=2, tol=tol)
 
 
 @pytest.mark.parametrize("dims", [1, 0, -4])
@@ -261,12 +260,21 @@ def test_suites_reject_dims_without_a_plane(dims):
     with pytest.raises(ValueError, match="dims must be >= 2"):
         identity_check("K-transfer", trials=2, dims=dims)
     with pytest.raises(ValueError, match="dims must be >= 2"):
-        degenerate_reduction_check(trials=2, dims=dims)
+        identity_check("degenerate-reduction", trials=2, dims=dims)
 
 
 def test_degenerate_reduction_quick():
-    rep = degenerate_reduction_check(trials=20, dims=8, seed=1, tol=1e-10)
+    rep = identity_check("degenerate-reduction", trials=20, dims=8, seed=1,
+                         tol=1e-10)
     assert rep.passed, rep.failures[:1]
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_default_tolerance(suite):
+    """tol=None is the suite's own tolerance: 1e-10 for the q -> 0 suite,
+    1e-8 for every other."""
+    want = 1e-10 if suite == "degenerate-reduction" else 1e-8
+    assert identity_check(suite, trials=1).tol == want
 
 
 def test_exact_z_periodicity_component():
