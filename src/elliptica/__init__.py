@@ -51,16 +51,19 @@ from .spinchar import (
     os_sign,
     pfaffian,
     spinor_trace,
+    spinor_trace_exact,
     v_sign,
 )
-from .witten import witten_char
+from .witten import witten_char, witten_exact
 from .zem import (
     IdentityReport,
     LatticeElement,
     adapted_k,
     em_eps,
+    em_eps_exact,
     em_fun,
     identity_check,
+    z_exact,
     z_fun,
 )
 from .fixedpoint import (
@@ -69,6 +72,7 @@ from .fixedpoint import (
     TwistSpec,
     consistency_check,
     equivariant_index,
+    index_numeric,
     list_catalog,
     load_manifold,
     rigidity_check,
@@ -99,20 +103,25 @@ __all__ = [
     "os_sign",
     "pfaffian",
     "spinor_trace",
+    "spinor_trace_exact",
     "v_sign",
     "witten_char",
+    "witten_exact",
     "IdentityReport",
     "LatticeElement",
     "adapted_k",
     "em_eps",
+    "em_eps_exact",
     "em_fun",
     "identity_check",
+    "z_exact",
     "z_fun",
     "FixedPointDatum",
     "SpinCircleManifold",
     "TwistSpec",
     "consistency_check",
     "equivariant_index",
+    "index_numeric",
     "list_catalog",
     "load_manifold",
     "rigidity_check",

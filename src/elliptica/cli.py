@@ -29,6 +29,7 @@ from .fixedpoint import (
     TwistSpec,
     consistency_check,
     equivariant_index,
+    index_numeric,
     list_catalog,
     load_manifold,
     rigidity_check,
@@ -149,8 +150,8 @@ def cmd_verify(args):
     all_passed = True
     for suite in suites:
         if suite == "translations":
-            params = EllipticParams(truncation_order=args.q_order)
-            checks = [phi_translate_check(w, params).to_json() for w in TRANSLATIONS]
+            checks = [phi_translate_check(w, args.q_order).to_json()
+                      for w in TRANSLATIONS]
             passed = all(c["passed"] for c in checks)
             results.append(
                 {"suite": "translations", "checks": checks, "passed": passed,
@@ -226,8 +227,7 @@ def cmd_index(args):
     }
     failed = False
     if twist.kind == "tangent_witten":
-        params = EllipticParams(truncation_order=args.q_order)
-        series = equivariant_index(m, twist, params)
+        series = equivariant_index(m, twist, args.q_order)
         report["series"] = series.to_json()
     else:
         theta = equivariant_index(m, twist)
@@ -237,10 +237,9 @@ def cmd_index(args):
         failed = not (simp.ok and simp.integral)
     if args.at is not None:
         tau = args.tau if args.tau is not None else 1j
-        params = EllipticParams(tau=tau)
         try:
-            value = equivariant_index(
-                m, twist, params, backend="numeric", z=complex(args.at)
+            value = index_numeric(
+                m, twist, EllipticParams(tau=tau), complex(args.at)
             )
         except _AT_ERRORS as exc:
             return _cannot_evaluate(args.at, exc)
@@ -281,8 +280,7 @@ def cmd_special(args):
 
 
 def cmd_expand(args):
-    params = EllipticParams(truncation_order=args.q_order)
-    series = phi_exact(args.phi, params.require_order())
+    series = phi_exact(args.phi, args.q_order)
     report = {
         "command": "expand",
         "phi": args.phi,

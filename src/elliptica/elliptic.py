@@ -12,23 +12,25 @@ p = q^{1/4}.  The four quotients are infinite products
     phi_4(z) = (s-s^{-1})   * prod_n (1-p^{4n}t)(1-p^{4n}/t)
                                    / ((1+p^{4n-2}t)(1+p^{4n-2}/t))
 
-Exact backend: truncated PSeries over Q(i)(s).  Each product is the W_i
-character on the weights (1, -1) (t and 1/t are the eigenvalues s^{2w}),
-built by the exact engine of the witten module from the finitely many
-factors that matter below the truncation order (a factor with p-exponent
-e > M is 1 + O(p^{M+1})).  The prefactor is written in the same factors
-(``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a single
-``laurent_sum`` term on integer Laurent rows, whose coefficients become
-rational functions once each, over the prefactor's denominator, reduced
-by a gcd over Z[s].  The
-translation checks never build those rational functions: they compare
-integer rows over the prefactor's denominator.
+Exact backend, at an integer truncation order (``phi_exact``, the
+translation checks): truncated PSeries over Q(i)(s).  Each product is the
+W_i character on the weights (1, -1) (t and 1/t are the eigenvalues
+s^{2w}), built by the exact engine of the witten module from the finitely
+many factors that matter below the truncation order (a factor with
+p-exponent e > M is 1 + O(p^{M+1})).  The prefactor is written in the same
+factors (``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a
+single ``laurent_sum`` term on integer Laurent rows, whose coefficients
+become rational functions once each, over the prefactor's denominator,
+reduced by a gcd over Z[s].  The translation checks never build those
+rational functions: they compare integer rows over the prefactor's
+denominator.
 
-Numeric backend: the same products evaluated in complex floats with an
-explicit cutoff; the tail of the log of the product is bounded using
-log(1 +- x) <= 2|x| for |x| <= 1/2, so the cutoff is chosen to push the
-bound below 1e-18 relative.  What depends on tau alone is computed once
-per ``EllipticParams``: q, q^{1/2}, p, the pole shifts and, per layout of
+Numeric backend, with an ``EllipticParams`` (``phi_numeric``): the same
+products evaluated in complex floats with an explicit cutoff; the tail of
+the log of the product is bounded using log(1 +- x) <= 2|x| for
+|x| <= 1/2, so the cutoff is chosen to push the bound below 1e-18
+relative.  What depends on tau alone is computed once per
+``EllipticParams``: q, q^{1/2}, p, the pole shifts and, per layout of
 ``witten.LAYOUT``, a table of the factor coefficients (+-q_num^n,
 +-q_den^n), built by the recurrence q^n = q^{n-1} q and extended when a
 larger cutoff is asked for.  ``phi_numeric`` and the Witten characters
@@ -109,77 +111,61 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Backend parameters: tau/product_cutoff drive the numeric backend,
-    truncation_order the exact one.
+    """The numeric backend's parameters: tau and, optionally, a fixed
+    number of product factors.
 
-    With tau set, everything that depends on tau alone is computed once,
-    here: q, |q|, log|q|, q^{1/2}, p, the pole shifts of phi_1..phi_4 and,
-    per layout, a table of product factors extended as cutoffs grow
-    (``factors``).  None of it takes part in equality or hashing.
+    Everything that depends on tau alone is computed once, here: q, |q|,
+    log|q|, q^{1/2}, p, the pole shifts of phi_1..phi_4 and, per layout, a
+    table of product factors extended as cutoffs grow (``factors``).  None
+    of it takes part in equality or hashing.
     """
 
-    tau: complex | None = None
-    truncation_order: int | None = None
+    tau: complex
     product_cutoff: int | None = None
 
     def __post_init__(self):
-        if self.tau is not None:
-            if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
-                raise ValueError(
-                    f"tau must be finite with positive imaginary part, got "
-                    f"{self.tau}"
-                )
-            q = cmath.exp(2j * cmath.pi * self.tau)
-            if not 0.0 < abs(q) < 1.0:
-                raise ValueError(
-                    f"tau = {self.tau} gives |q| = {abs(q)}, outside "
-                    "(0, 1) in floating point"
-                )
-            half = self.tau / 2.0
-            # the instance is frozen: set the derived values past __setattr__
-            self.__dict__.update({
-                "_q": q,
-                "_q_abs": abs(q),
-                "_log_q_abs": math.log(abs(q)),
-                # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
-                # principal-branch powers, which could wrap
-                "_q_half": cmath.exp(1j * cmath.pi * self.tau),
-                "_p": cmath.exp(0.5j * cmath.pi * self.tau),
-                "_pole_shift": {1: 0j, 2: 0.5 + 0j, 3: half, 4: 0.5 + half},
-                # q^n for n = 0, 1, .. by the recurrence q^n = q^{n-1} q
-                "_powers": [1.0 + 0j],
-                "_tables": {i: [] for i in LAYOUT},
-            })
-        if self.truncation_order is not None and self.truncation_order < 0:
-            raise ValueError("truncation order must be >= 0")
-
-    def _require_tau(self):
-        if self.tau is None:
-            raise ValueError("numeric parameters need tau")
+        if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
+            raise ValueError(
+                f"tau must be finite with positive imaginary part, got "
+                f"{self.tau}"
+            )
+        q = cmath.exp(2j * cmath.pi * self.tau)
+        if not 0.0 < abs(q) < 1.0:
+            raise ValueError(
+                f"tau = {self.tau} gives |q| = {abs(q)}, outside "
+                "(0, 1) in floating point"
+            )
+        half = self.tau / 2.0
+        # the instance is frozen: set the derived values past __setattr__
+        self.__dict__.update({
+            "_q": q,
+            "_q_abs": abs(q),
+            "_log_q_abs": math.log(abs(q)),
+            # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
+            # principal-branch powers, which could wrap
+            "_q_half": cmath.exp(1j * cmath.pi * self.tau),
+            "_p": cmath.exp(0.5j * cmath.pi * self.tau),
+            "_pole_shift": {1: 0j, 2: 0.5 + 0j, 3: half, 4: 0.5 + half},
+            # q^n for n = 0, 1, .. by the recurrence q^n = q^{n-1} q
+            "_powers": [1.0 + 0j],
+            "_tables": {i: [] for i in LAYOUT},
+        })
 
     @property
     def q(self):
-        self._require_tau()
         return self._q
 
     @property
     def p(self):
         """The canonical fourth root q^{1/4} = e^{i pi tau / 2} (not a
         principal-branch power, which could wrap)."""
-        self._require_tau()
         return self._p
-
-    def require_order(self):
-        if self.truncation_order is None:
-            raise ValueError("exact backend needs truncation_order")
-        return self.truncation_order
 
     def cutoff(self, t_abs=1.0):
         """Number of product factors retained for arguments with |t| up to
         t_abs (and down to 1/t_abs)."""
         if self.product_cutoff is not None:
             return self.product_cutoff
-        self._require_tau()
         scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - self._q_abs)
         if not math.isfinite(scale):
             # far from the real axis t = s^2 or 1/t overflows; the log of the
@@ -197,7 +183,6 @@ class EllipticParams:
         1 - b_n x.  The table is extended, never rebuilt, when a larger
         cutoff is asked for; |b_n| falls with n.  The list returned may be
         the table itself, to be read and not changed."""
-        self._require_tau()
         n = self.cutoff(t_abs)
         table = self._tables[i]
         if len(table) < n:
@@ -256,8 +241,6 @@ def phi_numeric(i, params, z):
     if i not in LAYOUT:
         raise ValueError("phi index must be 1..4")
     tau = params.tau
-    if tau is None:
-        raise ValueError("numeric backend needs tau in params")
     z = complex(z)
     # lattice_distance(z - pole, tau), inlined: this runs on every call
     w = z - params._pole_shift[i]
@@ -383,10 +366,9 @@ _UNIT_CHECKS = {
 }
 
 
-def phi_translate_check(which, params):
-    """Exact check of one translation identity; returns a TranslationReport
-    with the first failing p-exponent on failure."""
-    order = params.require_order()
+def phi_translate_check(which, order):
+    """Exact check of one translation identity through p^order; returns a
+    TranslationReport with the first failing p-exponent on failure."""
     if which == "z+tau":
         first = fullperiod_parts_check(1, order)
         detail = "phi1(z+tau) vs -phi1(z), cross-multiplied product form"

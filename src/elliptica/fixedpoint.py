@@ -14,14 +14,16 @@ sign.  The spin-parity condition (all points share the parity of the
 weight sum) is validated and flagged, not enforced: non-spin data is
 allowed through so the rigidity checker can demonstrate failure on it.
 
-The exact fixed-point sum of every twist is one ``laurent_sum`` of the
-points' ``z_term``s, over the common denominator prod (1 - s^{2a}).  The
-equivariant index of a twisted Dirac operator is a virtual character,
-hence a finite Laurent polynomial in u with integer coefficients;
-``simplify_character`` reduces the rational-function sum to that form or
-reports the residual denominator.  Witten rigidity is the statement that
-every p-coefficient of the tangent-Witten series reduces to a degree-zero
-rational function: that is exactly what ``rigidity_check`` tests.
+The exact fixed-point sum of every twist (``equivariant_index``, at an
+integer order; ``index_numeric`` evaluates it at a point) is one
+``laurent_sum`` of the points' ``z_term``s, over the common denominator
+prod (1 - s^{2a}).  The equivariant index of a twisted Dirac operator is
+a virtual character, hence a finite Laurent polynomial in u with integer
+coefficients; ``simplify_character`` reduces the rational-function sum to
+that form or reports the residual denominator.  Witten rigidity is the
+statement that every p-coefficient of the tangent-Witten series reduces to
+a degree-zero rational function: that is exactly what ``rigidity_check``
+tests.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .zem import (
     LatticeElement,
     SpecialCollisionError,
     _require_tol,
+    _require_trials,
     _worst,
     z_fun,
     z_term,
@@ -270,43 +273,46 @@ def special_orders(m):
 # indices
 
 
-def equivariant_index(m, twist, params=None, backend="exact", z=None):
-    """Fixed-point sum for the twisted Dirac index.
-
-    exact: a PSeries over Q(i)(s) (kind 'tangent_witten', truncated at
-    params.truncation_order) or, from the same sum at depth 0, a
-    RationalFunctionQi in s (kinds 'none'/'bundle', one term per bundle
-    weight w with s^{2w} in its monomial).  numeric: a complex value at z.
-    """
-    kind = twist.kind
-    if kind == "bundle" and len(twist.bundle_weights) != len(m.points):
+def _require_bundle_shape(m, twist):
+    if twist.kind == "bundle" and len(twist.bundle_weights) != len(m.points):
         raise ManifoldValidationError(
             "twist.bundle_weights",
             f"expected {len(m.points)} weight lists, got "
             f"{len(twist.bundle_weights)}",
         )
-    if backend == "exact":
-        order = params.require_order() if kind == "tangent_witten" else 0
-        terms = []
-        for i, pt in enumerate(m.points):
-            num, den, (p_pow, s_pow, sign) = z_term(pt.weights, order)
-            ws = twist.bundle_weights[i] if kind == "bundle" else (0,)
-            terms += [(num, den, (p_pow, s_pow + 2 * w, sign)) for w in ws]
-        series = laurent_sum(order, terms)
-        return series if kind == "tangent_witten" else series.coeffs[0]
-    if backend != "numeric":
-        raise ValueError(f"unknown backend {backend!r}")
-    if z is None:
-        raise ValueError("numeric backend needs the argument z")
+
+
+def equivariant_index(m, twist, order=0):
+    """Exact fixed-point sum for the twisted Dirac index: a PSeries over
+    Q(i)(s) truncated at ``order`` (kind 'tangent_witten') or, from the same
+    sum at depth 0, a RationalFunctionQi in s (kinds 'none'/'bundle', one
+    term per bundle weight w with s^{2w} in its monomial, ``order``
+    unused)."""
+    _require_bundle_shape(m, twist)
+    kind = twist.kind
+    order = order if kind == "tangent_witten" else 0
+    terms = []
+    for i, pt in enumerate(m.points):
+        num, den, (p_pow, s_pow, sign) = z_term(pt.weights, order)
+        ws = twist.bundle_weights[i] if kind == "bundle" else (0,)
+        terms += [(num, den, (p_pow, s_pow + 2 * w, sign)) for w in ws]
+    series = laurent_sum(order, terms)
+    return series if kind == "tangent_witten" else series.coeffs[0]
+
+
+def index_numeric(m, twist, params, z):
+    """The fixed-point sum of ``equivariant_index`` as a complex value at
+    the point z, with the products of ``params``."""
+    _require_bundle_shape(m, twist)
+    kind = twist.kind
     z = complex(z)
     total = 0j
     for i, pt in enumerate(m.points):
+        term = 1.0 + 0j
         if kind == "tangent_witten":
-            term = 1.0 + 0j
             for a in pt.weights:
                 term *= phi_numeric(1, params, a * z)
         else:
-            term = 1.0 + 0j
             for a in pt.weights:
                 e = cmath.exp(1j * cmath.pi * a * z)
                 term *= 1.0 / (1.0 / e - e)
@@ -381,10 +387,7 @@ class RigidityReport:
 def rigidity_check(m, q_order):
     """Expand the tangent-Witten index and test, coefficient by
     coefficient, that the rational function in s is a constant."""
-    from .elliptic import EllipticParams
-
-    prm = EllipticParams(truncation_order=q_order)
-    theta = equivariant_index(m, TwistSpec("tangent_witten"), prm)
+    theta = equivariant_index(m, TwistSpec("tangent_witten"), q_order)
     constants = []
     bad = []
     for k, c in enumerate(theta.coeffs):
@@ -434,6 +437,7 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
     if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
         raise SpecialPointError("consistency_check needs a torsion point")
     _require_tol(tol)
+    _require_trials(trials)
     orders, _ = special_orders(m)
     if gamma.k in orders:
         raise SpecialPointError(
@@ -451,9 +455,8 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
         y = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         zz = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         try:
-            direct = equivariant_index(
-                m, TwistSpec("tangent_witten"), params, backend="numeric",
-                z=gv + y + zz,
+            direct = index_numeric(
+                m, TwistSpec("tangent_witten"), params, gv + y + zz
             )
             local = 0j
             scale = 1e-30

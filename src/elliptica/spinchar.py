@@ -8,7 +8,7 @@ sign relative to the listed planes.  Two readings of the entries coexist:
   (complex angles are allowed); the Spin-level half-angle phi/2 is what
   enters every trace formula, matching the two-dimensional model
   g = exp(theta e1 e2) whose supertrace is e^{-i theta} - e^{i theta};
-* exact operations (``spinor_trace`` only) require integer entries a
+* exact operations (``spinor_trace_exact`` only) require integer entries a
   ("rotation numbers": the plane turns with speed a in the circle
   parameter z, angle 2 pi a z) and return rational functions of
   s = e^{i pi z}; the exact 1/Str is the depth-0 ``z_term`` of zem.
@@ -99,32 +99,15 @@ def _half_angles(R, shift):
     return out
 
 
-def spinor_trace(kind, R, shift=None, exact=False):
+def spinor_trace(kind, R, shift=None):
     """Trace or supertrace of a Spin element over the spinor module.
 
     kind 'str': orientation_sign * prod_j (e^{-i w_j} - e^{i w_j}),
     kind 'tr' : prod_j (e^{-i w_j} + e^{i w_j}),
     where w_j = phi_j/2 + shift_j is the half-angle of plane j.
-
-    exact=True needs integer entries and no shift and returns the rational
-    function in s (w_j becomes pi a_j z, the factor s^{-a_j} -+ s^{a_j}).
     """
     if kind not in ("str", "tr"):
         raise ValueError("kind must be 'str' or 'tr'")
-    if exact:
-        if shift is not None:
-            raise SpinCharError("exact spinor_trace takes no shift")
-        if not R.is_integral():
-            raise SpinCharError("exact spinor_trace needs integer rotation numbers")
-        out = RationalFunctionQi.one()
-        for a in R.entries:
-            if kind == "str":
-                out = out * RationalFunctionQi.from_laurent({-a: 1, a: -1})
-            else:
-                out = out * RationalFunctionQi.from_laurent({-a: 1, a: 1})
-        if kind == "str" and R.orientation_sign < 0:
-            out = -out
-        return out
     if shift is not None and len(shift) != R.planes:
         raise SpinCharError("shift must give one offset per plane")
     out = 1.0 + 0j
@@ -136,6 +119,24 @@ def spinor_trace(kind, R, shift=None, exact=False):
             out *= 1.0 / e + e
     if kind == "str":
         out *= R.orientation_sign
+    return out
+
+
+def spinor_trace_exact(kind, R):
+    """``spinor_trace`` for integer rotation numbers a_j as a rational
+    function in s: w_j becomes pi a_j z, the factor s^{-a_j} -+ s^{a_j}."""
+    if kind not in ("str", "tr"):
+        raise ValueError("kind must be 'str' or 'tr'")
+    if not R.is_integral():
+        raise SpinCharError("exact spinor_trace needs integer rotation numbers")
+    out = RationalFunctionQi.one()
+    for a in R.entries:
+        if kind == "str":
+            out = out * RationalFunctionQi.from_laurent({-a: 1, a: -1})
+        else:
+            out = out * RationalFunctionQi.from_laurent({-a: 1, a: 1})
+    if kind == "str" and R.orientation_sign < 0:
+        out = -out
     return out
 
 

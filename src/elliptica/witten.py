@@ -10,9 +10,10 @@ For g acting on V with multiplicative eigenvalues x the traces are
 understood as Taylor series at q = 0.  Characters are computed from the
 eigenvalue list, never from matrices.
 
-Exact backend: eigenvalues are integers w standing for the monomials
+``witten_exact`` takes integer weights w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
-coefficient inside Q(i)(s); anything else belongs to the numeric backend.
+coefficient inside Q(i)(s), and an integer truncation order;
+``witten_char`` takes complex eigenvalues and an ``EllipticParams``.
 ``laurent_rows`` is the workbench's one exact product engine: the theta
 quotients, their bare numerator/denominator products, the exact Z-series
 and the fixed-point sums of the indices are all built through it.  A term
@@ -120,8 +121,11 @@ def laurent_rows(order, numerator, denominator=(), monomial=(0, 0, 1)):
     for e <= 0).  The coefficient of
     p^k is the Laurent polynomial sum_d rows[k][d] s^d, exactly.  The rows
     start from the monomial, whose p-power must be >= 0 (SubstitutionError
-    otherwise), since they hold nothing below p^0.
+    otherwise), since they hold nothing below p^0.  An order below 0 raises
+    ValueError: with no rows, a check built on them would compare nothing.
     """
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     p_pow, s_pow, sign = monomial
     if p_pow < 0:
         raise SubstitutionError(f"p^{p_pow} would need rows below p^0")
@@ -253,19 +257,11 @@ def _times(row, den, c):
     return out
 
 
-def witten_char(i, eigenvalues, params, backend="numeric"):
-    """Character of W_{i,q} on the representation with the given eigenvalue
-    list; PSeries over Q(i)(s) in the exact backend, complex otherwise."""
+def witten_exact(i, weights, order):
+    """Character of W_{i,q} on integer weights w (eigenvalues s^{2w}): a
+    PSeries over Q(i)(s) truncated at ``order``."""
     if i not in LAYOUT:
         raise ValueError("Witten series index must be 1..4")
-    if backend == "exact":
-        return _witten_exact(i, eigenvalues, params.require_order())
-    if backend == "numeric":
-        return _witten_numeric(i, eigenvalues, params)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _witten_exact(i, weights, order):
     for w in weights:
         if not isinstance(w, int):
             raise ValueError(
@@ -286,7 +282,11 @@ def _accum(dst, src, d, c):
             del dst[key]
 
 
-def _witten_numeric(i, eigenvalues, params):
+def witten_char(i, eigenvalues, params):
+    """Character of W_{i,q} on the representation with the given complex
+    eigenvalue list, from the factor table of ``params``."""
+    if i not in LAYOUT:
+        raise ValueError("Witten series index must be 1..4")
     xs = [complex(x) for x in eigenvalues]
     if not xs:
         return 1.0 + 0j

@@ -178,38 +178,26 @@ def _collides(gamma, gv, a, tau):
 # Z
 
 
-def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
-          route="product"):
-    """The product invariant nu * prod_a phi_1(a*gamma + r_a).
+def _require_rotation_numbers(J):
+    if not J.is_integral():
+        raise ZemError("z_fun needs integer rotation data J")
+    if 0 in J.entries:
+        raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
 
-    numeric backend: gamma is a LatticeElement or complex; J carries the
-    integer rotation numbers and (with R) the orientation sign; R holds the
-    per-plane offsets r_a (z-scale; None means 0).  ``strict`` enforces the
+
+def z_fun(gamma, J, R, params, *, strict=True, route="product"):
+    """The product invariant nu * prod_a phi_1(a*gamma + r_a), evaluated.
+
+    gamma is a LatticeElement or complex; J carries the integer rotation
+    numbers and (with R) the orientation sign; R holds the per-plane
+    offsets r_a (z-scale; None means 0).  ``strict`` enforces the
     analyticity condition a*gamma not in the lattice; disable it for the
     identities that intentionally sit on lattice translates with R keeping
     the arguments off the poles.  route='character' evaluates the same
     function as C_1/Str through the spinor-trace and Witten-character code
-    paths instead of the phi_1 products.
-
-    exact backend: gamma must be None (it becomes the formal variable z,
-    s = e^{i pi z}) and R must be None; the result is the PSeries
-    nu * prod_a phi_1(a z) over Q(i)(s), the ``laurent_sum`` of ``z_term``.
+    paths instead of the phi_1 products.  ``z_exact`` is the formal series.
     """
-    if not J.is_integral():
-        raise ZemError("z_fun needs integer rotation data J")
-    for a in J.entries:
-        if a == 0:
-            raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
-    if backend == "exact":
-        if gamma is not None or R is not None:
-            raise ZemError(
-                "exact z_fun treats gamma as the formal variable: pass "
-                "gamma=None, R=None"
-            )
-        order = params.require_order()
-        return laurent_sum(order, [z_term(J.entries, order, J.orientation_sign)])
-    if backend != "numeric":
-        raise ValueError(f"unknown backend {backend!r}")
+    _require_rotation_numbers(J)
     tau = params.tau
     nu = J.orientation_sign
     if R is not None:
@@ -235,6 +223,13 @@ def z_fun(gamma, J, R=None, params=None, backend="numeric", *, strict=True,
     if route == "character":
         return _z_tau_series_value(RotationData(args, nu), params)
     raise ValueError(f"unknown route {route!r}")
+
+
+def z_exact(J, order):
+    """nu * prod_a phi_1(a z), s = e^{i pi z}, as the PSeries over Q(i)(s)
+    truncated at ``order``: the ``laurent_sum`` of ``z_term``."""
+    _require_rotation_numbers(J)
+    return laurent_sum(order, [z_term(J.entries, order, J.orientation_sign)])
 
 
 def z_term(entries, order, nu=1):
@@ -303,17 +298,8 @@ def _c_constant_numeric(case, alpha, beta, planes, params):
     return ((1j * params.p) ** planes) * sign
 
 
-def em_eps(gamma, R, params, backend="numeric"):
-    """The parity-selected invariant at an even-order torsion point.
-
-    alpha odd / beta even:  c2 * C_2(R) / Tr(e^R, S_N)
-    alpha even / beta odd:  c3 * Tr(e^R, S_N) * C_3(R)
-    both odd:               c4 * Str(e^R, S_N, o_N) * C_4(R)
-
-    with c2 = i^{dim N/2} (-1)^{(alpha+beta-1) dim N/4},
-         c3 = q^{dim N/8} (-1)^{(alpha+beta-1) dim N/4},
-         c4 = (i q^{1/4})^{dim N/2} (-1)^{(alpha+beta) dim N/4}.
-    """
+def _em_case(gamma):
+    """(alpha mod 2, beta mod 2) of an even-order torsion point, for EM_eps."""
     if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
         raise ZemError("em_eps needs a torsion point")
     if gamma.k % 2 != 0:
@@ -323,24 +309,42 @@ def em_eps(gamma, R, params, backend="numeric"):
         raise BothEvenError(
             "alpha and beta are both even: excluded at exact even order"
         )
-    planes = R.planes
-    if backend == "numeric":
-        c = _c_constant_numeric(case, gamma.alpha, gamma.beta, planes, params)
-        angles, eigs = _offset_angles(R.entries, R.orientation_sign)
-        if case == (1, 0):
-            return c * witten_char(2, eigs, params) / spinor_trace("tr", angles)
-        if case == (0, 1):
-            return c * spinor_trace("tr", angles) * witten_char(3, eigs, params)
-        return c * spinor_trace("str", angles) * witten_char(4, eigs, params)
-    if backend != "exact":
-        raise ValueError(f"unknown backend {backend!r}")
+    return case
+
+
+def em_eps(gamma, R, params):
+    """The parity-selected invariant at an even-order torsion point.
+
+    alpha odd / beta even:  c2 * C_2(R) / Tr(e^R, S_N)
+    alpha even / beta odd:  c3 * Tr(e^R, S_N) * C_3(R)
+    both odd:               c4 * Str(e^R, S_N, o_N) * C_4(R)
+
+    with c2 = i^{dim N/2} (-1)^{(alpha+beta-1) dim N/4},
+         c3 = q^{dim N/8} (-1)^{(alpha+beta-1) dim N/4},
+         c4 = (i q^{1/4})^{dim N/2} (-1)^{(alpha+beta) dim N/4}.
+    ``em_eps_exact`` is the formal series.
+    """
+    case = _em_case(gamma)
+    c = _c_constant_numeric(case, gamma.alpha, gamma.beta, R.planes, params)
+    angles, eigs = _offset_angles(R.entries, R.orientation_sign)
+    if case == (1, 0):
+        return c * witten_char(2, eigs, params) / spinor_trace("tr", angles)
+    if case == (0, 1):
+        return c * spinor_trace("tr", angles) * witten_char(3, eigs, params)
+    return c * spinor_trace("str", angles) * witten_char(4, eigs, params)
+
+
+def em_eps_exact(gamma, R, order):
+    """``em_eps`` as a PSeries over Q(i)(s) truncated at ``order``, for
+    integer offsets R (multiples of the formal variable z)."""
+    case = _em_case(gamma)
     if not R.is_integral():
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
+    planes = R.planes
     e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
     sign = -1 if (e // 4) % 2 else 1
     # Tr = prod s^{-|a|} (1 + s^{2|a|}), Str = nu prod sign(a) s^{-|a|} (1 - s^{2|a|})
     i, c = {(1, 0): (2, 1), (0, 1): (3, 1), (1, 1): (4, -1)}[case]
-    order = params.require_order()
     num, den = witten_factors(i, R.entries + tuple(-a for a in R.entries), order)
     trace = [(0, 2 * abs(a), c) for a in R.entries]
     half = sum(abs(a) for a in R.entries)
@@ -368,7 +372,7 @@ def adapted_k(zeta):
     return RotationData(zeta.normalized_residues(), 1)
 
 
-def em_fun(gamma, zeta, R, params, backend="numeric"):
+def em_fun(gamma, zeta, R, params):
     """EM at a torsion point for a cyclic action without eigenvalue 1.
 
     Planes where zeta acts by -1 (residue k/2) go through em_eps; on the
@@ -377,11 +381,6 @@ def em_fun(gamma, zeta, R, params, backend="numeric"):
     unreflected part; the reflected part is computed in its own positive
     orientation, realizing the product-orientation convention.
     """
-    if backend != "numeric":
-        raise ZemError(
-            "em_fun is numeric-only: torsion points put fractional q-powers "
-            "into any exact grading"
-        )
     if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
         raise ZemError("em_fun needs a torsion point")
     k = zeta.k
@@ -511,6 +510,12 @@ def _require_dims(dims):
     """Reject a dimension cap with no room for one plane."""
     if not dims >= 2:
         raise ValueError(f"dims must be >= 2 (room for one plane), got {dims!r}")
+
+
+def _require_trials(trials):
+    """Reject a trial count under which no draw is checked at all."""
+    if not trials >= 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
 
 
 def _max_planes(dims):
@@ -1019,6 +1024,7 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
     if tol is None:
         tol = _SUITES[suite][2]
     _require_tol(tol)
+    _require_trials(trials)
     _require_dims(dims)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
     for trial in range(trials):

@@ -1,7 +1,7 @@
 """Reference evaluations of the numeric products, one factor at a time.
 
 These are the per-call loops that ``elliptic.phi_numeric`` and
-``witten._witten_numeric`` ran before the per-tau factor tables of
+``witten.witten_char`` ran before the per-tau factor tables of
 ``EllipticParams``: every call recomputes q, q^{1/2}, the cutoff and the
 powers q^n, and checks every Witten denominator.  The tables keep the
 operands and the order of every float operation, so the two must agree
@@ -44,8 +44,6 @@ def _lattice_distance(w, tau):
 
 def phi_numeric(i, params, z):
     tau = params.tau
-    if tau is None:
-        raise ValueError("numeric backend needs tau in params")
     z = complex(z)
     dist = _lattice_distance(z - _pole_shift(i, tau), tau)
     if dist < POLE_GUARD:

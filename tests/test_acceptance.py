@@ -8,7 +8,7 @@ import time
 
 from elliptica import elliptic
 from elliptica.cli import main as cli_main
-from elliptica.elliptic import EllipticParams, TRANSLATIONS, phi_translate_check
+from elliptica.elliptic import TRANSLATIONS, phi_translate_check
 from elliptica.fixedpoint import (
     TwistSpec,
     equivariant_index,
@@ -29,8 +29,7 @@ def _fresh_caches():
 def test_criterion_1_exact_translation_identities_p80():
     _fresh_caches()
     start = time.time()
-    params = EllipticParams(truncation_order=80)
-    reports = [phi_translate_check(which, params) for which in TRANSLATIONS]
+    reports = [phi_translate_check(which, 80) for which in TRANSLATIONS]
     elapsed = time.time() - start
     for rep in reports:
         assert rep.passed, (rep.which, rep.first_failing_exponent)
@@ -113,9 +112,7 @@ def test_criterion_5_fixed_point_indices():
     start = time.time()
     s2 = load_manifold("s2")
     assert equivariant_index(s2, TwistSpec("none")) == RationalFunctionQi.zero()
-    ser = equivariant_index(
-        s2, TwistSpec("tangent_witten"), EllipticParams(truncation_order=8)
-    )
+    ser = equivariant_index(s2, TwistSpec("tangent_witten"), 8)
     assert not any(ser.coeffs)
     cp3 = load_manifold("cp3")
     theta = equivariant_index(cp3, TwistSpec("none"))

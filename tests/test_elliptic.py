@@ -38,14 +38,13 @@ def test_phi1_is_odd_every_order():
 
 
 def test_translation_identities_exact_small_order():
-    params = EllipticParams(truncation_order=24)
     for which in TRANSLATIONS:
-        rep = phi_translate_check(which, params)
+        rep = phi_translate_check(which, 24)
         assert rep.passed, (which, rep.first_failing_exponent)
 
 
 def test_translation_z_plus_one_at_order_zero():
-    rep = phi_translate_check("z+1", EllipticParams(truncation_order=0))
+    rep = phi_translate_check("z+1", 0)
     assert rep.passed
 
 
@@ -177,5 +176,5 @@ def test_numeric_translations_near_branch_wrap():
 def test_params_validation():
     with pytest.raises(ValueError):
         EllipticParams(tau=1.0 - 0.5j)
-    with pytest.raises(ValueError):
-        EllipticParams(truncation_order=-1)
+    with pytest.raises(TypeError):
+        EllipticParams()

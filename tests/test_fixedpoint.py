@@ -11,6 +11,7 @@ from elliptica.fixedpoint import (
     TwistSpec,
     consistency_check,
     equivariant_index,
+    index_numeric,
     lambda3_weights,
     list_catalog,
     load_manifold,
@@ -55,9 +56,7 @@ def test_s2_untwisted_cancellation():
 
 def test_s2_tangent_witten_is_zero_series():
     s2 = load_manifold("s2")
-    ser = equivariant_index(
-        s2, TwistSpec("tangent_witten"), EllipticParams(truncation_order=12)
-    )
+    ser = equivariant_index(s2, TwistSpec("tangent_witten"), 12)
     assert not any(ser.coeffs)
 
 
@@ -209,12 +208,9 @@ def test_exact_numeric_index_agreement():
     cp3 = load_manifold("cp3")
     tau = 0.2 + 1.3j  # |p|^17 ~ 6e-16: the truncation tail is negligible
     z = 0.17 + 0.05j
-    ser = equivariant_index(
-        cp3, TwistSpec("tangent_witten"), EllipticParams(truncation_order=16)
-    )
-    num = equivariant_index(
-        cp3, TwistSpec("tangent_witten"), EllipticParams(tau=tau),
-        backend="numeric", z=z,
+    ser = equivariant_index(cp3, TwistSpec("tangent_witten"), 16)
+    num = index_numeric(
+        cp3, TwistSpec("tangent_witten"), EllipticParams(tau=tau), z
     )
     s0 = cmath.exp(1j * cmath.pi * z)
     p0 = cmath.exp(0.5j * cmath.pi * tau)
@@ -247,6 +243,15 @@ def test_consistency_check_rejects_vacuous_tol(tol):
         consistency_check(
             load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
             EllipticParams(tau=1j), trials=2, tol=tol,
+        )
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_consistency_check_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        consistency_check(
+            load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
+            EllipticParams(tau=0.2 + 1.1j), trials=trials,
         )
 
 
@@ -297,7 +302,7 @@ def _cp3_consistency(trials=4):
 
 
 def test_consistency_check_nan_residual_fails(monkeypatch):
-    real = fixedpoint.equivariant_index
+    real = fixedpoint.index_numeric
     calls = []
 
     def one_nan(*args, **kwargs):
@@ -305,7 +310,7 @@ def test_consistency_check_nan_residual_fails(monkeypatch):
         value = real(*args, **kwargs)
         return complex("nan") if len(calls) == 2 else value
 
-    monkeypatch.setattr(fixedpoint, "equivariant_index", one_nan)
+    monkeypatch.setattr(fixedpoint, "index_numeric", one_nan)
     rep = _cp3_consistency()
     assert not rep.passed
     assert math.isnan(rep.max_residual)

@@ -4,6 +4,7 @@ references: the rational-function regrading ``ps_substitute_t`` on
 GaussianRational-accumulating product engine."""
 
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from elliptica import elliptic, ring, witten, zem
 from elliptica.elliptic import (
     TRANSLATIONS,
-    EllipticParams,
     _phi1_halfshifted,
     _phi_term,
     _regraded_term,
@@ -20,7 +20,12 @@ from elliptica.elliptic import (
     phi_exact,
     phi_translate_check,
 )
-from elliptica.fixedpoint import equivariant_index, load_manifold, rigidity_check
+from elliptica.fixedpoint import (
+    TwistSpec,
+    equivariant_index,
+    load_manifold,
+    rigidity_check,
+)
 from elliptica.qseries import PSeries, SubstitutionError
 from elliptica.ring import GaussianRational, RationalFunctionQi
 from elliptica.spinchar import RotationData
@@ -30,9 +35,10 @@ from elliptica.witten import (
     laurent_sum,
     regrade_factors,
     unit_substitute,
+    witten_exact,
     witten_factors,
 )
-from elliptica.zem import LatticeElement, em_eps, z_term
+from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
 from series_reference import (
     Substitution,
     monomial,
@@ -260,8 +266,7 @@ def test_unit_substituted_rows_match_series_substitution(case, order):
 
 
 def _translation(which, order=24):
-    params = EllipticParams(truncation_order=order)
-    return lambda: phi_translate_check(which, params).first_failing_exponent
+    return lambda: phi_translate_check(which, order).first_failing_exponent
 
 
 def _z_gamma_plus_one():
@@ -328,21 +333,49 @@ def test_exact_checks_reduce_no_rational_function(monkeypatch):
     # monomial, and the factor i^planes is i^3
     gamma = LatticeElement.torsion(1, 0, 2)
     rot = RotationData((1, 2, 3), 1)
-    params = EllipticParams(truncation_order=24)
     cp3 = load_manifold("cp3")
     lambda3t = cp3.bundle_twist("lambda3t")
     terms = [_phi_term(i, 24) for i in (1, 2, 3, 4)]
     phis = [_reference_sum(24, [term]) for term in terms]
-    em = em_eps(gamma, rot, params, backend="exact")
+    em = em_eps_exact(gamma, rot, 24)
     index = equivariant_index(cp3, lambda3t)
 
     elliptic.phi_exact.cache_clear()
     monkeypatch.setattr(ring, "poly_gcd", no_gcd)
     for which in TRANSLATIONS:
-        assert phi_translate_check(which, params).passed, which
+        assert phi_translate_check(which, 24).passed, which
     out = zem._z_periodicity_exact([1, 2, 3], 16)
     assert out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]
     assert [phi_exact(i, 24) for i in (1, 2, 3, 4)] == phis
     assert rigidity_check(cp3, 8).rigid
     assert equivariant_index(cp3, lambda3t) == index
-    assert em_eps(gamma, rot, params, backend="exact") == em
+    assert em_eps_exact(gamma, rot, 24) == em
+
+
+_AT_ORDER = {  # name: an exact entry point as a function of the order
+    "laurent_rows": lambda order: laurent_rows(order, [(2, 2, 1)]),
+    "phi_exact": lambda order: phi_exact(1, order),
+    **{f"phi_translate_check {w}": partial(phi_translate_check, w)
+       for w in TRANSLATIONS},
+    "fullperiod_parts_check": lambda order: fullperiod_parts_check(1, order),
+    "witten_exact": lambda order: witten_exact(1, [1, -1], order),
+    "z_exact": lambda order: z_exact(RotationData((1, 2), 1), order),
+    "Z-periodicity exact": lambda order: zem._z_periodicity_exact([1, 2], order),
+    "em_eps_exact": lambda order: em_eps_exact(
+        LatticeElement.torsion(1, 0, 2), RotationData((1,), 1), order
+    ),
+    "tangent-Witten index": lambda order: equivariant_index(
+        load_manifold("cp3"), TwistSpec("tangent_witten"), order
+    ),
+    "rigidity_check": lambda order: rigidity_check(load_manifold("cp3"), order),
+}
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+@pytest.mark.parametrize("call", _AT_ORDER.values(), ids=list(_AT_ORDER))
+def test_exact_entry_points_reject_a_negative_order(call, order):
+    """Below p^0 there are no rows, so a check would compare nothing and
+    pass: every exact entry point raises instead (at order 0 it runs)."""
+    call(0)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        call(order)

@@ -1,7 +1,7 @@
-"""Static checks of the package's imports: each module imports only the
-modules listed above it in the layering of the package docstring, no
-module imports from the tests, and no module or test file imports a name it
-never uses."""
+"""Static checks of the package: each module imports only the modules
+listed above it in the layering of the package docstring, no module imports
+from the tests, no module or test file imports a name it never uses, and no
+function picks its backend by an argument."""
 
 import ast
 import re
@@ -106,3 +106,33 @@ def test_unused_import_reader_flags_a_dead_name():
     tree = ast.parse("from .ring import RingError, poly_valuation\n"
                      "x = poly_valuation\n")
     assert _unused_imports(tree) == ["RingError"]
+
+
+# each backend has its own functions (phi_exact / phi_numeric): a parameter
+# with one of these names would choose between them
+SWITCHES = {"backend", "exact"}
+
+
+def _switch_parameters(tree):
+    """(function name, parameter) for every function, method or lambda that
+    takes a parameter named in SWITCHES."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                     a.vararg, a.kwarg) if x is not None]
+            out += [(getattr(node, "name", "<lambda>"), n)
+                    for n in names if n in SWITCHES]
+    return out
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_no_backend_switch_parameters(name):
+    assert _switch_parameters(_tree(name)) == []
+
+
+def test_switch_reader_flags_a_backend_parameter():
+    tree = ast.parse("def f(x, backend='exact'):\n    pass\n"
+                     "class C:\n    def g(self, *, exact=False):\n        pass\n")
+    assert _switch_parameters(tree) == [("f", "backend"), ("g", "exact")]

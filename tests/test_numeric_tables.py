@@ -11,7 +11,7 @@ import pytest
 
 from elliptica import witten, zem
 from elliptica.elliptic import EllipticParams, PoleError, phi_numeric
-from elliptica.witten import WittenDenominatorError, _witten_numeric
+from elliptica.witten import WittenDenominatorError, witten_char
 
 
 def _draw_tau(rng):
@@ -61,7 +61,7 @@ def test_table_extension_equals_reference():
                     params, _t_abs(z)
                 )
                 assert phi_numeric(i, params, z) == ref.phi_numeric(i, params, z)
-                assert _witten_numeric(i, eigs[z], params) == ref.witten_numeric(
+                assert witten_char(i, eigs[z], params) == ref.witten_numeric(
                     i, eigs[z], params
                 )
 
@@ -88,7 +88,7 @@ def test_witten_guard_paths_equal_reference(i):
             xs.append(rng.uniform(0.6, 4.0) / b1_abs * phase)
         big = max(max(abs(x) for x in xs), 1.0)
         paths[big * b1_abs <= 0.5] += 1
-        assert _outcome(_witten_numeric, i, xs, params) == _outcome(
+        assert _outcome(witten_char, i, xs, params) == _outcome(
             ref.witten_numeric, i, xs, params
         )
     assert paths[True] and paths[False]
@@ -114,7 +114,6 @@ def test_suite_reports_equal_with_reference_products(suite, monkeypatch):
 
     fast = report()
     monkeypatch.setattr(zem, "phi_numeric", counted("phi", ref.phi_numeric))
-    monkeypatch.setattr(witten, "_witten_numeric",
-                        counted("witten", ref.witten_numeric))
+    monkeypatch.setattr(zem, "witten_char", counted("witten", ref.witten_numeric))
     assert report() == fast
     assert bool(calls) == (suite not in WITHOUT_PRODUCTS)

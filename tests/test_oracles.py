@@ -18,7 +18,7 @@ from elliptica.ring import (
     poly_valuation,
     zpoly_gcd,
 )
-from elliptica.witten import _witten_numeric
+from elliptica.witten import witten_char
 
 
 def _random_gr(rng):
@@ -188,6 +188,6 @@ def test_witten_numeric_matches_mpmath(i):
             for r in rs:
                 e = cmath.exp(2j * cmath.pi * r)
                 xs.extend((e, 1 / e))
-            got = _witten_numeric(i, xs, EllipticParams(tau=tau))
+            got = witten_char(i, xs, EllipticParams(tau=tau))
             want = _oracle_char(mpmath, i, [mpmath.mpc(x) for x in xs], mpmath.mpc(tau))
             assert _rel(got, want) < TOL

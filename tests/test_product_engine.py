@@ -7,13 +7,13 @@ scaled by rational-function (super)traces."""
 
 import pytest
 
-from elliptica.elliptic import EllipticParams, phi_exact
+from elliptica.elliptic import phi_exact
 from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
 from elliptica.qseries import PSeries, ps_invert
 from elliptica.ring import GaussianRational, RationalFunctionQi
-from elliptica.spinchar import RotationData, spinor_trace
-from elliptica.witten import laurent_sum, witten_char, witten_factors
-from elliptica.zem import LatticeElement, em_eps, z_fun
+from elliptica.spinchar import RotationData, spinor_trace_exact
+from elliptica.witten import laurent_sum, witten_exact, witten_factors
+from elliptica.zem import LatticeElement, em_eps_exact, z_exact
 from series_reference import monomial, ps_compose_power, shift_p
 
 ORDER = 6
@@ -45,8 +45,7 @@ def _phi1_product(weights, order):
 @pytest.mark.parametrize("entries", [(1,), (2, -1), (1, 2, 3), (-3, 1)])
 @pytest.mark.parametrize("nu", [1, -1])
 def test_exact_z_fun_matches_phi1_products(entries, nu):
-    params = EllipticParams(truncation_order=ORDER)
-    got = z_fun(None, RotationData(entries, nu), None, params, backend="exact")
+    got = z_exact(RotationData(entries, nu), ORDER)
     ref = _phi1_product(entries, ORDER)
     assert got == (ref if nu > 0 else -ref)
 
@@ -54,8 +53,7 @@ def test_exact_z_fun_matches_phi1_products(entries, nu):
 @pytest.mark.parametrize("name", CATALOG)
 def test_tangent_witten_index_matches_phi1_products(name):
     m = load_manifold(name)
-    params = EllipticParams(truncation_order=ORDER)
-    got = equivariant_index(m, TwistSpec("tangent_witten"), params)
+    got = equivariant_index(m, TwistSpec("tangent_witten"), ORDER)
     ref = PSeries.zeros(RationalFunctionQi, ORDER)
     for pt in m.points:
         ref = ref + _phi1_product(pt.weights, ORDER)
@@ -84,7 +82,7 @@ def test_untwisted_and_bundle_index_match_supertrace_sum(name, twist_name):
     twist = TwistSpec() if twist_name == "none" else m.bundle_twist(twist_name)
     ref = RationalFunctionQi.zero()
     for i, pt in enumerate(m.points):
-        term = spinor_trace("str", RotationData(pt.weights, 1), exact=True).inverse()
+        term = spinor_trace_exact("str", RotationData(pt.weights, 1)).inverse()
         if twist.kind == "bundle":
             char = {}
             for w in twist.bundle_weights[i]:
@@ -97,20 +95,19 @@ def test_untwisted_and_bundle_index_match_supertrace_sum(name, twist_name):
 def _em_eps_reference(gamma, R, order):
     """Exact EM_eps as the W_i character scaled by the rational-function
     trace or supertrace and the constants c2, c3, c4 of ``em_eps``."""
-    params = EllipticParams(truncation_order=order)
     case = (gamma.alpha % 2, gamma.beta % 2)
     planes = R.planes
     weights = [w for a in R.entries for w in (a, -a)]
     e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
     sign = -1 if (e // 4) % 2 else 1
     const = RationalFunctionQi.constant(GaussianRational.i() ** planes * sign)
-    tr = spinor_trace("tr", RotationData(R.entries, 1), exact=True)
+    tr = spinor_trace_exact("tr", RotationData(R.entries, 1))
     if case == (1, 0):
-        return witten_char(2, weights, params, "exact").scale(tr.inverse() * const)
+        return witten_exact(2, weights, order).scale(tr.inverse() * const)
     if case == (0, 1):
-        return shift_p(witten_char(3, weights, params, "exact").scale(tr * sign), planes)
-    st = spinor_trace("str", R, exact=True)
-    return shift_p(witten_char(4, weights, params, "exact").scale(st * const), planes)
+        return shift_p(witten_exact(3, weights, order).scale(tr * sign), planes)
+    st = spinor_trace_exact("str", R)
+    return shift_p(witten_exact(4, weights, order).scale(st * const), planes)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 3)])
@@ -119,5 +116,5 @@ def _em_eps_reference(gamma, R, order):
 def test_exact_em_eps_matches_trace_products(alpha, beta, entries, nu):
     gamma = LatticeElement.torsion(alpha, beta, 2)
     R = RotationData(entries, nu)
-    got = em_eps(gamma, R, EllipticParams(truncation_order=ORDER), backend="exact")
+    got = em_eps_exact(gamma, R, ORDER)
     assert got == _em_eps_reference(gamma, R, ORDER)

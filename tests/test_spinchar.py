@@ -18,6 +18,7 @@ from elliptica.spinchar import (
     os_sign,
     pfaffian,
     spinor_trace,
+    spinor_trace_exact,
     v_sign,
 )
 
@@ -47,9 +48,9 @@ def test_zero_space_traces():
 
 
 def test_exact_str_rotation_number_one():
-    got = spinor_trace("str", RotationData((1,)), exact=True)
+    got = spinor_trace_exact("str", RotationData((1,)))
     assert got == RF.from_laurent({-1: 1, 1: -1})
-    got_tr = spinor_trace("tr", RotationData((2,)), exact=True)
+    got_tr = spinor_trace_exact("tr", RotationData((2,)))
     assert got_tr == RF.from_laurent({-2: 1, 2: 1})
 
 

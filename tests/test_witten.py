@@ -7,45 +7,45 @@ import pytest
 
 from elliptica.elliptic import EllipticParams
 from elliptica.ring import RationalFunctionQi
-from elliptica.witten import WittenDenominatorError, witten_char
+from elliptica.witten import WittenDenominatorError, witten_char, witten_exact
 
 RF = RationalFunctionQi
 
 
 def test_dimension_series_rank_one():
     # 1 + q^{1/2} + q + 2 q^{3/2} + ... : p-orders 0, 2, 4, 6
-    ser = witten_char(1, [0], EllipticParams(truncation_order=6), backend="exact")
+    ser = witten_exact(1, [0], 6)
     vals = [c.constant_value().re if c else 0 for c in ser.coeffs]
     assert vals == [1, 0, 1, 0, 1, 0, 2]
 
 
 def test_empty_space_is_one():
-    ser = witten_char(2, [], EllipticParams(truncation_order=4), backend="exact")
+    ser = witten_exact(2, [], 4)
     assert ser.coeffs[0] == RF.one()
     assert not any(ser.coeffs[1:])
     assert witten_char(3, [], EllipticParams(tau=1j)) == 1
 
 
 def test_rank_two_is_square_of_rank_one():
-    prm = EllipticParams(truncation_order=12)
-    one = witten_char(1, [0], prm, backend="exact")
-    two = witten_char(1, [0, 0], prm, backend="exact")
+    order = 12
+    one = witten_exact(1, [0], order)
+    two = witten_exact(1, [0, 0], order)
     assert two == one * one
 
 
 def test_multiplicativity_exact():
-    prm = EllipticParams(truncation_order=10)
+    order = 10
     for i in (1, 2, 3, 4):
-        a = witten_char(i, [1, -1], prm, backend="exact")
-        b = witten_char(i, [2], prm, backend="exact")
-        ab = witten_char(i, [1, -1, 2], prm, backend="exact")
+        a = witten_exact(i, [1, -1], order)
+        b = witten_exact(i, [2], order)
+        ab = witten_exact(i, [1, -1, 2], order)
         assert ab == a * b
 
 
 def test_constant_terms():
-    prm = EllipticParams(truncation_order=8)
+    order = 8
     for i in (1, 2, 3, 4):
-        ser = witten_char(i, [1, -1, 3], prm, backend="exact")
+        ser = witten_exact(i, [1, -1, 3], order)
         assert ser.coeffs[0] == RF.one()
 
 
@@ -64,9 +64,7 @@ def test_exact_numeric_agreement():
         tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.4))
         z = complex(rng.uniform(0.05, 0.4), rng.uniform(-0.05, 0.05))
         weights = [1, -1, 2]
-        ser = witten_char(
-            i, weights, EllipticParams(truncation_order=60), backend="exact"
-        )
+        ser = witten_exact(i, weights, 60)
         s0 = cmath.exp(1j * cmath.pi * z)
         p0 = cmath.exp(0.5j * cmath.pi * tau)
         xs = [cmath.exp(2j * cmath.pi * w * z) for w in weights]
@@ -79,8 +77,7 @@ def test_exact_numeric_agreement_near_branch_wrap():
     # not a principal-branch square root of q
     tau = 0.49 + 0.9j
     z = 0.21 + 0.04j
-    ser = witten_char(1, [1, -1], EllipticParams(truncation_order=60),
-                      backend="exact")
+    ser = witten_exact(1, [1, -1], 60)
     s0 = cmath.exp(1j * cmath.pi * z)
     p0 = cmath.exp(0.5j * cmath.pi * tau)
     xs = [cmath.exp(2j * cmath.pi * w * z) for w in (1, -1)]
@@ -129,4 +126,4 @@ def test_non_finite_eigenvalue_is_named(x, error):
 
 def test_exact_requires_integer_weights():
     with pytest.raises(ValueError):
-        witten_char(1, [0.5], EllipticParams(truncation_order=4), backend="exact")
+        witten_exact(1, [0.5], 4)

@@ -19,8 +19,10 @@ from elliptica.zem import (
     _c_constant_numeric,
     adapted_k,
     em_eps,
+    em_eps_exact,
     em_fun,
     identity_check,
+    z_exact,
     z_fun,
 )
 
@@ -104,14 +106,11 @@ def test_z_fun_collision_error_names_rotation_number():
 
 
 def test_z_fun_exact_formal_series():
-    params = EllipticParams(truncation_order=8)
-    ser = z_fun(None, RotationData((1,), 1), None, params, backend="exact")
     from elliptica.elliptic import phi_exact
 
-    assert ser == phi_exact(1, 8)
-    with pytest.raises(ZemError):
-        z_fun(LatticeElement.free_point(0.1), RotationData((1,), 1), None,
-              params, backend="exact")
+    assert z_exact(RotationData((1,), 1), 8) == phi_exact(1, 8)
+    with pytest.raises(ZemError, match="integer rotation data"):
+        z_exact(RotationData((0.5,), 1), 8)
 
 
 def test_em_eps_dim2_case_alpha_odd():
@@ -136,20 +135,18 @@ def test_em_eps_rejects_both_even():
 def test_em_eps_exact_q_prefactor():
     # the (even, odd) case is divisible by p^{dim N/2}: one p per plane
     gamma = LatticeElement.torsion(0, 1, 2)
-    params = EllipticParams(truncation_order=8)
-    ser = em_eps(gamma, RotationData((1,), 1), params, backend="exact")
+    ser = em_eps_exact(gamma, RotationData((1,), 1), 8)
     assert not ser.coeffs[0]
     assert any(ser.coeffs)
     gamma2 = LatticeElement.torsion(1, 1, 2)
-    ser2 = em_eps(gamma2, RotationData((1, 2), 1), params, backend="exact")
+    ser2 = em_eps_exact(gamma2, RotationData((1, 2), 1), 8)
     assert not ser2.coeffs[0] and not ser2.coeffs[1]
 
 
 def test_em_eps_exact_matches_numeric():
     for alpha, beta in ((1, 0), (0, 1), (1, 1)):
         gamma = LatticeElement.torsion(alpha, beta, 2)
-        ser = em_eps(gamma, RotationData((1,), 1),
-                     EllipticParams(truncation_order=60), backend="exact")
+        ser = em_eps_exact(gamma, RotationData((1,), 1), 60)
         z = 0.13 + 0.02j
         s0 = cmath.exp(1j * cmath.pi * z)
         p0 = cmath.exp(0.5j * cmath.pi * TAU)
@@ -261,6 +258,14 @@ def test_suites_reject_dims_without_a_plane(dims):
         identity_check("K-transfer", trials=2, dims=dims)
     with pytest.raises(ValueError, match="dims must be >= 2"):
         identity_check("degenerate-reduction", trials=2, dims=dims)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("suite", ["K-transfer", "allW", "Z-periodicity"])
+def test_suites_reject_no_trials(suite, trials):
+    """No trial checks nothing: that is an error, not a pass."""
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        identity_check(suite, trials=trials)
 
 
 def test_degenerate_reduction_quick():
