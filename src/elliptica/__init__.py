@@ -6,9 +6,9 @@ Layering (each module only depends on the ones above it):
     ring        exact arithmetic: Q(i) and Q(i)(s)
     qseries     truncated series in p = q^{1/4}
     witten      the four tensor-series characters and the one exact
-                product engine, on integer Laurent rows, behind every
-                exact series and check, with the substitutions s -> p^m s
-                on its factors and s -> i^k s on its rows
+                product engine, on packed integer Laurent rows, behind
+                every exact series and check, with the substitutions
+                s -> p^m s and s -> i^k s on its factors
     elliptic    the four theta quotients, exact and numeric, and their
                 translation identities
     spinchar    rotation data, spinor (super)traces, chi, orientation signs
@@ -51,7 +51,6 @@ from .spinchar import (
     os_sign,
     pfaffian,
     spinor_trace,
-    spinor_trace_exact,
     v_sign,
 )
 from .witten import witten_char, witten_exact
@@ -103,7 +102,6 @@ __all__ = [
     "os_sign",
     "pfaffian",
     "spinor_trace",
-    "spinor_trace_exact",
     "v_sign",
     "witten_char",
     "witten_exact",

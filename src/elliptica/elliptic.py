@@ -19,11 +19,12 @@ s^{2w}), built by the exact engine of the witten module from the finitely
 many factors that matter below the truncation order (a factor with
 p-exponent e > M is 1 + O(p^{M+1})).  The prefactor is written in the same
 factors (``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a
-single ``laurent_sum`` term on integer Laurent rows, whose coefficients
-become rational functions once each, over the prefactor's denominator,
-reduced by a gcd over Z[s].  The translation checks never build those
-rational functions: they compare integer rows over the prefactor's
-denominator.
+single ``laurent_sum`` term on packed integer rows (one int per p-order,
+its digits the integer coefficients of a Laurent polynomial in s), whose
+coefficients are decoded and become rational functions once each, over
+the prefactor's denominator, reduced by a gcd over Z[s].  The translation
+checks never decode a row: they compare packed rows, as ints, over the
+prefactor's denominator.
 
 Numeric backend, with an ``EllipticParams`` (``phi_numeric``): the same
 products evaluated in complex floats with an explicit cutoff; the tail of
@@ -69,13 +70,14 @@ bare parts N (numerator product), D (denominator product) and the
 prefactor, in the relations listed at ``fullperiod_parts_check``, so no
 divided factor ever needs a flip and no substituted series is inverted.
 
-The scalar substitutions s -> -s and s -> i s act on the rows of a side,
-multiplying each s^d entry by (-1)^d or i^d (``unit_substitute``).  The
-s-exponents of a theta quotient's rows share one parity r, so i^r factors
-out and the rows stay integer.  Both sides of every identity are then
-fractions N / D of integer rows over a p-free denominator D, and an
-identity holds through p^M when N_L D_R = N_R D_L there, up to the power
-of i that each side carries; no coefficient is reduced and no gcd is taken.
+The scalar substitutions s -> -s and s -> i s act on the factors of a
+side, as s -> p^m s does: 1 + c p^e s^d becomes 1 + c i^{kd} p^e s^d,
+and the monomial s^r picks up i^{kr} (``unit_substitute``).  Every d of a
+theta quotient is even, so the factors stay integer and i^r factors out.
+Both sides of every identity are then fractions N / D of packed integer
+rows over a p-free denominator D, and an identity holds through p^M when
+N_L D_R = N_R D_L there, up to the power of i that each side carries; the
+rows are compared as ints, no coefficient is reduced and no gcd is taken.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from functools import lru_cache
 from .witten import (
     LAYOUT,
     fraction_difference,
-    laurent_fraction,
     laurent_sum,
     regrade_factors,
     unit_difference,
@@ -291,8 +292,8 @@ TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")
 
 def _regraded_term(m, order, numerator, denominator=(), *, post):
     """prod(numerator) / prod(denominator) under s -> p^m s, times the
-    monomial post = (p-power, s-power, sign), as a term of ``laurent_rows``
-    or ``laurent_sum`` at depth ``order``.
+    monomial post = (p-power, s-power, sign), as a term of ``laurent_sum``
+    or ``fraction_difference`` at depth ``order``.
 
     Both factor lists go through ``regrade_factors``, so they must reach
     p^{order + m max|d|}; the flip monomials join ``post``, whose p-power
@@ -344,9 +345,7 @@ def fullperiod_parts_check(a, order):
     )
     for numerator, denominator, post, right in relations:
         left = _regraded_term(2, order, numerator, denominator, post=post)
-        first = fraction_difference(
-            laurent_fraction(order, [left]), laurent_fraction(order, [right])
-        )
+        first = fraction_difference(order, [left], [right])
         if first is not None:
             return first
     return None

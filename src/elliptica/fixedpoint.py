@@ -286,10 +286,12 @@ def equivariant_index(m, twist, order=0):
     """Exact fixed-point sum for the twisted Dirac index: a PSeries over
     Q(i)(s) truncated at ``order`` (kind 'tangent_witten') or, from the same
     sum at depth 0, a RationalFunctionQi in s (kinds 'none'/'bundle', one
-    term per bundle weight w with s^{2w} in its monomial, ``order``
-    unused)."""
+    term per bundle weight w with s^{2w} in its monomial, ``order`` only
+    checked).  An order below 0 raises ValueError for every kind."""
     _require_bundle_shape(m, twist)
     kind = twist.kind
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     order = order if kind == "tangent_witten" else 0
     terms = []
     for i, pt in enumerate(m.points):

@@ -12,9 +12,9 @@ occupy the even p-orders.
 Lattice translations of z (s = e^{i pi z}) act on series over Q(i)(s) as
 substitutions in s: s -> -s, s -> i s and s -> p^m s.  The exact checks
 never apply them to a series, whose truncation hides the tail that a
-regrading would bring down; they act on integer Laurent rows and product
-factors in the witten module (``unit_substitute``, ``regrade_factors``),
-which raise ``SubstitutionError`` for what they cannot represent.
+regrading would bring down; they act on the product factors of the
+witten module (``unit_substitute``, ``regrade_factors``) before any row is
+formed, and raise ``SubstitutionError`` for what they cannot represent.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ sign relative to the listed planes.  Two readings of the entries coexist:
   (complex angles are allowed); the Spin-level half-angle phi/2 is what
   enters every trace formula, matching the two-dimensional model
   g = exp(theta e1 e2) whose supertrace is e^{-i theta} - e^{i theta};
-* exact operations (``spinor_trace_exact`` only) require integer entries a
-  ("rotation numbers": the plane turns with speed a in the circle
-  parameter z, angle 2 pi a z) and return rational functions of
-  s = e^{i pi z}; the exact 1/Str is the depth-0 ``z_term`` of zem.
+* the exact functions of zem read integer entries a ("rotation numbers":
+  the plane turns with speed a in the circle parameter z, angle 2 pi a z)
+  as powers of s = e^{i pi z}; the exact 1/Str is the depth-0 ``z_term``
+  of zem.  This module itself does no exact arithmetic.
 
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function
@@ -25,7 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .ring import RationalFunctionQi
 
 
 class SpinCharError(ValueError):
@@ -119,24 +118,6 @@ def spinor_trace(kind, R, shift=None):
             out *= 1.0 / e + e
     if kind == "str":
         out *= R.orientation_sign
-    return out
-
-
-def spinor_trace_exact(kind, R):
-    """``spinor_trace`` for integer rotation numbers a_j as a rational
-    function in s: w_j becomes pi a_j z, the factor s^{-a_j} -+ s^{a_j}."""
-    if kind not in ("str", "tr"):
-        raise ValueError("kind must be 'str' or 'tr'")
-    if not R.is_integral():
-        raise SpinCharError("exact spinor_trace needs integer rotation numbers")
-    out = RationalFunctionQi.one()
-    for a in R.entries:
-        if kind == "str":
-            out = out * RationalFunctionQi.from_laurent({-a: 1, a: -1})
-        else:
-            out = out * RationalFunctionQi.from_laurent({-a: 1, a: 1})
-    if kind == "str" and R.orientation_sign < 0:
-        out = -out
     return out
 
 

@@ -558,7 +558,7 @@ def _trial_k_transfer(rng, dims, params):
 
 def _z_exact_gamma_plus_one(J, order):
     """First p-order at which Z(z+1) = eps_J Z(z) fails, on the rows of
-    ``z_term`` under s -> -s."""
+    ``z_term`` with s -> -s on its factors."""
     term = z_term(J.entries, order, J.orientation_sign)
     return unit_difference(order, term, 2, term, 0 if epsilon_J(J) > 0 else 2)
 

@@ -31,6 +31,7 @@ from elliptica.ring import (
     poly_shift,
     poly_valuation,
 )
+from elliptica.spinchar import SpinCharError
 
 
 def monomial(exp, coeff=1):
@@ -277,3 +278,23 @@ def ps_compose_power(a, n):
     if n == 1:
         return a
     return a.map_coefficients(lambda c: compose_power(c, n) if c else c)
+
+
+def spinor_trace_exact(kind, R):
+    """``spinchar.spinor_trace`` for integer rotation numbers a_j as a
+    rational function in s: w_j becomes pi a_j z, the factor
+    s^{-a_j} -+ s^{a_j}.  The reference for the exact reciprocal
+    supertrace, the depth-0 ``zem.z_term``."""
+    if kind not in ("str", "tr"):
+        raise ValueError("kind must be 'str' or 'tr'")
+    if not R.is_integral():
+        raise SpinCharError("exact spinor_trace needs integer rotation numbers")
+    out = RationalFunctionQi.one()
+    for a in R.entries:
+        if kind == "str":
+            out = out * RationalFunctionQi.from_laurent({-a: 1, a: -1})
+        else:
+            out = out * RationalFunctionQi.from_laurent({-a: 1, a: 1})
+    if kind == "str" and R.orientation_sign < 0:
+        out = -out
+    return out

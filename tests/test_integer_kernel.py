@@ -1,6 +1,7 @@
 """The integer Laurent kernel against the slow paths it replaced, kept as
 references: the rational-function regrading ``ps_substitute_t`` on
-``RationalFunctionQi`` series (in ``series_reference``), and, here, the
+``RationalFunctionQi`` series (in ``series_reference``), the dict rows
+(``row_reference``) that the packed rows replaced, and, here, the
 GaussianRational-accumulating product engine."""
 
 import re
@@ -30,15 +31,19 @@ from elliptica.qseries import PSeries, SubstitutionError
 from elliptica.ring import GaussianRational, RationalFunctionQi
 from elliptica.spinchar import RotationData
 from elliptica.witten import (
+    decode_row,
+    fraction_difference,
     laurent_fraction,
     laurent_rows,
     laurent_sum,
     regrade_factors,
+    row_layout,
     unit_substitute,
     witten_exact,
     witten_factors,
 )
 from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
+import row_reference
 from series_reference import (
     Substitution,
     monomial,
@@ -204,18 +209,138 @@ def test_laurent_product_matches_gaussian_reference(order, terms):
     assert laurent_sum(order, terms) == _reference_sum(order, terms)
 
 
+# wide coefficients, negative s-exponents and p-free factors on both sides
+_WIDE_C = st.integers(-10**6, 10**6).filter(bool)
+_WIDE_FACTOR = st.tuples(st.integers(1, 9), st.integers(-7, 7), _WIDE_C)
+_WIDE_S_FACTOR = st.tuples(st.just(0), st.integers(-5, 5).filter(bool), _WIDE_C)
+_WIDE_TERM = st.tuples(
+    st.lists(st.one_of(_WIDE_FACTOR, _WIDE_S_FACTOR), max_size=4),
+    st.lists(st.one_of(_WIDE_FACTOR, _WIDE_S_FACTOR), max_size=3),
+    st.tuples(st.integers(0, 6), st.integers(-8, 8), st.sampled_from([-1, 1])),
+)
+
+
+def _negated(terms, factor=None):
+    """-1 times each term; with a p-free ``factor``, written as the term
+    times factor / factor, so that it cancels only over the common
+    denominator."""
+    extra = [factor] if factor else []
+    return [
+        ([*num, *extra], [*den, *extra], (p_pow, s_pow, -sign))
+        for num, den, (p_pow, s_pow, sign) in terms
+    ]
+
+
+def _decoded(order, terms):
+    """The packed ``laurent_fraction`` of ``terms`` as the reference gives
+    it: (dict rows, denominator row)."""
+    rows, den, layout = laurent_fraction(order, terms)
+    (den_row,) = row_reference.laurent_rows(0, [(0, d, c) for d, c in den.elements()])
+    return [decode_row(row, layout) for row in rows], den_row
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    order=st.integers(0, 12),
+    terms=st.lists(_WIDE_TERM, max_size=3),
+    cancelled=st.lists(_WIDE_TERM, min_size=1, max_size=2),
+    factor=_WIDE_S_FACTOR,
+)
+def test_packed_rows_match_dict_reference(order, terms, cancelled, factor):
+    """Packed rows decode to the reference's dict rows: |c| up to 10^6,
+    negative s-exponents, p-free factors in numerators and denominators,
+    monomials with p-powers, terms that share their factors and are
+    expanded together, and terms that cancel to all-zero rows only once
+    they share one denominator."""
+    zero = cancelled + _negated(cancelled, factor)
+    got = _decoded(order, zero)
+    assert got == row_reference.laurent_fraction(order, zero)
+    assert got[0] == [{}] * (order + 1)
+    shared = [(num, den, (p + 1, s - 2, sign)) for num, den, (p, s, sign) in terms]
+    terms = terms + shared + zero
+    assert _decoded(order, terms) == row_reference.laurent_fraction(order, terms)
+
+
+def test_cp3_rigidity_terms_cancel_to_zero_rows():
+    """The tangent-Witten terms of cp3 cancel across its four points: every
+    packed row of the sum is 0, as in the reference."""
+    terms = [z_term(pt.weights, 16) for pt in load_manifold("cp3").points]
+    got = _decoded(16, terms)
+    assert got == row_reference.laurent_fraction(16, terms)
+    assert got[0] == [{}] * 17
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_deep_phi_matches_dict_reference(i):
+    """phi_exact at p^160, whose rows are hundreds of digits wide, equals
+    the reference's dict rows reduced the same way."""
+    rows, den = row_reference.laurent_fraction(160, [_phi_term(i, 160)])
+    want = PSeries(
+        [RationalFunctionQi.from_integer_laurent(row, den) for row in rows], 160
+    )
+    assert phi_exact(i, 160) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(0, 10),
+    left=st.lists(_WIDE_TERM, min_size=1, max_size=2),
+    extra=st.lists(_WIDE_TERM, max_size=1),
+    unit=st.integers(0, 3),
+)
+def test_fraction_difference_matches_dict_reference(order, left, extra, unit):
+    """The first p-order at which i^unit times one sum and another differ,
+    on packed rows, is the reference's.  The right side is the left one
+    (negated for unit 2) plus the extra terms, so for even unit the sides
+    agree below the first row of the extra terms."""
+    right = (_negated(left) if unit == 2 else left) + extra
+    want = row_reference.fraction_difference(
+        row_reference.laurent_fraction(order, left),
+        row_reference.laurent_fraction(order, right),
+        unit,
+    )
+    assert fraction_difference(order, left, right, unit) == want
+
+
+_EVEN_TERM = _WIDE_TERM.map(
+    lambda t: ([(e, 2 * d, c) for e, d, c in t[0]],
+               [(e, 2 * d, c) for e, d, c in t[1]], t[2])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(0, 10),
+    left=_EVEN_TERM,
+    k=st.integers(0, 3),
+    right=st.one_of(st.none(), _EVEN_TERM),
+    unit=st.integers(0, 3),
+)
+def test_unit_difference_matches_dict_reference(order, left, k, right, unit):
+    """s -> i^k s on the factors, compared on packed rows, against the
+    reference's substitution on dict rows; ``right`` None stands for the
+    left side's own image, which matches at every order."""
+    if right is None:
+        unit, right = unit_substitute(left, k)
+        assert witten.unit_difference(order, left, k, right, unit) is None
+    want = row_reference.unit_difference(order, left, k, right, unit)
+    assert witten.unit_difference(order, left, k, right, unit) == want
+
+
 @pytest.mark.parametrize("factor", [(0, 2, -1), (-1, 2, -1)])
 def test_divided_factor_needs_a_positive_p_exponent(factor):
     """A divided factor at e <= 0 has no geometric series in p; the error
     names the factor."""
     e, d, c = factor
     with pytest.raises(SubstitutionError, match=re.escape(f"(1 + {c} p^{e} s^{d})")):
-        laurent_rows(4, [], [factor])
+        row_layout(4, [([], [factor], [(0, 0, 1)])])
 
 
 def test_unit_substitute_scales_each_entry():
-    """s -> -s multiplies s^d by (-1)^d; s -> i s by i^d, with i^r factored
-    out for the common parity r of the exponents."""
+    """The reference's s -> i^k s on dict rows: s -> -s multiplies s^d by
+    (-1)^d; s -> i s by i^d, with i^r factored out for the common parity r
+    of the exponents."""
+    unit_substitute = row_reference.unit_substitute
     rows = [{1: 1, 3: 2, -1: 5}, {}, {5: -7}]
     assert unit_substitute(rows, 2) == (0, [{1: -1, 3: -2, -1: -5}, {}, {5: 7}])
     assert unit_substitute(rows, 1) == (1, [{1: 1, 3: -2, -1: -5}, {}, {5: -7}])
@@ -223,17 +348,11 @@ def test_unit_substitute_scales_each_entry():
 
 
 def _unit_image(order, term, k):
-    """The term under s -> i^k s from the rows of the exact checks: its
-    ``laurent_fraction`` through ``unit_substitute``, each coefficient
-    reduced as ``laurent_sum`` reduces it."""
-    rows, den = laurent_fraction(order, [term])
-    j, rows = unit_substitute(rows, k)
-    j_den, (den,) = unit_substitute([den], k)
-    unit = RationalFunctionQi.constant(GaussianRational.i() ** ((j - j_den) % 4))
-    inv_den = RationalFunctionQi.from_laurent(den).inverse()
-    return PSeries(
-        [RationalFunctionQi.from_laurent(row) * inv_den * unit for row in rows], order
-    )
+    """The term under s -> i^k s as the exact checks take it: i^j times the
+    ``laurent_sum`` of the substituted factors of ``unit_substitute``."""
+    j, image = unit_substitute(term, k)
+    unit = RationalFunctionQi.constant(GaussianRational.i() ** j)
+    return laurent_sum(order, [image]).scale(unit)
 
 
 def _phi1(order):
@@ -258,7 +377,7 @@ _UNIT_CASES = {  # the left side of each unit check: (term, k, reference rule)
 @pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
 @pytest.mark.parametrize("case", list(_UNIT_CASES))
 def test_unit_substituted_rows_match_series_substitution(case, order):
-    """The substituted rows and denominator of each unit check, reduced,
+    """The substituted factors of each unit check, expanded and reduced,
     against ps_substitute_t on the reduced series of the same term."""
     term, k, rule = _UNIT_CASES[case]
     ref = ps_substitute_t(laurent_sum(order, [term(order)]), rule)
@@ -283,7 +402,7 @@ _NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
     ),
     "factored-i-dropped": (
         lambda mp: mp.setattr(witten, "unit_substitute",
-                              lambda rows, k: (0, _unit_substitute(rows, k)[1])),
+                              lambda term, k: (0, _unit_substitute(term, k)[1])),
         _translation("z+1/2"), 0,
     ),
     "phi4-without-p-shift": (
@@ -297,7 +416,7 @@ _NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
     ),
     "i-on-mixed-parity": (
         lambda mp: None,
-        lambda: unit_substitute([{1: 1}, {0: 2, 3: -1}], 1), SubstitutionError,
+        lambda: unit_substitute(([(1, 3, 1)], [], (0, 0, 1)), 1), SubstitutionError,
     ),
 }
 
@@ -307,8 +426,9 @@ _NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
 )
 def test_row_checks_negative_controls(monkeypatch, mutate, check, expected):
     """Each row check passes as it stands and fails at the stated p-order
-    once one ingredient is wrong; s -> i s refuses rows whose s-exponents
-    have both parities, since no single power of i factors out."""
+    once one ingredient is wrong; s -> i s refuses a factor with an odd
+    s-exponent, whose rows would have s-exponents of both parities, so that
+    no single power of i factors out."""
     mutate(monkeypatch)
     if expected is SubstitutionError:
         with pytest.raises(SubstitutionError):
@@ -352,8 +472,28 @@ def test_exact_checks_reduce_no_rational_function(monkeypatch):
     assert em_eps_exact(gamma, rot, 24) == em
 
 
+def test_exact_checks_decode_no_row(monkeypatch):
+    """All five translation checks and the exact Z-periodicity compare
+    packed rows as integers: with ``decode_row`` raising they still pass,
+    while ``laurent_sum``, which decodes each row once, raises."""
+
+    def no_decode(row, layout):
+        raise RuntimeError("decode_row called")
+
+    monkeypatch.setattr(witten, "decode_row", no_decode)
+    for which in TRANSLATIONS:
+        assert phi_translate_check(which, 24).passed, which
+    out = zem._z_periodicity_exact([1, 2, 3], 16)
+    assert out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]
+    with pytest.raises(RuntimeError, match="decode_row called"):
+        laurent_sum(4, [_phi_term(1, 4)])
+
+
+_ONE_FACTOR = ([(2, 2, 1)], [], [(0, 0, 1)])
 _AT_ORDER = {  # name: an exact entry point as a function of the order
-    "laurent_rows": lambda order: laurent_rows(order, [(2, 2, 1)]),
+    "laurent_rows": lambda order: laurent_rows(
+        order, _ONE_FACTOR, row_layout(order, [_ONE_FACTOR])
+    ),
     "phi_exact": lambda order: phi_exact(1, order),
     **{f"phi_translate_check {w}": partial(phi_translate_check, w)
        for w in TRANSLATIONS},
@@ -366,6 +506,12 @@ _AT_ORDER = {  # name: an exact entry point as a function of the order
     ),
     "tangent-Witten index": lambda order: equivariant_index(
         load_manifold("cp3"), TwistSpec("tangent_witten"), order
+    ),
+    "untwisted index": lambda order: equivariant_index(
+        load_manifold("cp3"), TwistSpec("none"), order
+    ),
+    "bundle index": lambda order: equivariant_index(
+        load_manifold("cp3"), load_manifold("cp3").bundle_twist("lambda3t"), order
     ),
     "rigidity_check": lambda order: rigidity_check(load_manifold("cp3"), order),
 }

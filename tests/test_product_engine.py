@@ -11,10 +11,10 @@ from elliptica.elliptic import phi_exact
 from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
 from elliptica.qseries import PSeries, ps_invert
 from elliptica.ring import GaussianRational, RationalFunctionQi
-from elliptica.spinchar import RotationData, spinor_trace_exact
+from elliptica.spinchar import RotationData
 from elliptica.witten import laurent_sum, witten_exact, witten_factors
 from elliptica.zem import LatticeElement, em_eps_exact, z_exact
-from series_reference import monomial, ps_compose_power, shift_p
+from series_reference import monomial, ps_compose_power, shift_p, spinor_trace_exact
 
 ORDER = 6
 CATALOG = ["s2", "cp3", "cp3_alt", "s2xs2xs2"]

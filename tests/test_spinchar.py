@@ -18,9 +18,9 @@ from elliptica.spinchar import (
     os_sign,
     pfaffian,
     spinor_trace,
-    spinor_trace_exact,
     v_sign,
 )
+from series_reference import spinor_trace_exact
 
 RF = RationalFunctionQi
 
