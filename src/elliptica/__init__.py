@@ -3,8 +3,9 @@ indices of spin circle-manifolds with isolated fixed points.
 
 Layering (each module only depends on the ones above it):
 
-    ring        exact arithmetic: Q(i) and Q(i)(s)
-    qseries     truncated series in p = q^{1/4}
+    ring        exact numbers: Q(i), and Q(i)(s) as canonical values with
+                one reduction, over Z[s]
+    qseries     truncated series in p = q^{1/4}, as values
     witten      the four tensor-series characters and the one exact
                 product engine, on packed integer Laurent rows, behind
                 every exact series and check, with the substitutions
@@ -26,14 +27,10 @@ from .ring import (
     GaussianRational,
     PoleEvaluationError,
     RationalFunctionQi,
-    rf_arith,
-    rf_eval,
 )
 from .qseries import (
     PSeries,
     SubstitutionError,
-    ps_arith,
-    ps_invert,
 )
 from .elliptic import (
     EllipticParams,
@@ -83,12 +80,8 @@ __all__ = [
     "GaussianRational",
     "RationalFunctionQi",
     "PoleEvaluationError",
-    "rf_arith",
-    "rf_eval",
     "PSeries",
     "SubstitutionError",
-    "ps_arith",
-    "ps_invert",
     "EllipticParams",
     "PoleError",
     "phi_exact",

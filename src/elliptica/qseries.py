@@ -1,9 +1,12 @@
-"""Truncated formal power series in p = q^(1/4) over an exact coefficient field.
+"""Truncated formal power series in p = q^(1/4) over Q(i)(s).
 
 A ``PSeries`` holds coefficients for p^0 .. p^M with M the explicit
-truncation order.  Coefficients may be any exact field elements supporting
-+, -, *, /, bool and the ``zero()`` / ``one()`` classmethods; the
-workbench's series are over RationalFunctionQi, built by ``laurent_sum``.
+truncation order.  It is a value type, like its coefficients: the
+workbench builds every series at once from integer rows
+(``witten.laurent_sum``, whose coefficients are ``RationalFunctionQi``),
+then compares, evaluates and prints it; no series arithmetic is needed.
+The truncated arithmetic and inversion are kept in
+tests/series_reference.py as the reference for that path.
 
 The p-grading is global for the whole workbench: q itself sits at p^4, the
 half-period factor q^(1/4) at p^1, and series given in powers of q^(1/2)
@@ -48,28 +51,7 @@ class PSeries:
         self.coeffs = coeffs
         self.truncation_order = truncation_order
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c, order):
-        zero = type(c).zero()
-        return cls((c,) + (zero,) * order, order)
-
-    @classmethod
-    def one(cls, field, order):
-        return cls.constant(field.one(), order)
-
-    @classmethod
-    def zeros(cls, field, order):
-        return cls.constant(field.zero(), order)
-
     # -- structure -----------------------------------------------------------
-
-    def _zero(self):
-        return type(self.coeffs[0]).zero()
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, PSeries):
@@ -82,49 +64,8 @@ class PSeries:
     def __hash__(self):
         return hash((self.truncation_order, self.coeffs))
 
-    def truncate(self, order):
-        if order >= self.truncation_order:
-            return self
-        return PSeries(self.coeffs[: order + 1], order)
-
     def map_coefficients(self, fn):
         return PSeries(tuple(fn(c) for c in self.coeffs), self.truncation_order)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __neg__(self):
-        return self.map_coefficients(lambda c: -c)
-
-    def __add__(self, other):
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        return PSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1)), order
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        zero = self._zero()
-        out = [zero] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PSeries(out, order)
-
-    def scale(self, c):
-        return self.map_coefficients(lambda x: x * c)
 
     def evaluate(self, s0, p0):
         """Numeric value sum c_k(s0) p0^k (coefficients must be rational
@@ -158,43 +99,3 @@ class PSeries:
     def __repr__(self):
         return f"<PSeries order {self.truncation_order}: {self}>"
 
-
-# ---------------------------------------------------------------------------
-# series operations
-
-
-def ps_arith(a, b, kind):
-    """Truncated arithmetic: kind in {'add', 'mul'}; the result carries the
-    smaller of the two truncation orders."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def ps_invert(a):
-    """Multiplicative inverse to the truncation order.
-
-    Requires an invertible constant term; a * ps_invert(a) = 1 + O(p^{M+1}).
-    """
-    c0 = a.coeffs[0]
-    if not c0:
-        raise QSeriesError("ps_invert: constant term is zero")
-    order = a.truncation_order
-    one = type(c0).one()
-    b0 = one / c0
-    out = [b0]
-    for k in range(1, order + 1):
-        acc = None
-        for j in range(1, k + 1):
-            aj = a.coeffs[j]
-            if not aj:
-                continue
-            term = aj * out[k - j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            out.append(type(c0).zero())
-        else:
-            out.append(-(b0 * acc))
-    return PSeries(out, order)

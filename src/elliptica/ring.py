@@ -1,25 +1,28 @@
-"""Exact arithmetic: Gaussian rationals and rational functions in one variable.
+"""Exact numbers: Gaussian rationals and rational functions in one variable.
 
-Coefficient tower used by everything above this module:
+Coefficient tower of every exact series in the package:
 
     Q  <  Q(i)  <  Q(i)(s)
 
-* ``GaussianRational`` is a + b*i with a, b arbitrary-precision rationals.
+* ``GaussianRational`` is a + b*i with a, b arbitrary-precision rationals,
+  the number type that reports print.
 * Polynomials over Q(i) are plain tuples of GaussianRational indexed by
   exponent, with no trailing zeros; the empty tuple is the zero polynomial.
-* ``RationalFunctionQi`` is a reduced quotient of two such polynomials.
-  Canonical form: gcd(num, den) = 1 and the lowest-degree nonzero
-  coefficient of the denominator is 1.  With that normalization equality
-  is a plain coefficient comparison and 1/(1-s^2)-type denominators print
-  the way they are usually written.
+* ``RationalFunctionQi`` is a quotient of two such polynomials in canonical
+  form: gcd(num, den) = 1 and the lowest-degree nonzero coefficient of the
+  denominator is 1.  With that normalization equality is a plain
+  coefficient comparison and 1/(1-s^2)-type denominators print the way
+  they are usually written.  It is a value type: it compares, scales by a
+  constant, evaluates and prints, with no field arithmetic.
 
 Integer polynomials, lists of int indexed by exponent with no trailing
-zeros, carry one reduction: ``RationalFunctionQi.from_integer_laurent``
+zeros, carry the one reduction: ``RationalFunctionQi.from_integer_laurent``
 takes the gcd of a quotient of integer Laurent polynomials over Z[s], by a
-primitive pseudo-remainder sequence, instead of over Q(i)[s].
+primitive pseudo-remainder sequence.  The field operations over Q(i)(s)
+and their Euclidean gcd are kept in tests/ring_reference.py as the
+reference for this path.
 
-Nothing in this module rounds.  Degree growth is never truncated here;
-truncation belongs to the series layer.
+Nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -205,123 +208,12 @@ PZERO = ()
 PONE = (_GR_ONE,)
 
 
-def poly_trim(coeffs):
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def poly_from_ints(values):
-    return poly_trim([GaussianRational(v) for v in values])
-
-
-def poly_monomial(exp, coeff=_GR_ONE):
-    if exp < 0:
-        raise ValueError("poly_monomial: negative exponent")
-    if not coeff:
-        return PZERO
-    return (_GR_ZERO,) * exp + (coeff,)
-
-
-def poly_degree(a):
-    return len(a) - 1  # -1 for the zero polynomial
-
-
 def poly_valuation(a):
     """Exponent of the lowest nonzero term; 0 for the zero polynomial."""
     for k, c in enumerate(a):
         if c:
             return k
     return 0
-
-
-def poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] = out[k] + c
-    return poly_trim(out)
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_scale(a, c):
-    if not c:
-        return PZERO
-    return tuple(x * c for x in a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return PZERO
-    out = [_GR_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return poly_trim(out)
-
-
-def poly_shift(a, k):
-    """Multiply by s^k (k >= 0)."""
-    if not a:
-        return PZERO
-    return (_GR_ZERO,) * k + tuple(a)
-
-
-def poly_divmod(a, b):
-    """Exact division with remainder over the field Q(i)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return PZERO, a
-    rem = list(a)
-    db = len(b) - 1
-    lead_inv = b[-1].inverse()
-    quot = [_GR_ZERO] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        f = c * lead_inv
-        quot[k - db] = f
-        for j in range(db + 1):
-            rem[k - db + j] = rem[k - db + j] - f * b[j]
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_gcd(a, b):
-    """Monic gcd via the Euclidean algorithm (remainders normalized monic).
-
-    Each operand's own power of s is split off first: s is prime, so
-    gcd(s^i f, s^j g) = s^min(i, j) gcd(f, g) when f(0) g(0) != 0.  A
-    Laurent numerator against s^v (1 - s^2) then costs one division by the
-    degree-2 factor instead of a Euclid run at the numerator's degree.
-    """
-    a = poly_trim(a)
-    b = poly_trim(b)
-    v = 0
-    if a and b:
-        va = poly_valuation(a)
-        vb = poly_valuation(b)
-        v = min(va, vb)
-        a = a[va:]
-        b = b[vb:]
-    while b:
-        _, r = poly_divmod(a, b)
-        if r:
-            r = poly_scale(r, r[-1].inverse())
-        a, b = b, r
-    if not a:
-        return poly_shift(PONE, v) if v else PZERO
-    g = poly_scale(a, a[-1].inverse())
-    return poly_shift(g, v)
 
 
 def poly_eval(a, x):
@@ -464,68 +356,23 @@ def _zpoly_over(a, lead, shift):
 
 
 class RationalFunctionQi:
-    """A reduced quotient of polynomials in s over Q(i).
+    """A quotient of polynomials in s over Q(i), in canonical form.
 
-    Negative powers of s are legal inputs (Laurent data); they are cleared
-    into the denominator on construction.
+    The constructor stores ``num`` and ``den`` as given, so they must
+    already be canonical; ``from_integer_laurent`` is the constructor that
+    reduces.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=PONE, *, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num = poly_trim(num)
-        den = poly_trim(den)
-        if not den:
-            raise RationalFunctionDivisionError("zero denominator")
-        self.num, self.den = _reduce(num, den)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return _RF_ZERO
-
-    @classmethod
-    def one(cls):
-        return _RF_ONE
-
-    @classmethod
-    def var(cls):
-        return _RF_S
-
-    @classmethod
-    def from_int(cls, n):
-        return cls((GaussianRational(n),))
-
-    @classmethod
-    def constant(cls, c):
-        c = _coerce_gr(c)
-        return cls((c,))
-
-    @classmethod
-    def from_laurent(cls, terms):
-        """Build from {exponent: coefficient} with arbitrary integer keys."""
-        if not terms:
-            return _RF_ZERO
-        shift = min(terms)
-        shift = min(shift, 0)
-        size = max(terms) - shift + 1
-        out = [_GR_ZERO] * size
-        for e, c in terms.items():
-            out[e - shift] = out[e - shift] + _coerce_gr(c)
-        num = poly_trim(out)
-        if shift < 0:
-            return cls(num, poly_monomial(-shift))
-        return cls(num)
+    def __init__(self, num, den=PONE):
+        self.num = num
+        self.den = den
 
     @classmethod
     def from_integer_laurent(cls, num, den):
         """The quotient of two Laurent polynomials {exponent: int}, reduced
-        over Z[s]: equal to ``from_laurent(num) / from_laurent(den)``.
+        over Z[s].
 
         The common power of s is split off, the gcd of the rest is taken
         over Z[s] (``zpoly_gcd``) and divided out exactly, and the lowest
@@ -545,10 +392,9 @@ class RationalFunctionQi:
                 a, b = _zpoly_exquo(a, g), _zpoly_exquo(b, g)
         shift = n_low - d_low
         lead = b[0]
-        return cls(
+        return RationalFunctionQi(
             _zpoly_over(a, lead, max(shift, 0)),
             _zpoly_over(b, lead, max(-shift, 0)),
-            _canonical=True,
         )
 
     # -- structure ---------------------------------------------------------
@@ -560,7 +406,8 @@ class RationalFunctionQi:
         if isinstance(other, RationalFunctionQi):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self == RationalFunctionQi.constant(other)
+            other = _coerce_gr(other)
+            return self.den == PONE and self.num == ((other,) if other else PZERO)
         return NotImplemented
 
     def __hash__(self):
@@ -586,87 +433,12 @@ class RationalFunctionQi:
         c_inv = den[v].inverse()
         return {k - v: c * c_inv for k, c in enumerate(self.num) if c}
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __neg__(self):
-        return RationalFunctionQi(poly_neg(self.num), self.den, _canonical=True)
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.den == other.den:
-            return RationalFunctionQi(poly_add(self.num, other.num), self.den)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return RationalFunctionQi(num, poly_mul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.num or not other.num:
-            return _RF_ZERO
-        return RationalFunctionQi(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise RationalFunctionDivisionError("division by zero rational function")
-        return RationalFunctionQi(self.den, self.num)
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("integer powers only")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c):
         # a nonzero constant factor leaves a reduced quotient reduced
         c = _coerce_gr(c)
         if not c:
             return _RF_ZERO
-        return RationalFunctionQi(poly_scale(self.num, c), self.den, _canonical=True)
+        return RationalFunctionQi(tuple(x * c for x in self.num), self.den)
 
     # -- numeric bridge ------------------------------------------------------
 
@@ -682,9 +454,6 @@ class RationalFunctionQi:
 
     # -- misc ----------------------------------------------------------------
 
-    def den_degree(self):
-        return poly_degree(self.den)
-
     def __str__(self):
         ns = poly_str(self.num)
         if self.den == PONE:
@@ -698,69 +467,4 @@ class RationalFunctionQi:
         return f"<RationalFunctionQi {self}>"
 
 
-def _reduce(num, den):
-    """Canonicalize: strip common s powers, divide by the gcd, then scale so
-    the lowest nonzero denominator coefficient is 1."""
-    if not num:
-        return PZERO, PONE
-    v = min(poly_valuation(num), poly_valuation(den))
-    if v:
-        num = tuple(num[v:])
-        den = tuple(den[v:])
-    dv = poly_valuation(den)
-    if len(den) == dv + 1:
-        # monomial denominator: nothing left to cancel but the constant
-        c_inv = den[dv].inverse()
-        num = poly_scale(num, c_inv)
-        den = poly_monomial(dv)
-    else:
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        c_inv = den[poly_valuation(den)].inverse()
-        if c_inv != _GR_ONE:
-            num = poly_scale(num, c_inv)
-            den = poly_scale(den, c_inv)
-    return num, den
-
-
-_RF_ZERO = RationalFunctionQi.__new__(RationalFunctionQi)
-_RF_ZERO.num = PZERO
-_RF_ZERO.den = PONE
-_RF_ONE = RationalFunctionQi.__new__(RationalFunctionQi)
-_RF_ONE.num = PONE
-_RF_ONE.den = PONE
-_RF_S = RationalFunctionQi.__new__(RationalFunctionQi)
-_RF_S.num = (_GR_ZERO, _GR_ONE)
-_RF_S.den = PONE
-
-
-def _coerce_rf(x):
-    if isinstance(x, RationalFunctionQi):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return RationalFunctionQi.constant(x)
-    return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# operation-style entry points
-
-
-def rf_arith(a, b, kind):
-    """Field arithmetic on rational functions: kind in {'add', 'mul', 'div'}."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if not b:
-            raise RationalFunctionDivisionError("division by zero rational function")
-        return a / b
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def rf_eval(f, s0):
-    """Evaluate a rational function at a complex point."""
-    return f.evaluate(complex(s0))
+_RF_ZERO = RationalFunctionQi(PZERO)

@@ -1,6 +1,10 @@
-"""Substitutions on whole series over Q(i)(s): the general rational-function
-path that the exact checks of the package replaced with integer Laurent
+"""Arithmetic and substitutions on whole series over Q(i)(s): the general
+rational-function path that the package replaced with integer Laurent
 rows.  The tests keep it as their reference.
+
+``PS`` is ``PSeries`` with the truncated arithmetic (the result of a binary
+operation carries the smaller truncation order) over ``RF`` coefficients,
+and ``ps_invert`` inverts a series with an invertible constant term.
 
 Lattice translations of z (s = e^{i pi z}) act on series as
 
@@ -26,12 +30,124 @@ from elliptica.ring import (
     GaussianRational,
     RationalFunctionQi,
     RingError,
-    poly_degree,
-    poly_monomial,
-    poly_shift,
     poly_valuation,
 )
 from elliptica.spinchar import SpinCharError
+from ring_reference import RF, poly_degree, poly_monomial, poly_shift
+
+
+def _coeff(c):
+    """A coefficient with the field operations: the package's rational
+    functions become ``RF``."""
+    return RF.of(c) if isinstance(c, RationalFunctionQi) else c
+
+
+class PS(PSeries):
+    """``PSeries`` with the truncated arithmetic.  Operands may be package
+    series; their coefficients become ``RF``."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs, truncation_order=None):
+        super().__init__(map(_coeff, coeffs), truncation_order)
+
+    @classmethod
+    def of(cls, a):
+        if isinstance(a, cls):
+            return a
+        if isinstance(a, PSeries):
+            return cls(a.coeffs, a.truncation_order)
+        return NotImplemented
+
+    @classmethod
+    def constant(cls, c, order):
+        c = _coeff(c)
+        return cls((c,) + (type(c).zero(),) * order, order)
+
+    @classmethod
+    def one(cls, field, order):
+        return cls.constant(field.one(), order)
+
+    @classmethod
+    def zeros(cls, field, order):
+        return cls.constant(field.zero(), order)
+
+    def _zero(self):
+        return type(self.coeffs[0]).zero()
+
+    def truncate(self, order):
+        if order >= self.truncation_order:
+            return self
+        return PS(self.coeffs[: order + 1], order)
+
+    def scale(self, c):
+        return PS(x * c for x in self.coeffs)
+
+    def __neg__(self):
+        return PS(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        other = PS.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        order = min(self.truncation_order, other.truncation_order)
+        return PS(
+            tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1)), order
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = PS.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = PS.of(other)
+        if other is NotImplemented:
+            return NotImplemented
+        order = min(self.truncation_order, other.truncation_order)
+        zero = self._zero()
+        out = [zero] * (order + 1)
+        for i, a in enumerate(self.coeffs[: order + 1]):
+            if not a:
+                continue
+            for j in range(order + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return PS(out, order)
+
+    __rmul__ = __mul__
+
+
+def ps_invert(a):
+    """Multiplicative inverse to the truncation order.
+
+    Requires an invertible constant term; a * ps_invert(a) = 1 + O(p^{M+1}).
+    """
+    a = PS.of(a)
+    c0 = a.coeffs[0]
+    if not c0:
+        raise QSeriesError("ps_invert: constant term is zero")
+    order = a.truncation_order
+    one = type(c0).one()
+    b0 = one / c0
+    out = [b0]
+    for k in range(1, order + 1):
+        acc = None
+        for j in range(1, k + 1):
+            aj = a.coeffs[j]
+            if not aj:
+                continue
+            term = aj * out[k - j]
+            acc = term if acc is None else acc + term
+        if acc is None:
+            out.append(type(c0).zero())
+        else:
+            out.append(-(b0 * acc))
+    return PS(out, order)
 
 
 def monomial(exp, coeff=1):
@@ -39,10 +155,10 @@ def monomial(exp, coeff=1):
     if not isinstance(coeff, GaussianRational):
         coeff = GaussianRational(coeff)
     if not coeff:
-        return RationalFunctionQi.zero()
+        return RF.zero()
     if exp >= 0:
-        return RationalFunctionQi(poly_monomial(exp, coeff))
-    return RationalFunctionQi((coeff,), poly_monomial(-exp))
+        return RF(poly_monomial(exp, coeff))
+    return RF((coeff,), poly_monomial(-exp))
 
 
 def shift_p(a, m):
@@ -50,11 +166,11 @@ def shift_p(a, m):
     top m input coefficients fall off the end."""
     if m < 0:
         raise QSeriesError("shift_p: negative shift")
+    a = PS.of(a)
     if m == 0:
         return a
-    zero = type(a.coeffs[0]).zero()
-    out = (zero,) * m + a.coeffs[: a.truncation_order + 1 - m]
-    return PSeries(out, a.truncation_order)
+    out = (a._zero(),) * m + a.coeffs[: a.truncation_order + 1 - m]
+    return PS(out, a.truncation_order)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +202,7 @@ def substitute_scale(f, c):
         inv = lead.inverse()
         num = [a * inv for a in num]
         den = [a * inv for a in den]
-    return RationalFunctionQi(tuple(num), tuple(den), _canonical=True)
+    return RF.canonical(tuple(num), tuple(den))
 
 
 def compose_power(f, a):
@@ -94,7 +210,7 @@ def compose_power(f, a):
     if a == 0:
         raise RingError("compose_power: exponent must be nonzero")
     if a > 0:
-        return RationalFunctionQi(_stretch(f.num, a), _stretch(f.den, a))
+        return RF(_stretch(f.num, a), _stretch(f.den, a))
     b = -a
     dn = poly_degree(f.num)
     dd = poly_degree(f.den)
@@ -105,7 +221,7 @@ def compose_power(f, a):
         num = poly_shift(num, e)
     else:
         den = poly_shift(den, -e)
-    return RationalFunctionQi(num, den)
+    return RF(num, den)
 
 
 def _stretch(a, k):
@@ -240,8 +356,8 @@ def _regrade(a, m, post_p, post_s):
                 for se, ce in row.items():
                     put(tt, sbase + se, ne * ce)
 
-    coeffs = [RationalFunctionQi.from_laurent(slot) for slot in acc]
-    return PSeries(coeffs, order)
+    coeffs = [RF.from_laurent(slot) for slot in acc]
+    return PS(coeffs, order)
 
 
 def _inverse_expansion(dhat, m, depth):
@@ -289,12 +405,12 @@ def spinor_trace_exact(kind, R):
         raise ValueError("kind must be 'str' or 'tr'")
     if not R.is_integral():
         raise SpinCharError("exact spinor_trace needs integer rotation numbers")
-    out = RationalFunctionQi.one()
+    out = RF.one()
     for a in R.entries:
         if kind == "str":
-            out = out * RationalFunctionQi.from_laurent({-a: 1, a: -1})
+            out = out * RF.from_laurent({-a: 1, a: -1})
         else:
-            out = out * RationalFunctionQi.from_laurent({-a: 1, a: 1})
+            out = out * RF.from_laurent({-a: 1, a: 1})
     if kind == "str" and R.orientation_sign < 0:
         out = -out
     return out

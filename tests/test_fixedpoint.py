@@ -22,11 +22,11 @@ from elliptica.fixedpoint import (
     sym2_weights,
     tangent_complex_weights,
 )
-from elliptica.ring import PoleEvaluationError, RationalFunctionQi
+from elliptica.ring import PoleEvaluationError
 from elliptica.witten import WittenDenominatorError
 from elliptica.zem import LatticeElement, SpecialCollisionError
+from ring_reference import RF
 
-RF = RationalFunctionQi
 
 
 def test_catalog_contents():
@@ -91,7 +91,7 @@ def test_bundle_twists_integral():
 def test_split_twist_claim_on_generic_parameters():
     # individually nonconstant, sum constant
     m = load_manifold("cp3_alt")
-    s2t = equivariant_index(m, m.bundle_twist("s2t"))
+    s2t = RF.of(equivariant_index(m, m.bundle_twist("s2t")))
     l3t = equivariant_index(m, m.bundle_twist("lambda3t"))
     assert not s2t.is_constant()
     assert not l3t.is_constant()
@@ -130,6 +130,28 @@ def test_rigidity_catalog_through_q_order_80(name):
     rep = rigidity_check(load_manifold(name), 80)
     assert rep.rigid, (name, rep.nonconstant_orders)
     assert rep.constants == ["0"] * 81
+
+
+def _hp2(x):
+    """HP^2 under a circle in the maximal torus with parameters x: at point
+    i, the weights x_j - x_i and x_j + x_i for j != i."""
+    return manifold_from_dict({
+        "name": "hp2",
+        "half_dim": 4,
+        "points": [{"weights": [w for j in range(3) if j != i
+                                for w in (x[j] - x[i], x[j] + x[i])]}
+                   for i in range(3)],
+        "twists": {},
+    })
+
+
+def test_rigidity_nonzero_constant_hp2():
+    """A rigid manifold whose tangent-Witten constants are not all "0", as
+    every catalog entry's are, so that ``constant_value`` divides.  The
+    constants are pinned as computed, not derived from the signature."""
+    rep = rigidity_check(_hp2((1, 2, 4)), 8)
+    assert rep.rigid, rep.nonconstant_orders
+    assert rep.constants == ["0", "0", "-1", "0", "0", "0", "0", "0", "0"]
 
 
 def test_negative_control_at_q_order_80():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptica import elliptic, ring, witten, zem
+from elliptica import elliptic, witten, zem
 from elliptica.elliptic import (
     TRANSLATIONS,
     _phi1_halfshifted,
@@ -44,7 +44,9 @@ from elliptica.witten import (
 )
 from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
 import row_reference
+from ring_reference import RF
 from series_reference import (
+    PS,
     Substitution,
     monomial,
     ps_compose_power,
@@ -86,7 +88,7 @@ def test_row_regrade_of_parts_matches_series_regrade(a, part):
         series = ps_compose_power(laurent_sum(depth, [(factors, (), (0, 0, 1))]), a)
         return ps_substitute_t(
             series, Substitution.p_shift(2), post_p=post_p, post_s=2 * a * a,
-        ).scale(RationalFunctionQi.constant(sign)).truncate(order)
+        ).scale(RF.constant(sign)).truncate(order)
 
     deep = 2 * order + 10 * a * a
     ref = series_regrade(deep)
@@ -108,7 +110,7 @@ def test_regrade_factors_flips_negative_exponent():
 
 def test_regrade_rejects_negative_landing():
     # p s^-2 lands at p^-1 under s -> p s
-    series = PSeries([RationalFunctionQi.zero(), monomial(-2)])
+    series = PSeries([RF.zero(), monomial(-2)])
     with pytest.raises(SubstitutionError):
         ps_substitute_t(series, Substitution.p_shift(1))
     # a divided factor cannot be flipped, nor divided at p^0
@@ -157,7 +159,7 @@ def _reference_product(order, numerator, denominator):
         for k in range(e, order + 1):
             accum(ls[k], ls[k - e], d, -c)
     coeffs = [
-        RationalFunctionQi.from_laurent({e: v for e, v in slot.items() if v})
+        RF.from_laurent({e: v for e, v in slot.items() if v})
         for slot in ls
     ]
     return PSeries(coeffs, order)
@@ -165,16 +167,16 @@ def _reference_product(order, numerator, denominator):
 
 def _reference_sum(order, terms):
     """sum over terms of monomial * product / (its e = 0 denominator
-    factors), with the e = 0 factors as RationalFunctionQi and the series
+    factors), with the e = 0 factors as rational functions and the series
     added over unlike denominators."""
-    out = PSeries.zeros(RationalFunctionQi, order)
+    out = PS.zeros(RF, order)
     for numerator, denominator, (p_pow, s_pow, sign) in terms:
         if p_pow > order:
             continue
         scale = monomial(s_pow, sign)
         for e, d, c in denominator:
             if not e:
-                scale = scale / RationalFunctionQi.from_laurent({0: 1, d: c})
+                scale = scale / RF.from_laurent({0: 1, d: c})
         product = _reference_product(
             order, numerator, [f for f in denominator if f[0]]
         )
@@ -351,8 +353,8 @@ def _unit_image(order, term, k):
     """The term under s -> i^k s as the exact checks take it: i^j times the
     ``laurent_sum`` of the substituted factors of ``unit_substitute``."""
     j, image = unit_substitute(term, k)
-    unit = RationalFunctionQi.constant(GaussianRational.i() ** j)
-    return laurent_sum(order, [image]).scale(unit)
+    unit = RF.constant(GaussianRational.i() ** j)
+    return PS.of(laurent_sum(order, [image])).scale(unit)
 
 
 def _phi1(order):
@@ -439,15 +441,13 @@ def test_row_checks_negative_controls(monkeypatch, mutate, check, expected):
     assert check() is None
 
 
-def test_exact_checks_reduce_no_rational_function(monkeypatch):
+def test_exact_checks_reduce_no_rational_function():
     """All five translation checks and the exact Z-periodicity run on
     integer rows, and the exact series built on ``laurent_sum`` (phi_exact,
-    rigidity, an index, em_eps) reduce over Z[s]: with poly_gcd raising,
-    the checks pass, phi_exact matches the Q(i) reference and the others
-    reproduce the values computed before poly_gcd is replaced."""
-
-    def no_gcd(a, b):
-        raise RuntimeError("poly_gcd called")
+    rigidity, an index, em_eps) reduce over Z[s]; the package has no gcd
+    over Q(i) (``test_layering``).  The checks pass, phi_exact matches the
+    Q(i) reference and the others reproduce the values computed before the
+    cache is cleared."""
 
     # alpha odd, beta even: the trace divides, so the denominator is not a
     # monomial, and the factor i^planes is i^3
@@ -461,7 +461,6 @@ def test_exact_checks_reduce_no_rational_function(monkeypatch):
     index = equivariant_index(cp3, lambda3t)
 
     elliptic.phi_exact.cache_clear()
-    monkeypatch.setattr(ring, "poly_gcd", no_gcd)
     for which in TRANSLATIONS:
         assert phi_translate_check(which, 24).passed, which
     out = zem._z_periodicity_exact([1, 2, 3], 16)

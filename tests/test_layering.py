@@ -1,10 +1,13 @@
 """Static checks of the package: each module imports only the modules
-listed above it in the layering of the package docstring, no module imports
-from the tests, no module or test file imports a name it never uses, and no
-function picks its backend by an argument."""
+listed above it in the layering of the package docstring and nothing
+outside the standard library, no module imports from the tests, no module
+or test file imports a name it never uses, no function picks its backend
+by an argument, and no module carries the field arithmetic over Q(i)(s)
+that the tests keep as their reference."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,71 @@ def test_switch_reader_flags_a_backend_parameter():
     tree = ast.parse("def f(x, backend='exact'):\n    pass\n"
                      "class C:\n    def g(self, *, exact=False):\n        pass\n")
     assert _switch_parameters(tree) == [("f", "backend"), ("g", "exact")]
+
+
+# the general field arithmetic over Q(i)(s) lives in the tests' references;
+# the package reduces over Z[s] only (RationalFunctionQi.from_integer_laurent)
+FIELD_FUNCTIONS = {"poly_gcd", "poly_divmod", "_reduce", "reduce"}
+FIELD_METHODS = {"__add__", "__mul__", "__truediv__", "inverse", "__pow__"}
+VALUE_TYPES = {"ring": "RationalFunctionQi", "qseries": "PSeries"}
+
+
+def _definitions(tree):
+    """Names bound by def or assignment: {'': module and function level,
+    class name: that class's body}."""
+    out = {"": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = out.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out[""].add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_package_has_no_field_arithmetic(name):
+    defined = _definitions(_tree(name))
+    assert not defined[""] & FIELD_FUNCTIONS
+    if name in VALUE_TYPES:
+        assert not defined[VALUE_TYPES[name]] & FIELD_METHODS
+
+
+def test_field_arithmetic_reader_sees_the_reference():
+    """The check above is not vacuous: the references define what it bans."""
+    ring_ref = _definitions(_tree("ring_reference", TESTS))
+    series_ref = _definitions(_tree("series_reference", TESTS))
+    assert {"poly_gcd", "poly_divmod", "reduce"} <= ring_ref[""]
+    assert FIELD_METHODS <= ring_ref["RF"]
+    assert {"__add__", "__mul__"} <= series_ref["PS"]
+    assert "ps_invert" in series_ref[""]
+    # and the value types it reads are there
+    assert "from_integer_laurent" in _definitions(_tree("ring"))["RationalFunctionQi"]
+    assert "to_json" in _definitions(_tree("qseries"))["PSeries"]
+
+
+def _third_party_imports(tree):
+    """Imported top-level modules outside the standard library, counting
+    ``pytest.importorskip("name")`` as an import of ``name``."""
+    names = _absolute_imports(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+                and node.args and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_package_imports_only_the_standard_library(name):
+    assert _third_party_imports(_tree(name)) == set()
+
+
+def test_stdlib_reader_sees_the_oracles():
+    """The check above is not vacuous: the oracle tests import sympy and
+    mpmath."""
+    assert {"sympy", "mpmath"} <= _third_party_imports(_tree("test_oracles", TESTS))

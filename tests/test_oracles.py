@@ -1,6 +1,6 @@
-"""Oracles independent of this codebase: sympy for the exact gcd and
-reduction over Q(i) and the gcd over Z[s], mpmath's q-Pochhammer symbol for the numeric
-products."""
+"""Oracles independent of this codebase: sympy for the reference gcd and
+reduction over Q(i) (``ring_reference``) and the package's gcd over Z[s],
+mpmath's q-Pochhammer symbol for the numeric products."""
 
 import cmath
 import random
@@ -9,16 +9,9 @@ from fractions import Fraction
 import pytest
 
 from elliptica.elliptic import EllipticParams, phi_numeric
-from elliptica.ring import (
-    GaussianRational,
-    RationalFunctionQi,
-    poly_gcd,
-    poly_mul,
-    poly_trim,
-    poly_valuation,
-    zpoly_gcd,
-)
+from elliptica.ring import GaussianRational, poly_valuation, zpoly_gcd
 from elliptica.witten import witten_char
+from ring_reference import RF, poly_gcd, poly_mul, poly_trim
 
 
 def _random_gr(rng):
@@ -107,7 +100,7 @@ def test_reduce_matches_sympy():
     sympy = pytest.importorskip("sympy")
     s = sympy.Symbol("s")
     for a, b in _gcd_cases():
-        f = RationalFunctionQi(a, b)
+        f = RF(a, b)
         num = _to_sympy(sympy, f.num, s)
         den = _to_sympy(sympy, f.den, s)
         # same function, coprime parts, lowest denominator coefficient 1

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import (
     AngleOnLatticeError,
     BranchPointError,
@@ -20,9 +19,9 @@ from elliptica.spinchar import (
     spinor_trace,
     v_sign,
 )
+from ring_reference import RF
 from series_reference import spinor_trace_exact
 
-RF = RationalFunctionQi
 
 
 def test_str_two_dim_spin_element():

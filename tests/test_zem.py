@@ -5,7 +5,6 @@ import random
 import pytest
 
 from elliptica.elliptic import EllipticParams, phi_numeric
-from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import CyclicAction, RotationData, spinor_trace, v_sign
 from elliptica.witten import witten_char
 from elliptica.zem import (
@@ -26,7 +25,6 @@ from elliptica.zem import (
     z_fun,
 )
 
-RF = RationalFunctionQi
 TAU = 0.21 + 1.05j
 PARAMS = EllipticParams(tau=TAU)
 
