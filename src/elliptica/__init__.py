@@ -3,8 +3,8 @@ indices of spin circle-manifolds with isolated fixed points.
 
 Layering (each module only depends on the ones above it):
 
-    ring        exact numbers: Q(i), and Q(i)(s) as canonical values with
-                one reduction, over Z[s]
+    ring        exact coefficients: Q(s) as canonical integer values
+                with one reduction, over Z[s]
     qseries     truncated series in p = q^{1/4}, as values
     witten      the four tensor-series characters and the one exact
                 product engine, on packed integer Laurent rows, behind
@@ -23,11 +23,7 @@ single-threaded: its one cache of exact series (``phi_exact``'s lru_cache
 in elliptic) is a plain memoization with no locking.
 """
 
-from .ring import (
-    GaussianRational,
-    PoleEvaluationError,
-    RationalFunctionQi,
-)
+from .ring import PoleEvaluationError, RationalFunctionQi
 from .qseries import (
     PSeries,
     SubstitutionError,
@@ -77,7 +73,6 @@ from .fixedpoint import (
 )
 
 __all__ = [
-    "GaussianRational",
     "RationalFunctionQi",
     "PoleEvaluationError",
     "PSeries",

@@ -86,8 +86,8 @@ def _parse_complex(raw):
 def _parse_tau(raw):
     tau = _parse_complex(raw.replace(" ", ""))
     try:
-        EllipticParams(tau=tau)
-    except ValueError as exc:
+        EllipticParams(tau=tau).cutoff()
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return tau
 

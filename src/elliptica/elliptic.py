@@ -13,7 +13,7 @@ p = q^{1/4}.  The four quotients are infinite products
                                    / ((1+p^{4n-2}t)(1+p^{4n-2}/t))
 
 Exact backend, at an integer truncation order (``phi_exact``, the
-translation checks): truncated PSeries over Q(i)(s).  Each product is the
+translation checks): truncated PSeries over Q(s).  Each product is the
 W_i character on the weights (1, -1) (t and 1/t are the eigenvalues
 s^{2w}), built by the exact engine of the witten module from the finitely
 many factors that matter below the truncation order (a factor with
@@ -97,6 +97,10 @@ from .witten import (
 )
 
 NUMERIC_TAIL_TARGET = 1e-18
+# the most product factors a cutoff may ask for: tau near the real axis would
+# need billions (Im tau = 1e-9 about 1e10), where Im tau in [0.5, 2] needs
+# about 70
+MAX_PRODUCT_FACTORS = 10**5
 # a numeric evaluation this close to a pole, or a free point this close to
 # the lattice, counts as on it
 POLE_GUARD = 1e-8
@@ -164,7 +168,8 @@ class EllipticParams:
 
     def cutoff(self, t_abs=1.0):
         """Number of product factors retained for arguments with |t| up to
-        t_abs (and down to 1/t_abs)."""
+        t_abs (and down to 1/t_abs); OverflowError if it would exceed
+        ``MAX_PRODUCT_FACTORS``."""
         if self.product_cutoff is not None:
             return self.product_cutoff
         scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - self._q_abs)
@@ -174,6 +179,11 @@ class EllipticParams:
             error = ValueError if math.isnan(t_abs) else OverflowError
             raise error(f"no product cutoff bounds the tail at |t| = {t_abs}")
         n = math.log(NUMERIC_TAIL_TARGET / scale) / self._log_q_abs
+        if n > MAX_PRODUCT_FACTORS:
+            raise OverflowError(
+                f"tau = {self.tau} needs {n:.3g} product factors, more than "
+                f"{MAX_PRODUCT_FACTORS}"
+            )
         return max(8, int(math.ceil(n)))
 
     def factors(self, i, t_abs=1.0):
@@ -220,7 +230,7 @@ def _phi_term(i, order, p_pow=0):
 
 @lru_cache(maxsize=64)
 def phi_exact(i, order):
-    """Truncated series of phi_i over Q(i)(s) to the given p-order: the
+    """Truncated series of phi_i over Q(s) to the given p-order: the
     prefactor times the W_i character on the weights (1, -1)."""
     if i not in PREFACTOR:
         raise ValueError("phi index must be 1..4")

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from math import gcd
 
-from .ring import PoleEvaluationError
+from .ring import PoleEvaluationError, RationalFunctionQi
 from .elliptic import PoleError, phi_numeric
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
@@ -284,7 +284,7 @@ def _require_bundle_shape(m, twist):
 
 def equivariant_index(m, twist, order=0):
     """Exact fixed-point sum for the twisted Dirac index: a PSeries over
-    Q(i)(s) truncated at ``order`` (kind 'tangent_witten') or, from the same
+    Q(s) truncated at ``order`` (kind 'tangent_witten') or, from the same
     sum at depth 0, a RationalFunctionQi in s (kinds 'none'/'bundle', one
     term per bundle weight w with s^{2w} in its monomial, ``order`` only
     checked).  An order below 0 raises ValueError for every kind."""
@@ -355,17 +355,13 @@ def simplify_character(theta):
     """
     lau = theta.as_laurent()
     if lau is None:
-        from .ring import poly_str
-
-        return SimplifyResult(
-            ok=False, residual_denominator=poly_str(theta.den)
-        )
-    integral = all(c.is_integer() for c in lau.values())
-    if integral:
-        out = {e: int(c.re) for e, c in lau.items()}
-    else:
-        out = dict(lau)
-    return SimplifyResult(ok=True, laurent=out, integral=integral)
+        return SimplifyResult(ok=False, residual_denominator=theta.den_str())
+    # the content is 1, so every x / lead is an integer exactly when lead is 1
+    lead = theta.lead
+    if lead != 1:
+        lau = {e: str(RationalFunctionQi.from_integer_laurent({0: x}, {0: lead}))
+               for e, x in lau.items()}
+    return SimplifyResult(ok=True, laurent=lau, integral=lead == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +390,7 @@ def rigidity_check(m, q_order):
     bad = []
     for k, c in enumerate(theta.coeffs):
         if c.is_constant():
-            constants.append(str(c.constant_value()))
+            constants.append(str(c))
         else:
             constants.append(None)
             bad.append(k)

@@ -1,4 +1,4 @@
-"""Truncated formal power series in p = q^(1/4) over Q(i)(s).
+"""Truncated formal power series in p = q^(1/4) over Q(s).
 
 A ``PSeries`` holds coefficients for p^0 .. p^M with M the explicit
 truncation order.  It is a value type, like its coefficients: the
@@ -12,7 +12,7 @@ The p-grading is global for the whole workbench: q itself sits at p^4, the
 half-period factor q^(1/4) at p^1, and series given in powers of q^(1/2)
 occupy the even p-orders.
 
-Lattice translations of z (s = e^{i pi z}) act on series over Q(i)(s) as
+Lattice translations of z (s = e^{i pi z}) act on series over Q(s) as
 substitutions in s: s -> -s, s -> i s and s -> p^m s.  The exact checks
 never apply them to a series, whose truncation hides the tail that a
 regrading would bring down; they act on the product factors of the
@@ -63,9 +63,6 @@ class PSeries:
 
     def __hash__(self):
         return hash((self.truncation_order, self.coeffs))
-
-    def map_coefficients(self, fn):
-        return PSeries(tuple(fn(c) for c in self.coeffs), self.truncation_order)
 
     def evaluate(self, s0, p0):
         """Numeric value sum c_k(s0) p0^k (coefficients must be rational

@@ -1,33 +1,34 @@
-"""Exact numbers: Gaussian rationals and rational functions in one variable.
+"""Exact coefficients: rational functions in one variable over Q.
 
-Coefficient tower of every exact series in the package:
+Every exact series coefficient of the package is a quotient of integer
+Laurent polynomials, and ``RationalFunctionQi`` stores it in one canonical
+integer form:
 
-    Q  <  Q(i)  <  Q(i)(s)
+* ``num`` and ``den`` are tuples of int indexed by exponent, with no
+  trailing zeros; the zero function is ``((), (1,))``;
+* their gcd over Z[s] is 1, and so is the gcd of all their coefficients
+  together (the content);
+* the lowest nonzero coefficient of ``den``, its ``lead``, is > 0.
 
-* ``GaussianRational`` is a + b*i with a, b arbitrary-precision rationals,
-  the number type that reports print.
-* Polynomials over Q(i) are plain tuples of GaussianRational indexed by
-  exponent, with no trailing zeros; the empty tuple is the zero polynomial.
-* ``RationalFunctionQi`` is a quotient of two such polynomials in canonical
-  form: gcd(num, den) = 1 and the lowest-degree nonzero coefficient of the
-  denominator is 1.  With that normalization equality is a plain
-  coefficient comparison and 1/(1-s^2)-type denominators print the way
-  they are usually written.  It is a value type: it compares, scales by a
-  constant, evaluates and prints, with no field arithmetic.
+A power of s therefore stands on one side only, and equality and hashing
+are plain tuple comparisons.  The quotient over Q is (num/lead)/(den/lead),
+whose lowest denominator coefficient is 1, the form in which 1/(1-s^2)-type
+denominators are usually written: printing and evaluation divide by
+``lead`` only where they read a coefficient.  It is a value type: it
+compares, evaluates and prints, with no field arithmetic.
 
 Integer polynomials, lists of int indexed by exponent with no trailing
 zeros, carry the one reduction: ``RationalFunctionQi.from_integer_laurent``
 takes the gcd of a quotient of integer Laurent polynomials over Z[s], by a
-primitive pseudo-remainder sequence.  The field operations over Q(i)(s)
-and their Euclidean gcd are kept in tests/ring_reference.py as the
-reference for this path.
+primitive pseudo-remainder sequence.  The number type Q(i), the field
+operations over Q(i)(s) and their Euclidean gcd are kept in
+tests/ring_reference.py as the reference for this path.
 
-Nothing in this module rounds.
+Nothing in this module rounds before a value is evaluated as a float.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -45,214 +46,6 @@ class PoleEvaluationError(RingError):
     def __init__(self, message, denominator_magnitude):
         super().__init__(message)
         self.denominator_magnitude = denominator_magnitude
-
-
-_ZERO_F = Fraction(0)
-_ONE_F = Fraction(1)
-
-
-class GaussianRational:
-    """An element a + b*i of Q(i), exact and immutable."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
-
-    @staticmethod
-    def _new(re, im):
-        # fast internal constructor: arguments must already be Fractions
-        g = GaussianRational.__new__(GaussianRational)
-        g.re = re
-        g.im = im
-        return g
-
-    @classmethod
-    def zero(cls):
-        return _GR_ZERO
-
-    @classmethod
-    def one(cls):
-        return _GR_ONE
-
-    @classmethod
-    def i(cls):
-        return _GR_I
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __neg__(self):
-        return GaussianRational._new(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._new(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._new(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._new(self.re * other.re, _ZERO_F)
-        return GaussianRational._new(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        if not self.im:
-            return GaussianRational._new(1 / self.re, _ZERO_F)
-        n = self.re * self.re + self.im * self.im
-        return GaussianRational._new(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce_gr(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = _GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def is_integer(self):
-        return self.im == 0 and self.re.denominator == 1
-
-    def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        im = self.im
-        if im == 1:
-            ims = "i"
-        elif im == -1:
-            ims = "-i"
-        else:
-            ims = f"{im}i"
-        if not self.re:
-            return ims
-        sign = "+" if im > 0 else ""
-        return f"{self.re}{sign}{ims}"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-_GR_ZERO = GaussianRational._new(_ZERO_F, _ZERO_F)
-_GR_ONE = GaussianRational._new(_ONE_F, _ZERO_F)
-_GR_I = GaussianRational._new(_ZERO_F, _ONE_F)
-
-
-def _coerce_gr(x):
-    if type(x) is GaussianRational:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, GaussianRational):
-        return x
-    return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q(i): tuples of GaussianRational, no trailing zeros
-
-
-PZERO = ()
-PONE = (_GR_ONE,)
-
-
-def poly_valuation(a):
-    """Exponent of the lowest nonzero term; 0 for the zero polynomial."""
-    for k, c in enumerate(a):
-        if c:
-            return k
-    return 0
-
-
-def poly_eval(a, x):
-    """Evaluate at a complex point by Horner's rule."""
-    out = 0j
-    for c in reversed(a):
-        out = out * x + c.to_complex()
-    return out
-
-
-def _coeff_str(c, in_product):
-    s = str(c)
-    if in_product and (("+" in s[1:]) or ("-" in s[1:]) or "/" in s):
-        return f"({s})"
-    return s
-
-
-def poly_str(a, var="s"):
-    if not a:
-        return "0"
-    parts = []
-    for k, c in enumerate(a):
-        if not c:
-            continue
-        if k == 0:
-            parts.append(str(c))
-            continue
-        pw = var if k == 1 else f"{var}^{k}"
-        if c == _GR_ONE:
-            term = pw
-        elif c == -_GR_ONE:
-            term = f"-{pw}"
-        else:
-            term = f"{_coeff_str(c, True)}*{pw}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += ("-" + term[1:]) if term.startswith("-") else ("+" + term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +129,54 @@ def _zpoly_dense(terms, low):
     return out
 
 
-def _zpoly_over(a, lead, shift):
-    """s^shift * a / lead as a polynomial over Q(i): zero coefficients are
-    the shared zero, and every imaginary part is the shared zero Fraction."""
-    out = [_GR_ZERO] * shift
-    for x in a:
+def _poly_str(a, lead):
+    """The polynomial a / lead in s, as reports print it: each coefficient
+    x / lead in lowest terms, by one integer gcd."""
+    out = ""
+    for k, x in enumerate(a):
         if not x:
-            out.append(_GR_ZERO)
-        elif x == lead:
-            out.append(_GR_ONE)
-        else:
-            re = Fraction(x) if lead == 1 else Fraction(x, lead)
-            out.append(GaussianRational._new(re, _ZERO_F))
-    return tuple(out)
+            continue
+        g = gcd(x, lead)
+        term = str(x // g) if g == lead else f"{x // g}/{lead // g}"
+        if k:
+            pw = "s" if k == 1 else f"s^{k}"
+            if x == lead:
+                term = pw
+            elif x == -lead:
+                term = f"-{pw}"
+            elif g == lead:
+                term = f"{term}*{pw}"
+            else:
+                term = f"({term})*{pw}"
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
+
+
+def _poly_eval(a, lead, x):
+    """a / lead at a complex point, by Horner's rule."""
+    out = 0j
+    for c in reversed(a):
+        out = out * x + complex(c / lead)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# rational functions in s over Q(i)
+# rational functions in s over Q
 
 
 class RationalFunctionQi:
-    """A quotient of polynomials in s over Q(i), in canonical form.
+    """A quotient of integer polynomials in s, in the canonical form of the
+    module docstring.
 
     The constructor stores ``num`` and ``den`` as given, so they must
     already be canonical; ``from_integer_laurent`` is the constructor that
-    reduces.
+    reduces.  The class keeps its name, by which the benchmark's tracer
+    finds it.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=PONE):
+    def __init__(self, num, den=(1,)):
         self.num = num
         self.den = den
 
@@ -374,9 +185,10 @@ class RationalFunctionQi:
         """The quotient of two Laurent polynomials {exponent: int}, reduced
         over Z[s].
 
-        The common power of s is split off, the gcd of the rest is taken
-        over Z[s] (``zpoly_gcd``) and divided out exactly, and the lowest
-        denominator coefficient is normalized to 1, the canonical form.
+        The common power of s is split off, and the gcd of the rest over
+        Z[s] (``zpoly_gcd``), content included, is divided out exactly with
+        the sign that leaves the lowest denominator coefficient > 0: the
+        canonical form.
         """
         den = {e: c for e, c in den.items() if c}
         if not den:
@@ -386,15 +198,14 @@ class RationalFunctionQi:
             return _RF_ZERO
         n_low, d_low = min(num), min(den)
         a, b = _zpoly_dense(num, n_low), _zpoly_dense(den, d_low)
-        if len(b) > 1:
-            g = zpoly_gcd(a, b)
-            if len(g) > 1:
-                a, b = _zpoly_exquo(a, g), _zpoly_exquo(b, g)
+        g = zpoly_gcd(a, b) if len(b) > 1 else [gcd(b[0], *a)]
+        if (g[0] < 0) != (b[0] < 0):
+            g = [-x for x in g]
+        if g != [1]:
+            a, b = _zpoly_exquo(a, g), _zpoly_exquo(b, g)
         shift = n_low - d_low
-        lead = b[0]
         return RationalFunctionQi(
-            _zpoly_over(a, lead, max(shift, 0)),
-            _zpoly_over(b, lead, max(-shift, 0)),
+            (0,) * max(shift, 0) + tuple(a), (0,) * max(-shift, 0) + tuple(b)
         )
 
     # -- structure ---------------------------------------------------------
@@ -405,47 +216,35 @@ class RationalFunctionQi:
     def __eq__(self, other):
         if isinstance(other, RationalFunctionQi):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = _coerce_gr(other)
-            return self.den == PONE and self.num == ((other,) if other else PZERO)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
 
+    @property
+    def lead(self):
+        """The lowest nonzero denominator coefficient, > 0: every
+        coefficient of the quotient over Q is an integer over it."""
+        return next(filter(None, self.den))
+
     def is_constant(self):
         return len(self.num) <= 1 and len(self.den) <= 1
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise RingError("rational function is not constant")
-        if not self.num:
-            return _GR_ZERO
-        return self.num[0] / self.den[0]
-
     def as_laurent(self):
-        """Return {exponent: coefficient} if the denominator is a monomial,
-        else None."""
-        den = self.den
-        v = poly_valuation(den)
-        if len(den) != v + 1:
+        """Return {exponent: x} if the denominator is a monomial, each
+        coefficient being x / ``lead``; else None."""
+        v = len(self.den) - 1
+        if any(self.den[:v]):
             return None
-        c_inv = den[v].inverse()
-        return {k - v: c * c_inv for k, c in enumerate(self.num) if c}
-
-    def scale(self, c):
-        # a nonzero constant factor leaves a reduced quotient reduced
-        c = _coerce_gr(c)
-        if not c:
-            return _RF_ZERO
-        return RationalFunctionQi(tuple(x * c for x in self.num), self.den)
+        return {k - v: x for k, x in enumerate(self.num) if x}
 
     # -- numeric bridge ------------------------------------------------------
 
     def evaluate(self, s0):
         """Float evaluation at a complex point; errors near poles."""
-        dv = poly_eval(self.den, s0)
-        nv = poly_eval(self.num, s0)
+        lead = self.lead
+        dv = _poly_eval(self.den, lead, s0)
+        nv = _poly_eval(self.num, lead, s0)
         if abs(dv) <= 1e-13 * (1.0 + abs(nv)):
             raise PoleEvaluationError(
                 f"evaluation at a pole: |denominator| = {abs(dv):.3e}", abs(dv)
@@ -454,17 +253,21 @@ class RationalFunctionQi:
 
     # -- misc ----------------------------------------------------------------
 
+    def den_str(self):
+        """The denominator as ``str`` prints it."""
+        return _poly_str(self.den, self.lead)
+
     def __str__(self):
-        ns = poly_str(self.num)
-        if self.den == PONE:
+        lead = self.lead
+        ns = _poly_str(self.num, lead)
+        if len(self.den) == 1:
             return ns
-        ds = poly_str(self.den)
         if ("+" in ns[1:]) or ("-" in ns[1:]) or ("/" in ns) or ("*" in ns):
             ns = f"({ns})"
-        return f"{ns}/({ds})"
+        return f"{ns}/({_poly_str(self.den, lead)})"
 
     def __repr__(self):
         return f"<RationalFunctionQi {self}>"
 
 
-_RF_ZERO = RationalFunctionQi(PZERO)
+_RF_ZERO = RationalFunctionQi(())

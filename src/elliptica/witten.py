@@ -12,7 +12,7 @@ eigenvalue list, never from matrices.
 
 ``witten_exact`` takes integer weights w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
-coefficient inside Q(i)(s), and an integer truncation order;
+coefficient inside Q(s), and an integer truncation order;
 ``witten_char`` takes complex eigenvalues and an ``EllipticParams``.
 ``laurent_rows`` is the workbench's one exact product engine: the theta
 quotients, their bare numerator/denominator products, the exact Z-series
@@ -371,7 +371,7 @@ def laurent_fraction(order, terms):
 
 
 def laurent_sum(order, terms):
-    """The PSeries over Q(i)(s), truncated at ``order``, of a sum of terms:
+    """The PSeries over Q(s), truncated at ``order``, of a sum of terms:
     ``laurent_fraction`` with each row decoded once and reduced once over
     Z[s] (``RationalFunctionQi.from_integer_laurent``)."""
     rows, den, layout = laurent_fraction(order, terms)
@@ -457,7 +457,7 @@ def unit_difference(order, left, k, right, unit):
 
 def witten_exact(i, weights, order):
     """Character of W_{i,q} on integer weights w (eigenvalues s^{2w}): a
-    PSeries over Q(i)(s) truncated at ``order``."""
+    PSeries over Q(s) truncated at ``order``."""
     if i not in LAYOUT:
         raise ValueError("Witten series index must be 1..4")
     for w in weights:

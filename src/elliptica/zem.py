@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 
-from .ring import GaussianRational
 from .elliptic import (
     POLE_GUARD,
     EllipticParams,
@@ -226,7 +225,7 @@ def z_fun(gamma, J, R, params, *, strict=True, route="product"):
 
 
 def z_exact(J, order):
-    """nu * prod_a phi_1(a z), s = e^{i pi z}, as the PSeries over Q(i)(s)
+    """nu * prod_a phi_1(a z), s = e^{i pi z}, as the PSeries over Q(s)
     truncated at ``order``: the ``laurent_sum`` of ``z_term``."""
     _require_rotation_numbers(J)
     return laurent_sum(order, [z_term(J.entries, order, J.orientation_sign)])
@@ -335,14 +334,20 @@ def em_eps(gamma, R, params):
 
 
 def em_eps_exact(gamma, R, order):
-    """``em_eps`` as a PSeries over Q(i)(s) truncated at ``order``, for
-    integer offsets R (multiples of the formal variable z)."""
+    """``em_eps`` for integer offsets R (multiples of the formal variable z)
+    as (j, series): EM_eps = i^j series, with j in {0, 1} and ``series`` a
+    PSeries over Q(s) truncated at ``order``.  Of the factor i^{dim N/2} in
+    c2 and c4, i^j stands outside and (-1)^{floor(dim N/4)} goes into the
+    term's sign, as in ``witten.unit_substitute``."""
     case = _em_case(gamma)
     if not R.is_integral():
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
     planes = R.planes
     e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
     sign = -1 if (e // 4) % 2 else 1
+    j = 0 if case == (0, 1) else planes % 2
+    if case != (0, 1) and planes // 2 % 2:
+        sign = -sign
     # Tr = prod s^{-|a|} (1 + s^{2|a|}), Str = nu prod sign(a) s^{-|a|} (1 - s^{2|a|})
     i, c = {(1, 0): (2, 1), (0, 1): (3, 1), (1, 1): (4, -1)}[case]
     num, den = witten_factors(i, R.entries + tuple(-a for a in R.entries), order)
@@ -355,11 +360,7 @@ def em_eps_exact(gamma, R, order):
             sign *= R.orientation_sign * (-1) ** sum(a < 0 for a in R.entries)
         # the q^{dim N/8} prefactor, one p per plane
         term = (num + trace, den, (planes, -half, sign))
-    series = laurent_sum(order, [term])
-    if case == (0, 1):
-        return series
-    unit = GaussianRational.i() ** planes
-    return series.map_coefficients(lambda c: c.scale(unit))
+    return j, laurent_sum(order, [term])
 
 
 def adapted_k(zeta):

@@ -26,14 +26,16 @@ depth that the discarded tail can only land above the orders it reads.
 from dataclasses import dataclass
 
 from elliptica.qseries import PSeries, QSeriesError, SubstitutionError
-from elliptica.ring import (
+from elliptica.ring import RationalFunctionQi, RingError
+from elliptica.spinchar import SpinCharError
+from ring_reference import (
+    RF,
     GaussianRational,
-    RationalFunctionQi,
-    RingError,
+    poly_degree,
+    poly_monomial,
+    poly_shift,
     poly_valuation,
 )
-from elliptica.spinchar import SpinCharError
-from ring_reference import RF, poly_degree, poly_monomial, poly_shift
 
 
 def _coeff(c):
@@ -161,6 +163,11 @@ def monomial(exp, coeff=1):
     return RF((coeff,), poly_monomial(-exp))
 
 
+def _map(a, fn):
+    """fn applied to each coefficient of a series."""
+    return PS(map(fn, a.coeffs), a.truncation_order)
+
+
 def shift_p(a, m):
     """Multiply by p^m (m >= 0); the truncation order is unchanged, so the
     top m input coefficients fall off the end."""
@@ -283,18 +290,19 @@ def ps_substitute_t(a, rule, *, post_p=0, post_s=0):
     obligation.
     """
     for c in a.coeffs:
-        if not isinstance(c, RationalFunctionQi):
+        if not isinstance(c, (RationalFunctionQi, RF)):
             raise SubstitutionError(
                 "substitutions are defined for series over Q(i)(s); got "
                 f"coefficient of type {type(c).__name__}"
             )
+    a = PS.of(a)
     if rule.kind == "neg_s":
-        out = a.map_coefficients(lambda c: substitute_scale(c, -1))
+        out = _map(a, lambda c: substitute_scale(c, -1))
     elif rule.kind == "i_s":
         iu = GaussianRational.i()
-        out = a.map_coefficients(lambda c: substitute_scale(c, iu))
+        out = _map(a, lambda c: substitute_scale(c, iu))
     elif rule.kind == "inv_s":
-        out = a.map_coefficients(lambda c: compose_power(c, -1) if c else c)
+        out = _map(a, lambda c: compose_power(c, -1) if c else c)
     elif rule.kind == "p_shift":
         out = _regrade(a, rule.m, post_p, post_s)
         post_p = 0
@@ -303,7 +311,7 @@ def ps_substitute_t(a, rule, *, post_p=0, post_s=0):
         raise ValueError(f"unknown substitution {rule.kind!r}")
     if post_s:
         mono = monomial(post_s)
-        out = out.map_coefficients(lambda c: c * mono)
+        out = _map(out, lambda c: c * mono)
     return shift_p(out, post_p)
 
 
@@ -393,7 +401,7 @@ def ps_compose_power(a, n):
         raise QSeriesError("compose power must be nonzero")
     if n == 1:
         return a
-    return a.map_coefficients(lambda c: compose_power(c, n) if c else c)
+    return _map(PS.of(a), lambda c: compose_power(c, n) if c else c)
 
 
 def spinor_trace_exact(kind, R):

@@ -280,9 +280,12 @@ def test_vanishing_witten_denominator_at_point_is_usage_error(capsys,
         "at n = 1\n"
 
 
-@pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j"])
+@pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j", "1e-9j"])
 def test_degenerate_tau_is_usage_error(capsys, tau):
-    """NaN and infinite tau, and tau whose q rounds to |q| = 1 or to 0."""
+    """NaN and infinite tau, tau whose q rounds to |q| = 1 or to 0, and tau
+    so near the real axis that its products need more factors than
+    ``elliptic.MAX_PRODUCT_FACTORS``: rejected while the arguments are
+    parsed, before any factor table grows."""
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--phi", "1", "--q-order", "2", "--at", "0.2",
               "--tau", tau])

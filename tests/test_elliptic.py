@@ -6,6 +6,7 @@ import pytest
 
 from elliptica.elliptic import (
     EllipticParams,
+    MAX_PRODUCT_FACTORS,
     PoleError,
     TRANSLATIONS,
     phi_exact,
@@ -170,6 +171,17 @@ def test_numeric_translations_near_branch_wrap():
     lhs = phi_numeric(1, params, z + params.tau / 2)
     rhs = q4 * phi_numeric(3, params, z)
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+
+def test_cutoff_bounds_the_factor_count():
+    """Near the real axis the products would need billions of factors: the
+    cutoff raises instead of returning the count, while the tau that the
+    identity suites draw need few."""
+    with pytest.raises(OverflowError, match="product factors"):
+        EllipticParams(tau=1e-9j).cutoff()
+    assert EllipticParams(tau=1e-3j).cutoff() <= MAX_PRODUCT_FACTORS
+    assert max(EllipticParams(tau=complex(0.45, y)).cutoff(50.0)
+               for y in (0.5, 1.0, 2.0)) < 100
 
 
 def test_params_validation():

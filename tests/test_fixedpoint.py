@@ -25,7 +25,7 @@ from elliptica.fixedpoint import (
 from elliptica.ring import PoleEvaluationError
 from elliptica.witten import WittenDenominatorError
 from elliptica.zem import LatticeElement, SpecialCollisionError
-from ring_reference import RF
+from ring_reference import RF, package_value
 
 
 
@@ -69,14 +69,19 @@ def test_cp3_untwisted_reduces_to_zero():
 
 
 def test_simplify_character_examples():
-    assert simplify_character(RF.zero()).laurent == {}
+    assert simplify_character(package_value(RF.zero())).laurent == {}
     f = RF.from_laurent({4: 1, -4: -1}) / RF.from_laurent({1: 1, -1: -1})
-    res = simplify_character(f)
+    res = simplify_character(package_value(f))
     assert res.ok and res.integral
     assert res.laurent == {3: 1, 1: 1, -1: 1, -3: 1}
     bad = RF.one() / (RF.one() - RF.var())
-    res = simplify_character(bad)
+    res = simplify_character(package_value(bad))
     assert not res.ok and res.residual_denominator == "1-s"
+    # a Laurent polynomial with a coefficient that is not an integer
+    half = RF.from_laurent({-1: 1, 3: -3}) / RF.constant(6)
+    res = simplify_character(package_value(half))
+    assert res.ok and not res.integral
+    assert res.to_json()["laurent"] == {"-1": "1/6", "3": "-1/2"}
 
 
 def test_bundle_twists_integral():
@@ -97,7 +102,7 @@ def test_split_twist_claim_on_generic_parameters():
     assert not l3t.is_constant()
     assert (s2t + l3t).is_constant()
     # frozen regression values from the first exact computation
-    assert simplify_character(s2t).laurent == {
+    assert simplify_character(package_value(s2t)).laurent == {
         -17: 1, -11: -1, -7: -1, -1: 1, 1: -1, 7: 1, 11: 1, 17: -1
     }
     assert simplify_character(l3t).laurent == {
@@ -147,8 +152,9 @@ def _hp2(x):
 
 def test_rigidity_nonzero_constant_hp2():
     """A rigid manifold whose tangent-Witten constants are not all "0", as
-    every catalog entry's are, so that ``constant_value`` divides.  The
-    constants are pinned as computed, not derived from the signature."""
+    every catalog entry's are, so that printing divides a nonzero
+    numerator by ``lead``.  The constants are pinned as computed, not
+    derived from the signature."""
     rep = rigidity_check(_hp2((1, 2, 4)), 8)
     assert rep.rigid, rep.nonconstant_orders
     assert rep.constants == ["0", "0", "-1", "0", "0", "0", "0", "0", "0"]

@@ -28,7 +28,7 @@ from elliptica.fixedpoint import (
     rigidity_check,
 )
 from elliptica.qseries import PSeries, SubstitutionError
-from elliptica.ring import GaussianRational, RationalFunctionQi
+from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import RotationData
 from elliptica.witten import (
     decode_row,
@@ -44,7 +44,7 @@ from elliptica.witten import (
 )
 from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
 import row_reference
-from ring_reference import RF
+from ring_reference import RF, GaussianRational
 from series_reference import (
     PS,
     Substitution,

@@ -3,7 +3,7 @@ listed above it in the layering of the package docstring and nothing
 outside the standard library, no module imports from the tests, no module
 or test file imports a name it never uses, no function picks its backend
 by an argument, and no module carries the field arithmetic over Q(i)(s)
-that the tests keep as their reference."""
+or the number type Q(i) that the tests keep as their reference."""
 
 import ast
 import re
@@ -184,6 +184,47 @@ def test_field_arithmetic_reader_sees_the_reference():
     # and the value types it reads are there
     assert "from_integer_laurent" in _definitions(_tree("ring"))["RationalFunctionQi"]
     assert "to_json" in _definitions(_tree("qseries"))["PSeries"]
+
+
+# an exact coefficient is a quotient of integer polynomials: the number type
+# Q(i), the fractions it is built on, and the scaling of a value by one of
+# its numbers live in the references only
+SCALING_METHODS = {"scale", "map_coefficients"}
+
+
+def _names(tree):
+    """Every name a module defines, imports or reads, attributes included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_package_has_no_gaussian_rationals(name):
+    tree = _tree(name)
+    assert "GaussianRational" not in _names(tree)
+    assert "fractions" not in _absolute_imports(tree)
+    if name in VALUE_TYPES:
+        assert not _definitions(tree)[VALUE_TYPES[name]] & SCALING_METHODS
+
+
+def test_gaussian_rational_reader_sees_the_reference():
+    """The check above is not vacuous: the reference defines and uses what
+    it bans, and the package exports none of it."""
+    ring_ref = _tree("ring_reference", TESTS)
+    assert "GaussianRational" in _definitions(ring_ref)
+    assert "GaussianRational" in _names(ring_ref)
+    assert "fractions" in _absolute_imports(ring_ref)
+    assert "scale" in _definitions(_tree("series_reference", TESTS))["PS"]
+    assert "GaussianRational" not in elliptica.__all__
 
 
 def _third_party_imports(tree):

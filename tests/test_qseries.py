@@ -3,8 +3,7 @@ import random
 import pytest
 
 from elliptica.qseries import PSeries, SubstitutionError
-from elliptica.ring import GaussianRational
-from ring_reference import RF
+from ring_reference import RF, GaussianRational
 from series_reference import (
     PS,
     Substitution,

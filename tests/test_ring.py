@@ -1,17 +1,25 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elliptica import ring
 from elliptica.ring import (
-    GaussianRational,
     PoleEvaluationError,
     RationalFunctionDivisionError,
+    RationalFunctionQi,
     zpoly_gcd,
 )
-from ring_reference import RF, poly_from_ints, poly_gcd, poly_mul, poly_trim
+from ring_reference import (
+    PONE,
+    RF,
+    GaussianRational,
+    poly_from_ints,
+    poly_gcd,
+    poly_mul,
+    poly_trim,
+)
 from series_reference import compose_power, monomial, substitute_scale
 
 ONE = RF.one()
@@ -74,7 +82,7 @@ def test_compose_power():
 def test_substitute_scale_unit():
     f = S / (ONE - S * S)
     i = GaussianRational.i()
-    assert substitute_scale(f, i) == S.scale(i) / (ONE + S * S)
+    assert substitute_scale(f, i) == RF.constant(i) * S / (ONE + S * S)
     assert substitute_scale(f, -1) == -f
 
 
@@ -189,20 +197,33 @@ _INT_FACTORS = st.lists(
 @example(num={0: 1}, shared=[(1, 3), (-2, -2)], own=[(3, 2)], low=1, lead=2)
 def test_from_integer_laurent_matches_division(num, shared, own, low, lead):
     """The reduction over Z[s] equals the quotient over Q(i), factor by
-    factor shared between numerator and denominator or not."""
+    factor shared between numerator and denominator or not, and prints and
+    evaluates as it does; it is in the integer canonical form."""
     n = _product(num, shared)
     d = _product({low: lead}, shared + own)
-    got = RF.from_integer_laurent(n, d)
-    assert got == RF.from_laurent(n) / RF.from_laurent(d)
-    # the coefficients share their zero parts rather than allocate them
-    for c in got.num + got.den:
-        assert c.im is ring._ZERO_F
-        assert c or c is GaussianRational.zero()
+    got = RationalFunctionQi.from_integer_laurent(n, d)
+    want = RF.from_laurent(n) / RF.from_laurent(d)
+    assert got == want
+    assert str(got) == str(want)
+    s0 = 0.61 + 0.37j
+    assert got.evaluate(s0) == want.evaluate(s0)
+    # integer tuples without trailing zeros, coprime over Z[s] and with
+    # content 1, the lowest nonzero denominator coefficient > 0
+    a, b = got.num, got.den
+    assert type(a) is tuple and type(b) is tuple
+    assert all(type(x) is int for x in a + b)
+    assert b[-1] and (not a or a[-1])
+    assert gcd(*a, *b) == 1
+    assert got.lead == next(x for x in b if x) > 0
+    if a:
+        assert poly_gcd(poly_from_ints(a), poly_from_ints(b)) == PONE
+    else:
+        assert b == (1,)
 
 
 def test_from_integer_laurent_rejects_a_zero_denominator():
     with pytest.raises(RationalFunctionDivisionError):
-        RF.from_integer_laurent({0: 1}, {3: 0})
+        RationalFunctionQi.from_integer_laurent({0: 1}, {3: 0})
 
 
 def test_zpoly_gcd_examples():
@@ -215,17 +236,6 @@ def test_zpoly_gcd_examples():
     assert zpoly_gcd([0, 0, 6], [0, 4]) == [0, 2]
     assert zpoly_gcd([], [-3, -1]) == [3, 1]
     assert zpoly_gcd([], []) == []
-
-
-def test_scale_takes_no_gcd():
-    """``scale`` multiplies the numerator's coefficients and keeps the
-    reduced form; the package has no gcd over Q(i) to take
-    (``test_layering``)."""
-    f = (ONE + S) / (ONE - S * S * S)
-    i = GaussianRational.i()
-    want = f * RF.constant(i)
-    assert f.scale(i) == want
-    assert f.scale(0) == RF.zero()
 
 
 def test_poly_gcd_monomial_fast_path():

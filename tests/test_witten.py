@@ -15,7 +15,7 @@ from series_reference import PS
 def test_dimension_series_rank_one():
     # 1 + q^{1/2} + q + 2 q^{3/2} + ... : p-orders 0, 2, 4, 6
     ser = witten_exact(1, [0], 6)
-    vals = [c.constant_value().re if c else 0 for c in ser.coeffs]
+    vals = [RF.of(c).constant_value().re if c else 0 for c in ser.coeffs]
     assert vals == [1, 0, 1, 0, 1, 0, 2]
 
 

@@ -133,23 +133,23 @@ def test_em_eps_rejects_both_even():
 def test_em_eps_exact_q_prefactor():
     # the (even, odd) case is divisible by p^{dim N/2}: one p per plane
     gamma = LatticeElement.torsion(0, 1, 2)
-    ser = em_eps_exact(gamma, RotationData((1,), 1), 8)
+    _, ser = em_eps_exact(gamma, RotationData((1,), 1), 8)
     assert not ser.coeffs[0]
     assert any(ser.coeffs)
     gamma2 = LatticeElement.torsion(1, 1, 2)
-    ser2 = em_eps_exact(gamma2, RotationData((1, 2), 1), 8)
+    _, ser2 = em_eps_exact(gamma2, RotationData((1, 2), 1), 8)
     assert not ser2.coeffs[0] and not ser2.coeffs[1]
 
 
 def test_em_eps_exact_matches_numeric():
     for alpha, beta in ((1, 0), (0, 1), (1, 1)):
         gamma = LatticeElement.torsion(alpha, beta, 2)
-        ser = em_eps_exact(gamma, RotationData((1,), 1), 60)
+        j, ser = em_eps_exact(gamma, RotationData((1,), 1), 60)
         z = 0.13 + 0.02j
         s0 = cmath.exp(1j * cmath.pi * z)
         p0 = cmath.exp(0.5j * cmath.pi * TAU)
         num = em_eps(gamma, offsets(z), PARAMS)
-        assert abs(ser.evaluate(s0, p0) - num) < 1e-10 * abs(num)
+        assert abs(1j ** j * ser.evaluate(s0, p0) - num) < 1e-10 * abs(num)
 
 
 def test_adapted_k_examples():
