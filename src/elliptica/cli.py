@@ -184,10 +184,11 @@ def cmd_verify(args):
     return 0 if all_passed else MATH_FAILURE
 
 
-# what a numeric evaluation at a point raises at a pole, or where its floats
-# overflow or underflow (|Im z| in the hundreds)
+# what a numeric evaluation at a point raises at a pole, where its floats
+# overflow or underflow (|Im z| in the hundreds), or where pi z leaves the
+# floats and cmath.exp raises a bare ValueError (|Re z| near 1e308)
 _AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
-              OverflowError)
+              OverflowError, ValueError)
 
 
 def _cannot_evaluate(at, exc):
@@ -237,10 +238,9 @@ def cmd_index(args):
         failed = not (simp.ok and simp.integral)
     if args.at is not None:
         tau = args.tau if args.tau is not None else 1j
+        params = EllipticParams(tau=tau)
         try:
-            value = index_numeric(
-                m, twist, EllipticParams(tau=tau), complex(args.at)
-            )
+            value = index_numeric(m, twist, params, complex(args.at))
         except _AT_ERRORS as exc:
             return _cannot_evaluate(args.at, exc)
         report["at"] = {"z": str(args.at), "tau": str(tau), "value": str(value)}

@@ -18,7 +18,7 @@ W_i character on the weights (1, -1) (t and 1/t are the eigenvalues
 s^{2w}), built by the exact engine of the witten module from the finitely
 many factors that matter below the truncation order (a factor with
 p-exponent e > M is 1 + O(p^{M+1})).  The prefactor is written in the same
-factors (``PREFACTOR``: a monomial and one factor 1 +- s^2), so phi_i is a
+factors (``theta_term``: a monomial and one factor 1 +- s^2), so phi_i is a
 single ``laurent_sum`` term on packed integer rows (one int per p-order,
 its digits the integer coefficients of a Laurent polynomial in s), whose
 coefficients are decoded and become rational functions once each, over
@@ -51,6 +51,11 @@ and the five identities checked here are
     phi_1(z+1/2)        = i phi_2(z)
     phi_1(z+tau/2)      = q^{1/4} phi_3(z)
     phi_1(z+1/2+tau/2)  = i q^{1/4} phi_4(z)
+
+The last three are the table ``HALF_PERIODS``, which every parity-selected
+quotient reads; ``PREFACTORS`` states the prefactor of each phi_i(a z) as a
+spinor trace of one plane, and ``theta_term`` builds every exact product of
+theta quotients from it.
 
 Exact verification of the regrading rules needs care: a truncated series
 does not determine its own image under s -> p^m s at every order, because
@@ -208,33 +213,50 @@ class EllipticParams:
         return table if len(table) == n else table[:n]
 
 
-# The prefactors of phi_1..phi_4 as (numerator factors, denominator factors,
-# monomial) in the factor notation of the witten module:
-# 1/(s^-1 - s) = s/(1 - s^2), 1/(s + s^-1) = s/(1 + s^2),
-# s + s^-1 = s^-1 (1 + s^2) and s - s^-1 = -s^-1 (1 - s^2).
-PREFACTOR = {
-    1: ((), ((0, 2, -1),), (0, 1, 1)),
-    2: ((), ((0, 2, 1),), (0, 1, 1)),
-    3: (((0, 2, 1),), (), (0, -1, 1)),
-    4: (((0, 2, -1),), (), (0, -1, -1)),
+# phi_1(z + (alpha + beta tau)/2) = i^unit p^p_pow phi_i(z) for alpha, beta in
+# {0, 1}: (alpha, beta) -> (i, unit, p_pow).  Read at (alpha mod 2, beta mod
+# 2), it names the quotient that a torsion point's parities select.
+HALF_PERIODS = {
+    (0, 0): (1, 0, 0),
+    (1, 0): (2, 1, 0),
+    (0, 1): (3, 0, 1),
+    (1, 1): (4, 1, 1),
+}
+
+# The prefactor of phi_i(a z) as a spinor trace of one plane of weight a,
+# Str = s^{-a} - s^a or Tr = s^{-a} + s^a, to a power with a sign: 1/Str,
+# 1/Tr, Tr and -Str.  i -> (trace kind, power, sign).
+PREFACTORS = {
+    1: ("str", -1, 1),
+    2: ("tr", -1, 1),
+    3: ("tr", 1, 1),
+    4: ("str", 1, -1),
 }
 
 
-def _phi_term(i, order, p_pow=0):
-    """p^p_pow phi_i as a ``laurent_sum`` term at depth ``order``: the
-    prefactor times the W_i factors on the weights (1, -1)."""
-    pnum, pden, (mono_p, mono_s, sign) = PREFACTOR[i]
-    num, den = witten_factors(i, (1, -1), order)
-    return num + list(pnum), den + list(pden), (mono_p + p_pow, mono_s, sign)
+def theta_term(i, weights, order, p_pow=0):
+    """p^p_pow prod_a phi_i(a z) for nonzero integer weights a, as a
+    ``laurent_sum`` term at depth ``order``: the W_i factors on the weights
+    +-a times each prefactor of ``PREFACTORS``, with
+    Str = sign(a) s^{-|a|} (1 - s^{2|a|}) and Tr = s^{-|a|} (1 + s^{2|a|}).
+    At depth 0 it is the product of the prefactors alone."""
+    kind, power, sign = PREFACTORS[i]
+    c = -1 if kind == "str" else 1
+    num, den = witten_factors(i, tuple(weights) + tuple(-a for a in weights), order)
+    (num if power > 0 else den).extend((0, 2 * abs(a), c) for a in weights)
+    sign **= len(weights)
+    if c < 0 and sum(a < 0 for a in weights) % 2:
+        sign = -sign
+    return num, den, (p_pow, -power * sum(abs(a) for a in weights), sign)
 
 
 @lru_cache(maxsize=64)
 def phi_exact(i, order):
     """Truncated series of phi_i over Q(s) to the given p-order: the
     prefactor times the W_i character on the weights (1, -1)."""
-    if i not in PREFACTOR:
+    if i not in PREFACTORS:
         raise ValueError("phi index must be 1..4")
-    return laurent_sum(order, [_phi_term(i, order)])
+    return laurent_sum(order, [theta_term(i, (1,), order)])
 
 
 def lattice_distance(w, tau):
@@ -323,7 +345,7 @@ def _phi1_halfshifted(order):
     each factor goes to its image, the monomial s to p s, and every |d| is
     2, so W_1 factors through p^{order + 2} suffice.
     """
-    num, den, (p_pow, s_pow, sign) = _phi_term(1, order + 2)
+    num, den, (p_pow, s_pow, sign) = theta_term(1, (1,), order + 2)
     return _regraded_term(1, order, num, den, post=(p_pow + s_pow, s_pow, sign))
 
 
@@ -343,9 +365,7 @@ def fullperiod_parts_check(a, order):
     Each left side is a product of regraded factors (m = 2, |d| = 2a, so
     factors through p^{order + 4a} suffice); no series is regraded.
     """
-    num, den = witten_factors(1, (1, -1), order + 4 * a)
-    num = [(e, a * d, c) for e, d, c in num]
-    den = [(e, a * d, c) for e, d, c in den]
+    num, den = witten_factors(1, (a, -a), order + 4 * a)
     relations = (  # (left factors, left post, right term) of (i), (ii), (iii)
         (num, (), (2 * a * a, 2 * a * a, 1), (num, (), (0, 0, 1))),
         (den, (), (2 * a * (a - 1), 2 * a * a, (-1) ** a),
@@ -362,16 +382,18 @@ def fullperiod_parts_check(a, order):
 
 
 # The four checks of phi_1, or of its image under s -> p s, under
-# s -> i^k s (k = 0 for none) against i^unit p^p_pow phi_i:
-# which -> (image under s -> p s?, k, (i, unit, p_pow), detail).
+# s -> i^k s (k = 0 for none) against i^unit p^p_pow phi_i, the half periods
+# from ``HALF_PERIODS``: which -> (image under s -> p s?, k, (i, unit, p_pow),
+# detail).
 _UNIT_CHECKS = {
     "z+1": (False, 2, (1, 2, 0),
             "phi1(z+1) vs -phi1(z), direct substitution s -> -s"),
-    "z+1/2": (False, 1, (2, 1, 0),
+    "z+1/2": (False, 1, HALF_PERIODS[1, 0],
               "phi1(z+1/2) vs i*phi2(z), direct substitution s -> i s"),
-    "z+tau/2": (True, 0, (3, 0, 1),
+    "z+tau/2": (True, 0, HALF_PERIODS[0, 1],
                 "phi1(z+tau/2) vs p*phi3(z), s -> p s on the factors"),
-    "z+1/2+tau/2": (True, 1, (4, 1, 1), "phi1(z+1/2+tau/2) vs i*p*phi4(z)"),
+    "z+1/2+tau/2": (True, 1, HALF_PERIODS[1, 1],
+                    "phi1(z+1/2+tau/2) vs i*p*phi4(z)"),
 }
 
 
@@ -383,8 +405,9 @@ def phi_translate_check(which, order):
         detail = "phi1(z+tau) vs -phi1(z), cross-multiplied product form"
     elif which in _UNIT_CHECKS:
         halfshifted, k, (i, unit, p_pow), detail = _UNIT_CHECKS[which]
-        left = _phi1_halfshifted(order) if halfshifted else _phi_term(1, order)
-        first = unit_difference(order, left, k, _phi_term(i, order, p_pow), unit)
+        left = _phi1_halfshifted(order) if halfshifted else theta_term(1, (1,), order)
+        right = theta_term(i, (1,), order, p_pow)
+        first = unit_difference(order, left, k, right, unit)
     else:
         raise ValueError(f"unknown translation {which!r}")
     return TranslationReport(

@@ -16,7 +16,7 @@ allowed through so the rigidity checker can demonstrate failure on it.
 
 The exact fixed-point sum of every twist (``equivariant_index``, at an
 integer order; ``index_numeric`` evaluates it at a point) is one
-``laurent_sum`` of the points' ``z_term``s, over the common denominator
+``laurent_sum`` of the points' ``theta_term``s, over the common denominator
 prod (1 - s^{2a}).  The equivariant index of a twisted Dirac operator is
 a virtual character, hence a finite Laurent polynomial in u with integer
 coefficients; ``simplify_character`` reduces the rational-function sum to
@@ -38,7 +38,7 @@ from importlib import resources
 from math import gcd
 
 from .ring import PoleEvaluationError, RationalFunctionQi
-from .elliptic import PoleError, phi_numeric
+from .elliptic import PoleError, phi_numeric, theta_term
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
 from .zem import (
@@ -48,7 +48,6 @@ from .zem import (
     _require_trials,
     _worst,
     z_fun,
-    z_term,
 )
 
 
@@ -254,10 +253,15 @@ def lambda3_weights(weights):
 # special points
 
 
+def _orders(m):
+    """O(M): the |weight| values, in increasing order."""
+    return sorted({abs(w) for pt in m.points for w in pt.weights})
+
+
 def special_orders(m):
     """O(M) (all |weight| values) and, per order k, the torsion points
     (alpha + beta tau)/k with 0 <= alpha, beta < k and exact order k."""
-    orders = sorted({abs(w) for pt in m.points for w in pt.weights})
+    orders = _orders(m)
     reps = {}
     for k in orders:
         reps[k] = [
@@ -295,7 +299,7 @@ def equivariant_index(m, twist, order=0):
     order = order if kind == "tangent_witten" else 0
     terms = []
     for i, pt in enumerate(m.points):
-        num, den, (p_pow, s_pow, sign) = z_term(pt.weights, order)
+        num, den, (p_pow, s_pow, sign) = theta_term(1, pt.weights, order)
         ws = twist.bundle_weights[i] if kind == "bundle" else (0,)
         terms += [(num, den, (p_pow, s_pow + 2 * w, sign)) for w in ws]
     series = laurent_sum(order, terms)
@@ -432,11 +436,11 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
     """At a non-special torsion point, the tangent-Witten index evaluated
     through each point's local invariant (the character route of Z) must
     match the direct product evaluation at gamma + y + z."""
-    if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
+    if not isinstance(gamma, LatticeElement):
         raise SpecialPointError("consistency_check needs a torsion point")
     _require_tol(tol)
     _require_trials(trials)
-    orders, _ = special_orders(m)
+    orders = _orders(m)
     if gamma.k in orders:
         raise SpecialPointError(
             f"gamma has order {gamma.k}, which is special for "

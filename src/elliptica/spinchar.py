@@ -10,8 +10,9 @@ sign relative to the listed planes.  Two readings of the entries coexist:
   g = exp(theta e1 e2) whose supertrace is e^{-i theta} - e^{i theta};
 * the exact functions of zem read integer entries a ("rotation numbers":
   the plane turns with speed a in the circle parameter z, angle 2 pi a z)
-  as powers of s = e^{i pi z}; the exact 1/Str is the depth-0 ``z_term``
-  of zem.  This module itself does no exact arithmetic.
+  as powers of s = e^{i pi z}; the exact 1/Str is the depth-0
+  ``elliptic.theta_term`` of phi_1, whose prefactor per plane is one entry
+  of ``elliptic.PREFACTORS``.  This module itself does no exact arithmetic.
 
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function

@@ -7,9 +7,10 @@ nu) and per-plane offsets r_a, the fundamental product is
 
 equal by construction to C_1 / Str evaluated at the combined rotation;
 both routes are implemented and cross-checked.  EM_eps covers the parity
-cases at even-order torsion points via the W_2/W_3/W_4 characters with
-their scalar constants; EM glues an adapted-K Z-value on the part where
-the cyclic action has no -1 eigenvalue with EM_eps on the -1 eigenspace.
+cases at even-order torsion points via the W_2/W_3/W_4 characters that
+``elliptic.HALF_PERIODS`` selects, with their traces and scalar constants;
+EM glues an adapted-K Z-value on the part where the cyclic action has no
+-1 eigenvalue with EM_eps on the -1 eigenspace.
 
 ``identity_check`` runs the nine identity suites of ``SUITE_NAMES``.
 Eight are randomized numeric verifications (and, for the two periodicity
@@ -31,12 +32,15 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .elliptic import (
+    HALF_PERIODS,
     POLE_GUARD,
+    PREFACTORS,
     EllipticParams,
     PoleError,
     fullperiod_parts_check,
     lattice_distance,
     phi_numeric,
+    theta_term,
 )
 from .spinchar import (
     CyclicAction,
@@ -53,7 +57,6 @@ from .witten import (
     laurent_sum,
     unit_difference,
     witten_char,
-    witten_factors,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -89,7 +92,8 @@ class DegenerateDrawError(ZemError):
 
 @dataclass(frozen=True)
 class LatticeElement:
-    """A point of E_tau: free complex, or torsion (alpha + beta*tau)/k.
+    """A torsion point (alpha + beta*tau)/k of E_tau; a free point is a
+    plain complex number.
 
     Torsion data is kept reduced, gcd(alpha, beta, k) = 1, so the point has
     exact order k; representatives differing by (k, 0) or (0, k) describe
@@ -98,14 +102,9 @@ class LatticeElement:
     invariant.
     """
 
-    free: complex | None = None
-    alpha: int = 0
-    beta: int = 0
-    k: int = 0
-
-    @classmethod
-    def free_point(cls, z):
-        return cls(free=complex(z))
+    alpha: int
+    beta: int
+    k: int
 
     @classmethod
     def torsion(cls, alpha, beta, k):
@@ -116,47 +115,26 @@ class LatticeElement:
                 f"torsion data ({alpha}, {beta}, {k}) is not reduced: the "
                 "point does not have exact order k"
             )
-        return cls(free=None, alpha=alpha, beta=beta, k=k)
-
-    @property
-    def is_torsion(self):
-        return self.free is None
-
-    @property
-    def order(self):
-        return self.k if self.is_torsion else None
+        return cls(alpha, beta, k)
 
     def value(self, tau):
-        if self.is_torsion:
-            return (self.alpha + self.beta * complex(tau)) / self.k
-        return self.free
+        return (self.alpha + self.beta * complex(tau)) / self.k
 
     def translate(self, d_alpha, d_beta):
         """gamma + d_alpha + d_beta*tau, staying in torsion form."""
-        if not self.is_torsion:
-            raise ZemError("translate needs a torsion representative")
         return LatticeElement(
-            free=None,
-            alpha=self.alpha + d_alpha * self.k,
-            beta=self.beta + d_beta * self.k,
-            k=self.k,
+            self.alpha + d_alpha * self.k, self.beta + d_beta * self.k, self.k
         )
 
     def same_point(self, other):
-        if self.is_torsion != other.is_torsion:
-            return False
-        if self.is_torsion:
-            return (
-                self.k == other.k
-                and (self.alpha - other.alpha) % self.k == 0
-                and (self.beta - other.beta) % self.k == 0
-            )
-        return self.free == other.free
+        return (
+            self.k == other.k
+            and (self.alpha - other.alpha) % self.k == 0
+            and (self.beta - other.beta) % self.k == 0
+        )
 
     def __str__(self):
-        if self.is_torsion:
-            return f"({self.alpha}+{self.beta}*tau)/{self.k}"
-        return f"{self.free}"
+        return f"({self.alpha}+{self.beta}*tau)/{self.k}"
 
 
 def _as_gamma_value(gamma, tau):
@@ -168,7 +146,7 @@ def _as_gamma_value(gamma, tau):
 def _collides(gamma, gv, a, tau):
     """Does a*gamma lie on the lattice (exactly for torsion, within
     POLE_GUARD for free points)?  gv is the value of gamma at tau."""
-    if isinstance(gamma, LatticeElement) and gamma.is_torsion:
+    if isinstance(gamma, LatticeElement):
         return (a * gamma.alpha) % gamma.k == 0 and (a * gamma.beta) % gamma.k == 0
     return lattice_distance(a * gv, tau) < POLE_GUARD
 
@@ -233,14 +211,10 @@ def z_exact(J, order):
 
 def z_term(entries, order, nu=1):
     """nu * prod_a phi_1(a z) for integer rotation numbers ``entries`` as a
-    ``laurent_sum`` term at depth ``order``: the W_1 factors on the weights
-    +-a times nu * prod_a 1/(s^{-a} - s^a), where each
-    1/(s^{-a} - s^a) = sign(a) s^{|a|} / (1 - s^{2|a|}).  At depth 0 it is
-    the reciprocal supertrace alone."""
-    num, den = witten_factors(1, tuple(entries) + tuple(-a for a in entries), order)
-    den += [(0, 2 * abs(a), -1) for a in entries]
-    sign = nu * (-1) ** sum(a < 0 for a in entries)
-    return num, den, (0, sum(abs(a) for a in entries), sign)
+    ``laurent_sum`` term at depth ``order``: ``theta_term`` of phi_1 times
+    nu.  At depth 0 it is the reciprocal supertrace alone."""
+    num, den, (p_pow, s_pow, sign) = theta_term(1, entries, order)
+    return num, den, (p_pow, s_pow, nu * sign)
 
 
 def _offset_angles(offsets, sign):
@@ -254,31 +228,41 @@ def _offset_angles(offsets, sign):
     return angles, eigs
 
 
+def _theta_parts(case, angles, eigs, params):
+    """(trace, W_i, power): the spinor trace (``PREFACTORS``) and the W_i
+    character of the quotient phi_i that the parity case selects
+    (``HALF_PERIODS``), and the power, -1 or 1, at which the trace enters."""
+    i = HALF_PERIODS[case][0]
+    kind, power, _ = PREFACTORS[i]
+    return spinor_trace(kind, angles), witten_char(i, eigs, params), power
+
+
 def _z_tau_series_value(R, params):
     """Z(tau, N, o_N)(R) at offsets R as C_1 / Str: the character route of
     ``z_fun``, whose offsets are the points a * gamma + r_a."""
     angles, eigs = _offset_angles(R.entries, R.orientation_sign)
-    st = spinor_trace("str", angles)
+    st, w, _ = _theta_parts((0, 0), angles, eigs, params)
     if abs(st) < 1e-140:
         raise ZemError("supertrace vanished in the character route")
-    return witten_char(1, eigs, params) / st
+    return w / st
 
 
 # ---------------------------------------------------------------------------
 # EM_eps and EM
 
 
-def _parity_case(alpha, beta):
-    return (alpha % 2, beta % 2)
-
-
-def _c_constant_numeric(case, alpha, beta, planes, params):
+def _c_constant(case, alpha, beta, planes):
+    """(i, unit, p_pow, sign) of the constant c of a parity case, with
+    (i, unit, p_pow) its row of ``HALF_PERIODS``:
+    c = (i^unit p^p_pow)^{dim N/2} sign, sign = (-1)^{e/4},
+    e = (alpha + beta - 1) dim N for c2 and c3, (alpha + beta) dim N for c1
+    and c4."""
     # The q-power is q^{dim N/8} = (q^{1/4})^{dim N/2}: one factor q^{1/4}
     # per plane, forced by the half-period translation of phi_1 (the
     # printed constants q^{dim N/2} fail against the product formula; see
     # the regression test pinning this).
-    dim = 2 * planes
-    e = (alpha + beta - (1 if case in ((1, 0), (0, 1)) else 0)) * dim
+    i, unit, p_pow = HALF_PERIODS[case]
+    e = (alpha + beta - (1 if case in ((1, 0), (0, 1)) else 0)) * 2 * planes
     if e % 4:
         # an explicit check, not an assert: it must survive python -O, and a
         # ZemError would be retried as a degenerate draw
@@ -287,23 +271,21 @@ def _c_constant_numeric(case, alpha, beta, planes, params):
             f"{beta}) on {planes} planes: sign exponent {e} is not a "
             "multiple of 4"
         )
-    sign = (-1.0) ** ((e // 4) % 2)
-    if case == (0, 0):
-        return sign
-    if case == (1, 0):
-        return (1j**planes) * sign
-    if case == (0, 1):
-        return (params.p**planes) * sign
-    return ((1j * params.p) ** planes) * sign
+    return i, unit, p_pow, -1 if (e // 4) % 2 else 1
+
+
+def _c_constant_numeric(case, alpha, beta, planes, params):
+    _, unit, p_pow, sign = _c_constant(case, alpha, beta, planes)
+    return (1j**unit * params.p**p_pow) ** planes * float(sign)
 
 
 def _em_case(gamma):
     """(alpha mod 2, beta mod 2) of an even-order torsion point, for EM_eps."""
-    if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
+    if not isinstance(gamma, LatticeElement):
         raise ZemError("em_eps needs a torsion point")
     if gamma.k % 2 != 0:
         raise ZemError("em_eps needs even torsion order")
-    case = _parity_case(gamma.alpha, gamma.beta)
+    case = (gamma.alpha % 2, gamma.beta % 2)
     if case == (0, 0):
         raise BothEvenError(
             "alpha and beta are both even: excluded at exact even order"
@@ -320,47 +302,36 @@ def em_eps(gamma, R, params):
 
     with c2 = i^{dim N/2} (-1)^{(alpha+beta-1) dim N/4},
          c3 = q^{dim N/8} (-1)^{(alpha+beta-1) dim N/4},
-         c4 = (i q^{1/4})^{dim N/2} (-1)^{(alpha+beta) dim N/4}.
+         c4 = (i q^{1/4})^{dim N/2} (-1)^{(alpha+beta) dim N/4}:
+    the quotient phi_i of ``HALF_PERIODS`` and its trace of ``PREFACTORS``.
     ``em_eps_exact`` is the formal series.
     """
     case = _em_case(gamma)
     c = _c_constant_numeric(case, gamma.alpha, gamma.beta, R.planes, params)
     angles, eigs = _offset_angles(R.entries, R.orientation_sign)
-    if case == (1, 0):
-        return c * witten_char(2, eigs, params) / spinor_trace("tr", angles)
-    if case == (0, 1):
-        return c * spinor_trace("tr", angles) * witten_char(3, eigs, params)
-    return c * spinor_trace("str", angles) * witten_char(4, eigs, params)
+    trace, w, power = _theta_parts(case, angles, eigs, params)
+    return c * w / trace if power < 0 else c * trace * w
 
 
 def em_eps_exact(gamma, R, order):
     """``em_eps`` for integer offsets R (multiples of the formal variable z)
     as (j, series): EM_eps = i^j series, with j in {0, 1} and ``series`` a
-    PSeries over Q(s) truncated at ``order``.  Of the factor i^{dim N/2} in
-    c2 and c4, i^j stands outside and (-1)^{floor(dim N/4)} goes into the
-    term's sign, as in ``witten.unit_substitute``."""
+    PSeries over Q(s) truncated at ``order``: the ``theta_term`` of the
+    parity case's quotient.  Of the factor i^{unit dim N/2} in c, i^j stands
+    outside and (-1)^{floor(unit dim N/4)} goes into the term's sign, as in
+    ``witten.unit_substitute``; so does the sign that turns the prefactors
+    of the term into the trace of ``em_eps``, whose Str carries o_N."""
     case = _em_case(gamma)
     if not R.is_integral():
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
     planes = R.planes
-    e = (gamma.alpha + gamma.beta - (0 if case == (1, 1) else 1)) * 2 * planes
-    sign = -1 if (e // 4) % 2 else 1
-    j = 0 if case == (0, 1) else planes % 2
-    if case != (0, 1) and planes // 2 % 2:
-        sign = -sign
-    # Tr = prod s^{-|a|} (1 + s^{2|a|}), Str = nu prod sign(a) s^{-|a|} (1 - s^{2|a|})
-    i, c = {(1, 0): (2, 1), (0, 1): (3, 1), (1, 1): (4, -1)}[case]
-    num, den = witten_factors(i, R.entries + tuple(-a for a in R.entries), order)
-    trace = [(0, 2 * abs(a), c) for a in R.entries]
-    half = sum(abs(a) for a in R.entries)
-    if case == (1, 0):
-        term = (num, den + trace, (0, half, sign))
-    else:
-        if case == (1, 1):
-            sign *= R.orientation_sign * (-1) ** sum(a < 0 for a in R.entries)
-        # the q^{dim N/8} prefactor, one p per plane
-        term = (num + trace, den, (planes, -half, sign))
-    return j, laurent_sum(order, [term])
+    i, unit, p_pow, sign = _c_constant(case, gamma.alpha, gamma.beta, planes)
+    kind, _, pre_sign = PREFACTORS[i]
+    sign *= (-1) ** (unit * planes // 2) * pre_sign**planes
+    if kind == "str":
+        sign *= R.orientation_sign
+    num, den, (p_pow, s_pow, t) = theta_term(i, R.entries, order, p_pow * planes)
+    return unit * planes % 2, laurent_sum(order, [(num, den, (p_pow, s_pow, sign * t))])
 
 
 def adapted_k(zeta):
@@ -382,7 +353,7 @@ def em_fun(gamma, zeta, R, params):
     unreflected part; the reflected part is computed in its own positive
     orientation, realizing the product-orientation convention.
     """
-    if not (isinstance(gamma, LatticeElement) and gamma.is_torsion):
+    if not isinstance(gamma, LatticeElement):
         raise ZemError("em_fun needs a torsion point")
     k = zeta.k
     if gamma.k != k:
@@ -640,20 +611,14 @@ def _trial_all_w(rng, dims, params):
 
     res = 0.0
     data = {"k": k, "em_eps_checked": False, "cases": []}
-    for parity in ((0, 0), (1, 0), (0, 1), (1, 1)):
+    for parity in HALF_PERIODS:
         alpha = parity[0] + 2 * rng.randint(-2, 2)
         beta = parity[1] + 2 * rng.randint(-2, 2)
         gamma = (alpha + beta * tau) / k
         lhs = z_fun(gamma, J, r, params, strict=False)
         c = _c_constant_numeric(parity, alpha, beta, planes, params)
-        if parity == (0, 0):
-            body = witten_char(1, eigs, params) / spinor_trace("str", angles)
-        elif parity == (1, 0):
-            body = witten_char(2, eigs, params) / spinor_trace("tr", angles)
-        elif parity == (0, 1):
-            body = spinor_trace("tr", angles) * witten_char(3, eigs, params)
-        else:
-            body = spinor_trace("str", angles) * witten_char(4, eigs, params)
+        trace, w, power = _theta_parts(parity, angles, eigs, params)
+        body = w / trace if power < 0 else trace * w
         rhs = c * (os_k ** (alpha + beta)) * body
         res = _worst(res, _residual(lhs, rhs))
         data["cases"].append([alpha, beta])

@@ -259,6 +259,11 @@ def test_malformed_point_is_usage_error(capsys, command):
         (["expand", "--phi", "1"], "0.3+115j"),
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
          "0.3-120.5j"),
+        # pi z is not a finite float: cmath.exp raises a bare ValueError
+        (["index", "--manifold", "s2", "--twist", "none"], "1e308"),
+        (["expand", "--phi", "1"], "1e308+0.5j"),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
+         "1e308+0.5j"),
     ],
 )
 def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from elliptica.elliptic import (
+    HALF_PERIODS,
     EllipticParams,
     MAX_PRODUCT_FACTORS,
     PoleError,
@@ -28,6 +29,24 @@ def test_low_order_coefficients_against_hand_expansion():
     assert ser.coeffs[0] == pref
     assert ser.coeffs[1] == RF.zero()
     assert ser.coeffs[2] == (S * S + monomial(-2)) * pref
+
+
+@pytest.mark.parametrize("half", list(HALF_PERIODS))
+def test_half_period_rows_hold_numerically(half):
+    """phi_1(z + (alpha + beta tau)/2) = i^unit p^p_pow phi_i(z) for each
+    row of HALF_PERIODS, from the defining products at seeded random z and
+    tau, with p = e^{i pi tau / 2} computed here."""
+    i, unit, p_pow = HALF_PERIODS[half]
+    alpha, beta = half
+    rng = random.Random(f"half-periods|{half}")
+    for _ in range(20):
+        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 2.0))
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3) * tau.imag)
+        params = EllipticParams(tau=tau)
+        p = cmath.exp(0.5j * cmath.pi * tau)
+        lhs = phi_numeric(1, params, z + (alpha + beta * tau) / 2)
+        rhs = 1j**unit * p**p_pow * phi_numeric(i, params, z)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_phi1_is_odd_every_order():

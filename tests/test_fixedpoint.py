@@ -6,8 +6,10 @@ import pytest
 from elliptica import fixedpoint
 from elliptica.elliptic import EllipticParams, PoleError
 from elliptica.fixedpoint import (
+    FixedPointDatum,
     ManifoldValidationError,
     SpecialPointError,
+    SpinCircleManifold,
     TwistSpec,
     consistency_check,
     equivariant_index,
@@ -47,6 +49,28 @@ def test_special_orders_examples():
     assert two == {"(1+0*tau)/2", "(0+1*tau)/2", "(1+1*tau)/2"}
     s2 = load_manifold("s2")
     assert special_orders(s2)[0] == [1]
+
+
+def test_consistency_check_builds_no_torsion_points(monkeypatch):
+    """consistency_check reads O(M) alone and builds none of the torsion
+    representatives of special_orders: weights +-3000 would need millions
+    of them before the first trial."""
+    gamma = LatticeElement.torsion(1, 1, 7)
+    built = []
+    torsion = LatticeElement.torsion.__func__
+
+    def counted(cls, alpha, beta, k):
+        built.append((alpha, beta, k))
+        return torsion(cls, alpha, beta, k)
+
+    monkeypatch.setattr(LatticeElement, "torsion", classmethod(counted))
+    pair = SpinCircleManifold(
+        "pair", 1, [FixedPointDatum((12,)), FixedPointDatum((-12,))]
+    )
+    rep = consistency_check(pair, gamma, EllipticParams(tau=1j), trials=2)
+    assert built == [] and rep.trials == 2
+    # the counter sees the representatives that special_orders builds
+    assert special_orders(pair)[0] == [12] and built
 
 
 def test_s2_untwisted_cancellation():

@@ -15,11 +15,11 @@ from elliptica import elliptic, witten, zem
 from elliptica.elliptic import (
     TRANSLATIONS,
     _phi1_halfshifted,
-    _phi_term,
     _regraded_term,
     fullperiod_parts_check,
     phi_exact,
     phi_translate_check,
+    theta_term,
 )
 from elliptica.fixedpoint import (
     TwistSpec,
@@ -276,7 +276,7 @@ def test_cp3_rigidity_terms_cancel_to_zero_rows():
 def test_deep_phi_matches_dict_reference(i):
     """phi_exact at p^160, whose rows are hundreds of digits wide, equals
     the reference's dict rows reduced the same way."""
-    rows, den = row_reference.laurent_fraction(160, [_phi_term(i, 160)])
+    rows, den = row_reference.laurent_fraction(160, [theta_term(i, (1,), 160)])
     want = PSeries(
         [RationalFunctionQi.from_integer_laurent(row, den) for row in rows], 160
     )
@@ -358,7 +358,7 @@ def _unit_image(order, term, k):
 
 
 def _phi1(order):
-    return _phi_term(1, order)
+    return theta_term(1, (1,), order)
 
 
 def _z(entries, nu):
@@ -455,7 +455,7 @@ def test_exact_checks_reduce_no_rational_function():
     rot = RotationData((1, 2, 3), 1)
     cp3 = load_manifold("cp3")
     lambda3t = cp3.bundle_twist("lambda3t")
-    terms = [_phi_term(i, 24) for i in (1, 2, 3, 4)]
+    terms = [theta_term(i, (1,), 24) for i in (1, 2, 3, 4)]
     phis = [_reference_sum(24, [term]) for term in terms]
     em = em_eps_exact(gamma, rot, 24)
     index = equivariant_index(cp3, lambda3t)
@@ -485,7 +485,7 @@ def test_exact_checks_decode_no_row(monkeypatch):
     out = zem._z_periodicity_exact([1, 2, 3], 16)
     assert out["gamma_plus_one_first_diff"] is None and out["gamma_plus_tau_ok"]
     with pytest.raises(RuntimeError, match="decode_row called"):
-        laurent_sum(4, [_phi_term(1, 4)])
+        laurent_sum(4, [theta_term(1, (1,), 4)])
 
 
 _ONE_FACTOR = ([(2, 2, 1)], [], [(0, 0, 1)])

@@ -7,7 +7,7 @@ scaled by rational-function (super)traces."""
 
 import pytest
 
-from elliptica.elliptic import phi_exact
+from elliptica.elliptic import phi_exact, theta_term
 from elliptica.fixedpoint import TwistSpec, equivariant_index, load_manifold
 from elliptica.spinchar import RotationData
 from elliptica.witten import laurent_sum, witten_exact, witten_factors
@@ -74,6 +74,22 @@ def test_phi_exact_matches_inverted_denominator(i):
         laurent_sum(order, [(den, (), (0, 0, 1))])
     )
     assert phi_exact(i, order) == quotient.scale(phi_prefactor(i))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+@pytest.mark.parametrize("weights, p_pow", [((2, -3), 0), ((-2, 1, 3), 2)])
+def test_theta_term_matches_composed_phi_products(i, weights, p_pow):
+    """p^p_pow prod_a phi_i(a z) for mixed-sign weights with |a| > 1: the
+    term's series against whole series over Q(i)(s), each phi_i its
+    rational-function prefactor times W_i on (1, -1), composed with
+    s -> s^a and multiplied."""
+    order = 8
+    phi = PS.of(witten_exact(i, [1, -1], order)).scale(phi_prefactor(i))
+    ref = PS.one(RF, order)
+    for a in weights:
+        ref = ref * ps_compose_power(phi, a)
+    got = laurent_sum(order, [theta_term(i, weights, order, p_pow)])
+    assert got == shift_p(ref, p_pow)
 
 
 @pytest.mark.parametrize(

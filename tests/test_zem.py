@@ -35,23 +35,21 @@ def offsets(*vals, sign=1):
 
 def test_lattice_element_basics():
     g = LatticeElement.torsion(1, 1, 2)
-    assert g.is_torsion and g.order == 2
+    assert g.k == 2
     assert abs(g.value(TAU) - (1 + TAU) / 2) < 1e-15
     assert g.translate(1, 0).alpha == 3
     assert g.same_point(g.translate(1, 0))
     with pytest.raises(ZemError):
         LatticeElement.torsion(2, 0, 4)  # not reduced
-    free = LatticeElement.free_point(0.3 + 0.1j)
-    assert not free.is_torsion and free.order is None
 
 
 def test_z_fun_single_factor_is_phi1():
     # one plane: the product is a single phi_1 value
-    gamma = LatticeElement.free_point(0.21 + 0.09j)
+    gamma = 0.21 + 0.09j
     j = RotationData((2,), 1)
     r = offsets(0.07 - 0.02j)
     got = z_fun(gamma, j, r, PARAMS)
-    want = phi_numeric(1, PARAMS, 2 * gamma.free + 0.07 - 0.02j)
+    want = phi_numeric(1, PARAMS, 2 * gamma + 0.07 - 0.02j)
     assert abs(got - want) < 1e-14 * abs(want)
     flipped = z_fun(gamma, RotationData((2,), -1), r, PARAMS)
     assert abs(flipped + got) < 1e-14 * abs(got)
@@ -59,7 +57,7 @@ def test_z_fun_single_factor_is_phi1():
 
 def test_z_fun_gamma_zero_matches_character_definition():
     # at gamma = 0 the function is chi * C_1 evaluated on the offsets
-    gamma = LatticeElement.free_point(0.0)
+    gamma = 0j
     j = RotationData((1, 3), 1)
     r = offsets(0.11 + 0.01j, 0.19 - 0.03j)
     got = z_fun(gamma, j, r, PARAMS, strict=False)
@@ -123,7 +121,7 @@ def test_em_eps_dim2_case_alpha_odd():
 
 def test_em_eps_rejects_both_even():
     gamma = LatticeElement.torsion(1, 1, 2)
-    shifted = LatticeElement(free=None, alpha=2, beta=2, k=2)  # unreduced
+    shifted = LatticeElement(alpha=2, beta=2, k=2)  # unreduced
     with pytest.raises(BothEvenError):
         em_eps(shifted, offsets(0.1), PARAMS)
     with pytest.raises(ZemError):
