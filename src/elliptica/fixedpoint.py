@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from math import gcd
 
-from .ring import PoleEvaluationError, RationalFunctionQi
+from .ring import PoleEvaluationError, _poly_str
 from .elliptic import PoleError, phi_numeric, theta_term
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
@@ -363,8 +363,7 @@ def simplify_character(theta):
     # the content is 1, so every x / lead is an integer exactly when lead is 1
     lead = theta.lead
     if lead != 1:
-        lau = {e: str(RationalFunctionQi.from_integer_laurent({0: x}, {0: lead}))
-               for e, x in lau.items()}
+        lau = {e: _poly_str((x,), lead) for e, x in lau.items()}
     return SimplifyResult(ok=True, laurent=lau, integral=lead == 1)
 
 

@@ -20,9 +20,11 @@ compares, evaluates and prints, with no field arithmetic.
 Integer polynomials, lists of int indexed by exponent with no trailing
 zeros, carry the one reduction: ``RationalFunctionQi.from_integer_laurent``
 takes the gcd of a quotient of integer Laurent polynomials over Z[s], by a
-primitive pseudo-remainder sequence.  The number type Q(i), the field
-operations over Q(i)(s) and their Euclidean gcd are kept in
-tests/ring_reference.py as the reference for this path.
+primitive pseudo-remainder sequence.  It takes each as a pair (low,
+coeffs), s^low times a dense integer polynomial with no zero at either
+end, the form in which ``witten.decode_row`` reads a packed row.  The
+number type Q(i), the field operations over Q(i)(s) and their Euclidean
+gcd are kept in tests/ring_reference.py as the reference for this path.
 
 Nothing in this module rounds before a value is evaluated as a float.
 """
@@ -121,22 +123,15 @@ def _zpoly_exquo(a, b):
     return quot
 
 
-def _zpoly_dense(terms, low):
-    """The integer polynomial sum_e terms[e] s^(e - low)."""
-    out = [0] * (max(terms) - low + 1)
-    for e, c in terms.items():
-        out[e - low] = c
-    return out
-
-
 def _poly_str(a, lead):
     """The polynomial a / lead in s, as reports print it: each coefficient
-    x / lead in lowest terms, by one integer gcd."""
-    out = ""
+    x / lead in lowest terms, by one integer gcd unless lead is 1.  Only a
+    term's own sign can follow a joining "+", so "+-" becomes "-"."""
+    out = []
     for k, x in enumerate(a):
         if not x:
             continue
-        g = gcd(x, lead)
+        g = lead if lead == 1 else gcd(x, lead)
         term = str(x // g) if g == lead else f"{x // g}/{lead // g}"
         if k:
             pw = "s" if k == 1 else f"s^{k}"
@@ -148,8 +143,8 @@ def _poly_str(a, lead):
                 term = f"{term}*{pw}"
             else:
                 term = f"({term})*{pw}"
-        out += term if not out or term.startswith("-") else "+" + term
-    return out or "0"
+        out.append(term)
+    return "+".join(out).replace("+-", "-") or "0"
 
 
 def _poly_eval(a, lead, x):
@@ -182,22 +177,22 @@ class RationalFunctionQi:
 
     @classmethod
     def from_integer_laurent(cls, num, den):
-        """The quotient of two Laurent polynomials {exponent: int}, reduced
-        over Z[s].
+        """The quotient of two integer Laurent polynomials, reduced over
+        Z[s].  Each is a pair (low, coeffs), s^low times the integer
+        polynomial ``coeffs`` with no zero at either end, as
+        ``witten.decode_row`` gives it; zero is (low, []).
 
         The common power of s is split off, and the gcd of the rest over
         Z[s] (``zpoly_gcd``), content included, is divided out exactly with
         the sign that leaves the lowest denominator coefficient > 0: the
         canonical form.
         """
-        den = {e: c for e, c in den.items() if c}
-        if not den:
+        d_low, b = den
+        if not b:
             raise RationalFunctionDivisionError("division by zero rational function")
-        num = {e: c for e, c in num.items() if c}
-        if not num:
+        n_low, a = num
+        if not a:
             return _RF_ZERO
-        n_low, d_low = min(num), min(den)
-        a, b = _zpoly_dense(num, n_low), _zpoly_dense(den, d_low)
         g = zpoly_gcd(a, b) if len(b) > 1 else [gcd(b[0], *a)]
         if (g[0] < 0) != (b[0] < 0):
             g = [-x for x in g]

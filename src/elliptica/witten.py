@@ -30,11 +30,13 @@ them.  A factor then costs one shift and one add per row.
 factors with e = 0: packed rows over p-free factors 1 + c s^d, the form
 in which every exact check is stated.  ``laurent_sum`` is the only place
 where rows become rational functions: it decodes each row once
-(``decode_row``) and reduces it once, an integer row over the integer
-denominator, with a gcd over Z[s] (``RationalFunctionQi.from_integer_laurent``)
-and no arithmetic over Q(i).  ``regrade_factors`` applies the lattice
-translation s -> p^m s, and ``unit_substitute`` s -> -s and s -> i s, to
-the factors themselves, before any product is formed;
+(``decode_row``, straight from its bytes to (low, coeffs), a dense integer
+list and its lowest s-exponent) and reduces it once, an integer row over
+the integer denominator, decoded once per sum, with a gcd over Z[s]
+(``RationalFunctionQi.from_integer_laurent``) and no arithmetic over Q(i).
+``regrade_factors`` applies the lattice translation s -> p^m s, and
+``unit_substitute`` s -> -s and s -> i s, to the factors themselves,
+before any product is formed;
 ``fraction_difference`` compares two sums by cross-multiplication, each
 side's rows times the other side's denominator factors, as ints, so no
 check decodes a row or reduces a coefficient.
@@ -291,15 +293,18 @@ def _added(dst, src, shift, c):
 
 
 def decode_row(row, layout):
-    """The Laurent polynomial {s-exponent: int} of a packed row.
+    """The Laurent polynomial of a packed row as (low, coeffs): s^low times
+    the integer polynomial ``coeffs``, a list indexed by exponent with no
+    zero at either end; the zero row is (0, []).
 
     Adding 2^(width-1) to every digit makes every digit nonnegative, so the
     bytes of the sum are the digits side by side: the conversion is linear
     in the size of the row (a decimal string would not be, and Python caps
-    its length).
+    its length).  Digits stand s_step exponents apart; the zeros between
+    them are filled in.
     """
     if not row:
-        return {}
+        return 0, []
     width, offset, s_step, _ = layout
     size, half = width // 8, 1 << width - 1
     blank = half.to_bytes(size, "little")  # a zero digit, biased
@@ -309,12 +314,16 @@ def decode_row(row, layout):
     raw = (row + int.from_bytes(blank * digits, "little")).to_bytes(
         size * digits, "little"
     )
-    chunks = (raw[i : i + size] for i in range(0, len(raw), size))
-    return {
-        (low + j) * s_step - offset: int.from_bytes(chunk, "little") - half
-        for j, chunk in enumerate(chunks)
-        if chunk != blank
-    }
+    from_bytes = int.from_bytes
+    coeffs = [from_bytes(raw[i : i + size], "little") - half
+              for i in range(0, len(raw), size)]
+    while not coeffs[-1]:
+        coeffs.pop()
+    if s_step > 1:
+        spread = [0] * (s_step * (len(coeffs) - 1) + 1)
+        spread[::s_step] = coeffs
+        coeffs = spread
+    return low * s_step - offset, coeffs
 
 
 def _products(terms):
@@ -373,18 +382,14 @@ def laurent_fraction(order, terms):
 def laurent_sum(order, terms):
     """The PSeries over Q(s), truncated at ``order``, of a sum of terms:
     ``laurent_fraction`` with each row decoded once and reduced once over
-    Z[s] (``RationalFunctionQi.from_integer_laurent``)."""
+    Z[s] (``RationalFunctionQi.from_integer_laurent``), over the common
+    denominator, decoded once."""
     rows, den, layout = laurent_fraction(order, terms)
     den = ([(0, d, c) for d, c in den.elements()], (), [(0, 0, 1)])
     den_layout = row_layout(0, [den])
     den = decode_row(laurent_rows(0, den, den_layout)[0], den_layout)
-    return PSeries(
-        [
-            RationalFunctionQi.from_integer_laurent(decode_row(row, layout), den)
-            for row in rows
-        ],
-        order,
-    )
+    reduce = RationalFunctionQi.from_integer_laurent
+    return PSeries([reduce(decode_row(row, layout), den) for row in rows], order)
 
 
 def unit_substitute(term, k):

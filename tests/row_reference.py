@@ -7,6 +7,8 @@ as in the witten module.  Here its integer Laurent rows are one dict
 ``laurent_fraction`` adds terms over the common p-free denominator,
 ``unit_substitute`` applies s -> -s and s -> i s to the rows, and
 ``fraction_difference`` compares two fractions by cross-multiplication.
+``dense`` writes a dict row in the form that ``witten.decode_row`` gives
+and ``RationalFunctionQi.from_integer_laurent`` takes.
 """
 
 from collections import Counter
@@ -134,3 +136,17 @@ def _accum(dst, src, d, c):
             dst[key] = new
         else:
             del dst[key]
+
+
+def dense(row):
+    """A Laurent dict {s-exponent: int} as (low, coeffs): s^low times the
+    integer polynomial ``coeffs``, with no zero at either end; (0, []) for
+    the zero row."""
+    row = {e: v for e, v in row.items() if v}
+    if not row:
+        return 0, []
+    low = min(row)
+    coeffs = [0] * (max(row) - low + 1)
+    for e, v in row.items():
+        coeffs[e - low] = v
+    return low, coeffs

@@ -106,6 +106,12 @@ def test_simplify_character_examples():
     res = simplify_character(package_value(half))
     assert res.ok and not res.integral
     assert res.to_json()["laurent"] == {"-1": "1/6", "3": "-1/2"}
+    # over lead 6 one coefficient reduces to an integer; each prints in
+    # lowest terms
+    mixed = RF.from_laurent({0: 6, 2: 1, 5: -4}) / RF.constant(6)
+    res = simplify_character(package_value(mixed))
+    assert res.ok and not res.integral
+    assert res.to_json()["laurent"] == {"0": "1", "2": "1/6", "5": "-2/3"}
 
 
 def test_bundle_twists_integral():

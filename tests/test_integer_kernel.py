@@ -8,7 +8,7 @@ import re
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elliptica import elliptic, witten, zem
@@ -31,6 +31,7 @@ from elliptica.qseries import PSeries, SubstitutionError
 from elliptica.ring import RationalFunctionQi
 from elliptica.spinchar import RotationData
 from elliptica.witten import (
+    RowLayout,
     decode_row,
     fraction_difference,
     laurent_fraction,
@@ -45,6 +46,7 @@ from elliptica.witten import (
 from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
 import row_reference
 from ring_reference import RF, GaussianRational
+from row_reference import dense
 from series_reference import (
     PS,
     Substitution,
@@ -234,11 +236,27 @@ def _negated(terms, factor=None):
 
 
 def _decoded(order, terms):
-    """The packed ``laurent_fraction`` of ``terms`` as the reference gives
-    it: (dict rows, denominator row)."""
+    """The packed ``laurent_fraction`` of ``terms``, decoded, as (dense
+    rows, dense denominator row), the form ``_reference`` gives; the
+    denominator is built by the reference from the Counter."""
     rows, den, layout = laurent_fraction(order, terms)
     (den_row,) = row_reference.laurent_rows(0, [(0, d, c) for d, c in den.elements()])
-    return [decode_row(row, layout) for row in rows], den_row
+    return [decode_row(row, layout) for row in rows], dense(den_row)
+
+
+def _reference(order, terms):
+    """The reference's dict ``laurent_fraction`` of ``terms``, made dense."""
+    rows, den = row_reference.laurent_fraction(order, terms)
+    return [dense(row) for row in rows], dense(den)
+
+
+def _scaled(terms, step):
+    """The terms with every s-exponent times ``step``: their rows keep
+    digits ``step`` exponents apart."""
+    def factors(fs):
+        return [(e, step * d, c) for e, d, c in fs]
+    return [(factors(num), factors(den), (p_pow, step * s_pow, sign))
+            for num, den, (p_pow, s_pow, sign) in terms]
 
 
 @settings(max_examples=120, deadline=None)
@@ -247,20 +265,57 @@ def _decoded(order, terms):
     terms=st.lists(_WIDE_TERM, max_size=3),
     cancelled=st.lists(_WIDE_TERM, min_size=1, max_size=2),
     factor=_WIDE_S_FACTOR,
+    step=st.sampled_from([1, 2]),
 )
-def test_packed_rows_match_dict_reference(order, terms, cancelled, factor):
-    """Packed rows decode to the reference's dict rows: |c| up to 10^6,
-    negative s-exponents, p-free factors in numerators and denominators,
+# a lowest digit -1 at s^-8, and the same rows with digits two exponents apart
+@example(order=3, terms=[([(1, -3, -5)], [], (0, -8, -1))],
+         cancelled=[([], [], (0, 0, 1))], factor=(0, 1, 2), step=1)
+@example(order=3, terms=[([(1, -3, -5)], [], (0, -8, -1))],
+         cancelled=[([], [], (0, 0, 1))], factor=(0, 1, 2), step=2)
+def test_packed_rows_match_dict_reference(order, terms, cancelled, factor, step):
+    """Packed rows decode to the reference's dict rows, made dense: |c| up
+    to 10^6, negative s-exponents and lowest digits, digits one or two
+    exponents apart, p-free factors in numerators and denominators,
     monomials with p-powers, terms that share their factors and are
     expanded together, and terms that cancel to all-zero rows only once
     they share one denominator."""
+    terms, cancelled = _scaled(terms, step), _scaled(cancelled, step)
+    factor = (0, step * factor[1], factor[2])
     zero = cancelled + _negated(cancelled, factor)
     got = _decoded(order, zero)
-    assert got == row_reference.laurent_fraction(order, zero)
-    assert got[0] == [{}] * (order + 1)
+    assert got == _reference(order, zero)
+    assert got[0] == [(0, [])] * (order + 1)
     shared = [(num, den, (p + 1, s - 2, sign)) for num, den, (p, s, sign) in terms]
     terms = terms + shared + zero
-    assert _decoded(order, terms) == row_reference.laurent_fraction(order, terms)
+    assert laurent_fraction(order, terms)[2].s_step % step == 0
+    assert _decoded(order, terms) == _reference(order, terms)
+
+
+_WIDE_DIGIT = st.integers(-2**100, 2**100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    digits=st.dictionaries(st.integers(0, 12), _WIDE_DIGIT, max_size=6),
+    offset=st.integers(0, 20),
+    s_step=st.sampled_from([1, 2]),
+    spare=st.integers(0, 2),
+)
+@example(digits={}, offset=3, s_step=1, spare=0)  # the zero row
+@example(digits={0: -1}, offset=0, s_step=1, spare=0)  # one byte, -1 alone
+@example(digits={2: -(2**90), 5: 2**99 - 1, 7: -1}, offset=9, s_step=2, spare=0)
+@example(digits={0: 2**71, 1: -(2**71)}, offset=4, s_step=1, spare=1)
+def test_decode_row_matches_dict_rows(digits, offset, s_step, spare):
+    """Rows packed directly from dict rows decode to the dense form of the
+    dicts: digits up to 2^100, wider than any row of cp3 to p^160, negative
+    lowest digits and exponents, digits two exponents apart, widths with
+    spare bytes, and the zero row."""
+    bound = max((abs(v) for v in digits.values()), default=0)
+    width = (-(-(bound.bit_length() + 1) // 8) + spare) * 8
+    layout = RowLayout(width, offset, s_step, 1)
+    row = sum(v << width * j for j, v in digits.items())
+    want = {j * s_step - offset: v for j, v in digits.items()}
+    assert decode_row(row, layout) == dense(want)
 
 
 def test_cp3_rigidity_terms_cancel_to_zero_rows():
@@ -268,8 +323,8 @@ def test_cp3_rigidity_terms_cancel_to_zero_rows():
     packed row of the sum is 0, as in the reference."""
     terms = [z_term(pt.weights, 16) for pt in load_manifold("cp3").points]
     got = _decoded(16, terms)
-    assert got == row_reference.laurent_fraction(16, terms)
-    assert got[0] == [{}] * 17
+    assert got == _reference(16, terms)
+    assert got[0] == [(0, [])] * 17
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
@@ -277,9 +332,8 @@ def test_deep_phi_matches_dict_reference(i):
     """phi_exact at p^160, whose rows are hundreds of digits wide, equals
     the reference's dict rows reduced the same way."""
     rows, den = row_reference.laurent_fraction(160, [theta_term(i, (1,), 160)])
-    want = PSeries(
-        [RationalFunctionQi.from_integer_laurent(row, den) for row in rows], 160
-    )
+    reduce = RationalFunctionQi.from_integer_laurent
+    want = PSeries([reduce(dense(row), dense(den)) for row in rows], 160)
     assert phi_exact(i, 160) == want
 
 

@@ -20,6 +20,7 @@ from ring_reference import (
     poly_mul,
     poly_trim,
 )
+from row_reference import dense
 from series_reference import compose_power, monomial, substitute_scale
 
 ONE = RF.one()
@@ -201,7 +202,7 @@ def test_from_integer_laurent_matches_division(num, shared, own, low, lead):
     evaluates as it does; it is in the integer canonical form."""
     n = _product(num, shared)
     d = _product({low: lead}, shared + own)
-    got = RationalFunctionQi.from_integer_laurent(n, d)
+    got = RationalFunctionQi.from_integer_laurent(dense(n), dense(d))
     want = RF.from_laurent(n) / RF.from_laurent(d)
     assert got == want
     assert str(got) == str(want)
@@ -222,8 +223,14 @@ def test_from_integer_laurent_matches_division(num, shared, own, low, lead):
 
 
 def test_from_integer_laurent_rejects_a_zero_denominator():
+    """A zero denominator raises, whatever its power of s; a zero numerator
+    over a nonzero denominator is the zero function."""
     with pytest.raises(RationalFunctionDivisionError):
-        RationalFunctionQi.from_integer_laurent({0: 1}, {3: 0})
+        RationalFunctionQi.from_integer_laurent((0, [1]), (3, []))
+    with pytest.raises(RationalFunctionDivisionError):
+        RationalFunctionQi.from_integer_laurent((0, []), (0, []))
+    zero = RationalFunctionQi.from_integer_laurent((5, []), (-2, [3, 0, -1]))
+    assert not zero and zero == RationalFunctionQi((), (1,))
 
 
 def test_zpoly_gcd_examples():
