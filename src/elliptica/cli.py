@@ -86,7 +86,7 @@ def _parse_complex(raw):
 def _parse_tau(raw):
     tau = _parse_complex(raw.replace(" ", ""))
     try:
-        EllipticParams(tau=tau).cutoff()
+        EllipticParams(tau=tau)
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return tau
@@ -101,10 +101,11 @@ def _parse_point(raw):
     return raw
 
 
-def _positive_float(raw):
+def _tolerance(raw):
+    """A tolerance in (0, 1), as ``zem._require_tol`` asks."""
     value = float(raw)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must be a finite number > 0 and < 1")
     return value
 
 
@@ -125,7 +126,7 @@ DEFAULT_TOL = 1e-8
 _SHARED_OPTIONS = {
     "seed": ("--seed", dict(type=int, default=0)),
     "trials": ("--trials", dict(type=_bounded_int(1), default=100)),
-    "tol": ("--tol", dict(type=_positive_float, default=DEFAULT_TOL)),
+    "tol": ("--tol", dict(type=_tolerance, default=DEFAULT_TOL)),
     "q_order": ("--q-order", dict(dest="q_order", type=_bounded_int(0),
                                   default=80)),
     "tau": ("--tau", dict(type=_parse_tau, default=None)),
@@ -184,9 +185,9 @@ def cmd_verify(args):
     return 0 if all_passed else MATH_FAILURE
 
 
-# what a numeric evaluation at a point raises at a pole, where its floats
-# overflow or underflow (|Im z| in the hundreds), or where pi z leaves the
-# floats and cmath.exp raises a bare ValueError (|Re z| near 1e308)
+# what a numeric evaluation at a point raises at a pole, where z - m tau in
+# the strip of the theta series keeps fewer than half of the digits of z, or
+# where pi z leaves the floats (ValueError from cmath.exp, |Re z| near 1e308)
 _AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
               OverflowError, ValueError)
 

@@ -27,17 +27,14 @@ checks never decode a row: they compare packed rows, as ints, over the
 prefactor's denominator.
 
 Numeric backend, with an ``EllipticParams`` (``phi_numeric``): the same
-products evaluated in complex floats with an explicit cutoff; the tail of
-the log of the product is bounded using log(1 +- x) <= 2|x| for
-|x| <= 1/2, so the cutoff is chosen to push the bound below 1e-18
-relative.  What depends on tau alone is computed once per
-``EllipticParams``: q, q^{1/2}, p, the pole shifts and, per layout of
-``witten.LAYOUT``, a table of the factor coefficients (+-q_num^n,
-+-q_den^n), built by the recurrence q^n = q^{n-1} q and extended when a
-larger cutoff is asked for.  ``phi_numeric`` and the Witten characters
-read the table with the operands and the order of float operations of a
-per-call loop (tests/numeric_reference.py), so their values do not depend
-on which calls came first.
+products summed as two Jacobi theta series, by the triple product
+(``EllipticParams.theta_quotient``, which ``witten.witten_char`` shares).
+z is first reduced by phi_i(z + m tau) = (-1)^m phi_i(z), so that
+|t| lies in [|q|^{1/2}, |q|^{-1/2}], where each series is cut at the term
+that bounds its tail below 1e-18 (3 to 6 terms for Im tau in [0.5, 2]).
+What depends on tau alone, q, p, the pole shifts and the coefficients of
+the series, is computed once per ``EllipticParams``.  The truncated
+products are the test reference (tests/numeric_reference.py).
 
 Lattice translations of z act on (s, p) as
 
@@ -88,12 +85,14 @@ rows are compared as ints, no coefficient is reduced and no gcd is taken.
 from __future__ import annotations
 
 import cmath
-import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .witten import (
-    LAYOUT,
+    POLE_GUARD,
     fraction_difference,
     laurent_sum,
     regrade_factors,
@@ -102,13 +101,10 @@ from .witten import (
 )
 
 NUMERIC_TAIL_TARGET = 1e-18
-# the most product factors a cutoff may ask for: tau near the real axis would
-# need billions (Im tau = 1e-9 about 1e10), where Im tau in [0.5, 2] needs
-# about 70
-MAX_PRODUCT_FACTORS = 10**5
-# a numeric evaluation this close to a pole, or a free point this close to
-# the lattice, counts as on it
-POLE_GUARD = 1e-8
+# the most series terms a tau may ask for (Im tau = 1e-9 would need 1e5)
+MAX_SERIES_TERMS = 1000
+# the largest growth of rounding errors that keeps half of a float's digits
+HALF_DIGITS = 1e-8 / sys.float_info.epsilon
 
 
 class PoleError(ValueError):
@@ -121,96 +117,108 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """The numeric backend's parameters: tau and, optionally, a fixed
-    number of product factors.
-
-    Everything that depends on tau alone is computed once, here: q, |q|,
-    log|q|, q^{1/2}, p, the pole shifts of phi_1..phi_4 and, per layout, a
-    table of product factors extended as cutoffs grow (``factors``).  None
-    of it takes part in equality or hashing.
-    """
+    """tau and, optionally, the number of terms of its theta series (0: the
+    q -> 0 limit, where every W_i is 1), which ``terms`` holds either way;
+    what depends on tau alone is computed here, once, outside equality and
+    hashing.  OverflowError past ``MAX_SERIES_TERMS`` terms, ValueError
+    where the series would keep fewer than half of their digits (Im tau
+    below about 0.04 near Re tau = 0)."""
 
     tau: complex
-    product_cutoff: int | None = None
+    series_terms: int | None = None
 
     def __post_init__(self):
-        if not cmath.isfinite(self.tau) or self.tau.imag <= 0:
+        tau = self.tau
+        if not cmath.isfinite(tau) or tau.imag <= 0:
             raise ValueError(
-                f"tau must be finite with positive imaginary part, got "
-                f"{self.tau}"
+                f"tau must be finite with positive imaginary part, got {tau}"
             )
-        q = cmath.exp(2j * cmath.pi * self.tau)
+        # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
+        # principal-branch powers, which could wrap
+        qh = cmath.exp(1j * cmath.pi * tau)
+        q, n = qh * qh, self.series_terms
         if not 0.0 < abs(q) < 1.0:
             raise ValueError(
-                f"tau = {self.tau} gives |q| = {abs(q)}, outside "
-                "(0, 1) in floating point"
+                f"tau = {tau} gives |q| = {abs(q)}, outside (0, 1) in "
+                "floating point"
             )
-        half = self.tau / 2.0
+        if n is None:  # the least n whose tail bound for |t| in
+            # [|q|^{1/2}, |q|^{-1/2}], (2n + 5) |q|^{n(n+1)/2} / (1 - |q|), is met
+            n, qa = 1, abs(q)
+            while (n <= MAX_SERIES_TERMS and (2 * n + 5) * qa ** (n * (n + 1) / 2)
+                   > NUMERIC_TAIL_TARGET * (1.0 - qa)):
+                n += 1
+        elif n < 0:
+            raise ValueError(f"series_terms must be >= 0, got {n}")
+        if n > MAX_SERIES_TERMS:
+            raise OverflowError(f"tau = {tau} needs {n} series terms or more, "
+                                f"more than {MAX_SERIES_TERMS}")
+        # alphas[k] = q^{k^2/2} = alphas[k-1] q^{k-1} q^{1/2} and b[k] =
+        # (-1)^k q^{k(k+1)/2} = -b[k-1] q^k, k = 0..n; betas[k] = b[k] + .. + b[n]
+        alphas, b = [1.0 + 0j], [1.0 + 0j]
+        a = c = qk = 1.0 + 0j
+        for _ in range(n):
+            a *= qk * qh
+            qk *= q
+            c *= -qk
+            alphas.append(a)
+            b.append(c)
+        betas = list(accumulate(reversed(b)))[::-1]
+        # A(+-1), B(1) = sum (2k+1) b[k], B(-1) = sum (-1)^k b[k] against the
+        # moduli of their terms: by |1 +- x| >= 1 - |x| in their products, none
+        # falls below 1/620 of them for |q| <= 1/2, so only |q| > 1/2 is checked
+        if abs(q) > 0.5:
+            odd = range(1, 2 * n + 2, 2)
+            a_abs = 2.0 * sum(map(abs, alphas)) - 1.0
+            b_abs = sum(map(mul, odd, map(abs, b)))
+            if not all(size < HALF_DIGITS * abs(value) for size, value in (
+                    (a_abs, 2.0 * sum(alphas) - 1.0),
+                    (a_abs, 4.0 * sum(alphas[::2]) - 2.0 * sum(alphas) - 1.0),
+                    (b_abs, sum(map(mul, odd, b))), (b_abs, 2 * sum(b[::2]) - sum(b)))):
+                raise ValueError(f"tau = {tau}: its theta series would keep fewer "
+                                 "than half of their digits")
+        # (q^{k^2/2}, betas[k]) for k = 1..n, for t and, with (-1)^k, for -t
+        plus = list(zip(alphas[1:], betas[1:]))
+        minus = plus[:]
+        minus[::2] = [(-x, -y) for x, y in plus[::2]]
         # the instance is frozen: set the derived values past __setattr__
-        self.__dict__.update({
-            "_q": q,
-            "_q_abs": abs(q),
-            "_log_q_abs": math.log(abs(q)),
-            # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
-            # principal-branch powers, which could wrap
-            "_q_half": cmath.exp(1j * cmath.pi * self.tau),
-            "_p": cmath.exp(0.5j * cmath.pi * self.tau),
-            "_pole_shift": {1: 0j, 2: 0.5 + 0j, 3: half, 4: 0.5 + half},
-            # q^n for n = 0, 1, .. by the recurrence q^n = q^{n-1} q
-            "_powers": [1.0 + 0j],
-            "_tables": {i: [] for i in LAYOUT},
-        })
-
-    @property
-    def q(self):
-        return self._q
+        self.__dict__.update(
+            terms=n, _p=cmath.exp(0.5j * cmath.pi * tau), _b0=betas[0],
+            _pole_shift={1: 0j, 2: 0.5 + 0j, 3: tau / 2.0, 4: 0.5 + tau / 2.0},
+            _coefficients={1: plus, -1: minus})
 
     @property
     def p(self):
-        """The canonical fourth root q^{1/4} = e^{i pi tau / 2} (not a
-        principal-branch power, which could wrap)."""
+        """q^{1/4} = e^{i pi tau / 2}, not a principal root, which could wrap."""
         return self._p
 
-    def cutoff(self, t_abs=1.0):
-        """Number of product factors retained for arguments with |t| up to
-        t_abs (and down to 1/t_abs); OverflowError if it would exceed
-        ``MAX_PRODUCT_FACTORS``."""
-        if self.product_cutoff is not None:
-            return self.product_cutoff
-        scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - self._q_abs)
-        if not math.isfinite(scale):
-            # far from the real axis t = s^2 or 1/t overflows; the log of the
-            # bound below would fail with a bare "math domain error"
-            error = ValueError if math.isnan(t_abs) else OverflowError
-            raise error(f"no product cutoff bounds the tail at |t| = {t_abs}")
-        n = math.log(NUMERIC_TAIL_TARGET / scale) / self._log_q_abs
-        if n > MAX_PRODUCT_FACTORS:
-            raise OverflowError(
-                f"tau = {self.tau} needs {n:.3g} product factors, more than "
-                f"{MAX_PRODUCT_FACTORS}"
-            )
-        return max(8, int(math.ceil(n)))
+    def theta_quotient(self, i, t):
+        """P_i(t), the product part of phi_i and the W_i character of the
+        plane (t, 1/t): A(t)/B(t), A(-t)/B(-t), B(-t)/A(-t), B(t)/A(t) for
+        i = 1..4, where A(t) = sum_k q^{k^2/2} t^k = prod (1 - q^n)
+        (1 + q^{n-1/2} t^{+-1}) and B(t) = sum_{n>=0} (-1)^n q^{n(n+1)/2}
+        (t^-n + .. + t^n) = prod (1 - q^n)(1 - q^n t^{+-1}), summed as
+        sum_k betas[k] (t^k + t^-k): no 0/0 at t = 1.  The tail bound holds
+        for |t| in [|q|^{1/2}, |q|^{-1/2}]; the callers reduce t there."""
+        a, b = 1.0 + 0j, self._b0
+        tk = tik = 1.0 + 0j
+        ti = 1.0 / t
+        for ak, bk in self._coefficients[1 if i in (1, 4) else -1]:
+            tk *= t
+            tik *= ti
+            u = tk + tik
+            a += ak * u
+            b += bk * u
+        return a / b if i < 3 else b / a
 
-    def factors(self, i, t_abs=1.0):
-        """The first ``cutoff(t_abs)`` factors of the layout-i products, as
-        pairs (a_n, b_n) = (nsign q_num^n, dsign q_den^n) in the notation of
-        ``witten.LAYOUT``, where q_num^n and q_den^n are q^n or q^{n-1/2}:
-        the numerator factors are 1 + a_n x and the denominator ones
-        1 - b_n x.  The table is extended, never rebuilt, when a larger
-        cutoff is asked for; |b_n| falls with n.  The list returned may be
-        the table itself, to be read and not changed."""
-        n = self.cutoff(t_abs)
-        table = self._tables[i]
-        if len(table) < n:
-            nsign, noff, dsign, doff = LAYOUT[i]
-            powers = self._powers
-            while len(powers) <= n:
-                powers.append(powers[-1] * self._q)
-            for qn in powers[len(table) + 1:n + 1]:
-                qn_half = qn / self._q_half
-                table.append((nsign * (qn_half if noff else qn),
-                              dsign * (qn_half if doff else qn)))
-        return table if len(table) == n else table[:n]
+    def pole_offset(self, i, z):
+        """(distance from z to the nearest pole of phi_i, y): those poles are
+        n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2 for i = 1..4, the nearest
+        at m = round(y), and y = Im(z - shift) / Im tau."""
+        w = z - self._pole_shift[i]
+        y = w.imag / self.tau.imag
+        x = w.real - y * self.tau.real
+        return abs(x - round(x) + (y - round(y)) * self.tau), y
 
 
 # phi_1(z + (alpha + beta tau)/2) = i^unit p^p_pow phi_i(z) for alpha, beta in
@@ -259,48 +267,31 @@ def phi_exact(i, order):
     return laurent_sum(order, [theta_term(i, (1,), order)])
 
 
-def lattice_distance(w, tau):
-    """Distance from w to the lattice Z + Z tau."""
-    y = w.imag / tau.imag
-    x = w.real - y * tau.real
-    dx = x - round(x)
-    dy = y - round(y)
-    return abs(dx + dy * tau)
-
-
 def phi_numeric(i, params, z):
-    """Evaluate phi_i at a complex point from the defining products, with
-    the factor table of ``params``."""
-    if i not in LAYOUT:
+    """phi_i(z) = pref_i(s) ``EllipticParams.theta_quotient``(i, s^2), with
+    z first reduced into |Im z| <= Im tau / 2 by phi_i(z + m tau) =
+    (-1)^m phi_i(z); with ``series_terms`` 0, pref_i(s) at z itself.
+    PoleError within ``POLE_GUARD`` of a pole, ValueError where z - m tau
+    keeps fewer than half of the digits of z."""
+    if i not in PREFACTORS:
         raise ValueError("phi index must be 1..4")
-    tau = params.tau
     z = complex(z)
-    # lattice_distance(z - pole, tau), inlined: this runs on every call
-    w = z - params._pole_shift[i]
-    y = w.imag / tau.imag
-    x = w.real - y * tau.real
-    dist = abs(x - round(x) + (y - round(y)) * tau)
+    dist, y = params.pole_offset(i, z)
     if dist < POLE_GUARD:
-        raise PoleError(
-            f"phi_{i} evaluated within {dist:.2e} of a pole", dist
-        )
+        raise PoleError(f"phi_{i} evaluated within {dist:.2e} of a pole", dist)
+    # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
+    m = round(y if i < 3 else y + 0.5) if params.terms else 0
+    if m:
+        reduced = z - m * params.tau
+        if HALF_DIGITS * abs(reduced) < abs(z):
+            raise ValueError(f"z = {z} lies {m} periods off the real axis: "
+                             f"z - {m} tau keeps fewer than half of its digits")
+        z = reduced
     s = cmath.exp(1j * cmath.pi * z)
-    t = s * s
-    if i == 1:
-        pref = 1.0 / (1.0 / s - s)
-    elif i == 2:
-        pref = 1.0 / (s + 1.0 / s)
-    elif i == 3:
-        pref = s + 1.0 / s
-    else:
-        pref = s - 1.0 / s
-    t_abs = abs(t)
-    out = pref
-    ti = 1.0 / t
-    for a, b in params.factors(i, max(t_abs, 1.0 / t_abs)):
-        out *= (1.0 + a * t) * (1.0 + a * ti)
-        out /= (1.0 - b * t) * (1.0 - b * ti)
-    return out
+    # 1/(1/s - s), 1/(s + 1/s), s + 1/s and s - 1/s
+    d = s + 1.0 / s if i in (2, 3) else 1.0 / s - s
+    pref = 1.0 / d if i < 3 else d if i == 3 else -d
+    return pref * params.theta_quotient(i, s * s) * (-1) ** m if params.terms else pref
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def equivariant_index(m, twist, order=0):
 
 def index_numeric(m, twist, params, z):
     """The fixed-point sum of ``equivariant_index`` as a complex value at
-    the point z, with the products of ``params``."""
+    the point z, with the theta series of ``params``."""
     _require_bundle_shape(m, twist)
     kind = twist.kind
     z = complex(z)

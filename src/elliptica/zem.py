@@ -17,9 +17,9 @@ Eight are randomized numeric verifications (and, for the two periodicity
 suites, exact coefficient comparisons) of the transfer and periodicity
 identities, at a default tolerance of 1e-8.  The ninth,
 ``degenerate-reduction``, is the q -> 0 limit of the transfer identity:
-with the products cut to zero factors (product cutoff 0), both sides must
-equal their reciprocal-supertrace (chi) expressions, at a default
-tolerance of 1e-10.  Every trial derives its generator from
+with the theta series cut to their constant terms (series terms 0), both
+sides must equal their reciprocal-supertrace (chi) expressions, at a
+default tolerance of 1e-10.  Every trial derives its generator from
 (seed, suite, trial), so reports are reproducible and trials independent.
 """
 
@@ -38,7 +38,6 @@ from .elliptic import (
     EllipticParams,
     PoleError,
     fullperiod_parts_check,
-    lattice_distance,
     phi_numeric,
     theta_term,
 )
@@ -143,12 +142,12 @@ def _as_gamma_value(gamma, tau):
     return complex(gamma)
 
 
-def _collides(gamma, gv, a, tau):
-    """Does a*gamma lie on the lattice (exactly for torsion, within
-    POLE_GUARD for free points)?  gv is the value of gamma at tau."""
+def _collides(gamma, gv, a, params):
+    """Does a*gamma lie on the lattice, the poles of phi_1 (exactly for
+    torsion, within POLE_GUARD for free points)?  gv is gamma at tau."""
     if isinstance(gamma, LatticeElement):
         return (a * gamma.alpha) % gamma.k == 0 and (a * gamma.beta) % gamma.k == 0
-    return lattice_distance(a * gv, tau) < POLE_GUARD
+    return params.pole_offset(1, a * gv)[0] < POLE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def z_fun(gamma, J, R, params, *, strict=True, route="product"):
     gv = _as_gamma_value(gamma, tau)
     if strict:
         for a in J.entries:
-            if _collides(gamma, gv, a, tau):
+            if _collides(gamma, gv, a, params):
                 raise SpecialCollisionError(
                     f"a*gamma lies on the lattice for rotation number a = {a}", a
                 )
@@ -219,13 +218,9 @@ def z_term(entries, order, nu=1):
 
 def _offset_angles(offsets, sign):
     """Offsets r (z-scale) as angle data 2 pi r with orientation ``sign``,
-    plus the eigenvalue pairs (e, 1/e), e = e^{2 pi i r}, of their planes."""
+    plus the eigenvalue e = e^{2 pi i r} of each plane (the other is 1/e)."""
     angles = RotationData(tuple(_TWO_PI * complex(r) for r in offsets), sign)
-    eigs = []
-    for r in offsets:
-        e = cmath.exp(2j * cmath.pi * complex(r))
-        eigs.extend((e, 1.0 / e))
-    return angles, eigs
+    return angles, [cmath.exp(2j * cmath.pi * complex(r)) for r in offsets]
 
 
 def _theta_parts(case, angles, eigs, params):
@@ -431,10 +426,11 @@ def _worst(*residuals):
 
 
 def _require_tol(tol):
-    """Reject a tolerance under which no verdict means anything: a NaN or
-    infinite one passes every finite residual, a non-positive one none."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    """Reject a tolerance under which no verdict means anything: none
+    passes below 0, and any finite one passes from 1 on, since a residual
+    is at most 2 and is 1 wherever one side is 0."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be finite, > 0 and < 1, got {tol!r}")
 
 
 def _residual(lhs, rhs):
@@ -805,13 +801,13 @@ def _trial_degenerate(rng, dims, q0):
     """The constant q-term of a transfer draw against the reciprocal
     supertrace machinery.
 
-    q0 cuts the products to zero factors: every Witten character becomes 1
-    and phi_1 its reciprocal-sine prefactor.  Draws have beta = 0 (real
-    torsion gamma = alpha/k), where the formal q-expansion of both transfer
-    sides exists; with the products cut off, each side must coincide with
-    the matching combination of chi functions, and those combinations must
-    satisfy the finite-order twisted multiplicativity identity among
-    themselves.
+    q0 cuts the theta series to their constant terms: every Witten
+    character becomes 1 and phi_1 its reciprocal-sine prefactor.  Draws
+    have beta = 0 (real torsion gamma = alpha/k), where the formal
+    q-expansion of both transfer sides exists; with the series cut off,
+    each side must coincide with the matching combination of chi
+    functions, and those combinations must satisfy the finite-order
+    twisted multiplicativity identity among themselves.
     """
     planes = rng.randint(1, _max_planes(dims))
     n1 = rng.randint(1, planes)
@@ -899,9 +895,9 @@ def _trial_degenerate(rng, dims, q0):
 
 # -- the suite table ---------------------------------------------------------
 
-# name -> (trial body, product cutoff, default tolerance); the order is that
-# of ``verify --suite all``.  The q -> 0 suite cuts every product to zero
-# factors.
+# name -> (trial body, series terms, default tolerance); the order is that
+# of ``verify --suite all``.  The q -> 0 suite cuts both theta series to
+# their constant terms.
 _SUITES = {
     "K-transfer": (_trial_k_transfer, None, 1e-8),
     "Z-periodicity": (_trial_z_periodicity, None, 1e-8),
@@ -967,11 +963,11 @@ def _retry_draws(rng, attempt, label):
 
 
 def _run_trial(suite, seed, trial, dims):
-    body, cutoff, _ = _SUITES[suite]
+    body, terms, _ = _SUITES[suite]
     rng = _trial_rng(seed, suite, trial)
 
     def attempt(tau):
-        return body(rng, dims, EllipticParams(tau=tau, product_cutoff=cutoff))
+        return body(rng, dims, EllipticParams(tau=tau, series_terms=terms))
 
     return _retry_draws(rng, attempt, f"suite {suite}, trial {trial}")
 

@@ -1,11 +1,12 @@
 """Reference evaluations of the numeric products, one factor at a time.
 
-These are the per-call loops that ``elliptic.phi_numeric`` and
-``witten.witten_char`` ran before the per-tau factor tables of
-``EllipticParams``: every call recomputes q, q^{1/2}, the cutoff and the
-powers q^n, and checks every Witten denominator.  The tables keep the
-operands and the order of every float operation, so the two must agree
-exactly, not to a tolerance (tests/test_numeric_tables.py).
+These are the truncated products that ``elliptic.phi_numeric`` and
+``witten.witten_char`` evaluated before they summed two theta series:
+every call recomputes q, q^{1/2}, the cutoff and the powers q^n, and
+checks every Witten denominator.  The cutoff bounds the tail of the log of
+the product by log(1 +- x) <= 2|x| for |x| <= 1/2, below 1e-18 relative;
+a ``product_cutoff`` of 0 leaves the prefactor alone.  The series must
+agree with them to a relative 1e-13 (tests/test_numeric_tables.py).
 """
 
 import cmath
@@ -15,10 +16,10 @@ from elliptica.elliptic import NUMERIC_TAIL_TARGET, POLE_GUARD, PoleError
 from elliptica.witten import LAYOUT, WittenDenominatorError
 
 
-def cutoff(params, t_abs=1.0):
-    if params.product_cutoff is not None:
-        return params.product_cutoff
-    qa = abs(cmath.exp(2j * cmath.pi * params.tau))
+def cutoff(tau, t_abs=1.0, product_cutoff=None):
+    if product_cutoff is not None:
+        return product_cutoff
+    qa = abs(cmath.exp(2j * cmath.pi * tau))
     scale = 2.0 * (t_abs + 1.0 / t_abs) / (1.0 - qa)
     n = math.log(NUMERIC_TAIL_TARGET / scale) / math.log(qa)
     return max(8, int(math.ceil(n)))
@@ -42,8 +43,7 @@ def _lattice_distance(w, tau):
     return abs(dx + dy * tau)
 
 
-def phi_numeric(i, params, z):
-    tau = params.tau
+def phi_numeric(i, tau, z, product_cutoff=None):
     z = complex(z)
     dist = _lattice_distance(z - _pole_shift(i, tau), tau)
     if dist < POLE_GUARD:
@@ -63,7 +63,7 @@ def phi_numeric(i, params, z):
     q = cmath.exp(2j * cmath.pi * tau)
     qh = cmath.exp(1j * cmath.pi * tau)
     nsign, noff, dsign, doff = LAYOUT[i]
-    nmax = cutoff(params, max(abs(t), 1.0 / abs(t)))
+    nmax = cutoff(tau, max(abs(t), 1.0 / abs(t)), product_cutoff)
     out = pref
     qn = 1.0 + 0j
     ti = 1.0 / t
@@ -77,15 +77,16 @@ def phi_numeric(i, params, z):
     return out
 
 
-def witten_numeric(i, eigenvalues, params):
+def witten_numeric(i, eigenvalues, tau, product_cutoff=None):
+    """W_i on the full list of eigenvalues (both of each plane)."""
     xs = [complex(x) for x in eigenvalues]
     if not xs:
         return 1.0 + 0j
-    q = cmath.exp(2j * cmath.pi * params.tau)
+    q = cmath.exp(2j * cmath.pi * tau)
     nsign, noff, dsign, doff = LAYOUT[i]
     big = max(max(abs(x) for x in xs), 1.0)
-    nmax = cutoff(params, big)
-    qh = cmath.exp(1j * cmath.pi * params.tau)
+    nmax = cutoff(tau, big, product_cutoff)
+    qh = cmath.exp(1j * cmath.pi * tau)
     out = 1.0 + 0j
     qn = 1.0 + 0j
     for n in range(1, nmax + 1):

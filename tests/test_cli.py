@@ -252,13 +252,14 @@ def test_malformed_point_is_usage_error(capsys, command):
         (["index", "--manifold", "cp3", "--twist", "none"], "0"),
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "1"),
         (["index", "--manifold", "cp3", "--twist", "s2t"], "0"),
-        # |Im z| in the hundreds: s = e^{i pi z} overflows or underflows
+        # |Im z| in the hundreds: the exact series of expand, evaluated at
+        # s = e^{i pi z}, overflows or underflows
         (["expand", "--phi", "1"], "-400.3j"),
-        (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "400.3j"),
-        # t = s^2 or 1/t overflows to inf: no product cutoff bounds the tail
+        # a z - m tau that keeps fewer than half of the digits of a z
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"], "0.1+1e9j"),
         (["expand", "--phi", "1"], "0.3+115j"),
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
-         "0.3-120.5j"),
+         "0.3-4e8j"),
         # pi z is not a finite float: cmath.exp raises a bare ValueError
         (["index", "--manifold", "s2", "--twist", "none"], "1e308"),
         (["expand", "--phi", "1"], "1e308+0.5j"),
@@ -285,12 +286,14 @@ def test_vanishing_witten_denominator_at_point_is_usage_error(capsys,
         "at n = 1\n"
 
 
-@pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j", "1e-9j"])
+@pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j", "1e-9j",
+                                 "1e-3j", "0.01j"])
 def test_degenerate_tau_is_usage_error(capsys, tau):
-    """NaN and infinite tau, tau whose q rounds to |q| = 1 or to 0, and tau
-    so near the real axis that its products need more factors than
-    ``elliptic.MAX_PRODUCT_FACTORS``: rejected while the arguments are
-    parsed, before any factor table grows."""
+    """NaN and infinite tau, tau whose q rounds to |q| = 1 or to 0, tau so
+    near the real axis that its series need more terms than
+    ``elliptic.MAX_SERIES_TERMS``, and tau whose series would keep fewer
+    than half of their digits: rejected while the arguments are parsed,
+    before any series is built."""
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--phi", "1", "--q-order", "2", "--at", "0.2",
               "--tau", tau])
@@ -298,8 +301,41 @@ def test_degenerate_tau_is_usage_error(capsys, tau):
     assert "argument --tau" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tau_near_a_cusp_is_accepted(capsys):
+    """Im tau = 1e-3 needs about 130 series terms, within the cap, and at
+    Re tau = 0.49 they keep their digits."""
+    code, out, err = run_cli(capsys, "expand", "--phi", "3", "--q-order", "2",
+                             "--at", "0.2+0.0003j", "--tau", "0.49+0.001j")
+    assert code == 0 and json.loads(out)["at"]["tau"] == "(0.49+0.001j)"
+
+
+def test_far_up_point_is_evaluated(capsys, tmp_path):
+    """phi_1(a z) at Im z = 60 is phi_1 at a z - 60 a tau: the tangent-Witten
+    sum at 0.1 + 60j is its value at 0.1, also on a manifold where the sum
+    is not rigid; 0.3 + 100j at tau = 0.1 + 0.5j is reduced by 200 tau."""
+    flipped = {"name": "cp3_flipped", "half_dim": 3, "points": [
+        {"weights": [-1, 2, 3]}, {"weights": [-1, 1, 2]},
+        {"weights": [-2, -1, 1]}, {"weights": [-3, -2, -1]}], "twists": {}}
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(flipped), encoding="utf-8")
+    for manifold, at, tau in (("cp3", "0.1+60j", "1j"), (str(path), "0.1+60j", "1j"),
+                              (str(path), "0.3+100j", "0.1+0.5j")):
+        values = []
+        for point in (at, "0.1" if tau == "1j" else "-19.7"):
+            code, out, _ = run_cli(capsys, "index", "--manifold", manifold,
+                                   "--twist", "tangent_witten", "--q-order", "2",
+                                   "--at", point, "--tau", tau)
+            assert code == 0
+            values.append(complex(json.loads(out)["at"]["value"]))
+        far, near = values
+        assert abs(far - near) <= 1e-10 * max(abs(near), 1.0)
+    assert abs(near) > 1e-3  # the flipped sum is not rigid, so not 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "1.5", "1e300"])
 def test_verify_bad_tol_is_usage_error(capsys, tol):
+    """A relative residual is at most 2 and is 1 wherever one side is 0,
+    so a tolerance of 1 or more would pass every trial."""
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "K-transfer", "--trials", "2",
               "--tol", tol])

@@ -7,13 +7,14 @@ import pytest
 from elliptica.elliptic import (
     HALF_PERIODS,
     EllipticParams,
-    MAX_PRODUCT_FACTORS,
+    MAX_SERIES_TERMS,
     PoleError,
     TRANSLATIONS,
     phi_exact,
     phi_numeric,
     phi_translate_check,
 )
+from elliptica.witten import witten_char
 from ring_reference import RF
 from series_reference import PS, Substitution, monomial, ps_substitute_t
 
@@ -34,8 +35,8 @@ def test_low_order_coefficients_against_hand_expansion():
 @pytest.mark.parametrize("half", list(HALF_PERIODS))
 def test_half_period_rows_hold_numerically(half):
     """phi_1(z + (alpha + beta tau)/2) = i^unit p^p_pow phi_i(z) for each
-    row of HALF_PERIODS, from the defining products at seeded random z and
-    tau, with p = e^{i pi tau / 2} computed here."""
+    row of HALF_PERIODS, from the theta series at seeded random z and tau,
+    with p = e^{i pi tau / 2} computed here."""
     i, unit, p_pow = HALF_PERIODS[half]
     alpha, beta = half
     rng = random.Random(f"half-periods|{half}")
@@ -111,14 +112,23 @@ def test_cross_backend_agreement_random():
 
 
 def test_numeric_tail_bound_doubling():
-    params = EllipticParams(tau=0.1 + 0.5j)
-    doubled = EllipticParams(tau=0.1 + 0.5j,
-                             product_cutoff=2 * params.cutoff(1.0))
-    for i in (1, 2, 3, 4):
-        for z in (0.21, 0.37 + 0.05j):
-            a = phi_numeric(i, params, z)
-            b = phi_numeric(i, doubled, z)
-            assert abs(a - b) / abs(b) < 1e-12
+    """Twice the series terms that the tail target asks for change no
+    value of phi_i or W_i by more than 1e-15, at seeded tau and points
+    across the strip where the tail bound holds and beyond it."""
+    rng = random.Random(17)
+    for _ in range(40):
+        tau = complex(rng.uniform(-0.49, 0.49), rng.uniform(0.3, 2.0))
+        params = EllipticParams(tau=tau)
+        doubled = EllipticParams(tau=tau, series_terms=2 * params.terms)
+        for _ in range(5):
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-3.0, 3.0) * tau.imag)
+            e = cmath.exp(2j * cmath.pi * z)
+            for i in (1, 2, 3, 4):
+                for a, b in (
+                    (phi_numeric(i, params, z), phi_numeric(i, doubled, z)),
+                    (witten_char(i, [e], params), witten_char(i, [e], doubled)),
+                ):
+                    assert abs(a - b) <= 1e-15 * abs(b)
 
 
 @pytest.mark.parametrize(
@@ -158,12 +168,13 @@ def test_invalid_index_is_rejected_before_the_pole_check(i):
 
 def test_tau_tables_stay_out_of_equality():
     """Equality and hashing read the declared fields only: the per-tau
-    values and factor tables do not enter them."""
+    values and series coefficients do not enter them."""
     a, b = EllipticParams(tau=0.1 + 0.7j), EllipticParams(tau=0.1 + 0.7j)
-    a.factors(1, 50.0)
+    phi_numeric(1, a, 0.2 + 1.3j)
     assert a == b and hash(a) == hash(b)
-    assert len(b.factors(1)) == b.cutoff() < len(a.factors(1, 50.0))
-    assert repr(a) == repr(b)
+    assert repr(a) == repr(b) == "EllipticParams(tau=(0.1+0.7j), series_terms=None)"
+    longer = EllipticParams(tau=0.1 + 0.7j, series_terms=2 * a.terms)
+    assert longer != a and longer.terms == 2 * a.terms
 
 
 def test_numeric_translations_spot_check():
@@ -192,15 +203,40 @@ def test_numeric_translations_near_branch_wrap():
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
-def test_cutoff_bounds_the_factor_count():
-    """Near the real axis the products would need billions of factors: the
-    cutoff raises instead of returning the count, while the tau that the
-    identity suites draw need few."""
-    with pytest.raises(OverflowError, match="product factors"):
-        EllipticParams(tau=1e-9j).cutoff()
-    assert EllipticParams(tau=1e-3j).cutoff() <= MAX_PRODUCT_FACTORS
-    assert max(EllipticParams(tau=complex(0.45, y)).cutoff(50.0)
-               for y in (0.5, 1.0, 2.0)) < 100
+def test_term_cap_bounds_the_series():
+    """Near the real axis the series would need about 1e5 terms: the
+    params raise instead of building them.  Im tau = 1e-3 stays within
+    the cap, and at Re tau = +-0.49 its series keep their digits; at
+    Re tau = 0 they would keep none (at 1e-3j and 0.01j their sums at
+    t = +-1 fall below 1e-16 of their terms' moduli), and the params
+    raise for that instead.  The tau that the identity suites draw need
+    at most 6 terms."""
+    with pytest.raises(OverflowError, match="series terms"):
+        EllipticParams(tau=1e-9j)
+    for re in (-0.49, 0.49):
+        assert EllipticParams(tau=complex(re, 1e-3)).terms <= MAX_SERIES_TERMS
+    for tau in (1e-3j, 0.01j):
+        with pytest.raises(ValueError, match="half of their digits"):
+            EllipticParams(tau=tau)
+    assert max(EllipticParams(tau=complex(re, y)).terms
+               for re in (-0.45, 0, 0.45) for y in (0.5, 1.0, 2.0)) <= 6
+
+
+def test_zero_series_terms_give_the_prefactors():
+    """series_terms = 0 is the q -> 0 limit: phi_i is its prefactor at z
+    itself, bit for bit and unreduced, and every W_i is 1."""
+    params = EllipticParams(tau=0.3 + 0.4j, series_terms=0)
+    for z in (0.21 + 0.03j, -0.4 + 0.9j, 0.1 + 2.5j):
+        s = cmath.exp(1j * cmath.pi * z)
+        prefactors = (1.0 / (1.0 / s - s), 1.0 / (s + 1.0 / s), s + 1.0 / s, s - 1.0 / s)
+        for i, pref in enumerate(prefactors, 1):
+            assert phi_numeric(i, params, z) == pref
+            assert witten_char(i, [s * s, 40.0, -1.0], params) == 1
+
+
+def test_series_terms_must_be_nonnegative():
+    with pytest.raises(ValueError, match="series_terms"):
+        EllipticParams(tau=1j, series_terms=-1)
 
 
 def test_params_validation():

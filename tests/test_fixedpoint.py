@@ -295,7 +295,7 @@ def test_consistency_check_nonspecial():
     assert rep.passed
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 1e300])
 def test_consistency_check_rejects_vacuous_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite"):
         consistency_check(

@@ -1,6 +1,7 @@
 """Oracles independent of this codebase: sympy for the reference gcd and
 reduction over Q(i) (``ring_reference``) and the package's gcd over Z[s],
-mpmath's q-Pochhammer symbol for the numeric products."""
+mpmath's q-Pochhammer symbol and Jacobi theta functions for the numeric
+theta quotients and Witten characters."""
 
 import cmath
 import random
@@ -182,13 +183,93 @@ def test_witten_numeric_matches_mpmath(i):
     rng = random.Random(40 + i)
     with mpmath.workdps(40):
         for z, tau in _draws():
-            # eigenvalue pairs (e, 1/e) of up to three planes, e = e^{2 pi i r}
+            # up to three planes, e = e^{2 pi i r}, the other eigenvalue 1/e
             rs = [z] + [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1))
                         for _ in range(rng.randint(0, 2))]
-            xs = []
-            for r in rs:
-                e = cmath.exp(2j * cmath.pi * r)
-                xs.extend((e, 1 / e))
-            got = witten_char(i, xs, EllipticParams(tau=tau))
-            want = _oracle_char(mpmath, i, [mpmath.mpc(x) for x in xs], mpmath.mpc(tau))
+            planes = [cmath.exp(2j * cmath.pi * r) for r in rs]
+            got = witten_char(i, planes, EllipticParams(tau=tau))
+            xs = [mpmath.mpc(x) for e in planes for x in (e, 1 / e)]
+            want = _oracle_char(mpmath, i, xs, mpmath.mpc(tau))
             assert _rel(got, want) < TOL
+
+
+def _theta_phi(mpmath, i, z, tau):
+    """phi_i from mpmath's Jacobi theta functions, with nome e^{i pi tau}
+    and q^{1/8} = e^{i pi tau / 4}: phi_1 = i q^{1/8} th3/th1,
+    phi_2 = q^{1/8} th4/th2, phi_3 = q^{-1/8} th2/th4 and
+    phi_4 = i q^{-1/8} th1/th3.  No product has to converge, so it holds
+    for tau near the real axis too."""
+    nome = mpmath.exp(1j * mpmath.pi * tau)
+    q8 = mpmath.exp(1j * mpmath.pi * tau / 4)
+    a, b, c = {1: (3, 1, 1j * q8), 2: (4, 2, q8), 3: (2, 4, 1 / q8),
+               4: (1, 3, 1j / q8)}[i]
+    return (c * mpmath.jtheta(a, mpmath.pi * z, nome)
+            / mpmath.jtheta(b, mpmath.pi * z, nome))
+
+
+def _prefactor(i, s):
+    return {1: 1 / (1 / s - s), 2: 1 / (s + 1 / s), 3: s + 1 / s, 4: s - 1 / s}[i]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_phi_numeric_far_from_the_real_axis(i):
+    """phi_i at z + m tau for |m| up to 100, against mpmath at that float
+    point, and against (-1)^m phi_i(z).  Reducing z + m tau rounds at the
+    size of m tau, which costs up to two digits at |m| = 100, so the
+    tolerance grows with |m|."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(50 + i)
+    with mpmath.workdps(40):
+        for z, tau in list(_draws())[:12]:
+            params = EllipticParams(tau=tau)
+            base = phi_numeric(i, params, z)
+            for m in (-100, -37, -2, -1, 1, 3, rng.randint(4, 99), 100):
+                point = z + m * tau
+                got = phi_numeric(i, params, point)
+                want = _theta_phi(mpmath, i, mpmath.mpc(point), mpmath.mpc(tau))
+                assert _rel(got, want) < TOL * (1 + abs(m)), (z, tau, m)
+                assert _rel(got, (-1) ** m * base) < TOL * (1 + abs(m))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_witten_char_at_plus_minus_one_and_far_out(i):
+    """W_i on one plane at e = 1 and e = -1, where the prefactors of phi_i
+    vanish or have their poles and the series must not divide 0 by 0, and
+    at |e| = |q|^x for x up to 5 either way, which the character route of
+    Z reaches and which the series reduce by a power of q; then all of
+    them on one representation."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(60 + i)
+    with mpmath.workdps(40):
+        for _, tau in list(_draws())[:25]:
+            params = EllipticParams(tau=tau)
+            planes = [1.0, -1.0] + [
+                cmath.exp(2j * cmath.pi * (rng.uniform(0, 1) + rng.uniform(-5, 5) * tau))
+                for _ in range(4)
+            ]
+            for group in [[e] for e in planes] + [planes]:
+                got = witten_char(i, group, params)
+                xs = [mpmath.mpc(x) for e in group for x in (e, 1 / e)]
+                want = _oracle_char(mpmath, i, xs, mpmath.mpc(tau))
+                assert _rel(got, want) < TOL, (tau, group)
+
+
+@pytest.mark.parametrize(
+    "tau", [complex(re, im) for re in (-0.49, 0.49) for im in (1e-3, 0.5, 2.0)]
+)
+def test_theta_quotients_near_the_edges_of_tau(tau):
+    """phi_i and W_i at Re tau = +-0.49, where e^{i pi tau} sits next to
+    the branch cut of a principal root of q, from Im tau = 1e-3 (about 130
+    series terms) to 2, against mpmath's theta functions."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(str(tau))
+    params = EllipticParams(tau=tau)
+    with mpmath.workdps(40):
+        for _ in range(10):
+            z = rng.uniform(0.05, 0.45) + rng.uniform(-0.45, 0.45) * tau
+            s = mpmath.exp(1j * mpmath.pi * mpmath.mpc(z))
+            for i in (1, 2, 3, 4):
+                want = _theta_phi(mpmath, i, mpmath.mpc(z), mpmath.mpc(tau))
+                assert _rel(phi_numeric(i, params, z), want) < TOL, (i, z)
+                got = witten_char(i, [cmath.exp(2j * cmath.pi * z)], params)
+                assert _rel(got, want / _prefactor(i, s)) < TOL, (i, z)

@@ -50,6 +50,7 @@ def test_constant_terms():
 
 
 def test_permutation_invariance():
+    # three planes, the last far enough from |e| = 1 to be reduced
     prm = EllipticParams(tau=0.2 + 0.8j)
     xs = [1.2 + 0.1j, 0.4 - 0.2j, 2.0]
     for i in (1, 2, 3, 4):
@@ -63,8 +64,9 @@ def test_exact_numeric_agreement():
     for i in (1, 2, 3, 4):
         tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.4))
         z = complex(rng.uniform(0.05, 0.4), rng.uniform(-0.05, 0.05))
-        weights = [1, -1, 2]
-        ser = witten_exact(i, weights, 60)
+        # planes of weights 1 and 2: eigenvalues s^{+-2}, s^{+-4}
+        weights = [1, 2]
+        ser = witten_exact(i, weights + [-w for w in weights], 60)
         s0 = cmath.exp(1j * cmath.pi * z)
         p0 = cmath.exp(0.5j * cmath.pi * tau)
         xs = [cmath.exp(2j * cmath.pi * w * z) for w in weights]
@@ -80,8 +82,7 @@ def test_exact_numeric_agreement_near_branch_wrap():
     ser = witten_exact(1, [1, -1], 60)
     s0 = cmath.exp(1j * cmath.pi * z)
     p0 = cmath.exp(0.5j * cmath.pi * tau)
-    xs = [cmath.exp(2j * cmath.pi * w * z) for w in (1, -1)]
-    num = witten_char(1, xs, EllipticParams(tau=tau))
+    num = witten_char(1, [cmath.exp(2j * cmath.pi * z)], EllipticParams(tau=tau))
     assert abs(ser.evaluate(s0, p0) - num) / abs(num) < 1e-10
 
 
@@ -105,8 +106,8 @@ def test_vanishing_denominator_names_factor():
     ],
 )
 def test_vanishing_denominator_at_n2_and_half_integer_powers(i, power, sign, n):
-    """Zeros at n = 2 and in the half-integer family q^{n-1/2}: the guard
-    that is skipped when no |1 - b_n x| can be small must still see them."""
+    """Poles at n = 2 and in the half-integer family q^{n-1/2}, next to a
+    plane far from any pole: the guard sees each plane."""
     tau = 0.2 + 0.9j
     x = sign * cmath.exp(-2j * cmath.pi * power * tau)
     with pytest.raises(WittenDenominatorError) as err:
@@ -115,13 +116,47 @@ def test_vanishing_denominator_at_n2_and_half_integer_powers(i, power, sign, n):
 
 
 @pytest.mark.parametrize("x, error", [(math.inf, OverflowError),
-                                      (1e308, OverflowError),
                                       (math.nan, ValueError)])
 def test_non_finite_eigenvalue_is_named(x, error):
-    """An eigenvalue whose size overflows the product cutoff's tail bound is
-    named in the error, where the log of that bound would fail bare."""
+    """An eigenvalue that no power of q brings into the strip of the theta
+    series is named in the error, where its log would fail bare."""
     with pytest.raises(error, match=re.escape(f"|t| = {x}") + "$"):
         witten_char(1, [x], EllipticParams(tau=1j))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_each_pole_family_raises(i):
+    """W_i has its poles at r = shift + k + m tau, e = e^{2 pi i r}, with
+    the shift 0, 1/2, tau/2, 1/2 + tau/2 of phi_i; for i = 1, 2 not at
+    m = 0, where phi_i's pole is its prefactor's.  Within POLE_GUARD of
+    each it raises, naming the vanishing factor n; 1e-6 away it does not,
+    and neither does it at e = 1 for W_1 or e = -1 for W_2."""
+    tau = 0.17 + 0.83j
+    params = EllipticParams(tau=tau)
+    shift = {1: 0, 2: 0.5, 3: tau / 2, 4: 0.5 + tau / 2}[i]
+    for m in range(-3, 4):
+        for k in (-1, 0, 2):
+            r = shift + k + m * tau
+            if not m and i < 3:
+                e = cmath.exp(2j * cmath.pi * r)
+                assert cmath.isfinite(witten_char(i, [e], params))
+                continue
+            with pytest.raises(WittenDenominatorError) as err:
+                witten_char(i, [cmath.exp(2j * cmath.pi * (r + 1e-10j))], params)
+            assert err.value.n == (abs(m) if i < 3 else max(m + 1, -m))
+            witten_char(i, [cmath.exp(2j * cmath.pi * (r + 1e-6))], params)
+
+
+def test_huge_eigenvalue_is_reduced():
+    """|e| = 1e308 is e^{2 pi i r} with Im r = -113 at tau = i: reduced by
+    q^{-113} in two steps of q^{-113/2}, so nothing underflows, it gives
+    the character of the plane (e, 1/e) and that of (1/e, e)."""
+    params = EllipticParams(tau=1j)
+    for i in (1, 2, 3, 4):
+        a = witten_char(i, [1e308], params)
+        b = witten_char(i, [1e-308], params)
+        assert cmath.isfinite(a) and a != 0
+        assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_exact_requires_integer_weights():
