@@ -37,7 +37,7 @@ from .fixedpoint import (
     special_orders,
 )
 from .witten import WittenDenominatorError
-from .zem import SUITE_NAMES, LatticeElement, identity_check
+from .zem import SUITE_NAMES, LatticeElement, _require_tol, identity_check
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -102,10 +102,12 @@ def _parse_point(raw):
 
 
 def _tolerance(raw):
-    """A tolerance in (0, 1), as ``zem._require_tol`` asks."""
+    """A tolerance that ``zem._require_tol`` accepts."""
     value = float(raw)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("must be a finite number > 0 and < 1")
+    try:
+        _require_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -185,9 +187,9 @@ def cmd_verify(args):
     return 0 if all_passed else MATH_FAILURE
 
 
-# what a numeric evaluation at a point raises at a pole, where z - m tau in
-# the strip of the theta series keeps fewer than half of the digits of z, or
-# where pi z leaves the floats (ValueError from cmath.exp, |Re z| near 1e308)
+# what a numeric evaluation at a point raises at a pole, where rounding
+# z - m tau into the strip of the theta series would cost half of the digits
+# of phi_i, or where pi z leaves the floats (ValueError from cmath.exp)
 _AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
               OverflowError, ValueError)
 

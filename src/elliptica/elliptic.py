@@ -32,9 +32,11 @@ products summed as two Jacobi theta series, by the triple product
 z is first reduced by phi_i(z + m tau) = (-1)^m phi_i(z), so that
 |t| lies in [|q|^{1/2}, |q|^{-1/2}], where each series is cut at the term
 that bounds its tail below 1e-18 (3 to 6 terms for Im tau in [0.5, 2]).
-What depends on tau alone, q, p, the pole shifts and the coefficients of
-the series, is computed once per ``EllipticParams``.  The truncated
-products are the test reference (tests/numeric_reference.py).
+Where |q| > 1/2 the sums would lose digits near t = +-1, and they are
+taken at a modular image tau' of tau instead, where phi_i is a quotient
+of Jacobi thetas times a unit.  What depends on tau alone is computed
+once per ``EllipticParams``.  The truncated products are the test
+reference (tests/numeric_reference.py).
 
 Lattice translations of z act on (s, p) as
 
@@ -85,11 +87,11 @@ rows are compared as ints, no coefficient is reduced and no gcd is taken.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 
 from .witten import (
     POLE_GUARD,
@@ -101,8 +103,9 @@ from .witten import (
 )
 
 NUMERIC_TAIL_TARGET = 1e-18
-# the most series terms a tau may ask for (Im tau = 1e-9 would need 1e5)
-MAX_SERIES_TERMS = 1000
+# the largest |q| whose theta series are summed at tau itself, not at a
+# modular image of tau
+DIRECT_Q = 0.5
 # the largest growth of rounding errors that keeps half of a float's digits
 HALF_DIGITS = 1e-8 / sys.float_info.epsilon
 
@@ -120,15 +123,15 @@ class EllipticParams:
     """tau and, optionally, the number of terms of its theta series (0: the
     q -> 0 limit, where every W_i is 1), which ``terms`` holds either way;
     what depends on tau alone is computed here, once, outside equality and
-    hashing.  OverflowError past ``MAX_SERIES_TERMS`` terms, ValueError
-    where the series would keep fewer than half of their digits (Im tau
-    below about 0.04 near Re tau = 0)."""
+    hashing.  Where |q| > ``DIRECT_Q`` the series are summed at a modular
+    image tau' of tau instead (``theta_quotient``); ValueError where the q
+    of tau' rounds to 0 (near Re tau = 0, Im tau below about 0.0085)."""
 
     tau: complex
     series_terms: int | None = None
 
     def __post_init__(self):
-        tau = self.tau
+        tau, n = self.tau, self.series_terms
         if not cmath.isfinite(tau) or tau.imag <= 0:
             raise ValueError(
                 f"tau must be finite with positive imaginary part, got {tau}"
@@ -136,26 +139,48 @@ class EllipticParams:
         # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
         # principal-branch powers, which could wrap
         qh = cmath.exp(1j * cmath.pi * tau)
-        q, n = qh * qh, self.series_terms
+        q = qh * qh
         if not 0.0 < abs(q) < 1.0:
             raise ValueError(
                 f"tau = {tau} gives |q| = {abs(q)}, outside (0, 1) in "
                 "floating point"
             )
+        if n is not None and n < 0:
+            raise ValueError(f"series_terms must be >= 0, got {n}")
+        # the instance is frozen: set the derived values past __setattr__
+        self.__dict__.update(
+            _p=cmath.exp(0.5j * cmath.pi * tau), _modular=None,
+            _pole_shift={1: 0j, 2: 0.5 + 0j, 3: tau / 2.0, 4: 0.5 + tau / 2.0})
+        if n != 0 and abs(q) > DIRECT_Q:
+            # th_j(z|tau) = C(z) u_j th_j'(scale z|tau') with one C(z) for all j:
+            # tau -> tau - k multiplies th_1, th_2 by e^{-i pi k/4} and swaps th_3
+            # and th_4 for k odd, tau -> -1/tau multiplies th_1 by -i and swaps
+            # th_2 and th_4.  Kept: the image j of th_3, u_3 / u_1 and the scale.
+            j, unit, scale, image = 3, 1.0 + 0j, 1.0 + 0j, tau
+            while math.exp(-2.0 * math.pi * image.imag) > DIRECT_Q:
+                k = round(image.real)
+                if j != 2:
+                    j = 7 - j if k % 2 else j
+                    unit *= cmath.exp(-0.25j * cmath.pi * (k % 8))
+                image = -1.0 / (image - k)
+                j, unit, scale = 6 - j, unit * 1j, scale * image
+            try:
+                dual = EllipticParams(image, n)
+            except ValueError:
+                raise ValueError(f"tau = {tau} is too near the real axis: its "
+                                 f"modular image {image} gives q = 0") from None
+            # u_3 / u_1 times q^{1/8} / q'^{1/8}, from th_1 = 2 q^{1/8} sin(pi z) B
+            unit *= cmath.exp(0.25j * cmath.pi * (tau - image))
+            self.__dict__.update(terms=dual.terms, _modular=(dual, j, unit, scale))
+            return
         if n is None:  # the least n whose tail bound for |t| in
             # [|q|^{1/2}, |q|^{-1/2}], (2n + 5) |q|^{n(n+1)/2} / (1 - |q|), is met
             n, qa = 1, abs(q)
-            while (n <= MAX_SERIES_TERMS and (2 * n + 5) * qa ** (n * (n + 1) / 2)
-                   > NUMERIC_TAIL_TARGET * (1.0 - qa)):
+            while (2 * n + 5) * qa ** (n * (n + 1) / 2) > NUMERIC_TAIL_TARGET * (1.0 - qa):
                 n += 1
-        elif n < 0:
-            raise ValueError(f"series_terms must be >= 0, got {n}")
-        if n > MAX_SERIES_TERMS:
-            raise OverflowError(f"tau = {tau} needs {n} series terms or more, "
-                                f"more than {MAX_SERIES_TERMS}")
-        # alphas[k] = q^{k^2/2} = alphas[k-1] q^{k-1} q^{1/2} and b[k] =
-        # (-1)^k q^{k(k+1)/2} = -b[k-1] q^k, k = 0..n; betas[k] = b[k] + .. + b[n]
-        alphas, b = [1.0 + 0j], [1.0 + 0j]
+        # (q^{k^2/2}, betas[k]) for k = 1..n: alphas[k] = alphas[k-1] q^{k-1}
+        # q^{1/2}, b[k] = (-1)^k q^{k(k+1)/2} = -b[k-1] q^k, betas[k] = b[k] + .. + b[n]
+        alphas, b = [], [1.0 + 0j]
         a = c = qk = 1.0 + 0j
         for _ in range(n):
             a *= qk * qh
@@ -164,52 +189,55 @@ class EllipticParams:
             alphas.append(a)
             b.append(c)
         betas = list(accumulate(reversed(b)))[::-1]
-        # A(+-1), B(1) = sum (2k+1) b[k], B(-1) = sum (-1)^k b[k] against the
-        # moduli of their terms: by |1 +- x| >= 1 - |x| in their products, none
-        # falls below 1/620 of them for |q| <= 1/2, so only |q| > 1/2 is checked
-        if abs(q) > 0.5:
-            odd = range(1, 2 * n + 2, 2)
-            a_abs = 2.0 * sum(map(abs, alphas)) - 1.0
-            b_abs = sum(map(mul, odd, map(abs, b)))
-            if not all(size < HALF_DIGITS * abs(value) for size, value in (
-                    (a_abs, 2.0 * sum(alphas) - 1.0),
-                    (a_abs, 4.0 * sum(alphas[::2]) - 2.0 * sum(alphas) - 1.0),
-                    (b_abs, sum(map(mul, odd, b))), (b_abs, 2 * sum(b[::2]) - sum(b)))):
-                raise ValueError(f"tau = {tau}: its theta series would keep fewer "
-                                 "than half of their digits")
-        # (q^{k^2/2}, betas[k]) for k = 1..n, for t and, with (-1)^k, for -t
-        plus = list(zip(alphas[1:], betas[1:]))
-        minus = plus[:]
-        minus[::2] = [(-x, -y) for x, y in plus[::2]]
-        # the instance is frozen: set the derived values past __setattr__
-        self.__dict__.update(
-            terms=n, _p=cmath.exp(0.5j * cmath.pi * tau), _b0=betas[0],
-            _pole_shift={1: 0j, 2: 0.5 + 0j, 3: tau / 2.0, 4: 0.5 + tau / 2.0},
-            _coefficients={1: plus, -1: minus})
+        self.__dict__.update(terms=n, _b0=betas[0],
+                             _coefficients=list(zip(alphas, betas[1:])))
 
     @property
     def p(self):
         """q^{1/4} = e^{i pi tau / 2}, not a principal root, which could wrap."""
         return self._p
 
-    def theta_quotient(self, i, t):
-        """P_i(t), the product part of phi_i and the W_i character of the
-        plane (t, 1/t): A(t)/B(t), A(-t)/B(-t), B(-t)/A(-t), B(t)/A(t) for
-        i = 1..4, where A(t) = sum_k q^{k^2/2} t^k = prod (1 - q^n)
+    def theta_sums(self, t):
+        """(A(t), B(t)): A(t) = sum_k q^{k^2/2} t^k = prod (1 - q^n)
         (1 + q^{n-1/2} t^{+-1}) and B(t) = sum_{n>=0} (-1)^n q^{n(n+1)/2}
         (t^-n + .. + t^n) = prod (1 - q^n)(1 - q^n t^{+-1}), summed as
-        sum_k betas[k] (t^k + t^-k): no 0/0 at t = 1.  The tail bound holds
-        for |t| in [|q|^{1/2}, |q|^{-1/2}]; the callers reduce t there."""
+        sum_k betas[k] (t^k + t^-k), with no 0/0 at t = 1."""
         a, b = 1.0 + 0j, self._b0
         tk = tik = 1.0 + 0j
         ti = 1.0 / t
-        for ak, bk in self._coefficients[1 if i in (1, 4) else -1]:
+        for ak, bk in self._coefficients:
             tk *= t
             tik *= ti
             u = tk + tik
             a += ak * u
             b += bk * u
-        return a / b if i < 3 else b / a
+        return a, b
+
+    def theta_quotient(self, i, t):
+        """P_i(t), the product part of phi_i and the W_i character of the
+        plane (t, 1/t): A(t)/B(t), A(-t)/B(-t), B(-t)/A(-t), B(t)/A(t) for
+        i = 1..4; the callers reduce t into [|q|^{1/2}, |q|^{-1/2}], where the
+        tail bound holds.  Where |q| > ``DIRECT_Q``, A(t)/B(t) = 2 q^{1/8}
+        sin(pi r) th_3(r)/th_1(r), t = e^{2 pi i r}, with th_3/th_1 a unit
+        times th_j/th_1 at the modular image."""
+        t = t if i in (1, 4) else -t
+        if self._modular is None:
+            a, b = self.theta_sums(t)
+            return a / b if i < 3 else b / a
+        dual, j, unit, scale = self._modular
+        # z = scale r less m tau', where th_1 and th_4 change sign and th_2, th_3 not
+        r = cmath.log(t) * (-0.5j / math.pi)
+        m = round((scale * r).imag / dual.tau.imag)
+        z = scale * r - m * dual.tau
+        x = cmath.exp(2j * cmath.pi * z)
+        (a, b), (a4, b4) = dual.theta_sums(x), dual.theta_sums(-x)
+        # th_3 = A(x), th_4 = A(-x), th_2 = 2 q'^{1/8} cos(pi z) B(-x), and
+        # th_1 = 2 q'^{1/8} sin(pi z) B(x), where sin(pi r) / sin(pi z) -> 1/scale
+        th = {3: a, 4: a4, 2: 2.0 * cmath.exp(0.25j * cmath.pi * dual.tau)
+              * cmath.cos(cmath.pi * z) * b4}[j]
+        ratio = cmath.sin(cmath.pi * r) / cmath.sin(cmath.pi * z) if z else 1.0 / scale
+        x = unit * (-1) ** (m * (j != 4)) * ratio * th / b
+        return x if i < 3 else 1.0 / x
 
     def pole_offset(self, i, z):
         """(distance from z to the nearest pole of phi_i, y): those poles are
@@ -271,8 +299,9 @@ def phi_numeric(i, params, z):
     """phi_i(z) = pref_i(s) ``EllipticParams.theta_quotient``(i, s^2), with
     z first reduced into |Im z| <= Im tau / 2 by phi_i(z + m tau) =
     (-1)^m phi_i(z); with ``series_terms`` 0, pref_i(s) at z itself.
-    PoleError within ``POLE_GUARD`` of a pole, ValueError where z - m tau
-    keeps fewer than half of the digits of z."""
+    PoleError within ``POLE_GUARD`` of a pole, ValueError where the rounding
+    of z - m tau, eps |z|, would cost half of the digits: more than 1e-8 of
+    the distance to the pole, or of 1."""
     if i not in PREFACTORS:
         raise ValueError("phi index must be 1..4")
     z = complex(z)
@@ -282,11 +311,10 @@ def phi_numeric(i, params, z):
     # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
     m = round(y if i < 3 else y + 0.5) if params.terms else 0
     if m:
-        reduced = z - m * params.tau
-        if HALF_DIGITS * abs(reduced) < abs(z):
+        if abs(z) > HALF_DIGITS * min(1.0, dist):
             raise ValueError(f"z = {z} lies {m} periods off the real axis: "
                              f"z - {m} tau keeps fewer than half of its digits")
-        z = reduced
+        z -= m * params.tau
     s = cmath.exp(1j * cmath.pi * z)
     # 1/(1/s - s), 1/(s + 1/s), s + 1/s and s - 1/s
     d = s + 1.0 / s if i in (2, 3) else 1.0 / s - s

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import subprocess
@@ -287,13 +288,11 @@ def test_vanishing_witten_denominator_at_point_is_usage_error(capsys,
 
 
 @pytest.mark.parametrize("tau", ["nanj", "infj", "1e-300j", "200j", "1e-9j",
-                                 "1e-3j", "0.01j"])
+                                 "1e-3j"])
 def test_degenerate_tau_is_usage_error(capsys, tau):
-    """NaN and infinite tau, tau whose q rounds to |q| = 1 or to 0, tau so
-    near the real axis that its series need more terms than
-    ``elliptic.MAX_SERIES_TERMS``, and tau whose series would keep fewer
-    than half of their digits: rejected while the arguments are parsed,
-    before any series is built."""
+    """NaN and infinite tau, tau whose q rounds to |q| = 1 or to 0, and tau
+    so near the real axis that the q of their modular image rounds to 0:
+    rejected while the arguments are parsed, before any series is built."""
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--phi", "1", "--q-order", "2", "--at", "0.2",
               "--tau", tau])
@@ -302,11 +301,21 @@ def test_degenerate_tau_is_usage_error(capsys, tau):
 
 
 def test_tau_near_a_cusp_is_accepted(capsys):
-    """Im tau = 1e-3 needs about 130 series terms, within the cap, and at
-    Re tau = 0.49 they keep their digits."""
+    """Im tau = 1e-3 at Re tau = 0.49, and 0.03j and 0.01j near Re tau = 0,
+    are summed at a modular image of tau: evaluated, not refused, by every
+    command that takes a tau."""
     code, out, err = run_cli(capsys, "expand", "--phi", "3", "--q-order", "2",
                              "--at", "0.2+0.0003j", "--tau", "0.49+0.001j")
     assert code == 0 and json.loads(out)["at"]["tau"] == "(0.49+0.001j)"
+    for tau in ("0.03j", "0.01j"):
+        code, out, _ = run_cli(capsys, "index", "--manifold", "cp3", "--twist",
+                               "tangent_witten", "--q-order", "2", "--at",
+                               "0.1+0.003j", "--tau", tau)
+        assert code == 0 and cmath.isfinite(complex(json.loads(out)["at"]["value"]))
+        code, out, _ = run_cli(capsys, "consistency", "--manifold", "cp3",
+                               "--alpha", "1", "--beta", "1", "--order-k", "5",
+                               "--trials", "5", "--tau", tau)
+        assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_far_up_point_is_evaluated(capsys, tmp_path):
@@ -340,7 +349,7 @@ def test_verify_bad_tol_is_usage_error(capsys, tol):
         main(["verify", "--suite", "K-transfer", "--trials", "2",
               "--tol", tol])
     assert exc.value.code == 2
-    assert "must be a finite number > 0" in capsys.readouterr().err
+    assert "tol must be finite, > 0 and < 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", [",", " , ,"])

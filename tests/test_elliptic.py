@@ -7,7 +7,6 @@ import pytest
 from elliptica.elliptic import (
     HALF_PERIODS,
     EllipticParams,
-    MAX_SERIES_TERMS,
     PoleError,
     TRANSLATIONS,
     phi_exact,
@@ -113,11 +112,13 @@ def test_cross_backend_agreement_random():
 
 def test_numeric_tail_bound_doubling():
     """Twice the series terms that the tail target asks for change no
-    value of phi_i or W_i by more than 1e-15, at seeded tau and points
-    across the strip where the tail bound holds and beyond it."""
+    value of phi_i or W_i by more than 1e-15, at seeded tau and tau near
+    the real axis, and points across the strip where the tail bound holds
+    and beyond it."""
     rng = random.Random(17)
-    for _ in range(40):
-        tau = complex(rng.uniform(-0.49, 0.49), rng.uniform(0.3, 2.0))
+    # the last three are summed at a modular image of tau
+    for tau in [complex(rng.uniform(-0.49, 0.49), rng.uniform(0.3, 2.0))
+                for _ in range(40)] + [0.03j, 0.49 + 1e-3j, 1 / 3 + 2e-3j]:
         params = EllipticParams(tau=tau)
         doubled = EllipticParams(tau=tau, series_terms=2 * params.terms)
         for _ in range(5):
@@ -203,20 +204,15 @@ def test_numeric_translations_near_branch_wrap():
     assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
-def test_term_cap_bounds_the_series():
-    """Near the real axis the series would need about 1e5 terms: the
-    params raise instead of building them.  Im tau = 1e-3 stays within
-    the cap, and at Re tau = +-0.49 its series keep their digits; at
-    Re tau = 0 they would keep none (at 1e-3j and 0.01j their sums at
-    t = +-1 fall below 1e-16 of their terms' moduli), and the params
-    raise for that instead.  The tau that the identity suites draw need
-    at most 6 terms."""
-    with pytest.raises(OverflowError, match="series terms"):
-        EllipticParams(tau=1e-9j)
-    for re in (-0.49, 0.49):
-        assert EllipticParams(tau=complex(re, 1e-3)).terms <= MAX_SERIES_TERMS
-    for tau in (1e-3j, 0.01j):
-        with pytest.raises(ValueError, match="half of their digits"):
+def test_modular_image_bounds_the_series():
+    """Where |q| > 1/2 the series are summed at a modular image of tau
+    whose |q| is at most 1/2, so no tau needs more than 11 terms, and the
+    tau that the identity suites draw need at most 6.  Near Re tau = 0,
+    below Im tau of about 0.0085, the image's q rounds to 0: refused."""
+    for tau in (0.12j, 0.03j, 0.01j, 0.49 + 1e-3j, -0.49 + 1e-3j, 1 / 3 + 2e-3j):
+        assert EllipticParams(tau=tau).terms <= 11
+    for tau in (1e-3j, 1e-9j, 0.2 + 1e-6j):
+        with pytest.raises(ValueError, match="too near the real axis"):
             EllipticParams(tau=tau)
     assert max(EllipticParams(tau=complex(re, y)).terms
                for re in (-0.45, 0, 0.45) for y in (0.5, 1.0, 2.0)) <= 6

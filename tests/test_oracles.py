@@ -231,6 +231,21 @@ def test_phi_numeric_far_from_the_real_axis(i):
                 assert _rel(got, (-1) ** m * base) < TOL * (1 + abs(m))
 
 
+def test_far_point_refused_by_its_distance_to_the_pole():
+    """z = 1e-9 + 60j at tau = i reduces to 1e-9 with a rounding error of
+    about 1e-14: phi_2, phi_3 and phi_4, whose poles lie 1/2 or more away,
+    keep their digits there; at 1e-6 + 1e4j, phi_1 would lose them to its
+    pole at 0, 1e-6 away, and is refused."""
+    mpmath = pytest.importorskip("mpmath")
+    params, z = EllipticParams(tau=1j), 1e-9 + 60j
+    with mpmath.workdps(40):
+        for i in (2, 3, 4):
+            want = _theta_phi(mpmath, i, mpmath.mpc(z), mpmath.mpc(1j))
+            assert _rel(phi_numeric(i, params, z), want) < TOL * 61
+    with pytest.raises(ValueError, match="half of its digits"):
+        phi_numeric(1, params, 1e-6 + 1e4j)
+
+
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_witten_char_at_plus_minus_one_and_far_out(i):
     """W_i on one plane at e = 1 and e = -1, where the prefactors of phi_i
@@ -273,3 +288,45 @@ def test_theta_quotients_near_the_edges_of_tau(tau):
                 assert _rel(phi_numeric(i, params, z), want) < TOL, (i, z)
                 got = witten_char(i, [cmath.exp(2j * cmath.pi * z)], params)
                 assert _rel(got, want / _prefactor(i, s)) < TOL, (i, z)
+
+
+def _theta_char(mpmath, i, e, tau):
+    """W_i on the plane (e, 1/e) from mpmath's theta functions: with
+    P(t) = 2 q^{1/8} sin(pi r) th3(r)/th1(r) at t = e^{2 pi i r}, the
+    product A(t)/B(t), and 2 q^{1/8} th3(0)/th1'(0) at t = 1, W_1..W_4 are
+    P(e), P(-e), 1/P(-e) and 1/P(e)."""
+    nome = mpmath.exp(1j * mpmath.pi * tau)
+    q8 = mpmath.exp(1j * mpmath.pi * tau / 4)
+
+    def p(t):
+        if t == 1:
+            return 2 * q8 * mpmath.jtheta(3, 0, nome) / mpmath.jtheta(1, 0, nome, 1)
+        x = mpmath.log(t) / 2j
+        return 2 * q8 * mpmath.sin(x) * mpmath.jtheta(3, x, nome) / mpmath.jtheta(1, x, nome)
+
+    return {1: p(e), 2: p(-e), 3: 1 / p(-e), 4: 1 / p(e)}[i]
+
+
+@pytest.mark.parametrize(
+    "tau", [0.03j, 0.01j, 0.3 + 0.01j, 1 / 3 + 2e-3j, 0.39 + 2e-3j, 0.1 + 0.1j]
+)
+def test_theta_quotients_near_the_real_axis(tau):
+    """Where |q| > 1/2 the series are summed at a modular image of tau:
+    phi_i at points across the strip and a period out, and W_i there and at
+    e = +-1, against mpmath's theta functions.  th_3 maps to th_3 at the
+    image of all but 1/3 + 2e-3 i (th_2) and 0.39 + 2e-3 i (th_4).  Near
+    the real axis jtheta's own sums cancel (th4(0) is 1e-34 of its terms
+    at 0.01j), so the oracle runs at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(str(tau))
+    params = EllipticParams(tau=tau)
+    with mpmath.workdps(60):
+        for _ in range(8):
+            z = rng.uniform(0.05, 0.45) + rng.uniform(-0.45, 0.45) * tau
+            for i in (1, 2, 3, 4):
+                point = z + rng.choice((-1, 0, 1)) * tau
+                want = _theta_phi(mpmath, i, mpmath.mpc(point), mpmath.mpc(tau))
+                assert _rel(phi_numeric(i, params, point), want) < TOL, (i, point)
+                for e in (cmath.exp(2j * cmath.pi * z), 1.0, -1.0):
+                    want = _theta_char(mpmath, i, mpmath.mpc(e), mpmath.mpc(tau))
+                    assert _rel(witten_char(i, [e], params), want) < TOL, (i, e)
