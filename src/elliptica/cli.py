@@ -24,6 +24,7 @@ from .elliptic import (
     phi_translate_check,
 )
 from .fixedpoint import (
+    DERIVED_TWISTS,
     ManifoldValidationError,
     SpecialPointError,
     TwistSpec,
@@ -131,7 +132,7 @@ _SHARED_OPTIONS = {
     "tol": ("--tol", dict(type=_tolerance, default=DEFAULT_TOL)),
     "q_order": ("--q-order", dict(dest="q_order", type=_bounded_int(0),
                                   default=80)),
-    "tau": ("--tau", dict(type=_parse_tau, default=None)),
+    "tau": ("--tau", dict(type=_parse_tau, default=1j)),
 }
 
 
@@ -240,13 +241,13 @@ def cmd_index(args):
         report["simplified"] = simp.to_json()
         failed = not (simp.ok and simp.integral)
     if args.at is not None:
-        tau = args.tau if args.tau is not None else 1j
-        params = EllipticParams(tau=tau)
+        params = EllipticParams(tau=args.tau)
         try:
-            value = index_numeric(m, twist, params, complex(args.at))
+            value, max_term = index_numeric(m, twist, params, complex(args.at))
         except _AT_ERRORS as exc:
             return _cannot_evaluate(args.at, exc)
-        report["at"] = {"z": str(args.at), "tau": str(tau), "value": str(value)}
+        report["at"] = {"z": str(args.at), "tau": str(args.tau),
+                        "value": str(value), "max_term": str(max_term)}
     _emit(report, args.out)
     _summary(f"index of {m.name} / {args.twist} computed")
     return MATH_FAILURE if failed else 0
@@ -290,9 +291,8 @@ def cmd_expand(args):
         "series": series.to_json(),
     }
     if args.at is not None:
-        tau = args.tau if args.tau is not None else 1j
-        nparams = EllipticParams(tau=tau)
-        p0 = cmath.exp(0.5j * cmath.pi * tau)
+        nparams = EllipticParams(tau=args.tau)
+        p0 = cmath.exp(0.5j * cmath.pi * args.tau)
         try:
             value = phi_numeric(args.phi, nparams, complex(args.at))
             s0 = cmath.exp(1j * cmath.pi * complex(args.at))
@@ -301,7 +301,7 @@ def cmd_expand(args):
             return _cannot_evaluate(args.at, exc)
         report["at"] = {
             "z": str(args.at),
-            "tau": str(tau),
+            "tau": str(args.tau),
             "numeric": str(value),
             "series_value": str(series_value),
         }
@@ -319,10 +319,9 @@ def cmd_consistency(args):
     except ValueError as exc:
         _summary(str(exc))
         return USAGE_ERROR
-    tau = args.tau if args.tau is not None else 1j
     try:
         rep = consistency_check(
-            m, gamma, EllipticParams(tau=tau), trials=args.trials,
+            m, gamma, EllipticParams(tau=args.tau), trials=args.trials,
             seed=args.seed, tol=args.tol,
         )
     except SpecialPointError as exc:
@@ -383,7 +382,8 @@ def build_parser():
     p.add_argument("--manifold", required=True,
                    help="path to a manifold JSON file or a catalog name")
     p.add_argument("--twist", default="none",
-                   help="none | tangent_witten | a named bundle twist")
+                   help=f"none | tangent_witten | {' | '.join(DERIVED_TWISTS)}"
+                   " | a bundle twist stored in the manifold file")
     p.add_argument("--at", type=_parse_point, default=None,
                    help="also evaluate numerically at z")
     p.set_defaults(func=cmd_index)

@@ -121,12 +121,17 @@ class SpinCircleManifold:
             )
 
     def bundle_twist(self, name):
-        if name not in self.twists:
+        """The twist stored under ``name``, else the derived one of it."""
+        if name in self.twists:
+            return TwistSpec(kind="bundle", bundle_weights=self.twists[name])
+        if name not in DERIVED_TWISTS:
             raise KeyError(
-                f"manifold {self.name!r} has no twist {name!r}; "
-                f"available: {sorted(self.twists)}"
+                f"manifold {self.name!r} has no twist {name!r}; stored: "
+                f"{sorted(self.twists)}, derived: {sorted(DERIVED_TWISTS)}"
             )
-        return TwistSpec(kind="bundle", bundle_weights=self.twists[name])
+        rule = DERIVED_TWISTS[name]
+        return TwistSpec("bundle", [rule(tangent_complex_weights(pt.weights))
+                                    for pt in self.points])
 
 
 def _is_int(x):
@@ -177,6 +182,8 @@ def manifold_from_dict(data):
     if not isinstance(raw_twists, dict):
         raise ManifoldValidationError("twists", "object required")
     for tname, lists in raw_twists.items():
+        if tname in ("none", "tangent_witten", *DERIVED_TWISTS):
+            raise ManifoldValidationError(f"twists.{tname}", "reserved name")
         if not isinstance(lists, list) or len(lists) != len(points):
             raise ManifoldValidationError(
                 f"twists.{tname}",
@@ -249,6 +256,10 @@ def lambda3_weights(weights):
     )
 
 
+# the twists every manifold has: name -> rule on the weights of T_C at a point
+DERIVED_TWISTS = {"s2t": sym2_weights, "lambda3t": lambda3_weights}
+
+
 # ---------------------------------------------------------------------------
 # special points
 
@@ -308,11 +319,13 @@ def equivariant_index(m, twist, order=0):
 
 def index_numeric(m, twist, params, z):
     """The fixed-point sum of ``equivariant_index`` as a complex value at
-    the point z, with the theta series of ``params``."""
+    the point z, with the theta series of ``params``, and the largest
+    |term| of that sum: a value far below it is rounding noise."""
     _require_bundle_shape(m, twist)
     kind = twist.kind
     z = complex(z)
     total = 0j
+    max_term = 0.0
     for i, pt in enumerate(m.points):
         term = 1.0 + 0j
         if kind == "tangent_witten":
@@ -328,7 +341,8 @@ def index_numeric(m, twist, params, z):
                     for w in twist.bundle_weights[i]
                 )
         total += term
-    return total
+        max_term = max(max_term, abs(term))
+    return total, max_term
 
 
 @dataclass
@@ -456,7 +470,7 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
         y = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         zz = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         try:
-            direct = index_numeric(
+            direct, _ = index_numeric(
                 m, TwistSpec("tangent_witten"), params, gv + y + zz
             )
             local = 0j

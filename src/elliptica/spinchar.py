@@ -63,10 +63,6 @@ class RotationData:
     def planes(self):
         return len(self.entries)
 
-    @property
-    def dim(self):
-        return 2 * len(self.entries)
-
     def is_integral(self):
         return all(isinstance(a, int) for a in self.entries)
 

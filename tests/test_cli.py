@@ -144,6 +144,35 @@ def test_index_unknown_twist_exit_2(capsys):
     assert "no twist" in err
 
 
+def test_stored_twist_named_none_is_usage_error(capsys, tmp_path):
+    """A stored list under a name that the CLI reads as a built-in twist
+    would be shadowed by it, so the file is refused."""
+    data = {"name": "r", "half_dim": 1,
+            "points": [{"weights": [1]}, {"weights": [-1]}],
+            "twists": {"none": [[1], [-1]]}}
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "index", "--manifold", str(path),
+                             "--twist", "none")
+    assert code == 2 and out == ""
+    assert "twists.none: reserved name" in err
+
+
+def test_index_at_reports_the_largest_term(capsys):
+    """Near the real axis the rigid sum cancels terms of about 1e47 to
+    rounding noise; the report carries that largest term, so a value far
+    below it reads as the 0 it is."""
+    for tau, big in (("1j", False), ("0.01j", True)):
+        code, out, _ = run_cli(capsys, "index", "--manifold", "cp3", "--twist",
+                               "tangent_witten", "--q-order", "2", "--at",
+                               "0.1+0.003j", "--tau", tau)
+        assert code == 0
+        at = json.loads(out)["at"]
+        value, max_term = complex(at["value"]), float(at["max_term"])
+        assert abs(value) <= 1e-12 * max_term
+        assert (max_term > 1e40) is big
+
+
 def test_catalog_dump(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--dump", "s2")
     assert code == 0

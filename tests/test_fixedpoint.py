@@ -6,6 +6,7 @@ import pytest
 from elliptica import fixedpoint
 from elliptica.elliptic import EllipticParams, PoleError
 from elliptica.fixedpoint import (
+    DERIVED_TWISTS,
     FixedPointDatum,
     ManifoldValidationError,
     SpecialPointError,
@@ -115,9 +116,9 @@ def test_simplify_character_examples():
 
 
 def test_bundle_twists_integral():
-    for name in ("cp3", "cp3_alt"):
+    for name in list_catalog():
         m = load_manifold(name)
-        for tname in ("s2t", "lambda3t"):
+        for tname in DERIVED_TWISTS:
             theta = equivariant_index(m, m.bundle_twist(tname))
             res = simplify_character(theta)
             assert res.ok and res.integral, (name, tname)
@@ -256,8 +257,36 @@ def test_twist_weights_derivation():
     assert len(sym2_weights(tc)) == 21
     assert len(lambda3_weights(tc)) == 20
     cp3 = load_manifold("cp3")
-    assert sorted(cp3.twists["s2t"][0]) == sorted(sym2_weights(tc))
-    assert sorted(cp3.twists["lambda3t"][0]) == sorted(lambda3_weights(tc))
+    assert cp3.twists == {}
+    # the lists that cp3.json stored for its point 0 before they were derived
+    assert sorted(cp3.bundle_twist("s2t").bundle_weights[0]) == [
+        -6, -5, -4, -4, -3, -2, -2, -1, -1, 0, 0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 6
+    ]
+    assert sorted(cp3.bundle_twist("lambda3t").bundle_weights[0]) == [
+        -6, -4, -3, -3, -2, -2, -2, -1, -1, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 6
+    ]
+
+
+def test_stored_twist_comes_before_the_derived_rule():
+    m = SpinCircleManifold("m", 1, [FixedPointDatum((1,)), FixedPointDatum((-1,))],
+                           twists={"s2t": ((5,), (7,))})
+    assert m.bundle_twist("s2t").bundle_weights == ((5,), (7,))
+    m.twists = {"w": ((1,), (-1,))}
+    assert m.bundle_twist("s2t").bundle_weights == ((2, 0, -2), (-2, 0, 2))
+    with pytest.raises(KeyError) as err:
+        m.bundle_twist("nosuch")
+    assert "stored: ['w'], derived: ['lambda3t', 's2t']" in str(err.value)
+
+
+@pytest.mark.parametrize("tname", ["none", "tangent_witten", *DERIVED_TWISTS])
+def test_stored_twist_may_not_take_a_reserved_name(tname):
+    with pytest.raises(ManifoldValidationError) as err:
+        manifold_from_dict({
+            "name": "x", "half_dim": 1,
+            "points": [{"weights": [1]}, {"weights": [-1]}],
+            "twists": {tname: [[1], [-1]]},
+        })
+    assert err.value.path == f"twists.{tname}"
 
 
 def test_exact_numeric_index_agreement():
@@ -267,7 +296,7 @@ def test_exact_numeric_index_agreement():
     tau = 0.2 + 1.3j  # |p|^17 ~ 6e-16: the truncation tail is negligible
     z = 0.17 + 0.05j
     ser = equivariant_index(cp3, TwistSpec("tangent_witten"), 16)
-    num = index_numeric(
+    num, max_term = index_numeric(
         cp3, TwistSpec("tangent_witten"), EllipticParams(tau=tau), z
     )
     s0 = cmath.exp(1j * cmath.pi * z)
@@ -279,6 +308,7 @@ def test_exact_numeric_index_agreement():
     for a in cp3.points[0].weights:
         probe *= phi_numeric(1, EllipticParams(tau=tau), a * z)
     assert abs(ser.evaluate(s0, p0) - num) < 1e-9 * abs(probe)
+    assert max_term >= abs(probe)
 
 
 def test_consistency_check_nonspecial():
@@ -366,7 +396,7 @@ def test_consistency_check_nan_residual_fails(monkeypatch):
     def one_nan(*args, **kwargs):
         calls.append(None)
         value = real(*args, **kwargs)
-        return complex("nan") if len(calls) == 2 else value
+        return (complex("nan"), value[1]) if len(calls) == 2 else value
 
     monkeypatch.setattr(fixedpoint, "index_numeric", one_nan)
     rep = _cp3_consistency()
