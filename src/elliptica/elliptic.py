@@ -26,17 +26,18 @@ the prefactor's denominator, reduced by a gcd over Z[s].  The translation
 checks never decode a row: they compare packed rows, as ints, over the
 prefactor's denominator.
 
-Numeric backend, with an ``EllipticParams`` (``phi_numeric``): the same
-products summed as two Jacobi theta series, by the triple product
-(``EllipticParams.theta_quotient``, which ``witten.witten_char`` shares).
-z is first reduced by phi_i(z + m tau) = (-1)^m phi_i(z), so that
-|t| lies in [|q|^{1/2}, |q|^{-1/2}], where each series is cut at the term
-that bounds its tail below 1e-18 (3 to 6 terms for Im tau in [0.5, 2]).
-Where |q| > 1/2 the sums would lose digits near t = +-1, and they are
-taken at a modular image tau' of tau instead, where phi_i is a quotient
-of Jacobi thetas times a unit.  What depends on tau alone is computed
-once per ``EllipticParams``.  The truncated products are the test
-reference (tests/numeric_reference.py).
+Numeric backend, with an ``EllipticParams``: one kernel,
+``EllipticParams.theta_product``, evaluates a whole product of theta
+quotients, or of W_i characters, in one pass: for each point the pole
+guard (``_lattice_offset``, the one statement of the distance to a pole),
+the reduction by m tau into the strip |Im z| <= Im tau / 2, and two
+Jacobi theta series by the triple product, cut where the tail bound
+falls below 1e-18 (3 to 6 terms for Im tau in [0.5, 2]); where |q| > 1/2
+they are summed at a modular image of tau.  What depends on tau alone is
+computed once per ``EllipticParams``.  ``phi_numeric`` is the kernel on
+one point, ``witten.witten_char`` on the planes, and the numeric Z-products
+and fixed-point sums hand it their whole products.  The truncated products
+are the test reference (tests/numeric_reference.py).
 
 Lattice translations of z act on (s, p) as
 
@@ -91,10 +92,10 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 from .witten import (
     POLE_GUARD,
+    WittenDenominatorError,
     fraction_difference,
     laurent_sum,
     regrade_factors,
@@ -108,6 +109,11 @@ NUMERIC_TAIL_TARGET = 1e-18
 DIRECT_Q = 0.5
 # the largest growth of rounding errors that keeps half of a float's digits
 HALF_DIGITS = 1e-8 / sys.float_info.epsilon
+# i pi, -i pi and 2 i pi, and the factor that takes log e to r, e = e^{2 pi i r}
+_I_PI = 1j * cmath.pi
+_MINUS_I_PI = -1j * math.pi
+_TWO_I_PI = 2j * cmath.pi
+_LOG_TO_R = -0.5j / math.pi
 
 
 class PoleError(ValueError):
@@ -118,13 +124,24 @@ class PoleError(ValueError):
         self.distance = distance
 
 
+def _lattice_offset(w, tau):
+    """(distance from w to the nearest lattice point n + m tau, y, m):
+    y = Im w / Im tau and m = round(y).  Every pole guard of the numeric
+    backend reads it, at w = z less the shift of its poles."""
+    y = w.imag / tau.imag
+    x = w.real - y * tau.real
+    dx = x - round(x)
+    m = round(y)
+    return abs(dx + (y - m) * tau), y, m
+
+
 @dataclass(frozen=True)
 class EllipticParams:
     """tau and, optionally, the number of terms of its theta series (0: the
     q -> 0 limit, where every W_i is 1), which ``terms`` holds either way;
     what depends on tau alone is computed here, once, outside equality and
     hashing.  Where |q| > ``DIRECT_Q`` the series are summed at a modular
-    image tau' of tau instead (``theta_quotient``); ValueError where the q
+    image tau' of tau instead (``theta_product``); ValueError where the q
     of tau' rounds to 0 (near Re tau = 0, Im tau below about 0.0085)."""
 
     tau: complex
@@ -138,20 +155,17 @@ class EllipticParams:
             )
         # q^{1/2} and q^{1/4} as e^{i pi tau}, e^{i pi tau / 2}: not
         # principal-branch powers, which could wrap
-        qh = cmath.exp(1j * cmath.pi * tau)
+        qh = cmath.exp(_I_PI * tau)
         q = qh * qh
-        if not 0.0 < abs(q) < 1.0:
+        qa = abs(q)
+        if not 0.0 < qa < 1.0:
             raise ValueError(
-                f"tau = {tau} gives |q| = {abs(q)}, outside (0, 1) in "
-                "floating point"
+                f"tau = {tau} gives |q| = {qa}, outside (0, 1) in floating point"
             )
         if n is not None and n < 0:
             raise ValueError(f"series_terms must be >= 0, got {n}")
-        # the instance is frozen: set the derived values past __setattr__
-        self.__dict__.update(
-            _p=cmath.exp(0.5j * cmath.pi * tau), _modular=None,
-            _pole_shift={1: 0j, 2: 0.5 + 0j, 3: tau / 2.0, 4: 0.5 + tau / 2.0})
-        if n != 0 and abs(q) > DIRECT_Q:
+        p = cmath.exp(0.5j * cmath.pi * tau)
+        if n != 0 and qa > DIRECT_Q:
             # th_j(z|tau) = C(z) u_j th_j'(scale z|tau') with one C(z) for all j:
             # tau -> tau - k multiplies th_1, th_2 by e^{-i pi k/4} and swaps th_3
             # and th_4 for k odd, tau -> -1/tau multiplies th_1 by -i and swaps
@@ -171,82 +185,154 @@ class EllipticParams:
                                  f"modular image {image} gives q = 0") from None
             # u_3 / u_1 times q^{1/8} / q'^{1/8}, from th_1 = 2 q^{1/8} sin(pi z) B
             unit *= cmath.exp(0.25j * cmath.pi * (tau - image))
-            self.__dict__.update(terms=dual.terms, _modular=(dual, j, unit, scale))
+            # the sums th_j and B at the image: th_3 = A(x), th_4 = A(-x) and
+            # th_2 = 2 q'^{1/8} cos(pi z) B(-x); at -x the k-th term changes sign
+            _, b0, pairs = dual._series
+            if j == 4:
+                pairs = [(-a if k % 2 else a, b) for k, (a, b) in enumerate(pairs, 1)]
+            elif j == 2:
+                pairs = [(-b if k % 2 else b, b) for k, (_, b) in enumerate(pairs, 1)]
+            series = (b0 if j == 2 else 1.0 + 0j, b0, pairs)
+            two_q8 = 2.0 * cmath.exp(0.25j * cmath.pi * image)
+            # the instance is frozen: set the derived values past __setattr__
+            self.__dict__.update(terms=dual.terms, _p=p, _series=series,
+                                 _modular=(image, j, unit, scale, two_q8))
             return
         if n is None:  # the least n whose tail bound for |t| in
             # [|q|^{1/2}, |q|^{-1/2}], (2n + 5) |q|^{n(n+1)/2} / (1 - |q|), is met
-            n, qa = 1, abs(q)
+            n = 1
             while (2 * n + 5) * qa ** (n * (n + 1) / 2) > NUMERIC_TAIL_TARGET * (1.0 - qa):
                 n += 1
-        # (q^{k^2/2}, betas[k]) for k = 1..n: alphas[k] = alphas[k-1] q^{k-1}
-        # q^{1/2}, b[k] = (-1)^k q^{k(k+1)/2} = -b[k-1] q^k, betas[k] = b[k] + .. + b[n]
-        alphas, b = [], [1.0 + 0j]
+        # (q^{k^2/2}, (-1)^k q^{k(k+1)/2}) for k = 1..n: the first is the last
+        # times q^{k-1} q^{1/2}, the second minus the last times q^k
+        powers = []
         a = c = qk = 1.0 + 0j
         for _ in range(n):
             a *= qk * qh
             qk *= q
             c *= -qk
-            alphas.append(a)
-            b.append(c)
-        betas = list(accumulate(reversed(b)))[::-1]
-        self.__dict__.update(terms=n, _b0=betas[0],
-                             _coefficients=list(zip(alphas, betas[1:])))
+            powers.append((a, c))
+        # (q^{k^2/2}, betas[k]) with betas[k] the sum of the second entries from
+        # k to n, summed from n down; betas[0] adds the 1 of k = 0
+        pairs, beta = [], 0j
+        for a, c in reversed(powers):
+            beta += c
+            pairs.append((a, beta))
+        pairs.reverse()
+        self.__dict__.update(terms=n, _p=p, _series=(1.0 + 0j, beta + 1.0, pairs),
+                             _modular=None)
 
     @property
     def p(self):
         """q^{1/4} = e^{i pi tau / 2}, not a principal root, which could wrap."""
         return self._p
 
-    def theta_sums(self, t):
-        """(A(t), B(t)): A(t) = sum_k q^{k^2/2} t^k = prod (1 - q^n)
-        (1 + q^{n-1/2} t^{+-1}) and B(t) = sum_{n>=0} (-1)^n q^{n(n+1)/2}
-        (t^-n + .. + t^n) = prod (1 - q^n)(1 - q^n t^{+-1}), summed as
-        sum_k betas[k] (t^k + t^-k), with no 0/0 at t = 1."""
-        a, b = 1.0 + 0j, self._b0
-        tk = tik = 1.0 + 0j
-        ti = 1.0 / t
-        for ak, bk in self._coefficients:
-            tk *= t
-            tik *= ti
-            u = tk + tik
-            a += ak * u
-            b += bk * u
-        return a, b
+    def theta_product(self, i, points, planes=False):
+        """prod_z phi_i(z) over the complex ``points`` or, with ``planes``,
+        prod_e W_i(e) over the eigenvalues e of planes (e, 1/e), in one pass.
 
-    def theta_quotient(self, i, t):
-        """P_i(t), the product part of phi_i and the W_i character of the
-        plane (t, 1/t): A(t)/B(t), A(-t)/B(-t), B(-t)/A(-t), B(t)/A(t) for
-        i = 1..4; the callers reduce t into [|q|^{1/2}, |q|^{-1/2}], where the
-        tail bound holds.  Where |q| > ``DIRECT_Q``, A(t)/B(t) = 2 q^{1/8}
-        sin(pi r) th_3(r)/th_1(r), t = e^{2 pi i r}, with th_3/th_1 a unit
-        times th_j/th_1 at the modular image."""
-        t = t if i in (1, 4) else -t
-        if self._modular is None:
-            a, b = self.theta_sums(t)
-            return a / b if i < 3 else b / a
-        dual, j, unit, scale = self._modular
-        # z = scale r less m tau', where th_1 and th_4 change sign and th_2, th_3 not
-        r = cmath.log(t) * (-0.5j / math.pi)
-        m = round((scale * r).imag / dual.tau.imag)
-        z = scale * r - m * dual.tau
-        x = cmath.exp(2j * cmath.pi * z)
-        (a, b), (a4, b4) = dual.theta_sums(x), dual.theta_sums(-x)
-        # th_3 = A(x), th_4 = A(-x), th_2 = 2 q'^{1/8} cos(pi z) B(-x), and
-        # th_1 = 2 q'^{1/8} sin(pi z) B(x), where sin(pi r) / sin(pi z) -> 1/scale
-        th = {3: a, 4: a4, 2: 2.0 * cmath.exp(0.25j * cmath.pi * dual.tau)
-              * cmath.cos(cmath.pi * z) * b4}[j]
-        ratio = cmath.sin(cmath.pi * r) / cmath.sin(cmath.pi * z) if z else 1.0 / scale
-        x = unit * (-1) ** (m * (j != 4)) * ratio * th / b
-        return x if i < 3 else 1.0 / x
+        phi_i(z) = (-1)^m pref_i(s) P_i(s^2), s = e^{i pi z - i pi m tau}, with
+        m tau the lattice part that takes z into |Im| <= Im tau / 2 (an
+        eigenvalue e = e^{2 pi i r} is reduced by the same law, times the ratio
+        of prefactors it gives), and P_i(t), W_i of the plane (t, 1/t), is
+        A(t)/B(t), A(-t)/B(-t), B(-t)/A(-t), B(t)/A(t) for i = 1..4:
+        A(t) = sum_k q^{k^2/2} t^k and B(t) = sum_k betas[k] (t^k + t^-k), the
+        triple products prod (1 - q^n)(1 + q^{n-1/2} t^{+-1}) and
+        prod (1 - q^n)(1 - q^n t^{+-1}).  Where |q| > ``DIRECT_Q``,
+        A(t)/B(t) = 2 q^{1/8} sin(pi r) th_3(r)/th_1(r), t = e^{2 pi i r}, is a
+        unit times th_j/th_1 at the modular image, summed by the same loop.
+        With 0 series terms phi_i is pref_i at z itself and W_i is 1.
 
-    def pole_offset(self, i, z):
-        """(distance from z to the nearest pole of phi_i, y): those poles are
-        n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2 for i = 1..4, the nearest
-        at m = round(y), and y = Im(z - shift) / Im tau."""
-        w = z - self._pole_shift[i]
-        y = w.imag / self.tau.imag
-        x = w.real - y * self.tau.real
-        return abs(x - round(x) + (y - round(y)) * self.tau), y
+        A point that is not finite, or an eigenvalue 0, raises ValueError (NaN)
+        or OverflowError naming it.  Within ``POLE_GUARD`` of a pole, at
+        n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2 for i = 1..4, phi_i raises
+        PoleError, and W_i, which lacks its prefactor's poles (m = 0 for
+        i = 1, 2), WittenDenominatorError naming the product factor
+        1 -+ q^{n or n-1/2} e^{+-1} that vanishes there.  phi_i raises
+        ValueError where the rounding of z - m tau, eps |z|, would cost half
+        of the digits: more than 1e-8 of the distance to the pole, or of 1."""
+        if i not in PREFACTORS:
+            raise ValueError(("Witten series" if planes else "phi") + " index must be 1..4")
+        tau, terms = self.tau, self.terms
+        shift = 0j if i == 1 else 0.5 + 0j if i == 2 else tau / 2.0 if i == 3 else 0.5 + tau / 2.0
+        c = 1 if i in (2, 3) else -1  # the prefactor's 1 + c s^2
+        n0, d0, pairs = self._series
+        modular = self._modular
+        out = 1.0 + 0j
+        for z in points:
+            if not cmath.isfinite(z) or planes and not z:
+                raise (ValueError if cmath.isnan(z) else OverflowError)(
+                    f"no theta series reaches the eigenvalue {z} at |t| = {abs(z)}"
+                    if planes else f"phi_{i} has no value at the point z = {z}")
+            if planes:
+                if not terms:
+                    continue
+                e, z = z, cmath.log(z) * _LOG_TO_R
+            dist, y, my = _lattice_offset(z - shift, tau)
+            # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
+            m = my if i < 3 else round(y + 0.5)
+            if planes:
+                if dist < POLE_GUARD and (my or i > 2):
+                    n = abs(my) if i < 3 else max(my + 1, -my)
+                    raise WittenDenominatorError(f"W_{i} evaluated within {dist:.2e} of a "
+                                                 f"pole: the factor n = {n} vanishes", n)
+                if m:
+                    f = cmath.exp(_MINUS_I_PI * m * tau)  # q^{-m/2}
+                    reduced = e * f * f
+                    num, den = f * (1 + c * e), 1 + c * reduced
+                    ratio = num / den if i < 3 else den / num
+                    out *= -ratio if m & 1 else ratio
+                    e = reduced
+                t = e
+            else:
+                if dist < POLE_GUARD:
+                    raise PoleError(f"phi_{i} evaluated within {dist:.2e} of a pole", dist)
+                if terms and m:
+                    if abs(z) > HALF_DIGITS * min(1.0, dist):
+                        raise ValueError(f"z = {z} lies {m} periods off the real axis: "
+                                         f"z - {m} tau keeps fewer than half of its digits")
+                    z -= m * tau
+                s = cmath.exp(_I_PI * z)
+                # 1/(1/s - s), 1/(s + 1/s), s + 1/s and s - 1/s
+                d = s + 1.0 / s if c > 0 else 1.0 / s - s
+                pref = 1.0 / d if i < 3 else d if i == 3 else -d
+                if not terms:
+                    out *= pref
+                    continue
+                t = s * s
+            t = -t if c > 0 else t
+            if modular is not None:
+                # z = scale r less k tau', where th_1 and th_4 change sign and
+                # th_2, th_3 not
+                image, j, unit, scale, two_q8 = modular
+                r = cmath.log(t) * _LOG_TO_R
+                k = round((scale * r).imag / image.imag)
+                w = scale * r - k * image
+                t = cmath.exp(_TWO_I_PI * w)
+            a, b = n0, d0
+            tk = tik = 1.0 + 0j
+            ti = 1.0 / t
+            for ak, bk in pairs:
+                tk *= t
+                tik *= ti
+                u = tk + tik
+                a += ak * u
+                b += bk * u
+            if modular is None:
+                x = a / b if i < 3 else b / a
+            else:
+                # th_1 = 2 q'^{1/8} sin(pi w) B, sin(pi r) / sin(pi w) -> 1/scale
+                if j == 2:
+                    a = two_q8 * cmath.cos(cmath.pi * w) * a
+                ratio = cmath.sin(cmath.pi * r) / cmath.sin(cmath.pi * w) if w else 1.0 / scale
+                x = (-unit if k & 1 and j != 4 else unit) * ratio * a / b
+                x = x if i < 3 else 1.0 / x
+            if planes:
+                out *= x
+            else:
+                x = pref * x
+                out *= -x if m & 1 else x
+        return out
 
 
 # phi_1(z + (alpha + beta tau)/2) = i^unit p^p_pow phi_i(z) for alpha, beta in
@@ -296,30 +382,8 @@ def phi_exact(i, order):
 
 
 def phi_numeric(i, params, z):
-    """phi_i(z) = pref_i(s) ``EllipticParams.theta_quotient``(i, s^2), with
-    z first reduced into |Im z| <= Im tau / 2 by phi_i(z + m tau) =
-    (-1)^m phi_i(z); with ``series_terms`` 0, pref_i(s) at z itself.
-    PoleError within ``POLE_GUARD`` of a pole, ValueError where the rounding
-    of z - m tau, eps |z|, would cost half of the digits: more than 1e-8 of
-    the distance to the pole, or of 1."""
-    if i not in PREFACTORS:
-        raise ValueError("phi index must be 1..4")
-    z = complex(z)
-    dist, y = params.pole_offset(i, z)
-    if dist < POLE_GUARD:
-        raise PoleError(f"phi_{i} evaluated within {dist:.2e} of a pole", dist)
-    # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
-    m = round(y if i < 3 else y + 0.5) if params.terms else 0
-    if m:
-        if abs(z) > HALF_DIGITS * min(1.0, dist):
-            raise ValueError(f"z = {z} lies {m} periods off the real axis: "
-                             f"z - {m} tau keeps fewer than half of its digits")
-        z -= m * params.tau
-    s = cmath.exp(1j * cmath.pi * z)
-    # 1/(1/s - s), 1/(s + 1/s), s + 1/s and s - 1/s
-    d = s + 1.0 / s if i in (2, 3) else 1.0 / s - s
-    pref = 1.0 / d if i < 3 else d if i == 3 else -d
-    return pref * params.theta_quotient(i, s * s) * (-1) ** m if params.terms else pref
+    """phi_i(z): ``EllipticParams.theta_product`` on the one point z."""
+    return params.theta_product(i, (complex(z),))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from importlib import resources
 from math import gcd
 
 from .ring import PoleEvaluationError, _poly_str
-from .elliptic import PoleError, phi_numeric, theta_term
+from .elliptic import PoleError, theta_term
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
 from .zem import (
@@ -327,11 +327,10 @@ def index_numeric(m, twist, params, z):
     total = 0j
     max_term = 0.0
     for i, pt in enumerate(m.points):
-        term = 1.0 + 0j
         if kind == "tangent_witten":
-            for a in pt.weights:
-                term *= phi_numeric(1, params, a * z)
+            term = params.theta_product(1, [a * z for a in pt.weights])
         else:
+            term = 1.0 + 0j
             for a in pt.weights:
                 e = cmath.exp(1j * cmath.pi * a * z)
                 term *= 1.0 / (1.0 / e - e)

@@ -44,7 +44,7 @@ class AngleOnLatticeError(SpinCharError):
     """An orientation sign was requested for an angle in 2 pi Z."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationData:
     """A maximal-torus element of so(N) plus an orientation sign."""
 

@@ -14,7 +14,8 @@ eigenvalue list, never from matrices.
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
 coefficient inside Q(s), and an integer truncation order;
 ``witten_char`` takes one complex eigenvalue e per plane (the other is
-1/e) and an ``EllipticParams``, whose theta series it sums.
+1/e) and an ``EllipticParams``, whose kernel ``theta_product`` sums the
+theta series of all the planes in one pass.
 ``laurent_rows`` is the workbench's one exact product engine: the theta
 quotients, their bare numerator/denominator products, the exact Z-series
 and the fixed-point sums of the indices are all built through it.  A term
@@ -45,7 +46,6 @@ check decodes a row or reduces a coefficient.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from itertools import repeat
@@ -482,37 +482,8 @@ def witten_exact(i, weights, order):
 
 
 def witten_char(i, planes, params):
-    """Character of W_{i,q} on planes (e, 1/e), one complex e per plane: the
-    product of ``EllipticParams.theta_quotient``(i, e), 1 with 0 series terms.
-    With e = s^2 = e^{2 pi i r}, phi_i(r) = pref_i(s) P_i(e) and phi_i(r) =
-    (-1)^m phi_i(r - m tau) give P_i(e) from P_i(e q^{-m}), in the strip.
-    W_i has the poles of phi_i but its prefactor's, r in Z + (Z\\0) tau,
-    1/2 + Z + (Z\\0) tau, Z + (Z+1/2) tau, 1/2 + Z + (Z+1/2) tau for i = 1..4;
-    within ``POLE_GUARD`` of one, WittenDenominatorError names the product
-    factor 1 -+ q^{n or n-1/2} e^{+-1} that vanishes there."""
-    if i not in LAYOUT:
-        raise ValueError("Witten series index must be 1..4")
-    out = 1.0 + 0j
-    if not params.terms:
-        return out
-    c = 1 if i in (2, 3) else -1  # the prefactor's 1 + c e
-    for e in planes:
-        e = complex(e)
-        if not (cmath.isfinite(e) and e):
-            raise (ValueError if cmath.isnan(e) else OverflowError)(
-                f"no theta series reaches the eigenvalue at |t| = {abs(e)}")
-        dist, y = params.pole_offset(i, cmath.log(e) * (-0.5j / math.pi))
-        m = round(y)
-        if dist < POLE_GUARD and (m or i > 2):
-            n = abs(m) if i < 3 else max(m + 1, -m)
-            raise WittenDenominatorError(f"W_{i} evaluated within {dist:.2e} of a "
-                                         f"pole: the factor n = {n} vanishes", n)
-        m = round(y + 0.5) if i > 2 else m
-        if m:
-            f = cmath.exp(-1j * math.pi * m * params.tau)  # q^{-m/2}
-            reduced = e * f * f
-            num, den = f * (1 + c * e), 1 + c * reduced
-            out *= (num / den if i < 3 else den / num) * (-1) ** m
-            e = reduced
-        out *= params.theta_quotient(i, e)
-    return out
+    """Character of W_{i,q} on planes (e, 1/e), one complex e per plane:
+    ``EllipticParams.theta_product`` on the eigenvalues, 1 with 0 series
+    terms.  Within ``POLE_GUARD`` of a pole, WittenDenominatorError names
+    the product factor 1 -+ q^{n or n-1/2} e^{+-1} that vanishes there."""
+    return params.theta_product(i, planes, planes=True)

@@ -38,7 +38,7 @@ from .elliptic import (
     EllipticParams,
     PoleError,
     fullperiod_parts_check,
-    phi_numeric,
+    _lattice_offset,
     theta_term,
 )
 from .spinchar import (
@@ -89,7 +89,7 @@ class DegenerateDrawError(ZemError):
 # points of the elliptic curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeElement:
     """A torsion point (alpha + beta*tau)/k of E_tau; a free point is a
     plain complex number.
@@ -147,7 +147,7 @@ def _collides(gamma, gv, a, params):
     torsion, within POLE_GUARD for free points)?  gv is gamma at tau."""
     if isinstance(gamma, LatticeElement):
         return (a * gamma.alpha) % gamma.k == 0 and (a * gamma.beta) % gamma.k == 0
-    return params.pole_offset(1, a * gv)[0] < POLE_GUARD
+    return _lattice_offset(a * gv, params.tau)[0] < POLE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +192,7 @@ def z_fun(gamma, J, R, params, *, strict=True, route="product"):
     else:
         args = [a * gv + complex(r) for a, r in zip(J.entries, R.entries)]
     if route == "product":
-        out = complex(nu)
-        for w in args:
-            out *= phi_numeric(1, params, w)
-        return out
+        return nu * params.theta_product(1, args)
     if route == "character":
         return _z_tau_series_value(RotationData(args, nu), params)
     raise ValueError(f"unknown route {route!r}")
@@ -612,19 +609,20 @@ def _trial_all_w(rng, dims, params):
         beta = parity[1] + 2 * rng.randint(-2, 2)
         gamma = (alpha + beta * tau) / k
         lhs = z_fun(gamma, J, r, params, strict=False)
-        c = _c_constant_numeric(parity, alpha, beta, planes, params)
-        trace, w, power = _theta_parts(parity, angles, eigs, params)
-        body = w / trace if power < 0 else trace * w
-        rhs = c * (os_k ** (alpha + beta)) * body
-        res = _worst(res, _residual(lhs, rhs))
-        data["cases"].append([alpha, beta])
         if parity != (0, 0) and gcd(gcd(abs(alpha), abs(beta)), k) == 1:
+            # at a reduced torsion point the right side is em_eps itself
             gamma_pt = LatticeElement.torsion(alpha, beta, k)
-            via_em = (os_k ** (alpha + beta)) * em_eps(
+            rhs = (os_k ** (alpha + beta)) * em_eps(
                 gamma_pt, RotationData(r.entries, sig), params
             )
-            res = _worst(res, _residual(lhs, via_em))
             data["em_eps_checked"] = True
+        else:
+            c = _c_constant_numeric(parity, alpha, beta, planes, params)
+            trace, w, power = _theta_parts(parity, angles, eigs, params)
+            body = w / trace if power < 0 else trace * w
+            rhs = c * (os_k ** (alpha + beta)) * body
+        res = _worst(res, _residual(lhs, rhs))
+        data["cases"].append([alpha, beta])
     return res, data
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from elliptica.elliptic import (
     HALF_PERIODS,
+    NUMERIC_TAIL_TARGET,
     EllipticParams,
     PoleError,
     TRANSLATIONS,
@@ -216,6 +217,25 @@ def test_modular_image_bounds_the_series():
             EllipticParams(tau=tau)
     assert max(EllipticParams(tau=complex(re, y)).terms
                for re in (-0.45, 0, 0.45) for y in (0.5, 1.0, 2.0)) <= 6
+
+
+def test_series_length_is_the_tail_bound():
+    """``terms`` is the least n whose tail bound (2n + 5) |q|^{n(n+1)/2} /
+    (1 - |q|) is at most NUMERIC_TAIL_TARGET, with the float power, on a
+    grid of the tau that the identity suites draw: the series length decides
+    the values, so it must not move with the way it is computed."""
+    seen = set()
+    for k in range(31):
+        for m in range(61):
+            tau = complex(-0.45 + 0.03 * k, 0.5 + 0.025 * m)
+            qh = cmath.exp(1j * cmath.pi * tau)
+            qa = abs(qh * qh)
+            n = 1
+            while (2 * n + 5) * qa ** (n * (n + 1) / 2) > NUMERIC_TAIL_TARGET * (1.0 - qa):
+                n += 1
+            assert EllipticParams(tau=tau).terms == n, tau
+            seen.add(n)
+    assert seen == {3, 4, 5}
 
 
 def test_zero_series_terms_give_the_prefactors():

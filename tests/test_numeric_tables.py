@@ -3,6 +3,7 @@ tests/numeric_reference.py: values within a relative 1e-13, the same
 errors at the poles, and the same verdicts from every identity suite."""
 
 import cmath
+import math
 import random
 from collections import Counter
 
@@ -40,12 +41,24 @@ def _pairs(planes):
     return [x for e in planes for x in (e, 1.0 / e)]
 
 
+def _product(value, points):
+    """prod_z value(z) over ``points``, one at a time, as the reference
+    takes them."""
+    out = 1.0 + 0j
+    for z in points:
+        out *= value(z)
+    return out
+
+
 @pytest.mark.parametrize("series_terms", [None, 0, 40])
 def test_phi_numeric_equals_reference(series_terms):
     """The series at their own length (3 to 7 terms for these tau) and at
     40 terms against the products at theirs; cut to their constant terms,
     both are the prefactor, to the bit.  Within 1e-10 of a pole both raise
-    PoleError."""
+    PoleError.  The kernel on the three points at once gives the values of
+    the points one by one, to the bit, so the products of the reference
+    values to 1e-13 as well; with the point at the pole appended it raises
+    what the reference raises.  A NaN point is a ValueError that names it."""
     rng = random.Random(20261018)
     cut = 0 if series_terms == 0 else None
     for _ in range(150):
@@ -54,14 +67,23 @@ def test_phi_numeric_equals_reference(series_terms):
         shifts = (0, 0.5, tau / 2, 0.5 + tau / 2)
         # three random points and one within 1e-10 of a pole of phi_i
         pole = rng.randint(-2, 2) + rng.randint(-2, 2) * tau + 1e-10j
-        for z in [complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6))
-                  for _ in range(3)] + [pole]:
+        points = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.6, 0.6))
+                  for _ in range(3)]
+        for z in points + [pole]:
             for i in (1, 2, 3, 4):
                 point = z + shifts[i - 1] if z is pole else z
                 got = _outcome(phi_numeric, i, params, point)
                 want = _outcome(ref.phi_numeric, i, tau, point, cut)
                 assert got == want if cut == 0 else _agree(got, want), (i, tau, point)
                 assert z is not pole or got == (PoleError, None)
+        for i in (1, 2, 3, 4):
+            for zs in (points, points + [pole + shifts[i - 1]]):
+                got = _outcome(params.theta_product, i, zs)
+                want = _outcome(_product, lambda z: ref.phi_numeric(i, tau, z, cut), zs)
+                assert got == want if cut == 0 else _agree(got, want), (i, tau, zs)
+                assert got == _outcome(_product, lambda z: phi_numeric(i, params, z), zs)
+    with pytest.raises(ValueError, match=r"z = \(nan\+0j\)"):
+        phi_numeric(1, params, math.nan)
 
 
 def test_near_and_far_points_equal_reference():
@@ -137,20 +159,18 @@ def test_suite_reports_equal_with_reference_products(suite, monkeypatch):
 
     calls = Counter()
 
-    def cut(params):
-        return 0 if params.terms == 0 else None
-
-    def phi(i, params, z):
-        calls["phi"] += 1
-        return ref.phi_numeric(i, params.tau, z, cut(params))
-
-    def character(i, planes, params):
-        calls["witten"] += 1
-        return ref.witten_numeric(i, _pairs(planes), params.tau, cut(params))
+    def product(params, i, points, planes=False):
+        calls["witten" if planes else "phi"] += 1
+        cut = 0 if params.terms == 0 else None
+        if planes:
+            return ref.witten_numeric(i, _pairs(points), params.tau, cut)
+        out = 1.0 + 0j
+        for z in points:
+            out *= ref.phi_numeric(i, params.tau, z, cut)
+        return out
 
     series = report()
-    monkeypatch.setattr(zem, "phi_numeric", phi)
-    monkeypatch.setattr(zem, "witten_char", character)
+    monkeypatch.setattr(EllipticParams, "theta_product", product)
     products = report()
     for rep in (series, products):
         assert rep["max_residual"] < 1e-11

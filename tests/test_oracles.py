@@ -316,17 +316,29 @@ def test_theta_quotients_near_the_real_axis(tau):
     e = +-1, against mpmath's theta functions.  th_3 maps to th_3 at the
     image of all but 1/3 + 2e-3 i (th_2) and 0.39 + 2e-3 i (th_4).  Near
     the real axis jtheta's own sums cancel (th4(0) is 1e-34 of its terms
-    at 0.01j), so the oracle runs at 60 digits."""
+    at 0.01j), so the oracle runs at 60 digits.  The kernel on all eight
+    points at once, and on all their planes, gives the products of the
+    oracle's values, to TOL per factor."""
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(str(tau))
     params = EllipticParams(tau=tau)
+    products = {i: ([], 1, [], 1) for i in (1, 2, 3, 4)}
     with mpmath.workdps(60):
         for _ in range(8):
             z = rng.uniform(0.05, 0.45) + rng.uniform(-0.45, 0.45) * tau
             for i in (1, 2, 3, 4):
+                points, phis, planes, chars = products[i]
                 point = z + rng.choice((-1, 0, 1)) * tau
                 want = _theta_phi(mpmath, i, mpmath.mpc(point), mpmath.mpc(tau))
                 assert _rel(phi_numeric(i, params, point), want) < TOL, (i, point)
+                points.append(point)
+                phis *= want
                 for e in (cmath.exp(2j * cmath.pi * z), 1.0, -1.0):
                     want = _theta_char(mpmath, i, mpmath.mpc(e), mpmath.mpc(tau))
                     assert _rel(witten_char(i, [e], params), want) < TOL, (i, e)
+                    planes.append(e)
+                    chars *= want
+                products[i] = points, phis, planes, chars
+        for i, (points, phis, planes, chars) in products.items():
+            assert _rel(params.theta_product(i, points), phis) < TOL * len(points), i
+            assert _rel(witten_char(i, planes, params), chars) < TOL * len(planes), i

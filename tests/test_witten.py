@@ -115,13 +115,19 @@ def test_vanishing_denominator_at_n2_and_half_integer_powers(i, power, sign, n):
     assert err.value.n == n
 
 
-@pytest.mark.parametrize("x, error", [(math.inf, OverflowError),
-                                      (math.nan, ValueError)])
-def test_non_finite_eigenvalue_is_named(x, error):
+@pytest.mark.parametrize("x, error, terms", [
+    pytest.param(math.inf, OverflowError, None, id="inf-OverflowError"),
+    pytest.param(math.nan, ValueError, None, id="nan-ValueError"),
+    pytest.param(math.nan, ValueError, 0, id="nan-ValueError-q0"),
+    pytest.param(0.0, OverflowError, 0, id="zero-OverflowError-q0"),
+])
+def test_non_finite_eigenvalue_is_named(x, error, terms):
     """An eigenvalue that no power of q brings into the strip of the theta
-    series is named in the error, where its log would fail bare."""
-    with pytest.raises(error, match=re.escape(f"|t| = {x}") + "$"):
-        witten_char(1, [x], EllipticParams(tau=1j))
+    series is named in the error, where its log would fail bare; in the
+    q -> 0 limit too, where every W_i is 1 but the eigenvalue still has to
+    be one."""
+    with pytest.raises(error, match=re.escape(f"{x} at |t| = {x}") + "$"):
+        witten_char(1, [0.5, x], EllipticParams(tau=1j, series_terms=terms))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
