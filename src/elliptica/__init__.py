@@ -55,13 +55,12 @@ from .zem import (
     em_eps_exact,
     em_fun,
     identity_check,
+    z_character,
     z_exact,
     z_fun,
 )
 from .fixedpoint import (
-    FixedPointDatum,
     SpinCircleManifold,
-    TwistSpec,
     consistency_check,
     equivariant_index,
     index_numeric,
@@ -70,6 +69,8 @@ from .fixedpoint import (
     rigidity_check,
     simplify_character,
     special_orders,
+    witten_index,
+    witten_index_numeric,
 )
 
 __all__ = [
@@ -100,11 +101,10 @@ __all__ = [
     "em_eps_exact",
     "em_fun",
     "identity_check",
+    "z_character",
     "z_exact",
     "z_fun",
-    "FixedPointDatum",
     "SpinCircleManifold",
-    "TwistSpec",
     "consistency_check",
     "equivariant_index",
     "index_numeric",
@@ -113,6 +113,8 @@ __all__ = [
     "rigidity_check",
     "simplify_character",
     "special_orders",
+    "witten_index",
+    "witten_index_numeric",
 ]
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .fixedpoint import (
     DERIVED_TWISTS,
     ManifoldValidationError,
     SpecialPointError,
-    TwistSpec,
     consistency_check,
     equivariant_index,
     index_numeric,
@@ -36,6 +35,8 @@ from .fixedpoint import (
     rigidity_check,
     simplify_character,
     special_orders,
+    witten_index,
+    witten_index_numeric,
 )
 from .witten import WittenDenominatorError
 from .zem import SUITE_NAMES, LatticeElement, _require_tol, identity_check
@@ -190,7 +191,8 @@ def cmd_verify(args):
 
 # what a numeric evaluation at a point raises at a pole, where rounding
 # z - m tau into the strip of the theta series would cost half of the digits
-# of phi_i, or where pi z leaves the floats (ValueError from cmath.exp)
+# of phi_i, where pi z leaves the floats (ValueError from cmath.exp), or
+# where z is too far from the real axis (OverflowError naming z)
 _AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
               OverflowError, ValueError)
 
@@ -216,11 +218,10 @@ def cmd_index(args):
     m, code = _load_or_exit(args.manifold)
     if m is None:
         return code
-    if args.twist in ("none", "tangent_witten"):
-        twist = TwistSpec(args.twist)
-    else:
+    bundle = None
+    if args.twist not in ("none", "tangent_witten"):
         try:
-            twist = m.bundle_twist(args.twist)
+            bundle = m.bundle_twist(args.twist)
         except KeyError as exc:
             _summary(str(exc.args[0]))
             return USAGE_ERROR
@@ -231,19 +232,20 @@ def cmd_index(args):
         "spin_parity_ok": m.spin_parity_ok,
     }
     failed = False
-    if twist.kind == "tangent_witten":
-        series = equivariant_index(m, twist, args.q_order)
-        report["series"] = series.to_json()
+    witten = args.twist == "tangent_witten"
+    if witten:
+        report["series"] = witten_index(m, args.q_order).to_json()
     else:
-        theta = equivariant_index(m, twist)
+        theta = equivariant_index(m, bundle)
         simp = simplify_character(theta)
         report["character"] = str(theta)
         report["simplified"] = simp.to_json()
         failed = not (simp.ok and simp.integral)
     if args.at is not None:
-        params = EllipticParams(tau=args.tau)
+        z = complex(args.at)
         try:
-            value, max_term = index_numeric(m, twist, params, complex(args.at))
+            value, max_term = (witten_index_numeric(m, EllipticParams(tau=args.tau), z)
+                               if witten else index_numeric(m, z, bundle))
         except _AT_ERRORS as exc:
             return _cannot_evaluate(args.at, exc)
         report["at"] = {"z": str(args.at), "tau": str(args.tau),

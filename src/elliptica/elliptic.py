@@ -109,6 +109,8 @@ NUMERIC_TAIL_TARGET = 1e-18
 DIRECT_Q = 0.5
 # the largest growth of rounding errors that keeps half of a float's digits
 HALF_DIGITS = 1e-8 / sys.float_info.epsilon
+# the number of periods Im z / Im tau from which a float no longer counts them
+MAX_PERIODS = 2.0 ** sys.float_info.mant_dig
 # i pi, -i pi and 2 i pi, and the factor that takes log e to r, e = e^{2 pi i r}
 _I_PI = 1j * cmath.pi
 _MINUS_I_PI = -1j * math.pi
@@ -244,13 +246,15 @@ class EllipticParams:
         With 0 series terms phi_i is pref_i at z itself and W_i is 1.
 
         A point that is not finite, or an eigenvalue 0, raises ValueError (NaN)
-        or OverflowError naming it.  Within ``POLE_GUARD`` of a pole, at
-        n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2 for i = 1..4, phi_i raises
-        PoleError, and W_i, which lacks its prefactor's poles (m = 0 for
-        i = 1, 2), WittenDenominatorError naming the product factor
-        1 -+ q^{n or n-1/2} e^{+-1} that vanishes there.  phi_i raises
-        ValueError where the rounding of z - m tau, eps |z|, would cost half
-        of the digits: more than 1e-8 of the distance to the pole, or of 1."""
+        or OverflowError naming it, and so does a point z ``MAX_PERIODS`` or
+        more periods Im z / Im tau off the real axis (OverflowError).  Within
+        ``POLE_GUARD`` of a pole, at n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2
+        for i = 1..4, phi_i raises PoleError, and W_i, which lacks its
+        prefactor's poles (m = 0 for i = 1, 2), WittenDenominatorError naming
+        the product factor 1 -+ q^{n or n-1/2} e^{+-1} that vanishes there.
+        phi_i raises ValueError where the rounding of z - m tau, eps |z|,
+        would cost half of the digits: more than 1e-8 of the distance to the
+        pole, or of 1."""
         if i not in PREFACTORS:
             raise ValueError(("Witten series" if planes else "phi") + " index must be 1..4")
         tau, terms = self.tau, self.terms
@@ -268,6 +272,9 @@ class EllipticParams:
                 if not terms:
                     continue
                 e, z = z, cmath.log(z) * _LOG_TO_R
+            elif not abs(z.imag) < MAX_PERIODS * tau.imag:
+                raise OverflowError(f"z = {z} is too far from the real axis: Im z / Im tau "
+                                    f"= {z.imag / tau.imag:.3g} is no exact count of periods")
             dist, y, my = _lattice_offset(z - shift, tau)
             # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
             m = my if i < 3 else round(y + 0.5)

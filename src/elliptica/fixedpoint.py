@@ -1,8 +1,12 @@
 """Isolated-fixed-point models of spin circle-manifolds and their indices.
 
 A manifold is given purely by its fixed-point data: at each of the
-finitely many fixed points, n nonzero integer weights (dim M = 2n).  The
-stored sign convention makes every point contribute with coefficient +1:
+finitely many fixed points, a tuple of n nonzero integer weights
+(dim M = 2n); a bundle twist is one tuple of integer weights per point,
+stored under a name or derived from the weights (``DERIVED_TWISTS``).
+``SpinCircleManifold`` states every rule of this data once, for data built
+in code and for ``manifold_from_dict``'s JSON alike.  The stored sign
+convention makes every point contribute with coefficient +1:
 
     untwisted        point term   prod_j 1/(s^{-a_j} - s^{a_j})
     bundle twist W   point term   (sum_w s^{2w}) * prod_j 1/(s^{-a_j}-s^{a_j})
@@ -14,16 +18,18 @@ sign.  The spin-parity condition (all points share the parity of the
 weight sum) is validated and flagged, not enforced: non-spin data is
 allowed through so the rigidity checker can demonstrate failure on it.
 
-The exact fixed-point sum of every twist (``equivariant_index``, at an
-integer order; ``index_numeric`` evaluates it at a point) is one
-``laurent_sum`` of the points' ``theta_term``s, over the common denominator
-prod (1 - s^{2a}).  The equivariant index of a twisted Dirac operator is
-a virtual character, hence a finite Laurent polynomial in u with integer
-coefficients; ``simplify_character`` reduces the rational-function sum to
-that form or reports the residual denominator.  Witten rigidity is the
-statement that every p-coefficient of the tangent-Witten series reduces to
-a degree-zero rational function: that is exactly what ``rigidity_check``
-tests.
+Each sum has its own functions: ``equivariant_index`` (untwisted or
+bundle, a RationalFunctionQi in s) and ``witten_index`` (tangent Witten, a
+PSeries truncated at an integer order) are one ``laurent_sum`` of the
+points' ``theta_term``s, over the common denominator prod (1 - s^{2a});
+``index_numeric`` and ``witten_index_numeric`` (with the theta series of
+an ``EllipticParams``) evaluate them at a point.  The equivariant index of
+a twisted Dirac operator is a virtual character, hence a finite Laurent
+polynomial in u with integer coefficients; ``simplify_character`` reduces
+the rational-function sum to that form or reports the residual
+denominator.  Witten rigidity is the statement that every p-coefficient of
+the tangent-Witten series reduces to a degree-zero rational function: that
+is exactly what ``rigidity_check`` tests.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .zem import (
     _require_tol,
     _require_trials,
     _worst,
-    z_fun,
+    z_character,
 )
 
 
@@ -63,57 +69,64 @@ class SpecialPointError(ValueError):
     """A computation was requested at a special point it cannot handle."""
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        for w in self.weights:
-            if w == 0:
-                raise ManifoldValidationError("weights", "zero weight")
-
-
-@dataclass(frozen=True)
-class TwistSpec:
-    """kind 'none' | 'tangent_witten' | 'bundle'; bundle twists carry one
-    integer weight list per fixed point."""
-
-    kind: str = "none"
-    bundle_weights: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("none", "tangent_witten", "bundle"):
-            raise ValueError(f"unknown twist kind {self.kind!r}")
-        object.__setattr__(
-            self,
-            "bundle_weights",
-            tuple(tuple(int(w) for w in ws) for ws in self.bundle_weights),
-        )
+def _is_int(x):
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
 class SpinCircleManifold:
+    """Fixed-point data: each point a tuple of ``half_dim`` nonzero integer
+    weights, each stored bundle twist one weight tuple per point.  The
+    constructor states every rule of the model, raising
+    ManifoldValidationError with the path of the field that breaks it, and
+    derives ``spin_parity_ok``."""
+
     name: str
     half_dim: int
     points: list
     twists: dict = field(default_factory=dict)
-    spin_parity_ok: bool = True
+    spin_parity_ok: bool = field(init=False)
 
     def __post_init__(self):
-        if self.half_dim < 1:
-            raise ManifoldValidationError("half_dim", "must be >= 1")
+        if not isinstance(self.name, str) or not self.name:
+            raise ManifoldValidationError("name", "nonempty string required")
+        if not _is_int(self.half_dim) or self.half_dim < 1:
+            raise ManifoldValidationError("half_dim", "positive integer required")
         if not self.points:
             raise ManifoldValidationError("points", "at least one fixed point")
-        for i, pt in enumerate(self.points):
-            if len(pt.weights) != self.half_dim:
+        for i, ws in enumerate(self.points):
+            path = f"points[{i}].weights"
+            if not isinstance(ws, (list, tuple)):
+                raise ManifoldValidationError(path, "list required")
+            if len(ws) != self.half_dim:
                 raise ManifoldValidationError(
-                    f"points[{i}].weights",
-                    f"expected {self.half_dim} weights, got {len(pt.weights)}",
+                    path, f"expected {self.half_dim} weights, got {len(ws)}"
                 )
-        parities = {sum(pt.weights) % 2 for pt in self.points}
-        if len(parities) > 1:
-            self.spin_parity_ok = False
+            for j, w in enumerate(ws):
+                if not _is_int(w):
+                    raise ManifoldValidationError(f"{path}[{j}]", "integer required")
+                if w == 0:
+                    raise ManifoldValidationError(f"{path}[{j}]", "zero weight")
+        points = self.points = [tuple(ws) for ws in self.points]
+        twists = {}
+        for tname, lists in self.twists.items():
+            path = f"twists.{tname}"
+            if tname in ("none", "tangent_witten", *DERIVED_TWISTS):
+                raise ManifoldValidationError(path, "reserved name")
+            if not isinstance(lists, (list, tuple)) or len(lists) != len(points):
+                raise ManifoldValidationError(
+                    path, f"one weight list per fixed point required ({len(points)})"
+                )
+            for i, ws in enumerate(lists):
+                if not isinstance(ws, (list, tuple)) or not all(map(_is_int, ws)):
+                    raise ManifoldValidationError(
+                        f"{path}[{i}]", "list of integers required"
+                    )
+            twists[tname] = tuple(tuple(ws) for ws in lists)
+        self.twists = twists
+        self.spin_parity_ok = len({sum(ws) % 2 for ws in points}) == 1
+        if not self.spin_parity_ok:
             warnings.warn(
                 f"manifold {self.name!r}: weight-sum parity differs between "
                 "fixed points (data is not spin); rigidity may fail",
@@ -121,82 +134,39 @@ class SpinCircleManifold:
             )
 
     def bundle_twist(self, name):
-        """The twist stored under ``name``, else the derived one of it."""
+        """The bundle twist ``name``, one weight tuple per point: stored, else
+        derived from the weights by its rule in ``DERIVED_TWISTS``."""
         if name in self.twists:
-            return TwistSpec(kind="bundle", bundle_weights=self.twists[name])
+            return self.twists[name]
         if name not in DERIVED_TWISTS:
             raise KeyError(
                 f"manifold {self.name!r} has no twist {name!r}; stored: "
                 f"{sorted(self.twists)}, derived: {sorted(DERIVED_TWISTS)}"
             )
         rule = DERIVED_TWISTS[name]
-        return TwistSpec("bundle", [rule(tangent_complex_weights(pt.weights))
-                                    for pt in self.points])
-
-
-def _is_int(x):
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
+        return tuple(rule(tangent_complex_weights(ws)) for ws in self.points)
 
 
 def manifold_from_dict(data):
-    """Validate raw JSON data into a SpinCircleManifold, with precise
-    error locations on failure."""
+    """Raw JSON data as a SpinCircleManifold.  The JSON shapes that the
+    constructor never sees (the objects around the weight lists) are
+    checked here; the constructor checks the rest, with the same paths."""
     if not isinstance(data, dict):
         raise ManifoldValidationError("$", "manifold must be a JSON object")
-    name = data.get("name")
-    if not isinstance(name, str) or not name:
-        raise ManifoldValidationError("name", "nonempty string required")
-    half_dim = data.get("half_dim")
-    if not _is_int(half_dim) or half_dim < 1:
-        raise ManifoldValidationError("half_dim", "positive integer required")
     raw_points = data.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise ManifoldValidationError("points", "nonempty list required")
-    points = []
+    if not isinstance(raw_points, list):
+        raise ManifoldValidationError("points", "list required")
     for i, raw in enumerate(raw_points):
         if not isinstance(raw, dict) or "weights" not in raw:
             raise ManifoldValidationError(
                 f"points[{i}]", "object with a 'weights' list required"
             )
-        ws = raw["weights"]
-        if not isinstance(ws, list):
-            raise ManifoldValidationError(f"points[{i}].weights", "list required")
-        if len(ws) != half_dim:
-            raise ManifoldValidationError(
-                f"points[{i}].weights",
-                f"expected {half_dim} weights, got {len(ws)}",
-            )
-        for j, w in enumerate(ws):
-            if not _is_int(w):
-                raise ManifoldValidationError(
-                    f"points[{i}].weights[{j}]", "integer required"
-                )
-            if w == 0:
-                raise ManifoldValidationError(
-                    f"points[{i}].weights[{j}]", "zero weight"
-                )
-        points.append(FixedPointDatum(tuple(ws)))
-    twists = {}
-    raw_twists = data.get("twists", {})
-    if not isinstance(raw_twists, dict):
+    twists = data.get("twists", {})
+    if not isinstance(twists, dict):
         raise ManifoldValidationError("twists", "object required")
-    for tname, lists in raw_twists.items():
-        if tname in ("none", "tangent_witten", *DERIVED_TWISTS):
-            raise ManifoldValidationError(f"twists.{tname}", "reserved name")
-        if not isinstance(lists, list) or len(lists) != len(points):
-            raise ManifoldValidationError(
-                f"twists.{tname}",
-                f"one weight list per fixed point required ({len(points)})",
-            )
-        for i, ws in enumerate(lists):
-            if not isinstance(ws, list) or not all(_is_int(w) for w in ws):
-                raise ManifoldValidationError(
-                    f"twists.{tname}[{i}]", "list of integers required"
-                )
-        twists[tname] = tuple(tuple(ws) for ws in lists)
     return SpinCircleManifold(
-        name=name, half_dim=half_dim, points=points, twists=twists
+        name=data.get("name"), half_dim=data.get("half_dim"),
+        points=[raw["weights"] for raw in raw_points], twists=twists,
     )
 
 
@@ -266,7 +236,7 @@ DERIVED_TWISTS = {"s2t": sym2_weights, "lambda3t": lambda3_weights}
 
 def _orders(m):
     """O(M): the |weight| values, in increasing order."""
-    return sorted({abs(w) for pt in m.points for w in pt.weights})
+    return sorted({abs(w) for pt in m.points for w in pt})
 
 
 def special_orders(m):
@@ -288,60 +258,74 @@ def special_orders(m):
 # indices
 
 
-def _require_bundle_shape(m, twist):
-    if twist.kind == "bundle" and len(twist.bundle_weights) != len(m.points):
+def _require_bundle(m, bundle):
+    if bundle is not None and len(bundle) != len(m.points):
         raise ManifoldValidationError(
-            "twist.bundle_weights",
-            f"expected {len(m.points)} weight lists, got "
-            f"{len(twist.bundle_weights)}",
+            "bundle", f"expected {len(m.points)} weight lists, got {len(bundle)}"
         )
 
 
-def equivariant_index(m, twist, order=0):
-    """Exact fixed-point sum for the twisted Dirac index: a PSeries over
-    Q(s) truncated at ``order`` (kind 'tangent_witten') or, from the same
-    sum at depth 0, a RationalFunctionQi in s (kinds 'none'/'bundle', one
-    term per bundle weight w with s^{2w} in its monomial, ``order`` only
-    checked).  An order below 0 raises ValueError for every kind."""
-    _require_bundle_shape(m, twist)
-    kind = twist.kind
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
-    order = order if kind == "tangent_witten" else 0
+def _sum_and_max(terms):
+    """The sum of the list of complex ``terms`` and the largest |term| in
+    it: a sum far below that is rounding noise."""
+    total = 0j
+    for term in terms:
+        total += term
+    return total, max(0.0, *map(abs, terms))
+
+
+def equivariant_index(m, bundle=None):
+    """The index of the Dirac operator twisted by ``bundle`` (one weight
+    tuple per point, as ``bundle_twist`` gives it; None: untwisted) as a
+    RationalFunctionQi in s: the depth-0 ``laurent_sum`` of the points'
+    ``theta_term``s, one per bundle weight w with s^{2w} in its monomial."""
+    _require_bundle(m, bundle)
     terms = []
     for i, pt in enumerate(m.points):
-        num, den, (p_pow, s_pow, sign) = theta_term(1, pt.weights, order)
-        ws = twist.bundle_weights[i] if kind == "bundle" else (0,)
+        num, den, (p_pow, s_pow, sign) = theta_term(1, pt, 0)
+        ws = (0,) if bundle is None else bundle[i]
         terms += [(num, den, (p_pow, s_pow + 2 * w, sign)) for w in ws]
-    series = laurent_sum(order, terms)
-    return series if kind == "tangent_witten" else series.coeffs[0]
+    return laurent_sum(0, terms).coeffs[0]
 
 
-def index_numeric(m, twist, params, z):
-    """The fixed-point sum of ``equivariant_index`` as a complex value at
-    the point z, with the theta series of ``params``, and the largest
-    |term| of that sum: a value far below it is rounding noise."""
-    _require_bundle_shape(m, twist)
-    kind = twist.kind
+def witten_index(m, order):
+    """The tangent-Witten index, sum over points of prod_a phi_1(a z), as a
+    PSeries over Q(s) truncated at ``order`` (ValueError below 0)."""
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
+    return laurent_sum(order, [theta_term(1, pt, order) for pt in m.points])
+
+
+def index_numeric(m, z, bundle=None):
+    """``equivariant_index`` as a complex value at the point z, and the
+    largest |term| of its fixed-point sum.  OverflowError names z where
+    e^{i pi a z} leaves the floats."""
+    _require_bundle(m, bundle)
     z = complex(z)
-    total = 0j
-    max_term = 0.0
+    terms = []
     for i, pt in enumerate(m.points):
-        if kind == "tangent_witten":
-            term = params.theta_product(1, [a * z for a in pt.weights])
-        else:
-            term = 1.0 + 0j
-            for a in pt.weights:
+        term = 1.0 + 0j
+        for a in pt:
+            try:
                 e = cmath.exp(1j * cmath.pi * a * z)
-                term *= 1.0 / (1.0 / e - e)
-            if kind == "bundle":
-                term *= sum(
-                    cmath.exp(2j * cmath.pi * w * z)
-                    for w in twist.bundle_weights[i]
-                )
-        total += term
-        max_term = max(max_term, abs(term))
-    return total, max_term
+                if not e:
+                    raise OverflowError
+            except OverflowError:
+                raise OverflowError(f"z = {z} is too far from the real axis: "
+                                    f"e^(i pi a z) at a = {a} is no nonzero float") from None
+            term *= 1.0 / (1.0 / e - e)
+        if bundle is not None:
+            term *= sum(cmath.exp(2j * cmath.pi * w * z) for w in bundle[i])
+        terms.append(term)
+    return _sum_and_max(terms)
+
+
+def witten_index_numeric(m, params, z):
+    """``witten_index`` as a complex value at the point z, with the theta
+    series of ``params``, and the largest |term| of its fixed-point sum."""
+    z = complex(z)
+    return _sum_and_max([params.theta_product(1, [a * z for a in pt])
+                         for pt in m.points])
 
 
 @dataclass
@@ -401,7 +385,7 @@ class RigidityReport:
 def rigidity_check(m, q_order):
     """Expand the tangent-Witten index and test, coefficient by
     coefficient, that the rational function in s is a constant."""
-    theta = equivariant_index(m, TwistSpec("tangent_witten"), q_order)
+    theta = witten_index(m, q_order)
     constants = []
     bad = []
     for k, c in enumerate(theta.coeffs):
@@ -446,8 +430,8 @@ _DEGENERATE_DRAW = (PoleError, SpecialCollisionError, WittenDenominatorError,
 
 def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
     """At a non-special torsion point, the tangent-Witten index evaluated
-    through each point's local invariant (the character route of Z) must
-    match the direct product evaluation at gamma + y + z."""
+    through each point's local invariant (Z as C_1/Str, ``z_character``)
+    must match the direct product evaluation at gamma + y + z."""
     if not isinstance(gamma, LatticeElement):
         raise SpecialPointError("consistency_check needs a torsion point")
     _require_tol(tol)
@@ -469,17 +453,12 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
         y = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         zz = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         try:
-            direct, _ = index_numeric(
-                m, TwistSpec("tangent_witten"), params, gv + y + zz
-            )
+            direct, _ = witten_index_numeric(m, params, gv + y + zz)
             local = 0j
             scale = 1e-30
             for pt in m.points:
-                jdata = RotationData(pt.weights, 1)
-                offsets = RotationData(
-                    tuple(a * (y + zz) for a in pt.weights), 1
-                )
-                term = z_fun(gamma, jdata, offsets, params, route="character")
+                offsets = RotationData(tuple(a * (y + zz) for a in pt), 1)
+                term = z_character(gamma, RotationData(pt, 1), offsets, params)
                 local += term
                 scale = max(scale, abs(term))
         except _DEGENERATE_DRAW:

@@ -6,11 +6,12 @@ nu) and per-plane offsets r_a, the fundamental product is
     Z(gamma, J)(R) = nu * prod_a phi_1(a*gamma + r_a, tau),
 
 equal by construction to C_1 / Str evaluated at the combined rotation;
-both routes are implemented and cross-checked.  EM_eps covers the parity
-cases at even-order torsion points via the W_2/W_3/W_4 characters that
-``elliptic.HALF_PERIODS`` selects, with their traces and scalar constants;
-EM glues an adapted-K Z-value on the part where the cyclic action has no
--1 eigenvalue with EM_eps on the -1 eigenspace.
+both are implemented (``z_fun``, ``z_character``) and cross-checked.
+EM_eps covers the parity cases at even-order torsion points via the
+W_2/W_3/W_4 characters that ``elliptic.HALF_PERIODS`` selects, with their
+traces and scalar constants; EM glues an adapted-K Z-value on the part
+where the cyclic action has no -1 eigenvalue with EM_eps on the -1
+eigenspace.
 
 ``identity_check`` runs the nine identity suites of ``SUITE_NAMES``.
 Eight are randomized numeric verifications (and, for the two periodicity
@@ -136,12 +137,6 @@ class LatticeElement:
         return f"({self.alpha}+{self.beta}*tau)/{self.k}"
 
 
-def _as_gamma_value(gamma, tau):
-    if isinstance(gamma, LatticeElement):
-        return gamma.value(tau)
-    return complex(gamma)
-
-
 def _collides(gamma, gv, a, params):
     """Does a*gamma lie on the lattice, the poles of phi_1 (exactly for
     torsion, within POLE_GUARD for free points)?  gv is gamma at tau."""
@@ -161,26 +156,16 @@ def _require_rotation_numbers(J):
         raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
 
 
-def z_fun(gamma, J, R, params, *, strict=True, route="product"):
-    """The product invariant nu * prod_a phi_1(a*gamma + r_a), evaluated.
-
-    gamma is a LatticeElement or complex; J carries the integer rotation
-    numbers and (with R) the orientation sign; R holds the per-plane
-    offsets r_a (z-scale; None means 0).  ``strict`` enforces the
-    analyticity condition a*gamma not in the lattice; disable it for the
-    identities that intentionally sit on lattice translates with R keeping
-    the arguments off the poles.  route='character' evaluates the same
-    function as C_1/Str through the spinor-trace and Witten-character code
-    paths instead of the phi_1 products.  ``z_exact`` is the formal series.
-    """
+def _z_points(gamma, J, R, params, strict):
+    """(nu, points) of Z(gamma, J)(R): the orientation sign of J and R and
+    the points a*gamma + r_a, after the ``strict`` collision check."""
     _require_rotation_numbers(J)
-    tau = params.tau
     nu = J.orientation_sign
     if R is not None:
         if R.planes != J.planes:
             raise ZemError("R must share J's plane structure")
         nu *= R.orientation_sign
-    gv = _as_gamma_value(gamma, tau)
+    gv = gamma.value(params.tau) if isinstance(gamma, LatticeElement) else complex(gamma)
     if strict:
         for a in J.entries:
             if _collides(gamma, gv, a, params):
@@ -188,14 +173,30 @@ def z_fun(gamma, J, R, params, *, strict=True, route="product"):
                     f"a*gamma lies on the lattice for rotation number a = {a}", a
                 )
     if R is None:
-        args = [a * gv for a in J.entries]
-    else:
-        args = [a * gv + complex(r) for a, r in zip(J.entries, R.entries)]
-    if route == "product":
-        return nu * params.theta_product(1, args)
-    if route == "character":
-        return _z_tau_series_value(RotationData(args, nu), params)
-    raise ValueError(f"unknown route {route!r}")
+        return nu, [a * gv for a in J.entries]
+    return nu, [a * gv + complex(r) for a, r in zip(J.entries, R.entries)]
+
+
+def z_fun(gamma, J, R, params, *, strict=True):
+    """The product invariant nu * prod_a phi_1(a*gamma + r_a), evaluated.
+
+    gamma is a LatticeElement or complex; J carries the integer rotation
+    numbers and (with R) the orientation sign; R holds the per-plane
+    offsets r_a (z-scale; None means 0).  ``strict`` enforces the
+    analyticity condition a*gamma not in the lattice; disable it for the
+    identities that intentionally sit on lattice translates with R keeping
+    the arguments off the poles.  ``z_character`` evaluates the same
+    function as C_1/Str, ``z_exact`` is the formal series.
+    """
+    nu, points = _z_points(gamma, J, R, params, strict)
+    return nu * params.theta_product(1, points)
+
+
+def z_character(gamma, J, R, params):
+    """``z_fun`` (strict) as C_1/Str: through the spinor-trace and
+    Witten-character code at the same points, not the phi_1 products."""
+    nu, points = _z_points(gamma, J, R, params, True)
+    return _z_tau_series_value(RotationData(points, nu), params)
 
 
 def z_exact(J, order):
@@ -230,12 +231,12 @@ def _theta_parts(case, angles, eigs, params):
 
 
 def _z_tau_series_value(R, params):
-    """Z(tau, N, o_N)(R) at offsets R as C_1 / Str: the character route of
-    ``z_fun``, whose offsets are the points a * gamma + r_a."""
+    """Z(tau, N, o_N)(R) at offsets R as C_1 / Str: ``z_character`` at the
+    points a * gamma + r_a."""
     angles, eigs = _offset_angles(R.entries, R.orientation_sign)
     st, w, _ = _theta_parts((0, 0), angles, eigs, params)
     if abs(st) < 1e-140:
-        raise ZemError("supertrace vanished in the character route")
+        raise ZemError("supertrace vanished in C_1 / Str")
     return w / st
 
 
@@ -562,7 +563,7 @@ def _trial_z_periodicity(rng, dims, params):
     base = z_fun(gamma, J, r, params)
     res = _worst(res, _residual(z_fun(gamma + 1.0, J, r, params), eps * base))
     res = _worst(res, _residual(z_fun(gamma + tau, J, r, params), eps * base))
-    res = _worst(res, _residual(z_fun(gamma, J, r, params, route="character"), base))
+    res = _worst(res, _residual(z_character(gamma, J, r, params), base))
     return res, {"entries": list(entries), "gamma": str(gamma)}
 
 

@@ -10,12 +10,12 @@ from elliptica import elliptic
 from elliptica.cli import main as cli_main
 from elliptica.elliptic import TRANSLATIONS, phi_translate_check
 from elliptica.fixedpoint import (
-    TwistSpec,
     equivariant_index,
     load_manifold,
     manifold_from_dict,
     rigidity_check,
     simplify_character,
+    witten_index,
 )
 from elliptica.spinchar import RotationData, chi, j_factor, pfaffian
 from elliptica.zem import identity_check
@@ -111,11 +111,11 @@ def test_criterion_4_degenerate_reduction_to_chi():
 def test_criterion_5_fixed_point_indices():
     start = time.time()
     s2 = load_manifold("s2")
-    assert equivariant_index(s2, TwistSpec("none")) == RF.zero()
-    ser = equivariant_index(s2, TwistSpec("tangent_witten"), 8)
+    assert equivariant_index(s2) == RF.zero()
+    ser = witten_index(s2, 8)
     assert not any(ser.coeffs)
     cp3 = load_manifold("cp3")
-    theta = equivariant_index(cp3, TwistSpec("none"))
+    theta = equivariant_index(cp3)
     assert theta == RF.zero()
     for name in ("cp3", "cp3_alt"):
         m = load_manifold(name)

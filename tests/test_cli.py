@@ -295,6 +295,12 @@ def test_malformed_point_is_usage_error(capsys, command):
         (["expand", "--phi", "1"], "1e308+0.5j"),
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
          "1e308+0.5j"),
+        # Im z / Im tau is no count of periods, or e^{i pi a z} underflows:
+        # the error names z and the distance from the real axis
+        (["expand", "--phi", "1", "--tau", "0.5j"], "0.3+1e308j"),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
+         "0.3+1e308j"),
+        (["index", "--manifold", "s2", "--twist", "none"], "0.3+1e308j"),
     ],
 )
 def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):

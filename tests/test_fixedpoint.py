@@ -4,14 +4,12 @@ import math
 import pytest
 
 from elliptica import fixedpoint
-from elliptica.elliptic import EllipticParams, PoleError
+from elliptica.elliptic import EllipticParams, PoleError, phi_numeric
 from elliptica.fixedpoint import (
     DERIVED_TWISTS,
-    FixedPointDatum,
     ManifoldValidationError,
     SpecialPointError,
     SpinCircleManifold,
-    TwistSpec,
     consistency_check,
     equivariant_index,
     index_numeric,
@@ -24,6 +22,8 @@ from elliptica.fixedpoint import (
     special_orders,
     sym2_weights,
     tangent_complex_weights,
+    witten_index,
+    witten_index_numeric,
 )
 from elliptica.ring import PoleEvaluationError
 from elliptica.witten import WittenDenominatorError
@@ -38,7 +38,7 @@ def test_catalog_contents():
         m = load_manifold(name)
         assert m.spin_parity_ok
         # every bundled datum has identically vanishing untwisted index
-        assert equivariant_index(m, TwistSpec("none")) == RF.zero()
+        assert equivariant_index(m) == RF.zero()
     assert load_manifold("s2.json").name == "s2"  # .json suffix accepted
 
 
@@ -65,9 +65,7 @@ def test_consistency_check_builds_no_torsion_points(monkeypatch):
         return torsion(cls, alpha, beta, k)
 
     monkeypatch.setattr(LatticeElement, "torsion", classmethod(counted))
-    pair = SpinCircleManifold(
-        "pair", 1, [FixedPointDatum((12,)), FixedPointDatum((-12,))]
-    )
+    pair = SpinCircleManifold("pair", 1, [(12,), (-12,)])
     rep = consistency_check(pair, gamma, EllipticParams(tau=1j), trials=2)
     assert built == [] and rep.trials == 2
     # the counter sees the representatives that special_orders builds
@@ -76,18 +74,18 @@ def test_consistency_check_builds_no_torsion_points(monkeypatch):
 
 def test_s2_untwisted_cancellation():
     s2 = load_manifold("s2")
-    assert equivariant_index(s2, TwistSpec("none")) == RF.zero()
+    assert equivariant_index(s2) == RF.zero()
 
 
 def test_s2_tangent_witten_is_zero_series():
     s2 = load_manifold("s2")
-    ser = equivariant_index(s2, TwistSpec("tangent_witten"), 12)
+    ser = witten_index(s2, 12)
     assert not any(ser.coeffs)
 
 
 def test_cp3_untwisted_reduces_to_zero():
     cp3 = load_manifold("cp3")
-    theta = equivariant_index(cp3, TwistSpec("none"))
+    theta = equivariant_index(cp3)
     assert theta == RF.zero()
     res = simplify_character(theta)
     assert res.ok and res.integral and res.laurent == {}
@@ -227,27 +225,63 @@ def test_spin_parity_flagged_not_fatal():
     assert not m.spin_parity_ok
 
 
-def test_schema_validation_paths():
-    with pytest.raises(ManifoldValidationError) as err:
-        manifold_from_dict({
-            "name": "x", "half_dim": 1,
-            "points": [{"weights": [1]}, {"weights": [0]}],
-        })
-    assert str(err.value) == "points[1].weights[0]: zero weight"
-    with pytest.raises(ManifoldValidationError) as err:
-        manifold_from_dict({"name": "x", "half_dim": 2,
-                            "points": [{"weights": [1]}]})
-    assert "points[0].weights" in str(err.value)
-    with pytest.raises(ManifoldValidationError):
-        manifold_from_dict({"name": "", "half_dim": 1,
-                            "points": [{"weights": [1]}]})
-    with pytest.raises(ManifoldValidationError) as err:
-        manifold_from_dict({
-            "name": "x", "half_dim": 1,
-            "points": [{"weights": [1]}],
-            "twists": {"t": []},
-        })
-    assert "twists.t" in str(err.value)
+def _construct(data):
+    """The constructor called directly with the fields of JSON ``data``."""
+    return SpinCircleManifold(data.get("name"), data.get("half_dim"),
+                              [raw["weights"] for raw in data["points"]],
+                              data.get("twists", {}))
+
+
+def _assert_refused_on_both_routes(data, path):
+    """``data`` is refused at ``path`` from JSON and when built in code."""
+    for build in (manifold_from_dict, _construct):
+        with pytest.raises(ManifoldValidationError) as err:
+            build(data)
+        assert err.value.path == path, build.__name__
+        assert str(err.value).startswith(f"{path}: ")
+
+
+def _pair(weights=((1,), (-1,)), **fields):
+    """Raw data of a manifold with one weight list per point."""
+    return {"name": "x", "half_dim": len(weights[0]),
+            "points": [{"weights": list(ws)} for ws in weights], **fields}
+
+
+@pytest.mark.parametrize("path, data", [
+    ("points[1].weights[0]", _pair(((1,), (0,)))),
+    ("points[0].weights", {"name": "x", "half_dim": 2,
+                           "points": [{"weights": [1]}]}),
+    ("points[0].weights", {"name": "x", "half_dim": 1,
+                           "points": [{"weights": "1"}]}),
+    ("name", _pair(name="")),
+    ("half_dim", _pair(half_dim=0)),
+    ("points", {"name": "x", "half_dim": 1, "points": []}),
+    ("twists.t", _pair(twists={"t": []})),
+    # a float weight, and twists with the wrong number of lists or under a
+    # reserved name: refused by the constructor too, not only from JSON
+    ("points[0].weights[0]", _pair(((1.5, True), (-1, 1)))),
+    ("twists.t", _pair(twists={"t": [[1]]})),
+    ("twists.none", _pair(twists={"none": [[1], [-1]]})),
+])
+def test_schema_validation_paths(path, data):
+    _assert_refused_on_both_routes(data, path)
+
+
+def test_spin_parity_is_derived():
+    """spin_parity_ok is no constructor argument: it follows the weights."""
+    with pytest.raises(TypeError):
+        SpinCircleManifold("x", 1, [(1,), (-1,)], spin_parity_ok=False)
+    m = SpinCircleManifold("x", 1, [[1], [-1]])
+    assert m.spin_parity_ok and m.points == [(1,), (-1,)]
+
+
+def test_bundle_must_have_one_list_per_point():
+    s2 = load_manifold("s2")
+    for call in (lambda: equivariant_index(s2, ((1,),)),
+                 lambda: index_numeric(s2, 0.1, ((1,),))):
+        with pytest.raises(ManifoldValidationError) as err:
+            call()
+        assert err.value.path == "bundle"
 
 
 def test_twist_weights_derivation():
@@ -259,20 +293,22 @@ def test_twist_weights_derivation():
     cp3 = load_manifold("cp3")
     assert cp3.twists == {}
     # the lists that cp3.json stored for its point 0 before they were derived
-    assert sorted(cp3.bundle_twist("s2t").bundle_weights[0]) == [
+    assert sorted(cp3.bundle_twist("s2t")[0]) == [
         -6, -5, -4, -4, -3, -2, -2, -1, -1, 0, 0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 6
     ]
-    assert sorted(cp3.bundle_twist("lambda3t").bundle_weights[0]) == [
+    assert sorted(cp3.bundle_twist("lambda3t")[0]) == [
         -6, -4, -3, -3, -2, -2, -2, -1, -1, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 6
     ]
 
 
 def test_stored_twist_comes_before_the_derived_rule():
-    m = SpinCircleManifold("m", 1, [FixedPointDatum((1,)), FixedPointDatum((-1,))],
-                           twists={"s2t": ((5,), (7,))})
-    assert m.bundle_twist("s2t").bundle_weights == ((5,), (7,))
+    # the constructor refuses a stored list under a derived name, so it is
+    # set afterwards
+    m = SpinCircleManifold("m", 1, [(1,), (-1,)])
+    m.twists = {"s2t": ((5,), (7,))}
+    assert m.bundle_twist("s2t") == ((5,), (7,))
     m.twists = {"w": ((1,), (-1,))}
-    assert m.bundle_twist("s2t").bundle_weights == ((2, 0, -2), (-2, 0, 2))
+    assert m.bundle_twist("s2t") == ((2, 0, -2), (-2, 0, 2))
     with pytest.raises(KeyError) as err:
         m.bundle_twist("nosuch")
     assert "stored: ['w'], derived: ['lambda3t', 's2t']" in str(err.value)
@@ -280,13 +316,8 @@ def test_stored_twist_comes_before_the_derived_rule():
 
 @pytest.mark.parametrize("tname", ["none", "tangent_witten", *DERIVED_TWISTS])
 def test_stored_twist_may_not_take_a_reserved_name(tname):
-    with pytest.raises(ManifoldValidationError) as err:
-        manifold_from_dict({
-            "name": "x", "half_dim": 1,
-            "points": [{"weights": [1]}, {"weights": [-1]}],
-            "twists": {tname: [[1], [-1]]},
-        })
-    assert err.value.path == f"twists.{tname}"
+    _assert_refused_on_both_routes(_pair(twists={tname: [[1], [-1]]}),
+                                   f"twists.{tname}")
 
 
 def test_exact_numeric_index_agreement():
@@ -295,17 +326,13 @@ def test_exact_numeric_index_agreement():
     cp3 = load_manifold("cp3")
     tau = 0.2 + 1.3j  # |p|^17 ~ 6e-16: the truncation tail is negligible
     z = 0.17 + 0.05j
-    ser = equivariant_index(cp3, TwistSpec("tangent_witten"), 16)
-    num, max_term = index_numeric(
-        cp3, TwistSpec("tangent_witten"), EllipticParams(tau=tau), z
-    )
+    ser = witten_index(cp3, 16)
+    num, max_term = witten_index_numeric(cp3, EllipticParams(tau=tau), z)
     s0 = cmath.exp(1j * cmath.pi * z)
     p0 = cmath.exp(0.5j * cmath.pi * tau)
     # both sides cancel to ~0; compare against the size of one contribution
     probe = 1.0
-    from elliptica.elliptic import phi_numeric
-
-    for a in cp3.points[0].weights:
+    for a in cp3.points[0]:
         probe *= phi_numeric(1, EllipticParams(tau=tau), a * z)
     assert abs(ser.evaluate(s0, p0) - num) < 1e-9 * abs(probe)
     assert max_term >= abs(probe)
@@ -362,7 +389,7 @@ def test_load_manifold_from_path(tmp_path):
     path.write_text(json.dumps(data))
     m = load_manifold(str(path))
     assert m.name == "custom"
-    assert equivariant_index(m, TwistSpec("none")) == RF.zero()
+    assert equivariant_index(m) == RF.zero()
     with pytest.raises(FileNotFoundError):
         load_manifold("does_not_exist")
 
@@ -375,11 +402,12 @@ def test_load_manifold_from_path(tmp_path):
     ("twists.t[1]", {"name": "x", "half_dim": 1,
                      "points": [{"weights": [1]}, {"weights": [-1]}],
                      "twists": {"t": [[1], [False]]}}),
+    ("points[1].weights[1]", _pair(((1, 2), (-1, True)))),
+    ("twists.t[0]", _pair(twists={"t": [[1.0], [-1]]})),
 ])
 def test_schema_rejects_json_booleans(path, data):
-    with pytest.raises(ManifoldValidationError) as err:
-        manifold_from_dict(data)
-    assert err.value.path == path
+    """Booleans, and floats, are refused where integers belong."""
+    _assert_refused_on_both_routes(data, path)
 
 
 def _cp3_consistency(trials=4):
@@ -390,7 +418,7 @@ def _cp3_consistency(trials=4):
 
 
 def test_consistency_check_nan_residual_fails(monkeypatch):
-    real = fixedpoint.index_numeric
+    real = fixedpoint.witten_index_numeric
     calls = []
 
     def one_nan(*args, **kwargs):
@@ -398,7 +426,7 @@ def test_consistency_check_nan_residual_fails(monkeypatch):
         value = real(*args, **kwargs)
         return (complex("nan"), value[1]) if len(calls) == 2 else value
 
-    monkeypatch.setattr(fixedpoint, "index_numeric", one_nan)
+    monkeypatch.setattr(fixedpoint, "witten_index_numeric", one_nan)
     rep = _cp3_consistency()
     assert not rep.passed
     assert math.isnan(rep.max_residual)
@@ -412,7 +440,7 @@ def test_consistency_check_surfaces_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise _Bug("not a degenerate draw")
 
-    monkeypatch.setattr(fixedpoint, "z_fun", broken)
+    monkeypatch.setattr(fixedpoint, "z_character", broken)
     with pytest.raises(_Bug):
         _cp3_consistency()
 
@@ -425,7 +453,7 @@ def test_consistency_check_surfaces_bugs(monkeypatch):
     ZeroDivisionError("zero"),
 ])
 def test_consistency_check_retries_degenerate_draws(monkeypatch, error):
-    real = fixedpoint.z_fun
+    real = fixedpoint.z_character
     calls = []
 
     def fails_once(*args, **kwargs):
@@ -434,6 +462,20 @@ def test_consistency_check_retries_degenerate_draws(monkeypatch, error):
             raise error
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fixedpoint, "z_fun", fails_once)
+    monkeypatch.setattr(fixedpoint, "z_character", fails_once)
     rep = _cp3_consistency()
-    assert rep.passed and rep.trials == 4
+    assert rep.passed and rep.trials == 4 and len(calls) > 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda z: phi_numeric(1, EllipticParams(tau=0.5j), z),
+    lambda z: witten_index_numeric(load_manifold("cp3"), EllipticParams(tau=1j), z),
+    lambda z: index_numeric(load_manifold("s2"), z),
+    lambda z: index_numeric(load_manifold("s2"), -z),
+], ids=["phi_numeric", "witten_index_numeric", "index_numeric", "index_numeric-below"])
+def test_point_too_far_from_the_real_axis_is_named(call):
+    """Where Im z / Im tau counts no periods, or e^{i pi a z} underflows or
+    overflows, the error names z, not a NaN or a 300-digit period count."""
+    with pytest.raises(OverflowError, match="is too far from the real axis") as err:
+        call(0.3 + 1e308j)
+    assert "1e+308j" in str(err.value) and len(str(err.value)) < 200

@@ -22,10 +22,10 @@ from elliptica.elliptic import (
     theta_term,
 )
 from elliptica.fixedpoint import (
-    TwistSpec,
     equivariant_index,
     load_manifold,
     rigidity_check,
+    witten_index,
 )
 from elliptica.qseries import PSeries, SubstitutionError
 from elliptica.ring import RationalFunctionQi
@@ -321,7 +321,7 @@ def test_decode_row_matches_dict_rows(digits, offset, s_step, spare):
 def test_cp3_rigidity_terms_cancel_to_zero_rows():
     """The tangent-Witten terms of cp3 cancel across its four points: every
     packed row of the sum is 0, as in the reference."""
-    terms = [z_term(pt.weights, 16) for pt in load_manifold("cp3").points]
+    terms = [z_term(pt, 16) for pt in load_manifold("cp3").points]
     got = _decoded(16, terms)
     assert got == _reference(16, terms)
     assert got[0] == [(0, [])] * 17
@@ -557,15 +557,7 @@ _AT_ORDER = {  # name: an exact entry point as a function of the order
     "em_eps_exact": lambda order: em_eps_exact(
         LatticeElement.torsion(1, 0, 2), RotationData((1,), 1), order
     ),
-    "tangent-Witten index": lambda order: equivariant_index(
-        load_manifold("cp3"), TwistSpec("tangent_witten"), order
-    ),
-    "untwisted index": lambda order: equivariant_index(
-        load_manifold("cp3"), TwistSpec("none"), order
-    ),
-    "bundle index": lambda order: equivariant_index(
-        load_manifold("cp3"), load_manifold("cp3").bundle_twist("lambda3t"), order
-    ),
+    "tangent-Witten index": lambda order: witten_index(load_manifold("cp3"), order),
     "rigidity_check": lambda order: rigidity_check(load_manifold("cp3"), order),
 }
 

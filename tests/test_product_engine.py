@@ -10,9 +10,9 @@ import pytest
 from elliptica.elliptic import phi_exact, theta_term
 from elliptica.fixedpoint import (
     DERIVED_TWISTS,
-    TwistSpec,
     equivariant_index,
     load_manifold,
+    witten_index,
 )
 from elliptica.spinchar import RotationData
 from elliptica.witten import laurent_sum, witten_exact, witten_factors
@@ -64,10 +64,10 @@ def test_exact_z_fun_matches_phi1_products(entries, nu):
 @pytest.mark.parametrize("name", CATALOG)
 def test_tangent_witten_index_matches_phi1_products(name):
     m = load_manifold(name)
-    got = equivariant_index(m, TwistSpec("tangent_witten"), ORDER)
+    got = witten_index(m, ORDER)
     ref = PS.zeros(RF, ORDER)
     for pt in m.points:
-        ref = ref + _phi1_product(pt.weights, ORDER)
+        ref = ref + _phi1_product(pt, ORDER)
     assert got == ref
 
 
@@ -105,17 +105,17 @@ def test_untwisted_and_bundle_index_match_supertrace_sum(name, twist_name):
     """The depth-0 z_term sum against sum over points of 1/Str times the
     bundle character sum_w s^{2w} (1 for the untwisted index)."""
     m = load_manifold(name)
-    twist = TwistSpec() if twist_name == "none" else m.bundle_twist(twist_name)
+    bundle = None if twist_name == "none" else m.bundle_twist(twist_name)
     ref = RF.zero()
     for i, pt in enumerate(m.points):
-        term = spinor_trace_exact("str", RotationData(pt.weights, 1)).inverse()
-        if twist.kind == "bundle":
+        term = spinor_trace_exact("str", RotationData(pt, 1)).inverse()
+        if bundle is not None:
             char = {}
-            for w in twist.bundle_weights[i]:
+            for w in bundle[i]:
                 char[2 * w] = char.get(2 * w, 0) + 1
             term = term * RF.from_laurent(char)
         ref = ref + term
-    assert equivariant_index(m, twist) == ref
+    assert equivariant_index(m, bundle) == ref
 
 
 def _em_eps_reference(gamma, R, order):
