@@ -23,8 +23,7 @@ single ``laurent_sum`` term on packed integer rows (one int per p-order,
 its digits the integer coefficients of a Laurent polynomial in s), whose
 coefficients are decoded and become rational functions once each, over
 the prefactor's denominator, reduced by a gcd over Z[s].  The translation
-checks never decode a row: they compare packed rows, as ints, over the
-prefactor's denominator.
+checks never decode a row: they compare packed rows, as ints.
 
 Numeric backend, with an ``EllipticParams``: one kernel,
 ``EllipticParams.theta_product``, evaluates a whole product of theta
@@ -57,32 +56,32 @@ quotient reads; ``PREFACTORS`` states the prefactor of each phi_i(a z) as a
 spinor trace of one plane, and ``theta_term`` builds every exact product of
 theta quotients from it.
 
-Exact verification of the regrading rules needs care: a truncated series
+Exact verification of the translations needs care: a truncated series
 does not determine its own image under s -> p^m s at every order, because
 discarded tail coefficients can land low.  The checks therefore substitute
-into the factors, not into the series.  Every factor is 1 + c p^e s^d with
-c = +-1, and s -> p^m s sends it to 1 + c p^{e+md} s^d; a negative new
-exponent e' is cleared by the flip identity
+into a term's factors, not into its series (``witten.regrade``).  Every
+factor is 1 + c p^e s^d with c = +-1, and s -> p^m s sends it to
+1 + c p^{e+md} s^d; a negative new exponent e' is cleared by the flip
 
     1 + c x = c x (1 + c x^{-1}),    x = p^{e'} s^d,
 
-which leaves a monomial c p^{e'} s^d and the factor 1 + c p^{-e'} s^{-d}.
-A factor with e > M + m max|d| lands above p^M, so the substituted product
-is exact at depth M once the factor list reaches that exponent: M + 2 for
-the tau/2 checks, whose W_1 factors on (1, -1) have |d| = 2, and M + 4a
-for the full period of phi_1(a z).  The full-period check is done on the
-bare parts N (numerator product), D (denominator product) and the
-prefactor, in the relations listed at ``fullperiod_parts_check``, so no
-divided factor ever needs a flip and no substituted series is inverted.
+which leaves the factor 1 + c p^{-e'} s^{-d} where it was and the monomial
+c x in the numerator, or c x^{-1} for a divided factor; a divided factor
+landing at p^0 joins the p-free denominator.  A factor with
+e > M + m max|d| lands above p^M, so the substituted term is exact at
+depth M once its factors reach that exponent: M + 2m for phi_1, whose
+|d| is 2, and M + 4 max|a| for the full period of a Z-series.
 
-The scalar substitutions s -> -s and s -> i s act on the factors of a
-side, as s -> p^m s does: 1 + c p^e s^d becomes 1 + c i^{kd} p^e s^d,
-and the monomial s^r picks up i^{kr} (``unit_substitute``).  Every d of a
-theta quotient is even, so the factors stay integer and i^r factors out.
-Both sides of every identity are then fractions N / D of packed integer
-rows over a p-free denominator D, and an identity holds through p^M when
-N_L D_R = N_R D_L there, up to the power of i that each side carries; the
-rows are compared as ints, no coefficient is reduced and no gcd is taken.
+The scalar substitutions s -> -s and s -> i s act on the factors too:
+1 + c p^e s^d becomes 1 + c i^{kd} p^e s^d, and the monomial s^r picks up
+i^{kr} (``unit_substitute``).  Every d of a theta quotient is even, so the
+factors stay integer and i^r factors out.  The five identities take one
+path, from the table ``_TRANSLATION_CHECKS``: phi_1 under s -> p^m s and
+then s -> i^k s against i^unit p^p_pow phi_i.  N_L / D_L = i^u N_R / D_R
+holds through p^M where N_L D_R = i^u N_R D_L does, each side's
+denominator factors crossed to the other side as numerator factors
+(``witten.unit_difference``): rows are compared as ints, no coefficient
+is reduced and no gcd is taken.
 """
 
 from __future__ import annotations
@@ -96,9 +95,8 @@ from functools import lru_cache
 from .witten import (
     POLE_GUARD,
     WittenDenominatorError,
-    fraction_difference,
     laurent_sum,
-    regrade_factors,
+    regrade,
     unit_difference,
     witten_factors,
 )
@@ -124,6 +122,12 @@ class PoleError(ValueError):
     def __init__(self, message, distance):
         super().__init__(message)
         self.distance = distance
+
+
+class FarPointError(ValueError, OverflowError):
+    """A point too far from the real axis for a float to remove its periods:
+    Im z / Im tau counts none, or z - m tau keeps fewer than half of the
+    digits of z."""
 
 
 def _lattice_offset(w, tau):
@@ -247,12 +251,12 @@ class EllipticParams:
 
         A point that is not finite, or an eigenvalue 0, raises ValueError (NaN)
         or OverflowError naming it, and so does a point z ``MAX_PERIODS`` or
-        more periods Im z / Im tau off the real axis (OverflowError).  Within
+        more periods Im z / Im tau off the real axis (FarPointError).  Within
         ``POLE_GUARD`` of a pole, at n + m tau plus 0, 1/2, tau/2, 1/2 + tau/2
         for i = 1..4, phi_i raises PoleError, and W_i, which lacks its
         prefactor's poles (m = 0 for i = 1, 2), WittenDenominatorError naming
         the product factor 1 -+ q^{n or n-1/2} e^{+-1} that vanishes there.
-        phi_i raises ValueError where the rounding of z - m tau, eps |z|,
+        phi_i raises FarPointError where the rounding of z - m tau, eps |z|,
         would cost half of the digits: more than 1e-8 of the distance to the
         pole, or of 1."""
         if i not in PREFACTORS:
@@ -273,7 +277,7 @@ class EllipticParams:
                     continue
                 e, z = z, cmath.log(z) * _LOG_TO_R
             elif not abs(z.imag) < MAX_PERIODS * tau.imag:
-                raise OverflowError(f"z = {z} is too far from the real axis: Im z / Im tau "
+                raise FarPointError(f"z = {z} is too far from the real axis: Im z / Im tau "
                                     f"= {z.imag / tau.imag:.3g} is no exact count of periods")
             dist, y, my = _lattice_offset(z - shift, tau)
             # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
@@ -296,7 +300,7 @@ class EllipticParams:
                     raise PoleError(f"phi_{i} evaluated within {dist:.2e} of a pole", dist)
                 if terms and m:
                     if abs(z) > HALF_DIGITS * min(1.0, dist):
-                        raise ValueError(f"z = {z} lies {m} periods off the real axis: "
+                        raise FarPointError(f"z = {z} lies {m} periods off the real axis: "
                                          f"z - {m} tau keeps fewer than half of its digits")
                     z -= m * tau
                 s = cmath.exp(_I_PI * z)
@@ -409,97 +413,33 @@ class TranslationReport:
         return asdict(self)
 
 
-TRANSLATIONS = ("z+1", "z+tau", "z+1/2", "z+tau/2", "z+1/2+tau/2")
-
-
-def _regraded_term(m, order, numerator, denominator=(), *, post):
-    """prod(numerator) / prod(denominator) under s -> p^m s, times the
-    monomial post = (p-power, s-power, sign), as a term of ``laurent_sum``
-    or ``fraction_difference`` at depth ``order``.
-
-    Both factor lists go through ``regrade_factors``, so they must reach
-    p^{order + m max|d|}; the flip monomials join ``post``, whose p-power
-    must come out >= 0, since the rows hold nothing below p^0.
-    """
-    (p_pow, s_pow, sign), numerator = regrade_factors(numerator, m, order)
-    _, denominator = regrade_factors(denominator, m, order, divided=True)
-    return numerator, denominator, (p_pow + post[0], s_pow + post[1], sign * post[2])
-
-
-def _phi1_halfshifted(order):
-    """phi_1 under s -> p s as a term exact to ``order``; shared by the two
-    checks whose translations contain tau/2, since scalar substitutions
-    commute with the regrading.
-
-    phi_1 is its prefactor s / (1 - s^2) times the W_1 factors on (1, -1):
-    each factor goes to its image, the monomial s to p s, and every |d| is
-    2, so W_1 factors through p^{order + 2} suffice.
-    """
-    num, den, (p_pow, s_pow, sign) = theta_term(1, (1,), order + 2)
-    return _regraded_term(1, order, num, den, post=(p_pow + s_pow, s_pow, sign))
-
-
-def fullperiod_parts_check(a, order):
-    """First p-exponent at which phi_1(a z) fails its full-period relations,
-    or None.  With N_a, D_a the numerator and denominator products composed
-    with s -> s^a (a >= 1) and the prefactor pref_a = s^a / (1 - s^{2a}):
-
-        (i)   p^{2a^2} s^{2a^2} N_a(p^2 s)           == N_a(s)
-        (ii)  (-1)^a p^{2a(a-1)} s^{2a^2} D_a(p^2 s) == (1-s^{2a}) D_a(s)
-                                                        / (1 - p^{4a} s^{2a})
-        (iii) pref_a(p^2 s)                          == p^{2a} s^a
-                                                        / (1 - p^{4a} s^{2a})
-
-    They give phi_1(a(z+tau)) = pref_a(p^2 s) N_a(p^2 s) / D_a(p^2 s)
-    = (-1)^a phi_1(a z) after clearing the common (1 - p^{4a} s^{2a}).
-    Each left side is a product of regraded factors (m = 2, |d| = 2a, so
-    factors through p^{order + 4a} suffice); no series is regraded.
-    """
-    num, den = witten_factors(1, (a, -a), order + 4 * a)
-    relations = (  # (left factors, left post, right term) of (i), (ii), (iii)
-        (num, (), (2 * a * a, 2 * a * a, 1), (num, (), (0, 0, 1))),
-        (den, (), (2 * a * (a - 1), 2 * a * a, (-1) ** a),
-         (den + [(0, 2 * a, -1)], [(4 * a, 2 * a, -1)], (0, 0, 1))),
-        ((), [(0, 2 * a, -1)], (2 * a, a, 1),
-         ((), [(4 * a, 2 * a, -1)], (2 * a, a, 1))),
-    )
-    for numerator, denominator, post, right in relations:
-        left = _regraded_term(2, order, numerator, denominator, post=post)
-        first = fraction_difference(order, [left], [right])
-        if first is not None:
-            return first
-    return None
-
-
-# The four checks of phi_1, or of its image under s -> p s, under
-# s -> i^k s (k = 0 for none) against i^unit p^p_pow phi_i, the half periods
-# from ``HALF_PERIODS``: which -> (image under s -> p s?, k, (i, unit, p_pow),
-# detail).
-_UNIT_CHECKS = {
-    "z+1": (False, 2, (1, 2, 0),
+# The five checks: phi_1 under s -> p^m s and then s -> i^k s against
+# i^unit p^p_pow phi_i, the half periods from ``HALF_PERIODS``: which ->
+# (m, k, (i, unit, p_pow), detail).
+_TRANSLATION_CHECKS = {
+    "z+1": (0, 2, (1, 2, 0),
             "phi1(z+1) vs -phi1(z), direct substitution s -> -s"),
-    "z+1/2": (False, 1, HALF_PERIODS[1, 0],
+    "z+tau": (2, 0, (1, 2, 0),
+              "phi1(z+tau) vs -phi1(z), cross-multiplied product form"),
+    "z+1/2": (0, 1, HALF_PERIODS[1, 0],
               "phi1(z+1/2) vs i*phi2(z), direct substitution s -> i s"),
-    "z+tau/2": (True, 0, HALF_PERIODS[0, 1],
+    "z+tau/2": (1, 0, HALF_PERIODS[0, 1],
                 "phi1(z+tau/2) vs p*phi3(z), s -> p s on the factors"),
-    "z+1/2+tau/2": (True, 1, HALF_PERIODS[1, 1],
+    "z+1/2+tau/2": (1, 1, HALF_PERIODS[1, 1],
                     "phi1(z+1/2+tau/2) vs i*p*phi4(z)"),
 }
+TRANSLATIONS = tuple(_TRANSLATION_CHECKS)
 
 
 def phi_translate_check(which, order):
     """Exact check of one translation identity through p^order; returns a
     TranslationReport with the first failing p-exponent on failure."""
-    if which == "z+tau":
-        first = fullperiod_parts_check(1, order)
-        detail = "phi1(z+tau) vs -phi1(z), cross-multiplied product form"
-    elif which in _UNIT_CHECKS:
-        halfshifted, k, (i, unit, p_pow), detail = _UNIT_CHECKS[which]
-        left = _phi1_halfshifted(order) if halfshifted else theta_term(1, (1,), order)
-        right = theta_term(i, (1,), order, p_pow)
-        first = unit_difference(order, left, k, right, unit)
-    else:
+    if which not in _TRANSLATION_CHECKS:
         raise ValueError(f"unknown translation {which!r}")
+    m, k, (i, unit, p_pow), detail = _TRANSLATION_CHECKS[which]
+    # every |d| of phi_1's factors is 2: s -> p^m s needs them to p^{order + 2m}
+    left = regrade(theta_term(1, (1,), order + 2 * m), m, order)
+    first = unit_difference(order, left, k, theta_term(i, (1,), order, p_pow), unit)
     return TranslationReport(
         which=which,
         truncation_order=order,

@@ -44,7 +44,7 @@ from importlib import resources
 from math import gcd
 
 from .ring import PoleEvaluationError, _poly_str
-from .elliptic import PoleError, theta_term
+from .elliptic import FarPointError, PoleError, theta_term
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
 from .zem import (
@@ -463,6 +463,9 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
                 scale = max(scale, abs(term))
         except _DEGENERATE_DRAW:
             continue
+        except FarPointError as exc:  # no redraw moves gamma
+            raise SpecialPointError(f"gamma = {gamma} cannot be evaluated at "
+                                    f"tau = {params.tau}: {exc}") from None
         # the fixed-point sum cancels (often to exactly 0), so residuals are
         # measured against the size of the individual contributions
         worst = _worst(worst, abs(direct - local) / scale)

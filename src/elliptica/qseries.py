@@ -16,7 +16,7 @@ Lattice translations of z (s = e^{i pi z}) act on series over Q(s) as
 substitutions in s: s -> -s, s -> i s and s -> p^m s.  The exact checks
 never apply them to a series, whose truncation hides the tail that a
 regrading would bring down; they act on the product factors of the
-witten module (``unit_substitute``, ``regrade_factors``) before any row is
+witten module (``unit_substitute``, ``regrade``) before any row is
 formed, and raise ``SubstitutionError`` for what they cannot represent.
 """
 

@@ -17,7 +17,7 @@ coefficient inside Q(s), and an integer truncation order;
 1/e) and an ``EllipticParams``, whose kernel ``theta_product`` sums the
 theta series of all the planes in one pass.
 ``laurent_rows`` is the workbench's one exact product engine: the theta
-quotients, their bare numerator/denominator products, the exact Z-series
+quotients, both sides of every translation check, the exact Z-series
 and the fixed-point sums of the indices are all built through it.  A term
 is a monomial c p^k s^j times a product of factors 1 + c p^e s^d; terms
 with the same factors are expanded once, from the sum of their monomials,
@@ -30,18 +30,18 @@ per row; every row that is added to or compared with another shares
 them.  A factor then costs one shift and one add per row.
 ``laurent_fraction`` adds terms over one common denominator of the
 factors with e = 0: packed rows over p-free factors 1 + c s^d, the form
-in which every exact check is stated.  ``laurent_sum`` is the only place
+in which every exact series is built.  ``laurent_sum`` is the only place
 where rows become rational functions: it decodes each row once
 (``decode_row``, straight from its bytes to (low, coeffs), a dense integer
 list and its lowest s-exponent) and reduces it once, an integer row over
 the integer denominator, decoded once per sum, with a gcd over Z[s]
 (``RationalFunctionQi.from_integer_laurent``) and no arithmetic over Q(i).
-``regrade_factors`` applies the lattice translation s -> p^m s, and
-``unit_substitute`` s -> -s and s -> i s, to the factors themselves,
-before any product is formed;
-``fraction_difference`` compares two sums by cross-multiplication, each
-side's rows times the other side's denominator factors, as ints, so no
-check decodes a row or reduces a coefficient.
+``regrade`` applies the lattice translation s -> p^m s, and
+``unit_substitute`` s -> -s and s -> i s, to a term's factors, before any
+product is formed; ``unit_difference`` compares two terms by
+cross-multiplication, each side's denominator factors crossed to the
+other side as numerator factors, on rows as ints, so no check decodes a
+row or reduces a coefficient.
 """
 
 from __future__ import annotations
@@ -94,40 +94,38 @@ def witten_factors(i, weights, order):
     return num, den
 
 
-def regrade_factors(factors, m, order, divided=False):
-    """The substitution s -> p^m s on factors (e, d, c) = 1 + c p^e s^d.
+def regrade(term, m, order):
+    """A term (numerator factors, denominator factors, monomial) under the
+    lattice translation s -> p^m s, as a term exact to ``order`` whenever
+    its factors reached p^{order + m * max|d|}.
 
-    Each factor goes to 1 + c p^{e+md} s^d.  For c = +-1 a negative
-    exponent e' = e + md is cleared by 1 + c x = c x (1 + c x^{-1}): the
-    factor becomes the monomial c p^{e'} s^d times (-e', -d, c).  Returns
-    ((p-power, s-power, sign), factors): the product of those monomials and
-    the regraded factors with exponent <= ``order``, so the product is
-    exact to ``order`` whenever the caller's input held every factor with
-    e <= order + m * max|d|.  Factors to be ``divided`` must land at e' >= 1
-    (``divide_factor``); one that would not, flipped or not, raises
-    SubstitutionError.
+    The monomial p^k s^j goes to p^{k + mj} s^j and each factor
+    1 + c p^e s^d to 1 + c p^{e'} s^d, e' = e + md.  For c = +-1 a negative
+    e' is cleared by the flip 1 + c x = c x (1 + c x^{-1}), x = p^{e'} s^d:
+    the factor becomes (-e', -d, c), and c x joins the monomial, times it
+    for a numerator factor and, as 1/(c x) = c x^{-1}, divided into it for
+    a denominator factor.  A divided factor landing at e' = 0 stays as the
+    p-free factor 1 + c s^d of the common denominator; factors above p^order
+    are 1 + O(p^{order+1}) and are dropped.  A flip with c other than +-1
+    raises SubstitutionError.
     """
-    p_pow = s_pow = 0
-    sign = 1
-    out = []
-    for e, d, c in factors:
-        e2 = e + m * d
-        if divided and e2 < 1:
-            raise SubstitutionError(
-                f"divided factor (1 + {c} p^{e} s^{d}) lands at p^{e2} under "
-                f"s -> p^{m} s"
-            )
-        if e2 < 0:
-            if c not in (1, -1):
-                raise SubstitutionError(
-                    f"factor (1 + {c} p^{e} s^{d}) needs a flip, which holds "
-                    "only for c = +-1"
-                )
-            p_pow, s_pow, sign = p_pow + e2, s_pow + d, sign * c
-            e2, d = -e2, -d
-        if e2 <= order:
-            out.append((e2, d, c))
-    return (p_pow, s_pow, sign), out
+    numerator, denominator, (p_pow, s_pow, sign) = term
+    p_pow += m * s_pow
+    out = [], []
+    for factors, regraded, power in ((numerator, out[0], 1), (denominator, out[1], -1)):
+        for e, d, c in factors:
+            e2 = e + m * d
+            if e2 < 0:
+                if c not in (1, -1):
+                    raise SubstitutionError(
+                        f"factor (1 + {c} p^{e} s^{d}) needs a flip, which holds "
+                        "only for c = +-1"
+                    )
+                p_pow, s_pow, sign = p_pow + power * e2, s_pow + power * d, sign * c
+                e2, d = -e2, -d
+            if e2 <= order:
+                regraded.append((e2, d, c))
+    return *out, (p_pow, s_pow, sign)
 
 
 class RowLayout(NamedTuple):
@@ -427,44 +425,30 @@ def unit_substitute(term, k):
     return j, (substituted(numerator), substituted(denominator), (p_pow, s_pow, sign))
 
 
-def fraction_difference(order, left, right, unit=0):
-    """The first p-order through ``order`` at which i^unit times the sum of
-    the terms ``left`` and the sum of the terms ``right`` differ, or None.
-
-    Each side is its packed rows N over its common p-free denominator D, so
-    the sides differ where N_L D_R and N_R D_L do.  Each side's products
-    take the factors of the other side's denominator that its own lacks as
-    numerator factors (1 + c s^d, one shift-add per row), both sides share
-    one layout, and their rows are compared as ints: no row is decoded and no
-    coefficient is reduced.  For odd ``unit`` integer rows agree only where
-    both vanish.
-    """
-    left, den_l = _products(left)
-    right, den_r = _products(right)
-    left = _times_factors(left, den_r - den_l)
-    right = _times_factors(right, den_l - den_r)
-    layout = row_layout(order, left + right)
-    sign = -1 if unit % 4 == 2 else 1
-    rows = zip(_summed_rows(order, left, layout), _summed_rows(order, right, layout))
-    for k, (x, y) in enumerate(rows):
-        if (x or y) if unit % 2 else sign * x != y:
-            return k
-    return None
-
-
-def _times_factors(products, factors):
-    """Each product times the p-free factors 1 + c s^d of the Counter
-    ``factors``, as numerator factors."""
-    extra = [(0, d, c) for d, c in factors.elements()]
-    return [([*extra, *num], den, monomials) for num, den, monomials in products]
-
-
 def unit_difference(order, left, k, right, unit):
-    """The first p-order at which the term ``left`` under s -> i^k s and
-    i^unit times the term ``right`` differ, or None: ``fraction_difference``
-    of the two terms, the left one through ``unit_substitute``."""
-    j, left = unit_substitute(left, k)
-    return fraction_difference(order, [left], [right], j - unit)
+    """The first p-order through ``order`` at which the term ``left`` under
+    s -> i^k s (``unit_substitute``) and i^unit times the term ``right``
+    differ, or None.
+
+    The sides N_L / D_L and N_R / D_R differ where N_L D_R and N_R D_L do:
+    D_L D_R has a nonzero p^0 row, so the first differing p-order is the
+    same.  Each side's denominator factors are crossed to the other side as
+    numerator factors, both products share one layout, and their rows are
+    compared as ints: no row is decoded and no coefficient is reduced.  For
+    an odd power of i integer rows agree only where both vanish.
+    """
+    j, (num_l, den_l, mono_l) = unit_substitute(left, k)
+    num_r, den_r, mono_r = right
+    left = ([*num_l, *den_r], (), [mono_l])
+    right = ([*num_r, *den_l], (), [mono_r])
+    layout = row_layout(order, [left, right])
+    unit = j - unit
+    sign = -1 if unit % 4 == 2 else 1
+    rows = zip(laurent_rows(order, left, layout), laurent_rows(order, right, layout))
+    for n, (x, y) in enumerate(rows):
+        if (x or y) if unit % 2 else sign * x != y:
+            return n
+    return None
 
 
 def witten_exact(i, weights, order):

@@ -38,7 +38,6 @@ from .elliptic import (
     PREFACTORS,
     EllipticParams,
     PoleError,
-    fullperiod_parts_check,
     _lattice_offset,
     theta_term,
 )
@@ -55,6 +54,7 @@ from .spinchar import (
 from .witten import (
     WittenDenominatorError,
     laurent_sum,
+    regrade,
     unit_difference,
     witten_char,
 )
@@ -522,24 +522,26 @@ def _trial_k_transfer(rng, dims, params):
     }
 
 
-def _z_exact_gamma_plus_one(J, order):
-    """First p-order at which Z(z+1) = eps_J Z(z) fails, on the rows of
-    ``z_term`` with s -> -s on its factors."""
-    term = z_term(J.entries, order, J.orientation_sign)
-    return unit_difference(order, term, 2, term, 0 if epsilon_J(J) > 0 else 2)
+def _z_period_first_diff(J, m, k, order):
+    """First p-order at which Z = nu prod_a phi_1(a z) under s -> p^m s and
+    then s -> i^k s differs from eps_J Z, or None: z+1 is (m, k) = (0, 2)
+    and z+tau is (2, 0).  Every |d| of Z's factors is at most 2 max|a|, so
+    ``regrade`` needs them to p^{order + 2m max|a|}."""
+    depth = order + 2 * m * max(abs(a) for a in J.entries)
+    left = regrade(z_term(J.entries, depth, J.orientation_sign), m, order)
+    right = z_term(J.entries, order, J.orientation_sign)
+    return unit_difference(order, left, k, right, 0 if epsilon_J(J) > 0 else 2)
 
 
 def _z_periodicity_exact(entries, order):
     """Exact gamma -> gamma+1 and gamma -> gamma+tau periodicity of the
     formal Z-series for positive rotation numbers ``entries``."""
     J = RotationData(tuple(entries), 1)
-    out = {"gamma_plus_one_first_diff": _z_exact_gamma_plus_one(J, order)}
-    tau_ok = all(
-        fullperiod_parts_check(a, order) is None for a in sorted(set(entries))
-    )
-    out["gamma_plus_tau_ok"] = tau_ok
-    out["epsilon"] = epsilon_J(J)
-    return out
+    return {
+        "gamma_plus_one_first_diff": _z_period_first_diff(J, 0, 2, order),
+        "gamma_plus_tau_ok": _z_period_first_diff(J, 2, 0, order) is None,
+        "epsilon": epsilon_J(J),
+    }
 
 
 def _trial_z_periodicity(rng, dims, params):

@@ -127,6 +127,18 @@ def test_consistency_command(capsys):
     assert "zem" in err
 
 
+@pytest.mark.parametrize("beta", ["1000000000000", "100000000000000000"])
+def test_consistency_at_a_far_gamma_is_usage_error(capsys, beta):
+    """gamma = (1 + beta tau)/7 lies beta/7 periods off the real axis, where
+    z - m tau keeps too few digits or Im z / Im tau counts no periods: no
+    redraw of the offsets moves gamma, so the error names it."""
+    code, out, err = run_cli(capsys, "consistency", "--manifold", "cp3",
+                             "--alpha", "1", "--beta", beta, "--order-k", "7")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"gamma = (1+{beta}*tau)/7 cannot be evaluated at tau = 1j: ")
+
+
 def test_expand_with_numeric_evaluation(capsys):
     code, out, _ = run_cli(capsys, "expand", "--phi", "3", "--q-order", "40",
                            "--at", "0.23", "--tau", "0.1+0.9j")

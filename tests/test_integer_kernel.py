@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 from elliptica import elliptic, witten, zem
 from elliptica.elliptic import (
     TRANSLATIONS,
-    _phi1_halfshifted,
-    _regraded_term,
-    fullperiod_parts_check,
     phi_exact,
     phi_translate_check,
     theta_term,
@@ -33,11 +30,10 @@ from elliptica.spinchar import RotationData
 from elliptica.witten import (
     RowLayout,
     decode_row,
-    fraction_difference,
     laurent_fraction,
     laurent_rows,
     laurent_sum,
-    regrade_factors,
+    regrade,
     row_layout,
     unit_substitute,
     witten_exact,
@@ -57,11 +53,17 @@ from series_reference import (
 )
 
 
+def _phi1_regraded(m, order):
+    """phi_1 under s -> p^m s as the translation checks take it: its factors
+    to p^{order + 2m}, through ``regrade``."""
+    return regrade(theta_term(1, (1,), order + 2 * m), m, order)
+
+
 @pytest.mark.parametrize("order", [0, 1, 5, 16, 24])
 def test_phi1_halfshifted_matches_series_regrade(order):
     deep = phi_exact(1, 2 * order + 6)
     ref = ps_substitute_t(deep, Substitution.p_shift(1)).truncate(order)
-    assert laurent_sum(order, [_phi1_halfshifted(order)]) == ref
+    assert laurent_sum(order, [_phi1_regraded(1, order)]) == ref
 
 
 def test_phi1_halfshift_headroom_is_load_bearing():
@@ -69,16 +71,16 @@ def test_phi1_halfshift_headroom_is_load_bearing():
     the factor 1 + p^18 s^-2, whose image lands at p^16 (p^17 with the
     prefactor), so the factor list must reach order + 2."""
     order = 17
-    num, den = witten_factors(1, (1, -1), order)
-    term = _regraded_term(1, order, num, den + [(0, 2, -1)], post=(1, 1, 1))
-    assert laurent_sum(order, [term]) != laurent_sum(order, [_phi1_halfshifted(order)])
+    term = regrade(theta_term(1, (1,), order), 1, order)
+    assert laurent_sum(order, [term]) != laurent_sum(order, [_phi1_regraded(1, order)])
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
 @pytest.mark.parametrize("part", [0, 1])
 def test_row_regrade_of_parts_matches_series_regrade(a, part):
-    """The regraded factor rows of the full-period check (N: part 0, D: part
-    1), with the monomials of fullperiod_parts_check at a, against
+    """The numerator (part 0) and denominator (part 1) products of
+    phi_1(a z) as numerator-only terms under s -> p^2 s, times the monomial
+    p^post_p s^{2a^2} of their full-period relations, against
     ps_substitute_t on the composed RationalFunctionQi series, at an input
     depth that doubling shows to be enough."""
     order = 8
@@ -97,17 +99,19 @@ def test_row_regrade_of_parts_matches_series_regrade(a, part):
     assert series_regrade(2 * deep) == ref
     factors = witten_factors(1, (1, -1), order + 4 * a)[part]
     factors = [(e, a * d, c) for e, d, c in factors]
-    got = _regraded_term(2, order, factors, post=(post_p, 2 * a * a, sign))
+    num, den, (p_pow, s_pow, flips) = regrade((factors, [], (0, 0, 1)), 2, order)
+    got = (num, den, (p_pow + post_p, s_pow + 2 * a * a, flips * sign))
     assert laurent_sum(order, [got]) == ref
 
 
 def test_regrade_factors_flips_negative_exponent():
     # 1 + s^-2 under s -> p s is 1 + p^-2 s^-2 = p^-2 s^-2 (1 + p^2 s^2)
-    assert regrade_factors([(0, -2, 1)], 1, 5) == ((-2, -2, 1), [(2, 2, 1)])
-    assert regrade_factors([(1, -2, -1)], 1, 5) == ((-1, -2, -1), [(1, 2, -1)])
+    assert regrade(([(0, -2, 1)], [], (0, 0, 1)), 1, 5) == ([(2, 2, 1)], [], (-2, -2, 1))
+    assert regrade(([(1, -2, -1)], [], (0, 0, 1)), 1, 5) == ([(1, 2, -1)], [], (-1, -2, -1))
     # factors landing above the order are 1 + O(p^{order+1}); a flipped
-    # one still leaves its monomial
-    assert regrade_factors([(4, 2, 1), (0, -9, 1)], 1, 5) == ((-9, -9, 1), [])
+    # one still leaves its monomial, and the monomial s goes to p s
+    term = ([(4, 2, 1), (0, -9, 1)], [], (0, 1, 1))
+    assert regrade(term, 1, 5) == ([], [], (-8, -8, 1))
 
 
 def test_regrade_rejects_negative_landing():
@@ -115,13 +119,16 @@ def test_regrade_rejects_negative_landing():
     series = PSeries([RF.zero(), monomial(-2)])
     with pytest.raises(SubstitutionError):
         ps_substitute_t(series, Substitution.p_shift(1))
-    # a divided factor cannot be flipped, nor divided at p^0
-    with pytest.raises(SubstitutionError):
-        regrade_factors([(1, -2, 1)], 1, 5, divided=True)
-    with pytest.raises(SubstitutionError):
-        regrade_factors([(2, -2, 1)], 1, 5, divided=True)
-    with pytest.raises(SubstitutionError):
-        regrade_factors([(1, -2, 3)], 1, 5)  # the flip needs c = +-1
+    # a divided factor flips with the monomial inverted:
+    # 1 / (1 + p^-1 s^-2) = p s^2 / (1 + p s^2), 1 / (1 - x) = -x^-1 / (1 - x^-1)
+    assert regrade(([], [(1, -2, 1)], (0, 0, 1)), 1, 5) == ([], [(1, 2, 1)], (1, 2, 1))
+    assert regrade(([], [(3, -4, -1)], (0, 0, 1)), 1, 5) == ([], [(1, 4, -1)], (1, 4, -1))
+    # and at p^0 it stays in the p-free denominator
+    assert regrade(([], [(2, -2, 1)], (0, 0, 1)), 1, 5) == ([], [(0, -2, 1)], (0, 0, 1))
+    # the flip needs c = +-1, in a numerator or a denominator
+    for term in (([(1, -2, 3)], [], (0, 0, 1)), ([], [(1, -2, 3)], (0, 0, 1))):
+        with pytest.raises(SubstitutionError):
+            regrade(term, 1, 5)
 
 
 @pytest.mark.parametrize(
@@ -132,16 +139,21 @@ def test_regrade_rejects_negative_landing():
     ids=["a1-no-monomial", "a3-no-monomial", "a2-no-sign"],
 )
 def test_parts_check_needs_the_flip_monomial(monkeypatch, a, mutate):
-    """Negative control: dropping the flip's monomial (or, where the flips
-    carry c = -1, its sign) makes the full-period check fail."""
-    assert fullperiod_parts_check(a, 16) is None
+    """Negative control: dropping the flips' monomial (or, where the flips
+    carry c = -1, their sign) makes the check of phi_1(a (z + tau)) =
+    (-1)^a phi_1(a z) fail."""
+    J = RotationData((a,), 1)
+    assert zem._z_period_first_diff(J, 2, 0, 16) is None
 
-    def broken(factors, m, order, divided=False):
-        monomial, out = regrade_factors(factors, m, order, divided)
-        return mutate(*monomial), out
+    def broken(term, m, order):
+        """``regrade`` with the flips' part of the monomial mutated."""
+        num, den, (p_pow, s_pow, sign) = regrade(term, m, order)
+        _, _, (p0, s0, sign0) = regrade(([], [], term[2]), m, order)
+        p, s, c = mutate(p_pow - p0, s_pow - s0, sign * sign0)
+        return num, den, (p0 + p, s0 + s, sign0 * c)
 
-    monkeypatch.setattr(elliptic, "regrade_factors", broken)
-    assert fullperiod_parts_check(a, 16) is not None
+    monkeypatch.setattr(zem, "regrade", broken)
+    assert zem._z_period_first_diff(J, 2, 0, 16) is not None
 
 
 def _reference_product(order, numerator, denominator):
@@ -337,27 +349,6 @@ def test_deep_phi_matches_dict_reference(i):
     assert phi_exact(i, 160) == want
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    order=st.integers(0, 10),
-    left=st.lists(_WIDE_TERM, min_size=1, max_size=2),
-    extra=st.lists(_WIDE_TERM, max_size=1),
-    unit=st.integers(0, 3),
-)
-def test_fraction_difference_matches_dict_reference(order, left, extra, unit):
-    """The first p-order at which i^unit times one sum and another differ,
-    on packed rows, is the reference's.  The right side is the left one
-    (negated for unit 2) plus the extra terms, so for even unit the sides
-    agree below the first row of the extra terms."""
-    right = (_negated(left) if unit == 2 else left) + extra
-    want = row_reference.fraction_difference(
-        row_reference.laurent_fraction(order, left),
-        row_reference.laurent_fraction(order, right),
-        unit,
-    )
-    assert fraction_difference(order, left, right, unit) == want
-
-
 _EVEN_TERM = _WIDE_TERM.map(
     lambda t: ([(e, 2 * d, c) for e, d, c in t[0]],
                [(e, 2 * d, c) for e, d, c in t[1]], t[2])
@@ -422,7 +413,7 @@ def _z(entries, nu):
 _UNIT_CASES = {  # the left side of each unit check: (term, k, reference rule)
     "z+1": (_phi1, 2, Substitution.neg_s()),
     "z+1/2": (_phi1, 1, Substitution.i_s()),
-    "z+1/2+tau/2": (_phi1_halfshifted, 1, Substitution.i_s()),
+    "z+1/2+tau/2": (partial(_phi1_regraded, 1), 1, Substitution.i_s()),
     "Z(1,2,3)-neg_s": (_z((1, 2, 3), 1), 2, Substitution.neg_s()),
     "Z(2,-1)-neg_s": (_z((2, -1), -1), 2, Substitution.neg_s()),
     "Z(1,2,3)-i_s": (_z((1, 2, 3), 1), 1, Substitution.i_s()),
@@ -445,15 +436,15 @@ def _translation(which, order=24):
 
 
 def _z_gamma_plus_one():
-    return zem._z_exact_gamma_plus_one(RotationData((1, 2), 1), 16)
+    return zem._z_period_first_diff(RotationData((1, 2), 1), 0, 2, 16)
 
 
 _unit_substitute = witten.unit_substitute
 _epsilon_J = zem.epsilon_J
 _NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
     "z+1/2-against-phi1": (
-        lambda mp: mp.setitem(elliptic._UNIT_CHECKS, "z+1/2",
-                              (False, 1, (1, 1, 0), "")),
+        lambda mp: mp.setitem(elliptic._TRANSLATION_CHECKS, "z+1/2",
+                              (0, 1, (1, 1, 0), "")),
         _translation("z+1/2"), 0,
     ),
     "factored-i-dropped": (
@@ -462,8 +453,8 @@ _NEGATIVE_CONTROLS = {  # name: (mutation, check, what the mutated check gives)
         _translation("z+1/2"), 0,
     ),
     "phi4-without-p-shift": (
-        lambda mp: mp.setitem(elliptic._UNIT_CHECKS, "z+1/2+tau/2",
-                              (True, 1, (4, 1, 0), "")),
+        lambda mp: mp.setitem(elliptic._TRANSLATION_CHECKS, "z+1/2+tau/2",
+                              (1, 1, (4, 1, 0), "")),
         _translation("z+1/2+tau/2"), 0,
     ),
     "Z-wrong-epsilon": (
@@ -550,7 +541,6 @@ _AT_ORDER = {  # name: an exact entry point as a function of the order
     "phi_exact": lambda order: phi_exact(1, order),
     **{f"phi_translate_check {w}": partial(phi_translate_check, w)
        for w in TRANSLATIONS},
-    "fullperiod_parts_check": lambda order: fullperiod_parts_check(1, order),
     "witten_exact": lambda order: witten_exact(1, [1, -1], order),
     "z_exact": lambda order: z_exact(RotationData((1, 2), 1), order),
     "Z-periodicity exact": lambda order: zem._z_periodicity_exact([1, 2], order),

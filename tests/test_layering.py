@@ -114,7 +114,7 @@ def test_unused_import_reader_flags_a_dead_name():
 # each backend and each computation has its own functions (phi_exact /
 # phi_numeric, z_fun / z_character): a parameter with one of these names
 # would choose between them
-SWITCHES = {"backend", "exact", "route"}
+SWITCHES = {"backend", "exact", "route", "divided"}
 
 
 def _switch_parameters(tree):
@@ -139,9 +139,10 @@ def test_no_backend_switch_parameters(name):
 def test_switch_reader_flags_a_backend_parameter():
     tree = ast.parse("def f(x, backend='exact'):\n    pass\n"
                      "class C:\n    def g(self, *, exact=False):\n        pass\n"
-                     "h = lambda z, route='character': z\n")
-    assert _switch_parameters(tree) == [("f", "backend"), ("g", "exact"),
-                                        ("<lambda>", "route")]
+                     "h = lambda z, route='character': z\n"
+                     "def r(term, m, order, divided=False):\n    pass\n")
+    assert _switch_parameters(tree) == [("f", "backend"), ("r", "divided"),
+                                        ("g", "exact"), ("<lambda>", "route")]
 
 
 # the general field arithmetic over Q(i)(s) lives in the tests' references;

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from elliptica.elliptic import EllipticParams, phi_numeric
+from elliptica import zem
+from elliptica.elliptic import EllipticParams, phi_numeric, theta_term
 from elliptica.ring import zpoly_gcd
-from elliptica.witten import witten_char
+from elliptica.spinchar import RotationData
+from elliptica.witten import laurent_sum, regrade, witten_char
 from ring_reference import (
     RF,
     GaussianRational,
@@ -229,6 +231,48 @@ def test_phi_numeric_far_from_the_real_axis(i):
                 want = _theta_phi(mpmath, i, mpmath.mpc(point), mpmath.mpc(tau))
                 assert _rel(got, want) < TOL * (1 + abs(m)), (z, tau, m)
                 assert _rel(got, (-1) ** m * base) < TOL * (1 + abs(m))
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_regraded_theta_term_matches_mpmath(a):
+    """phi_1(a z) under s -> p^2 s as ``regrade`` builds it, its divided
+    factors flipped where they land below p^0 (a >= 2), summed to p^40 at
+    s = e^{i pi z} and p = e^{i pi tau / 2}: mpmath's phi_1(a (z + tau))."""
+    mpmath = pytest.importorskip("mpmath")
+    tau = 0.1 + 1j
+    series = laurent_sum(40, [regrade(theta_term(1, (a,), 40 + 4 * a), 2, 40)])
+    with mpmath.workdps(40):
+        for z in (0.13 + 0.02j, 0.31 - 0.05j):
+            got = series.evaluate(cmath.exp(1j * cmath.pi * z), EllipticParams(tau).p)
+            want = _theta_phi(mpmath, 1, a * mpmath.mpc(z + tau), mpmath.mpc(tau))
+            assert _rel(got, want) < TOL, z
+
+
+def _flip_not_inverted(term, m, order):
+    """``regrade`` with the s-power of each divided factor's flip monomial
+    c p^{-e'} s^{-d} not inverted: c p^{-e'} s^d."""
+    num, den, (p_pow, s_pow, sign) = regrade(term, m, order)
+    for e, d, _ in term[1]:
+        if e + m * d < 0:
+            s_pow += 2 * d
+    return num, den, (p_pow, s_pow, sign)
+
+
+def test_divided_flip_needs_its_inverted_monomial(monkeypatch):
+    """Negative control: with that monomial corrupted, the full period of
+    phi_1(2 z) and phi_1(3 z), whose divided factors flip (phi_1's own land
+    at p^0 or above), fails at p^0, and so does the exact Z-periodicity on
+    (1, 2, 3); undone, both pass."""
+
+    def checks():
+        firsts = [zem._z_period_first_diff(RotationData((a,), 1), 2, 0, 40)
+                  for a in (2, 3)]
+        return firsts, zem._z_periodicity_exact([1, 2, 3], 16)["gamma_plus_tau_ok"]
+
+    monkeypatch.setattr(zem, "regrade", _flip_not_inverted)
+    assert checks() == ([0, 0], False)
+    monkeypatch.undo()
+    assert checks() == ([None, None], True)
 
 
 def test_far_point_refused_by_its_distance_to_the_pole():
