@@ -60,11 +60,11 @@ from .zem import (
     z_fun,
 )
 from .fixedpoint import (
+    CATALOG,
     SpinCircleManifold,
     consistency_check,
     equivariant_index,
     index_numeric,
-    list_catalog,
     load_manifold,
     rigidity_check,
     simplify_character,
@@ -104,11 +104,11 @@ __all__ = [
     "z_character",
     "z_exact",
     "z_fun",
+    "CATALOG",
     "SpinCircleManifold",
     "consistency_check",
     "equivariant_index",
     "index_numeric",
-    "list_catalog",
     "load_manifold",
     "rigidity_check",
     "simplify_character",

@@ -24,13 +24,13 @@ from .elliptic import (
     phi_translate_check,
 )
 from .fixedpoint import (
+    CATALOG,
     DERIVED_TWISTS,
     ManifoldValidationError,
     SpecialPointError,
     consistency_check,
     equivariant_index,
     index_numeric,
-    list_catalog,
     load_manifold,
     rigidity_check,
     simplify_character,
@@ -336,19 +336,14 @@ def cmd_consistency(args):
 
 
 def cmd_catalog(args):
-    names = list_catalog()
+    names = list(CATALOG)
     if args.dump:
-        if args.dump not in names:
+        if args.dump not in CATALOG:
             _summary(f"no catalog entry {args.dump!r}; available: {names}")
             return USAGE_ERROR
-        from importlib import resources
-
-        text = (
-            resources.files("elliptica")
-            .joinpath("catalog", f"{args.dump}.json")
-            .read_text(encoding="utf-8")
-        )
-        print(text, end="")
+        m = load_manifold(args.dump)
+        _emit({"name": m.name, "half_dim": m.half_dim,
+               "points": [{"weights": ws} for ws in m.points]}, args.out)
         return 0
     _emit({"command": "catalog", "manifolds": names}, args.out)
     _summary(f"{len(names)} bundled manifolds")
@@ -418,7 +413,8 @@ def build_parser():
 
     p = sub.add_parser("catalog", help="list or dump bundled manifolds")
     common(p)
-    p.add_argument("--dump", default=None, help="print one catalog file")
+    p.add_argument("--dump", default=None,
+                   help="print one catalog entry as a manifold file")
     p.set_defaults(func=cmd_catalog)
 
     return parser

@@ -35,16 +35,16 @@ is exactly what ``rigidity_check`` tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import os
 import random
 import warnings
 from dataclasses import asdict, dataclass, field
-from importlib import resources
-from math import gcd
+from math import gcd, isqrt
 
 from .ring import PoleEvaluationError, _poly_str
-from .elliptic import FarPointError, PoleError, theta_term
+from .elliptic import PoleError, theta_term
 from .spinchar import RotationData
 from .witten import WittenDenominatorError, laurent_sum
 from .zem import (
@@ -171,32 +171,46 @@ def manifold_from_dict(data):
 
 
 def load_manifold(source):
-    """Load a manifold from a file path or a bundled catalog name."""
-    if isinstance(source, str) and os.path.exists(source):
+    """Load a manifold from a ``CATALOG`` name or a file path; a bare
+    catalog name is never read as a file (write ``./cp3`` for that)."""
+    if (isinstance(source, str) and source not in CATALOG
+            and os.path.exists(source)):
         with open(source, "r", encoding="utf-8") as fh:
             return manifold_from_dict(json.load(fh))
-    name = str(source)
-    if name.endswith(".json"):
-        name = name[:-5]
-    base = resources.files("elliptica").joinpath("catalog")
-    candidate = base.joinpath(f"{name}.json")
-    try:
-        text = candidate.read_text(encoding="utf-8")
-    except FileNotFoundError:
+    name = str(source).removesuffix(".json")
+    if name not in CATALOG:
         raise FileNotFoundError(
             f"no such manifold file or catalog entry: {source!r} "
-            f"(catalog: {', '.join(list_catalog())})"
-        ) from None
-    return manifold_from_dict(json.loads(text))
+            f"(catalog: {', '.join(CATALOG)})"
+        )
+    points = CATALOG[name]
+    return SpinCircleManifold(name, len(points[0]), points)
 
 
-def list_catalog():
-    base = resources.files("elliptica").joinpath("catalog")
-    names = []
-    for entry in base.iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[:-5])
-    return sorted(names)
+# ---------------------------------------------------------------------------
+# the bundled catalog, generated from weight rules
+
+
+def linear_points(x):
+    """The fixed points of the circle with speeds x_0, ..., x_n acting
+    linearly on CP^n: point i has the weights x_j - x_i, j != i."""
+    return [tuple(xj - xi for j, xj in enumerate(x) if j != i)
+            for i, xi in enumerate(x)]
+
+
+def product_points(*factors):
+    """The fixed points of a product, one point of each factor with their
+    weights joined, in ``itertools.product`` order."""
+    return [sum(pts, ()) for pts in itertools.product(*factors)]
+
+
+# name -> the points its rule generates, in the sorted order `catalog` lists
+CATALOG = {
+    "cp3": linear_points((0, 1, 2, 3)),
+    "cp3_alt": linear_points((0, 1, 3, 7)),
+    "s2": linear_points((0, 1)),
+    "s2xs2xs2": product_points(*(linear_points((0, a)) for a in (1, 2, 3))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +249,20 @@ DERIVED_TWISTS = {"s2t": sym2_weights, "lambda3t": lambda3_weights}
 
 
 def _orders(m):
-    """O(M): the |weight| values, in increasing order."""
-    return sorted({abs(w) for pt in m.points for w in pt})
+    """O(M): every positive divisor of a |weight|, in increasing order (a
+    torsion point of order k meets the poles of each weight that k divides)."""
+    weights = {abs(w) for pt in m.points for w in pt}
+    return sorted({d for w in weights for e in range(1, isqrt(w) + 1)
+                   if w % e == 0 for d in (e, w // e)})
 
 
 def special_orders(m):
-    """O(M) (all |weight| values) and, per order k, the torsion points
-    (alpha + beta tau)/k with 0 <= alpha, beta < k and exact order k."""
+    """O(M) (every divisor of a |weight|) and, per order k, the torsion
+    points (alpha + beta tau)/k with 0 <= alpha, beta < k and exact order k."""
     orders = _orders(m)
-    reps = {}
-    for k in orders:
-        reps[k] = [
-            LatticeElement.torsion(a, b, k)
-            for a in range(k)
-            for b in range(k)
-            if gcd(gcd(a, b), k) == 1
-        ]
-    return orders, reps
+    return orders, {k: [LatticeElement.torsion(a, b, k) for a in range(k)
+                        for b in range(k) if gcd(gcd(a, b), k) == 1]
+                    for k in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +455,6 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
             "special points are covered by the zem identity suites"
         )
     rng = random.Random(seed)
-    gv = gamma.value(params.tau)
     worst = 0.0
     done = 0
     attempts = 0
@@ -453,6 +463,7 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
         y = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         zz = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
         try:
+            gv = gamma.value(params.tau)
             direct, _ = witten_index_numeric(m, params, gv + y + zz)
             local = 0j
             scale = 1e-30
@@ -463,7 +474,7 @@ def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
                 scale = max(scale, abs(term))
         except _DEGENERATE_DRAW:
             continue
-        except FarPointError as exc:  # no redraw moves gamma
+        except OverflowError as exc:  # a far gamma, which no redraw moves
             raise SpecialPointError(f"gamma = {gamma} cannot be evaluated at "
                                     f"tau = {params.tau}: {exc}") from None
         # the fixed-point sum cancels (often to exactly 0), so residuals are

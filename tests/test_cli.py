@@ -8,6 +8,7 @@ import pytest
 
 from elliptica import cli, zem
 from elliptica.cli import _emit, main
+from elliptica.fixedpoint import CATALOG
 from elliptica.witten import WittenDenominatorError
 
 
@@ -139,6 +140,30 @@ def test_consistency_at_a_far_gamma_is_usage_error(capsys, beta):
     assert err.startswith(f"gamma = (1+{beta}*tau)/7 cannot be evaluated at tau = 1j: ")
 
 
+def test_consistency_at_a_gamma_past_the_floats_is_usage_error(capsys):
+    """beta = 10**400 does not convert to a float, so gamma has no complex
+    value at all: the error names gamma, with no traceback."""
+    beta = str(10**400)
+    code, out, err = run_cli(capsys, "consistency", "--manifold", "cp3",
+                             "--alpha", "1", "--beta", beta, "--order-k", "7")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"gamma = (1+{beta}*tau)/7 cannot be evaluated at tau = 1j: ")
+
+
+def test_special_order_dividing_a_weight_is_refused(capsys, tmp_path):
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"name": "nine", "half_dim": 1, "points": [
+        {"weights": [9]}, {"weights": [-9]}]}))
+    code, out, _ = run_cli(capsys, "special", "--manifold", str(path))
+    assert code == 0
+    assert json.loads(out)["orders"] == [1, 3, 9]
+    code, out, err = run_cli(capsys, "consistency", "--manifold", str(path),
+                             "--alpha", "1", "--beta", "0", "--order-k", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("gamma has order 3, which is special for 'nine'")
+
+
 def test_expand_with_numeric_evaluation(capsys):
     code, out, _ = run_cli(capsys, "expand", "--phi", "3", "--q-order", "40",
                            "--at", "0.23", "--tau", "0.1+0.9j")
@@ -191,6 +216,29 @@ def test_catalog_dump(capsys):
     assert json.loads(out)["name"] == "s2"
     code, _, _ = run_cli(capsys, "catalog")
     assert code == 0
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_dump_loads_as_the_catalog_entry(capsys, tmp_path, name):
+    """A dumped entry, read back as a user file, gives the rigidity report
+    of the generated entry byte for byte."""
+    path = tmp_path / f"{name}.json"
+    code, out, _ = run_cli(capsys, "catalog", "--dump", name, "--out", str(path))
+    assert code == 0 and out == ""
+    code, from_file, _ = run_cli(capsys, "rigidity", "--manifold", str(path),
+                                 "--q-order", "8")
+    assert code == 0
+    code, generated, _ = run_cli(capsys, "rigidity", "--manifold", name,
+                                 "--q-order", "8")
+    assert code == 0 and from_file == generated
+
+
+def test_catalog_dump_unknown_name_lists_the_catalog(capsys):
+    code, out, err = run_cli(capsys, "catalog", "--dump", "nosuch")
+    assert code == 2 and out == ""
+    assert "'nosuch'" in err
+    for name in CATALOG:
+        assert repr(name) in err
 
 
 def test_console_script_runs():

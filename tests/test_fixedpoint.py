@@ -6,6 +6,7 @@ import pytest
 from elliptica import fixedpoint
 from elliptica.elliptic import EllipticParams, PoleError, phi_numeric
 from elliptica.fixedpoint import (
+    CATALOG,
     DERIVED_TWISTS,
     ManifoldValidationError,
     SpecialPointError,
@@ -14,9 +15,10 @@ from elliptica.fixedpoint import (
     equivariant_index,
     index_numeric,
     lambda3_weights,
-    list_catalog,
+    linear_points,
     load_manifold,
     manifold_from_dict,
+    product_points,
     rigidity_check,
     simplify_character,
     special_orders,
@@ -33,8 +35,8 @@ from ring_reference import RF, package_value
 
 
 def test_catalog_contents():
-    assert list_catalog() == ["cp3", "cp3_alt", "s2", "s2xs2xs2"]
-    for name in list_catalog():
+    assert sorted(CATALOG) == ["cp3", "cp3_alt", "s2", "s2xs2xs2"]
+    for name in CATALOG:
         m = load_manifold(name)
         assert m.spin_parity_ok
         # every bundled datum has identically vanishing untwisted index
@@ -69,7 +71,31 @@ def test_consistency_check_builds_no_torsion_points(monkeypatch):
     rep = consistency_check(pair, gamma, EllipticParams(tau=1j), trials=2)
     assert built == [] and rep.trials == 2
     # the counter sees the representatives that special_orders builds
-    assert special_orders(pair)[0] == [12] and built
+    assert special_orders(pair)[0] == [1, 2, 3, 4, 6, 12] and built
+
+
+def test_catalog_weight_rules():
+    """Point i of CP^n has the weights x_j - x_i; a product joins one point
+    of each factor, in itertools.product order."""
+    assert linear_points((0, 1, 3, 7)) == [(1, 3, 7), (-1, 2, 6), (-3, -2, 4),
+                                           (-7, -6, -4)]
+    assert CATALOG["s2"] == [(1,), (-1,)]
+    assert CATALOG["s2xs2xs2"][:3] == [(1, 2, 3), (1, 2, -3), (1, -2, 3)]
+    assert product_points([(1,), (-1,)], [(5,)]) == [(1, 5), (-1, 5)]
+
+
+def test_special_orders_are_closed_under_divisors():
+    """A torsion point of order 3 meets the poles of a weight 9, so 3 is
+    special for data whose only weights are +-9, and consistency_check
+    refuses it by name instead of redrawing until it gives up."""
+    nine = SpinCircleManifold("nine", 1, [(9,), (-9,)])
+    orders, reps = special_orders(nine)
+    assert orders == [1, 3, 9]
+    assert len(reps[3]) == 8
+    for alpha, beta in ((1, 0), (1, 1)):
+        with pytest.raises(SpecialPointError, match=r"gamma has order 3, "):
+            consistency_check(nine, LatticeElement.torsion(alpha, beta, 3),
+                              EllipticParams(tau=1j))
 
 
 def test_s2_untwisted_cancellation():
@@ -114,7 +140,7 @@ def test_simplify_character_examples():
 
 
 def test_bundle_twists_integral():
-    for name in list_catalog():
+    for name in CATALOG:
         m = load_manifold(name)
         for tname in DERIVED_TWISTS:
             theta = equivariant_index(m, m.bundle_twist(tname))
@@ -392,6 +418,17 @@ def test_load_manifold_from_path(tmp_path):
     assert equivariant_index(m) == RF.zero()
     with pytest.raises(FileNotFoundError):
         load_manifold("does_not_exist")
+
+
+def test_catalog_name_is_not_shadowed_by_a_file(tmp_path, monkeypatch):
+    """A file named like a catalog entry in the working directory is read
+    only through a path that is not the bare name."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cp3").write_text(json.dumps(
+        {"name": "nine", "half_dim": 1,
+         "points": [{"weights": [9]}, {"weights": [-9]}]}))
+    assert load_manifold("cp3").points == CATALOG["cp3"]
+    assert load_manifold("./cp3").name == "nine"
 
 
 @pytest.mark.parametrize("path, data", [
