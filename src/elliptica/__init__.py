@@ -62,7 +62,6 @@ from .zem import (
 from .fixedpoint import (
     CATALOG,
     SpinCircleManifold,
-    consistency_check,
     equivariant_index,
     index_numeric,
     load_manifold,
@@ -106,7 +105,6 @@ __all__ = [
     "z_fun",
     "CATALOG",
     "SpinCircleManifold",
-    "consistency_check",
     "equivariant_index",
     "index_numeric",
     "load_manifold",

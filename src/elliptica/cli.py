@@ -27,8 +27,6 @@ from .fixedpoint import (
     CATALOG,
     DERIVED_TWISTS,
     ManifoldValidationError,
-    SpecialPointError,
-    consistency_check,
     equivariant_index,
     index_numeric,
     load_manifold,
@@ -39,7 +37,7 @@ from .fixedpoint import (
     witten_index_numeric,
 )
 from .witten import WittenDenominatorError
-from .zem import SUITE_NAMES, LatticeElement, _require_tol, identity_check
+from .zem import SUITE_NAMES, _require_tol, identity_check
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -62,12 +60,20 @@ def _json_safe(value):
     return value
 
 
+class _UnwritableOut(Exception):
+    """The --out path cannot be written: a usage error, which names it."""
+
+
 def _emit(report, out_path):
     text = json.dumps(_json_safe(report), sort_keys=True, indent=1,
                       allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _UnwritableOut(f"cannot write --out {out_path}: "
+                                 f"{exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -113,26 +119,30 @@ def _tolerance(raw):
     return value
 
 
-def _bounded_int(low):
+def _bounded_int(low, high=None):
     def integer(raw):
         value = int(raw)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {high}")
         return value
 
     return integer
 
 
-# the tolerance that verify's config echoes, and consistency's default, when
-# --tol is not given
+# the tolerance that verify's config echoes when --tol is not given
 DEFAULT_TOL = 1e-8
 
+# the deepest --q-order: the time of an exact product grows about cubically
+# with it (expand --phi 1 took 0.3, 1.8 and 20.6 s, and 21, 43 and 151 MB,
+# at 640, 1280 and 2560 on a 2-core Xeon), and an order of 10**20 would
+# build factors until memory ran out
+MAX_Q_ORDER = 4096
+
 _SHARED_OPTIONS = {
-    "seed": ("--seed", dict(type=int, default=0)),
-    "trials": ("--trials", dict(type=_bounded_int(1), default=100)),
-    "tol": ("--tol", dict(type=_tolerance, default=DEFAULT_TOL)),
-    "q_order": ("--q-order", dict(dest="q_order", type=_bounded_int(0),
-                                  default=80)),
+    "q_order": ("--q-order", dict(dest="q_order",
+                                  type=_bounded_int(0, MAX_Q_ORDER), default=80)),
     "tau": ("--tau", dict(type=_parse_tau, default=1j)),
 }
 
@@ -163,7 +173,7 @@ def cmd_verify(args):
                  "q_order": args.q_order}
             )
         else:
-            # --tol defaults to None here: each suite keeps its own tolerance
+            # without --tol each suite keeps its own tolerance
             rep = identity_check(
                 suite, trials=args.trials, dims=args.dims, seed=args.seed,
                 tol=args.tol,
@@ -312,29 +322,6 @@ def cmd_expand(args):
     return 0
 
 
-def cmd_consistency(args):
-    m, code = _load_or_exit(args.manifold)
-    if m is None:
-        return code
-    try:
-        gamma = LatticeElement.torsion(args.alpha, args.beta, args.order_k)
-    except ValueError as exc:
-        _summary(str(exc))
-        return USAGE_ERROR
-    try:
-        rep = consistency_check(
-            m, gamma, EllipticParams(tau=args.tau), trials=args.trials,
-            seed=args.seed, tol=args.tol,
-        )
-    except SpecialPointError as exc:
-        _summary(str(exc))
-        return USAGE_ERROR
-    report = {"command": "consistency", **rep.to_json()}
-    _emit(report, args.out)
-    _summary(f"consistency at {gamma}: {'pass' if rep.passed else 'FAIL'}")
-    return 0 if rep.passed else MATH_FAILURE
-
-
 def cmd_catalog(args):
     names = list(CATALOG)
     if args.dump:
@@ -367,12 +354,17 @@ def build_parser():
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("verify", help="run identity suites")
-    common(p, "seed", "trials", "tol", "q_order")
+    common(p, "q_order")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_bounded_int(1), default=100)
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="the tolerance of every suite run (default: each "
+                   "suite's own)")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated list of suite names")
     p.add_argument("--dims", type=_bounded_int(2), default=8,
                    help="cap on the real dimension of random torus data")
-    p.set_defaults(func=cmd_verify, tol=None)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("index", help="equivariant index from fixed-point data")
     common(p, "q_order", "tau")
@@ -402,15 +394,6 @@ def build_parser():
                    help="also evaluate numerically at z")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("consistency",
-                       help="local vs direct evaluation at a nonspecial point")
-    common(p, "seed", "trials", "tol", "tau")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--order-k", dest="order_k", type=int, required=True)
-    p.set_defaults(func=cmd_consistency)
-
     p = sub.add_parser("catalog", help="list or dump bundled manifolds")
     common(p)
     p.add_argument("--dump", default=None,
@@ -427,7 +410,9 @@ def main(argv=None):
         return args.func(args)
     except ManifoldValidationError as exc:
         _summary(f"invalid input: {exc}")
-        return USAGE_ERROR
+    except _UnwritableOut as exc:
+        _summary(str(exc))
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -38,23 +38,14 @@ import cmath
 import itertools
 import json
 import os
-import random
 import warnings
 from dataclasses import asdict, dataclass, field
 from math import gcd, isqrt
 
-from .ring import PoleEvaluationError, _poly_str
-from .elliptic import PoleError, theta_term
-from .spinchar import RotationData
-from .witten import WittenDenominatorError, laurent_sum
-from .zem import (
-    LatticeElement,
-    SpecialCollisionError,
-    _require_tol,
-    _require_trials,
-    _worst,
-    z_character,
-)
+from .ring import _poly_str
+from .elliptic import theta_term
+from .witten import laurent_sum
+from .zem import LatticeElement
 
 
 class ManifoldValidationError(ValueError):
@@ -65,10 +56,6 @@ class ManifoldValidationError(ValueError):
         self.path = path
 
 
-class SpecialPointError(ValueError):
-    """A computation was requested at a special point it cannot handle."""
-
-
 def _is_int(x):
     # JSON true/false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
@@ -77,10 +64,10 @@ def _is_int(x):
 @dataclass
 class SpinCircleManifold:
     """Fixed-point data: each point a tuple of ``half_dim`` nonzero integer
-    weights, each stored bundle twist one weight tuple per point.  The
-    constructor states every rule of the model, raising
-    ManifoldValidationError with the path of the field that breaks it, and
-    derives ``spin_parity_ok``."""
+    weights, each stored bundle twist one weight tuple per point, all of
+    one length (the rank of the bundle).  The constructor states every rule
+    of the model, raising ManifoldValidationError with the path of the
+    field that breaks it, and derives ``spin_parity_ok``."""
 
     name: str
     half_dim: int
@@ -122,6 +109,11 @@ class SpinCircleManifold:
                 if not isinstance(ws, (list, tuple)) or not all(map(_is_int, ws)):
                     raise ManifoldValidationError(
                         f"{path}[{i}]", "list of integers required"
+                    )
+                if len(ws) != len(lists[0]):
+                    raise ManifoldValidationError(
+                        f"{path}[{i}]", f"expected {len(lists[0])} weights, "
+                        f"the rank at point 0, got {len(ws)}"
                     )
             twists[tname] = tuple(tuple(ws) for ws in lists)
         self.twists = twists
@@ -413,81 +405,4 @@ def rigidity_check(m, q_order):
         constants=constants,
         nonconstant_orders=bad,
         spin_parity_ok=m.spin_parity_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# local-vs-direct consistency at non-special points
-
-
-@dataclass
-class ConsistencyReport:
-    manifold: str
-    gamma: str
-    trials: int
-    max_residual: float
-    tol: float
-    passed: bool
-
-    def to_json(self):
-        return asdict(self)
-
-
-# the errors of a draw that lands on a pole or a special point; any other
-# error is a bug and propagates
-_DEGENERATE_DRAW = (PoleError, SpecialCollisionError, WittenDenominatorError,
-                    PoleEvaluationError, ZeroDivisionError)
-
-
-def consistency_check(m, gamma, params, trials=20, seed=0, tol=1e-9):
-    """At a non-special torsion point, the tangent-Witten index evaluated
-    through each point's local invariant (Z as C_1/Str, ``z_character``)
-    must match the direct product evaluation at gamma + y + z."""
-    if not isinstance(gamma, LatticeElement):
-        raise SpecialPointError("consistency_check needs a torsion point")
-    _require_tol(tol)
-    _require_trials(trials)
-    orders = _orders(m)
-    if gamma.k in orders:
-        raise SpecialPointError(
-            f"gamma has order {gamma.k}, which is special for "
-            f"{m.name!r} (O(M) = {orders}); the transfer identities at "
-            "special points are covered by the zem identity suites"
-        )
-    rng = random.Random(seed)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < trials and attempts < 40 * trials:
-        attempts += 1
-        y = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
-        zz = complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.05, 0.05))
-        try:
-            gv = gamma.value(params.tau)
-            direct, _ = witten_index_numeric(m, params, gv + y + zz)
-            local = 0j
-            scale = 1e-30
-            for pt in m.points:
-                offsets = RotationData(tuple(a * (y + zz) for a in pt), 1)
-                term = z_character(gamma, RotationData(pt, 1), offsets, params)
-                local += term
-                scale = max(scale, abs(term))
-        except _DEGENERATE_DRAW:
-            continue
-        except OverflowError as exc:  # a far gamma, which no redraw moves
-            raise SpecialPointError(f"gamma = {gamma} cannot be evaluated at "
-                                    f"tau = {params.tau}: {exc}") from None
-        # the fixed-point sum cancels (often to exactly 0), so residuals are
-        # measured against the size of the individual contributions
-        worst = _worst(worst, abs(direct - local) / scale)
-        done += 1
-    if done < trials:
-        raise SpecialPointError("could not complete consistency trials")
-    return ConsistencyReport(
-        manifold=m.name,
-        gamma=str(gamma),
-        trials=trials,
-        max_residual=worst,
-        tol=tol,
-        passed=worst < tol,
     )

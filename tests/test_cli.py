@@ -115,42 +115,6 @@ def test_verify_out_file(capsys, tmp_path):
     assert data["passed"] is True
 
 
-def test_consistency_command(capsys):
-    code, out, _ = run_cli(capsys, "consistency", "--manifold", "cp3",
-                           "--alpha", "1", "--beta", "1", "--order-k", "5",
-                           "--trials", "5", "--tau", "0.2+1.1j")
-    assert code == 0
-    assert json.loads(out)["passed"] is True
-    code, _, err = run_cli(capsys, "consistency", "--manifold", "cp3",
-                           "--alpha", "1", "--beta", "0", "--order-k", "2",
-                           "--trials", "5")
-    assert code == 2
-    assert "zem" in err
-
-
-@pytest.mark.parametrize("beta", ["1000000000000", "100000000000000000"])
-def test_consistency_at_a_far_gamma_is_usage_error(capsys, beta):
-    """gamma = (1 + beta tau)/7 lies beta/7 periods off the real axis, where
-    z - m tau keeps too few digits or Im z / Im tau counts no periods: no
-    redraw of the offsets moves gamma, so the error names it."""
-    code, out, err = run_cli(capsys, "consistency", "--manifold", "cp3",
-                             "--alpha", "1", "--beta", beta, "--order-k", "7")
-    assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"gamma = (1+{beta}*tau)/7 cannot be evaluated at tau = 1j: ")
-
-
-def test_consistency_at_a_gamma_past_the_floats_is_usage_error(capsys):
-    """beta = 10**400 does not convert to a float, so gamma has no complex
-    value at all: the error names gamma, with no traceback."""
-    beta = str(10**400)
-    code, out, err = run_cli(capsys, "consistency", "--manifold", "cp3",
-                             "--alpha", "1", "--beta", beta, "--order-k", "7")
-    assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"gamma = (1+{beta}*tau)/7 cannot be evaluated at tau = 1j: ")
-
-
 def test_special_order_dividing_a_weight_is_refused(capsys, tmp_path):
     path = tmp_path / "nine.json"
     path.write_text(json.dumps({"name": "nine", "half_dim": 1, "points": [
@@ -158,10 +122,6 @@ def test_special_order_dividing_a_weight_is_refused(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "special", "--manifold", str(path))
     assert code == 0
     assert json.loads(out)["orders"] == [1, 3, 9]
-    code, out, err = run_cli(capsys, "consistency", "--manifold", str(path),
-                             "--alpha", "1", "--beta", "0", "--order-k", "3")
-    assert code == 2 and out == ""
-    assert err.startswith("gamma has order 3, which is special for 'nine'")
 
 
 def test_expand_with_numeric_evaluation(capsys):
@@ -258,6 +218,44 @@ def test_negative_q_order_is_usage_error(capsys, command):
         main([command, *extra, "--q-order", "-1"])
     assert exc.value.code == 2
     assert "must be an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["expand", "index", "rigidity", "verify"])
+def test_q_order_above_the_limit_is_usage_error(capsys, monkeypatch, command):
+    """An order past MAX_Q_ORDER is refused while the arguments are parsed:
+    10**20 would build factors until memory ran out.  The limit itself is
+    accepted."""
+    extra = {"expand": ["--phi", "1"], "index": ["--manifold", "s2"],
+             "rigidity": ["--manifold", "s2"], "verify": []}[command]
+    monkeypatch.setattr(cli, f"cmd_{command}", None)  # no command may start
+    for order in (str(cli.MAX_Q_ORDER + 1), str(10**20)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--q-order", order])
+        assert exc.value.code == 2
+        assert f"must be an integer <= {cli.MAX_Q_ORDER}" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        [command, *extra, "--q-order", str(cli.MAX_Q_ORDER)])
+    assert args.q_order == cli.MAX_Q_ORDER
+
+
+@pytest.mark.parametrize("argv", [("catalog", "--dump", "s2"),
+                                  ("special", "--manifold", "cp3")],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, kind):
+    path = tmp_path / "nosuch" / "x.json" if kind == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"cannot write --out {path}: ")
+
+
+def test_retired_consistency_command_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consistency", "--manifold", "cp3", "--alpha", "1", "--beta", "1",
+              "--order-k", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'consistency'" in capsys.readouterr().err
 
 
 def test_verify_zero_trials_is_usage_error(capsys):
@@ -397,8 +395,8 @@ def test_degenerate_tau_is_usage_error(capsys, tau):
 
 def test_tau_near_a_cusp_is_accepted(capsys):
     """Im tau = 1e-3 at Re tau = 0.49, and 0.03j and 0.01j near Re tau = 0,
-    are summed at a modular image of tau: evaluated, not refused, by every
-    command that takes a tau."""
+    are summed at a modular image of tau: evaluated, not refused, by both
+    commands that take a tau."""
     code, out, err = run_cli(capsys, "expand", "--phi", "3", "--q-order", "2",
                              "--at", "0.2+0.0003j", "--tau", "0.49+0.001j")
     assert code == 0 and json.loads(out)["at"]["tau"] == "(0.49+0.001j)"
@@ -407,10 +405,6 @@ def test_tau_near_a_cusp_is_accepted(capsys):
                                "tangent_witten", "--q-order", "2", "--at",
                                "0.1+0.003j", "--tau", tau)
         assert code == 0 and cmath.isfinite(complex(json.loads(out)["at"]["value"]))
-        code, out, _ = run_cli(capsys, "consistency", "--manifold", "cp3",
-                               "--alpha", "1", "--beta", "1", "--order-k", "5",
-                               "--trials", "5", "--tau", tau)
-        assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_far_up_point_is_evaluated(capsys, tmp_path):
@@ -462,8 +456,6 @@ def test_verify_empty_suite_list_is_usage_error(capsys, suite):
         ("rigidity", "--manifold", "s2", "--tol", "1e-3"),
         ("special", "--manifold", "s2", "--q-order", "4"),
         ("expand", "--phi", "1", "--trials", "3"),
-        ("consistency", "--manifold", "cp3", "--alpha", "1", "--beta", "1",
-         "--order-k", "5", "--q-order", "4"),
         ("catalog", "--tau", "1j"),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",

@@ -1,17 +1,13 @@
 import json
-import math
 
 import pytest
 
-from elliptica import fixedpoint
-from elliptica.elliptic import EllipticParams, PoleError, phi_numeric
+from elliptica.elliptic import EllipticParams, phi_numeric
 from elliptica.fixedpoint import (
     CATALOG,
     DERIVED_TWISTS,
     ManifoldValidationError,
-    SpecialPointError,
     SpinCircleManifold,
-    consistency_check,
     equivariant_index,
     index_numeric,
     lambda3_weights,
@@ -27,9 +23,6 @@ from elliptica.fixedpoint import (
     witten_index,
     witten_index_numeric,
 )
-from elliptica.ring import PoleEvaluationError
-from elliptica.witten import WittenDenominatorError
-from elliptica.zem import LatticeElement, SpecialCollisionError
 from ring_reference import RF, package_value
 
 
@@ -54,26 +47,6 @@ def test_special_orders_examples():
     assert special_orders(s2)[0] == [1]
 
 
-def test_consistency_check_builds_no_torsion_points(monkeypatch):
-    """consistency_check reads O(M) alone and builds none of the torsion
-    representatives of special_orders: weights +-3000 would need millions
-    of them before the first trial."""
-    gamma = LatticeElement.torsion(1, 1, 7)
-    built = []
-    torsion = LatticeElement.torsion.__func__
-
-    def counted(cls, alpha, beta, k):
-        built.append((alpha, beta, k))
-        return torsion(cls, alpha, beta, k)
-
-    monkeypatch.setattr(LatticeElement, "torsion", classmethod(counted))
-    pair = SpinCircleManifold("pair", 1, [(12,), (-12,)])
-    rep = consistency_check(pair, gamma, EllipticParams(tau=1j), trials=2)
-    assert built == [] and rep.trials == 2
-    # the counter sees the representatives that special_orders builds
-    assert special_orders(pair)[0] == [1, 2, 3, 4, 6, 12] and built
-
-
 def test_catalog_weight_rules():
     """Point i of CP^n has the weights x_j - x_i; a product joins one point
     of each factor, in itertools.product order."""
@@ -86,16 +59,11 @@ def test_catalog_weight_rules():
 
 def test_special_orders_are_closed_under_divisors():
     """A torsion point of order 3 meets the poles of a weight 9, so 3 is
-    special for data whose only weights are +-9, and consistency_check
-    refuses it by name instead of redrawing until it gives up."""
+    special for data whose only weights are +-9."""
     nine = SpinCircleManifold("nine", 1, [(9,), (-9,)])
     orders, reps = special_orders(nine)
     assert orders == [1, 3, 9]
     assert len(reps[3]) == 8
-    for alpha, beta in ((1, 0), (1, 1)):
-        with pytest.raises(SpecialPointError, match=r"gamma has order 3, "):
-            consistency_check(nine, LatticeElement.torsion(alpha, beta, 3),
-                              EllipticParams(tau=1j))
 
 
 def test_s2_untwisted_cancellation():
@@ -288,6 +256,8 @@ def _pair(weights=((1,), (-1,)), **fields):
     ("points[0].weights[0]", _pair(((1.5, True), (-1, 1)))),
     ("twists.t", _pair(twists={"t": [[1]]})),
     ("twists.none", _pair(twists={"none": [[1], [-1]]})),
+    # a twist whose lists differ in length is no bundle: its rank changes
+    ("twists.t[1]", _pair(twists={"t": [[1], [2, 3]]})),
 ])
 def test_schema_validation_paths(path, data):
     _assert_refused_on_both_routes(data, path)
@@ -364,47 +334,6 @@ def test_exact_numeric_index_agreement():
     assert max_term >= abs(probe)
 
 
-def test_consistency_check_nonspecial():
-    cp3 = load_manifold("cp3")
-    rep = consistency_check(
-        cp3, LatticeElement.torsion(1, 1, 5), EllipticParams(tau=0.2 + 1.1j),
-        trials=10,
-    )
-    assert rep.passed and rep.max_residual < 1e-9
-    s2 = load_manifold("s2")
-    rep = consistency_check(
-        s2, LatticeElement.torsion(1, 1, 2), EllipticParams(tau=1j), trials=10
-    )
-    assert rep.passed
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 1.0, 1e300])
-def test_consistency_check_rejects_vacuous_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite"):
-        consistency_check(
-            load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
-            EllipticParams(tau=1j), trials=2, tol=tol,
-        )
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_consistency_check_rejects_no_trials(trials):
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        consistency_check(
-            load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
-            EllipticParams(tau=0.2 + 1.1j), trials=trials,
-        )
-
-
-def test_consistency_check_rejects_special():
-    cp3 = load_manifold("cp3")
-    with pytest.raises(SpecialPointError) as err:
-        consistency_check(
-            cp3, LatticeElement.torsion(1, 0, 2), EllipticParams(tau=1j)
-        )
-    assert "zem" in str(err.value)
-
-
 def test_load_manifold_from_path(tmp_path):
     data = {
         "name": "custom", "half_dim": 1,
@@ -445,63 +374,6 @@ def test_catalog_name_is_not_shadowed_by_a_file(tmp_path, monkeypatch):
 def test_schema_rejects_json_booleans(path, data):
     """Booleans, and floats, are refused where integers belong."""
     _assert_refused_on_both_routes(data, path)
-
-
-def _cp3_consistency(trials=4):
-    return consistency_check(
-        load_manifold("cp3"), LatticeElement.torsion(1, 1, 5),
-        EllipticParams(tau=0.2 + 1.1j), trials=trials,
-    )
-
-
-def test_consistency_check_nan_residual_fails(monkeypatch):
-    real = fixedpoint.witten_index_numeric
-    calls = []
-
-    def one_nan(*args, **kwargs):
-        calls.append(None)
-        value = real(*args, **kwargs)
-        return (complex("nan"), value[1]) if len(calls) == 2 else value
-
-    monkeypatch.setattr(fixedpoint, "witten_index_numeric", one_nan)
-    rep = _cp3_consistency()
-    assert not rep.passed
-    assert math.isnan(rep.max_residual)
-
-
-class _Bug(ValueError):
-    pass
-
-
-def test_consistency_check_surfaces_bugs(monkeypatch):
-    def broken(*args, **kwargs):
-        raise _Bug("not a degenerate draw")
-
-    monkeypatch.setattr(fixedpoint, "z_character", broken)
-    with pytest.raises(_Bug):
-        _cp3_consistency()
-
-
-@pytest.mark.parametrize("error", [
-    PoleError("pole", 0.0),
-    SpecialCollisionError("collision", 1),
-    WittenDenominatorError("denominator", 1),
-    PoleEvaluationError("pole", 0.0),
-    ZeroDivisionError("zero"),
-])
-def test_consistency_check_retries_degenerate_draws(monkeypatch, error):
-    real = fixedpoint.z_character
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise error
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fixedpoint, "z_character", fails_once)
-    rep = _cp3_consistency()
-    assert rep.passed and rep.trials == 4 and len(calls) > 1
 
 
 @pytest.mark.parametrize("call", [

@@ -2,8 +2,9 @@
 listed above it in the layering of the package docstring and nothing
 outside the standard library, no module imports from the tests, no module
 or test file imports a name it never uses, no function picks its backend
-by an argument, and no module carries the field arithmetic over Q(i)(s)
-or the number type Q(i) that the tests keep as their reference."""
+by an argument, no module carries the field arithmetic over Q(i)(s)
+or the number type Q(i) that the tests keep as their reference, and no
+module names the retired consistency check."""
 
 import ast
 import re
@@ -252,3 +253,33 @@ def test_stdlib_reader_sees_the_oracles():
     """The check above is not vacuous: the oracle tests import sympy and
     mpmath."""
     assert {"sympy", "mpmath"} <= _third_party_imports(_tree("test_oracles", TESTS))
+
+
+# the local-vs-direct comparison at non-special points, retired because its
+# two sides agree term by term for any weights, so it passed on data that
+# is not rigid; `rigidity` is the check of the manifold
+RETIRED_NAMES = {"consistency_check", "ConsistencyReport", "SpecialPointError",
+                 "cmd_consistency"}
+
+
+def _names_and_strings(tree):
+    """``_names`` and every string constant, such as the entries of
+    ``__all__``."""
+    return _names(tree) | {node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str)}
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_retired_names_stay_out(name):
+    assert not _names_and_strings(_tree(name)) & RETIRED_NAMES
+
+
+def test_retired_name_reader_flags_each_form():
+    """The check above is not vacuous: it sees an import, a class, a
+    function and an ``__all__`` entry."""
+    tree = ast.parse("from .fixedpoint import SpecialPointError\n"
+                     "class ConsistencyReport: pass\n"
+                     "def cmd_consistency(args): pass\n"
+                     "__all__ = ['consistency_check']\n")
+    assert _names_and_strings(tree) >= RETIRED_NAMES
