@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import json
 import math
+import os
 import sys
 
 from .elliptic import (
     EllipticParams,
-    PoleError,
     TRANSLATIONS,
     phi_exact,
     phi_numeric,
@@ -36,7 +37,6 @@ from .fixedpoint import (
     witten_index,
     witten_index_numeric,
 )
-from .witten import WittenDenominatorError
 from .zem import SUITE_NAMES, _require_tol, identity_check
 
 USAGE_ERROR = 2
@@ -60,8 +60,20 @@ def _json_safe(value):
     return value
 
 
-class _UnwritableOut(Exception):
-    """The --out path cannot be written: a usage error, which names it."""
+class UsageError(Exception):
+    """Bad input: ``main`` prints it as one stderr line and returns 2."""
+
+
+def _check_out(out_path):
+    """Refuse, before the work and with the reason ``open`` would give, an
+    --out that is a directory or whose directory cannot be reached; nothing
+    is created or truncated, and ``_emit`` reports what only writing finds."""
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.dirname(out_path) or ".")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def _emit(report, out_path):
@@ -72,8 +84,8 @@ def _emit(report, out_path):
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise _UnwritableOut(f"cannot write --out {out_path}: "
-                                 f"{exc.strerror or exc}") from None
+            raise UsageError(f"cannot write --out {out_path}: "
+                             f"{exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -153,14 +165,10 @@ def cmd_verify(args):
     else:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not suites:
-            _summary(f"no suite named in {args.suite!r}")
-            return USAGE_ERROR
+            raise UsageError(f"no suite named in {args.suite!r}")
         for s in suites:
             if s not in ALL_SUITES:
-                _summary(
-                    f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}"
-                )
-                return USAGE_ERROR
+                raise UsageError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
     results = []
     all_passed = True
     for suite in suites:
@@ -199,50 +207,50 @@ def cmd_verify(args):
     return 0 if all_passed else MATH_FAILURE
 
 
-# what a numeric evaluation at a point raises at a pole, where rounding
-# z - m tau into the strip of the theta series would cost half of the digits
-# of phi_i, where pi z leaves the floats (ValueError from cmath.exp), or
-# where z is too far from the real axis (OverflowError naming z)
-_AT_ERRORS = (PoleError, WittenDenominatorError, ZeroDivisionError,
-              OverflowError, ValueError)
+# what a numeric evaluation at a point raises at a pole (PoleError and
+# WittenDenominatorError are ValueErrors), where rounding z - m tau into the
+# theta series' strip would cost half of the digits of phi_i, where pi z leaves
+# the floats (ValueError from cmath.exp), or where z is too far off (OverflowError)
+_AT_ERRORS = (ValueError, ArithmeticError)
 
 
-def _cannot_evaluate(at, exc):
-    _summary(f"cannot evaluate at z = {at}: {exc}")
-    return USAGE_ERROR
-
-
-def _load_or_exit(source):
+def _load(source):
     try:
-        return load_manifold(source), 0
+        return load_manifold(source)
     except ManifoldValidationError as exc:
-        _summary(f"invalid manifold data: {exc}")
+        raise UsageError(f"invalid manifold data: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _summary(f"invalid manifold data: {source}: {exc}")
+        raise UsageError(f"invalid manifold data: {source}: {exc}") from None
     except OSError as exc:
-        _summary(str(exc))
-    return None, USAGE_ERROR
+        raise UsageError(str(exc)) from None
 
 
 def cmd_index(args):
-    m, code = _load_or_exit(args.manifold)
-    if m is None:
-        return code
+    m = _load(args.manifold)
     bundle = None
     if args.twist not in ("none", "tangent_witten"):
         try:
             bundle = m.bundle_twist(args.twist)
         except KeyError as exc:
-            _summary(str(exc.args[0]))
-            return USAGE_ERROR
+            raise UsageError(exc.args[0]) from None
     report = {
         "command": "index",
         "manifold": m.name,
         "twist": args.twist,
         "spin_parity_ok": m.spin_parity_ok,
     }
-    failed = False
     witten = args.twist == "tangent_witten"
+    # the point is evaluated before the exact sum, which a pole would waste
+    if args.at is not None:
+        z = complex(args.at)
+        try:
+            value, max_term = (witten_index_numeric(m, EllipticParams(tau=args.tau), z)
+                               if witten else index_numeric(m, z, bundle))
+        except _AT_ERRORS as exc:
+            raise UsageError(f"cannot evaluate at z = {args.at}: {exc}") from None
+        report["at"] = {"z": str(args.at), "tau": str(args.tau),
+                        "value": str(value), "max_term": str(max_term)}
+    failed = False
     if witten:
         report["series"] = witten_index(m, args.q_order).to_json()
     else:
@@ -251,24 +259,13 @@ def cmd_index(args):
         report["character"] = str(theta)
         report["simplified"] = simp.to_json()
         failed = not (simp.ok and simp.integral)
-    if args.at is not None:
-        z = complex(args.at)
-        try:
-            value, max_term = (witten_index_numeric(m, EllipticParams(tau=args.tau), z)
-                               if witten else index_numeric(m, z, bundle))
-        except _AT_ERRORS as exc:
-            return _cannot_evaluate(args.at, exc)
-        report["at"] = {"z": str(args.at), "tau": str(args.tau),
-                        "value": str(value), "max_term": str(max_term)}
     _emit(report, args.out)
     _summary(f"index of {m.name} / {args.twist} computed")
     return MATH_FAILURE if failed else 0
 
 
 def cmd_rigidity(args):
-    m, code = _load_or_exit(args.manifold)
-    if m is None:
-        return code
+    m = _load(args.manifold)
     rep = rigidity_check(m, args.q_order)
     report = {"command": "rigidity", **rep.to_json()}
     _emit(report, args.out)
@@ -280,9 +277,7 @@ def cmd_rigidity(args):
 
 
 def cmd_special(args):
-    m, code = _load_or_exit(args.manifold)
-    if m is None:
-        return code
+    m = _load(args.manifold)
     orders, reps = special_orders(m)
     report = {
         "command": "special",
@@ -296,6 +291,13 @@ def cmd_special(args):
 
 
 def cmd_expand(args):
+    # phi_numeric finds a pole before the exact series is built
+    if args.at is not None:
+        try:
+            value = phi_numeric(args.phi, EllipticParams(tau=args.tau),
+                                complex(args.at))
+        except _AT_ERRORS as exc:
+            raise UsageError(f"cannot evaluate at z = {args.at}: {exc}") from None
     series = phi_exact(args.phi, args.q_order)
     report = {
         "command": "expand",
@@ -303,14 +305,12 @@ def cmd_expand(args):
         "series": series.to_json(),
     }
     if args.at is not None:
-        nparams = EllipticParams(tau=args.tau)
         p0 = cmath.exp(0.5j * cmath.pi * args.tau)
         try:
-            value = phi_numeric(args.phi, nparams, complex(args.at))
             s0 = cmath.exp(1j * cmath.pi * complex(args.at))
             series_value = series.evaluate(s0, p0)
         except _AT_ERRORS as exc:
-            return _cannot_evaluate(args.at, exc)
+            raise UsageError(f"cannot evaluate at z = {args.at}: {exc}") from None
         report["at"] = {
             "z": str(args.at),
             "tau": str(args.tau),
@@ -326,8 +326,7 @@ def cmd_catalog(args):
     names = list(CATALOG)
     if args.dump:
         if args.dump not in CATALOG:
-            _summary(f"no catalog entry {args.dump!r}; available: {names}")
-            return USAGE_ERROR
+            raise UsageError(f"no catalog entry {args.dump!r}; available: {names}")
         m = load_manifold(args.dump)
         _emit({"name": m.name, "half_dim": m.half_dim,
                "points": [{"weights": ws} for ws in m.points]}, args.out)
@@ -407,12 +406,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
-    except ManifoldValidationError as exc:
-        _summary(f"invalid input: {exc}")
-    except _UnwritableOut as exc:
+    except UsageError as exc:
         _summary(str(exc))
-    return USAGE_ERROR
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -56,6 +56,11 @@ class ManifoldValidationError(ValueError):
         self.path = path
 
 
+# the largest |weight| of a point or a stored twist: `special` grows about
+# quadratically with it (README, "Command line"), and +-10**9 ran out of memory
+MAX_WEIGHT = 1024
+
+
 def _is_int(x):
     # JSON true/false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
@@ -65,9 +70,10 @@ def _is_int(x):
 class SpinCircleManifold:
     """Fixed-point data: each point a tuple of ``half_dim`` nonzero integer
     weights, each stored bundle twist one weight tuple per point, all of
-    one length (the rank of the bundle).  The constructor states every rule
-    of the model, raising ManifoldValidationError with the path of the
-    field that breaks it, and derives ``spin_parity_ok``."""
+    one length (the rank of the bundle), and no |weight| above MAX_WEIGHT.
+    The constructor states every rule of the model, raising
+    ManifoldValidationError with the path of the field that breaks it, and
+    derives ``spin_parity_ok``."""
 
     name: str
     half_dim: int
@@ -95,6 +101,9 @@ class SpinCircleManifold:
                     raise ManifoldValidationError(f"{path}[{j}]", "integer required")
                 if w == 0:
                     raise ManifoldValidationError(f"{path}[{j}]", "zero weight")
+                if abs(w) > MAX_WEIGHT:
+                    raise ManifoldValidationError(
+                        f"{path}[{j}]", f"|weight| above {MAX_WEIGHT}")
         points = self.points = [tuple(ws) for ws in self.points]
         twists = {}
         for tname, lists in self.twists.items():
@@ -110,6 +119,9 @@ class SpinCircleManifold:
                     raise ManifoldValidationError(
                         f"{path}[{i}]", "list of integers required"
                     )
+                if max(map(abs, ws), default=0) > MAX_WEIGHT:
+                    raise ManifoldValidationError(
+                        f"{path}[{i}]", f"|weight| above {MAX_WEIGHT}")
                 if len(ws) != len(lists[0]):
                     raise ManifoldValidationError(
                         f"{path}[{i}]", f"expected {len(lists[0])} weights, "

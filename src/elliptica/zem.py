@@ -436,14 +436,6 @@ def _residual(lhs, rhs):
     return abs(lhs - rhs) / scale
 
 
-def _trial_rng(seed, suite, trial):
-    return random.Random(f"{seed}|{suite}|{trial}")
-
-
-def _draw_tau(rng):
-    return complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 2.0))
-
-
 def _draw_angle(rng):
     return complex(rng.uniform(0.1, 3.0), rng.uniform(-0.2, 0.2))
 
@@ -941,36 +933,27 @@ def _exact_component(suite, seed, order=_EXACT_ORDER):
 
 
 # a draw that lands on one of these is retried with a fresh tau
-_RETRIED = (PoleError, SpecialCollisionError, SpinCharError, ZemError,
-            WittenDenominatorError, ZeroDivisionError)
+_RETRIED = (PoleError, SpinCharError, ZemError, WittenDenominatorError,
+            ZeroDivisionError)
 
 
-def _retry_draws(rng, attempt, label):
-    """attempt(tau) on up to 60 fresh tau draws from rng; the first result
-    that raises none of the retried errors is returned.  DegenerateDrawError
-    is a verdict on the whole trial and propagates."""
+def _run_trial(suite, seed, trial, dims):
+    """One trial of ``suite`` on up to 60 fresh tau draws from its rng; the
+    first result that raises none of the retried errors is returned.
+    DegenerateDrawError is a verdict on the whole trial and propagates."""
+    body, terms, _ = _SUITES[suite]
+    rng = random.Random(f"{seed}|{suite}|{trial}")
     last_error = None
     for _attempt in range(60):
-        tau = _draw_tau(rng)
+        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 2.0))
         try:
-            return attempt(tau)
+            return body(rng, dims, EllipticParams(tau=tau, series_terms=terms))
         except DegenerateDrawError:
             raise
         except _RETRIED as exc:
             last_error = exc
-    raise DegenerateDrawError(
-        f"{label}: no valid draw in 60 attempts (last: {last_error})"
-    )
-
-
-def _run_trial(suite, seed, trial, dims):
-    body, terms, _ = _SUITES[suite]
-    rng = _trial_rng(seed, suite, trial)
-
-    def attempt(tau):
-        return body(rng, dims, EllipticParams(tau=tau, series_terms=terms))
-
-    return _retry_draws(rng, attempt, f"suite {suite}, trial {trial}")
+    raise DegenerateDrawError(f"suite {suite}, trial {trial}: no valid draw in "
+                              f"60 attempts (last: {last_error})")
 
 
 def identity_check(suite, trials=100, dims=8, seed=0, tol=None):

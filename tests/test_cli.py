@@ -8,7 +8,7 @@ import pytest
 
 from elliptica import cli, zem
 from elliptica.cli import _emit, main
-from elliptica.fixedpoint import CATALOG
+from elliptica.fixedpoint import CATALOG, MAX_WEIGHT
 from elliptica.witten import WittenDenominatorError
 
 
@@ -239,7 +239,9 @@ def test_q_order_above_the_limit_is_usage_error(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("argv", [("catalog", "--dump", "s2"),
-                                  ("special", "--manifold", "cp3")],
+                                  ("special", "--manifold", "cp3"),
+                                  ("verify", "--suite", "K-transfer",
+                                   "--trials", "3")],
                          ids=lambda argv: argv[0])
 @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
 def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, kind):
@@ -310,6 +312,19 @@ def test_verify_nan_residual_fails_visibly(capsys, monkeypatch):
     assert [f["residual"] for f in suite["failures"]] == ["NaN"] * 3
 
 
+@pytest.mark.parametrize("command", ["special", "rigidity", "index"])
+def test_weight_above_the_bound_is_usage_error(capsys, tmp_path, command):
+    """Weights past MAX_WEIGHT are refused when the file is loaded; +-10**9
+    ran these commands out of memory."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"name": "heavy", "half_dim": 1, "points": [
+        {"weights": [MAX_WEIGHT + 1]}, {"weights": [-MAX_WEIGHT - 1]}]}))
+    code, out, err = run_cli(capsys, command, "--manifold", str(path))
+    assert code == 2 and out == ""
+    assert err == ("invalid manifold data: points[0].weights[0]: "
+                   f"|weight| above {MAX_WEIGHT}\n")
+
+
 @pytest.mark.parametrize("kind", ["json", "directory", "undecodable"])
 def test_unreadable_manifold_file_exit_2(capsys, tmp_path, kind):
     if kind == "directory":
@@ -366,6 +381,22 @@ def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"cannot evaluate at z = {at}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "--manifold", "cp3", "--twist", "tangent_witten", "--q-order", "640"),
+    ("expand", "--phi", "2", "--q-order", "640"),
+], ids=lambda argv: argv[0])
+def test_pole_is_refused_before_the_exact_series(capsys, monkeypatch, argv):
+    """The point is evaluated first: a pole exits 2 without the series."""
+    def unexpected(*args):
+        raise AssertionError("the exact series was built")
+
+    monkeypatch.setattr(cli, "witten_index", unexpected)
+    monkeypatch.setattr(cli, "phi_exact", unexpected)
+    code, out, err = run_cli(capsys, *argv, "--at", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("cannot evaluate at z = 0.5: ")
 
 
 def test_vanishing_witten_denominator_at_point_is_usage_error(capsys,

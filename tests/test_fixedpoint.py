@@ -6,6 +6,7 @@ from elliptica.elliptic import EllipticParams, phi_numeric
 from elliptica.fixedpoint import (
     CATALOG,
     DERIVED_TWISTS,
+    MAX_WEIGHT,
     ManifoldValidationError,
     SpinCircleManifold,
     equivariant_index,
@@ -258,6 +259,9 @@ def _pair(weights=((1,), (-1,)), **fields):
     ("twists.none", _pair(twists={"none": [[1], [-1]]})),
     # a twist whose lists differ in length is no bundle: its rank changes
     ("twists.t[1]", _pair(twists={"t": [[1], [2, 3]]})),
+    # weights past the bound, of a point and of a stored twist
+    ("points[1].weights[0]", _pair(((1,), (-MAX_WEIGHT - 1,)))),
+    ("twists.t[1]", _pair(twists={"t": [[MAX_WEIGHT], [MAX_WEIGHT + 1]]})),
 ])
 def test_schema_validation_paths(path, data):
     _assert_refused_on_both_routes(data, path)
