@@ -18,9 +18,12 @@ Layering (each module only depends on the ones above it):
     fixedpoint  manifold data, equivariant indices, rigidity
     cli         command-line surface
 
-All value types are immutable after construction.  The package runs
-single-threaded: its one cache of exact series (``phi_exact``'s lru_cache
-in elliptic) is a plain memoization with no locking.
+All value types are immutable after construction.  The package starts no
+thread.  ``zem.identity_check`` forks one worker process per extra CPU the
+process may run on, each running a contiguous share of the trials, and
+merges their shares into the report the serial loop would give.  The one
+cache of exact series (``phi_exact``'s lru_cache in elliptic) is a plain
+memoization with no locking, and each process has its own.
 """
 
 from .ring import PoleEvaluationError, RationalFunctionQi

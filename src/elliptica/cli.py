@@ -248,8 +248,10 @@ def cmd_index(args):
                                if witten else index_numeric(m, z, bundle))
         except _AT_ERRORS as exc:
             raise UsageError(f"cannot evaluate at z = {args.at}: {exc}") from None
-        report["at"] = {"z": str(args.at), "tau": str(args.tau),
-                        "value": str(value), "max_term": str(max_term)}
+        report["at"] = {"z": str(args.at), "value": str(value),
+                        "max_term": str(max_term)}
+        if witten:  # the one sum that depends on tau
+            report["at"]["tau"] = str(args.tau)
     failed = False
     if witten:
         report["series"] = witten_index(m, args.q_order).to_json()

@@ -22,13 +22,20 @@ with the theta series cut to their constant terms (series terms 0), both
 sides must equal their reciprocal-supertrace (chi) expressions, at a
 default tolerance of 1e-10.  Every trial derives its generator from
 (seed, suite, trial), so reports are reproducible and trials independent.
+That independence lets ``identity_check`` split a suite's trials into
+contiguous shares, one per CPU the process may run on: it forks one worker
+per share after the first, runs the first itself and merges the shares in
+trial order, so the report is the same byte for byte on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import cmath
+import marshal
 import math
+import os
 import random
+import signal
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -398,6 +405,12 @@ class IdentityReport:
                 {"trial": trial, "residual": residual, "data": data}
             )
             self.passed = False
+
+    def merge(self, max_residual, failures):
+        """Take in a share of trials recorded by another report."""
+        self.max_residual = _worst(self.max_residual, max_residual)
+        self.failures += failures
+        self.passed = self.passed and not failures
 
     def to_json(self):
         out = {
@@ -956,6 +969,69 @@ def _run_trial(suite, seed, trial, dims):
                               f"60 attempts (last: {last_error})")
 
 
+# the fewest trials a forked worker takes on: at about 0.1 ms a trial, a
+# share of 25 outweighs the fork and the pipe of its worker
+_MIN_SHARE = 25
+
+
+def _cpu_count():
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(trials):
+    """``range(trials)`` cut into contiguous shares, one per CPU and none
+    smaller than _MIN_SHARE."""
+    n = max(1, min(_cpu_count(), trials // _MIN_SHARE))
+    return [range(k * trials // n, (k + 1) * trials // n) for k in range(n)]
+
+
+def _run_share(report, share, dims):
+    for trial in share:
+        residual, data = _run_trial(report.suite, report.seed, trial, dims)
+        report.record(trial, residual, data)
+
+
+def _fork_share(report, share, dims):
+    """Fork a worker that records ``share`` into a report of its own; returns
+    its pid and the read end of its pipe.
+
+    The worker writes (trials done, max residual, failures) to the pipe as
+    far as it got: it stops at a trial that raises and leaves the rest to the
+    parent.  It leaves only through ``os._exit``, with status 0 once the pipe
+    holds all of it, so it never flushes the parent's buffers or runs its
+    exit handlers."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        part = IdentityReport(report.suite, len(share), report.seed, report.tol)
+        done = 0
+        try:
+            for trial in share:
+                residual, data = _run_trial(part.suite, part.seed, trial, dims)
+                part.record(trial, residual, data)
+                done += 1
+        except BaseException:
+            pass  # the parent runs the trial again, and raises it
+        with open(write_fd, "wb") as pipe:
+            pipe.write(marshal.dumps((done, part.max_residual, part.failures)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
     """Run one named identity suite; returns an IdentityReport.
 
@@ -964,6 +1040,14 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
     (poles, vanishing supertraces) are retried a bounded number of times.
     Trials derive their generators from (seed, suite, trial), so a fixed
     seed reproduces the report.  ``tol`` None is the suite's own tolerance.
+
+    The trials run in contiguous shares of at least _MIN_SHARE, one per CPU
+    in ``os.sched_getaffinity(0)``: a forked worker runs each share after
+    the first, which runs here.  What a worker did not deliver, because a
+    trial raised or the worker died, runs here too, so a raising trial
+    raises as it would in one process; so does a share that found no
+    process to fork.  Every worker is reaped before this returns or
+    raises, and killed first if it has not finished.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
@@ -973,9 +1057,34 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
     _require_trials(trials)
     _require_dims(dims)
     report = IdentityReport(suite=suite, trials=trials, seed=seed, tol=tol)
-    for trial in range(trials):
-        residual, data = _run_trial(suite, seed, trial, dims)
-        report.record(trial, residual, data)
+    shares = _shares(trials)
+    workers = []  # (share, pid, pipe) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            try:
+                workers.append((share, *_fork_share(report, share, dims)))
+            except OSError:  # no process to spare: the shares left run here
+                break
+        unforked = shares[len(workers) + 1:]
+        _run_share(report, shares[0], dims)
+        while workers:
+            share, pid, pipe = workers[0]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            done = 0
+            if status == 0:
+                done, max_residual, failures = marshal.loads(payload)
+                report.merge(max_residual, failures)
+            _run_share(report, share[done:], dims)
+        for share in unforked:
+            _run_share(report, share, dims)
+    finally:
+        for _, pid, pipe in workers:  # only when unwinding from an exception
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     exact = _exact_component(suite, seed)
     if exact is not None:
         report.exact_checks = exact

@@ -170,6 +170,20 @@ def test_index_at_reports_the_largest_term(capsys):
         assert (max_term > 1e40) is big
 
 
+def test_index_at_echoes_tau_only_where_it_is_read(capsys):
+    """The untwisted sum does not depend on tau, so its report names none;
+    the tangent-Witten sum does."""
+    code, out, _ = run_cli(capsys, "index", "--manifold", "s2", "--twist",
+                           "none", "--at", "0.3", "--tau", "0.3j")
+    assert code == 0
+    assert set(json.loads(out)["at"]) == {"z", "value", "max_term"}
+    code, out, _ = run_cli(capsys, "index", "--manifold", "cp3", "--twist",
+                           "tangent_witten", "--q-order", "2", "--at", "0.3",
+                           "--tau", "0.3j")
+    assert code == 0
+    assert set(json.loads(out)["at"]) == {"z", "tau", "value", "max_term"}
+
+
 def test_catalog_dump(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--dump", "s2")
     assert code == 0

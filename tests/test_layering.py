@@ -255,6 +255,25 @@ def test_stdlib_reader_sees_the_oracles():
     assert {"sympy", "mpmath"} <= _third_party_imports(_tree("test_oracles", TESTS))
 
 
+# the identity suites fork their workers with os.fork and send results back
+# through a pipe with marshal; a process pool or pickle would add about 1.7 MB
+# and a few ms to every command's start
+WORKER_MODULES = {"multiprocessing", "concurrent", "pickle", "subprocess"}
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_package_imports_no_worker_pool(name):
+    assert not _absolute_imports(_tree(name)) & WORKER_MODULES
+
+
+def test_worker_pool_reader_sees_each_form():
+    """The check above is not vacuous: it sees a dotted import and a
+    from-import."""
+    tree = ast.parse("import concurrent.futures\nimport pickle\n"
+                     "from multiprocessing import Pool\nimport subprocess\n")
+    assert _absolute_imports(tree) >= WORKER_MODULES
+
+
 # the local-vs-direct comparison at non-special points, retired because its
 # two sides agree term by term for any weights, so it passed on data that
 # is not rigid; `rigidity` is the check of the manifold

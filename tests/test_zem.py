@@ -1,15 +1,20 @@
 import cmath
+import json
 import math
+import os
 import random
+import time
 
 import pytest
 
+from elliptica import cli, zem
 from elliptica.elliptic import EllipticParams, phi_numeric
 from elliptica.spinchar import CyclicAction, RotationData, spinor_trace, v_sign
 from elliptica.witten import witten_char
 from elliptica.zem import (
     AdaptedKError,
     BothEvenError,
+    DegenerateDrawError,
     IdentityReport,
     LatticeElement,
     SUITE_NAMES,
@@ -314,3 +319,170 @@ def test_c_constant_guard_is_an_explicit_error():
     with pytest.raises(ValueError, match="parity case"):
         _c_constant_numeric((0, 0), 1, 0, 1, PARAMS)
     assert _c_constant_numeric((1, 0), 1, 0, 1, PARAMS) == 1j
+
+
+# -- the split of a suite's trials over forked workers ----------------------
+
+
+def _on_cpus(monkeypatch, n):
+    monkeypatch.setattr(zem, "_cpu_count", lambda: n)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("trials, cpus, sizes", [
+    (1, 8, [1]), (49, 2, [49]), (50, 2, [25, 25]), (75, 3, [25, 25, 25]),
+    (99, 3, [33, 33, 33]), (100, 3, [33, 33, 34]), (2000, 1, [2000]),
+])
+def test_shares_are_contiguous_and_not_too_small(monkeypatch, trials, cpus, sizes):
+    _on_cpus(monkeypatch, cpus)
+    shares = zem._shares(trials)
+    assert [len(share) for share in shares] == sizes
+    assert [t for share in shares for t in share] == list(range(trials))
+
+
+def _verify_bytes(monkeypatch, tmp_path, cpus, *argv):
+    _on_cpus(monkeypatch, cpus)
+    out = tmp_path / f"verify-{cpus}.json"
+    code = cli.main(["verify", *argv, "--out", str(out)])
+    _assert_no_child_left()
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-14"]], ids=["default", "1e-14"])
+def test_verify_report_is_the_same_on_one_share_and_three(monkeypatch, tmp_path,
+                                                          capsys, tol):
+    argv = ["--suite", "all", "--trials", "75", "--seed", "3", *tol]
+    one = _verify_bytes(monkeypatch, tmp_path, 1, *argv)
+    assert _verify_bytes(monkeypatch, tmp_path, 3, *argv) == one
+    report = json.loads(one[1])
+    failed = {f["trial"] for s in report["suites"] for f in s.get("failures", ())}
+    if tol:  # the workers' shares deliver failures of their own
+        assert one[0] == 1 and failed & set(range(25, 75))
+    else:
+        assert one[0] == 0 and not failed
+
+
+def test_verify_nan_residual_is_the_same_on_one_share_and_three(monkeypatch,
+                                                                tmp_path, capsys):
+    monkeypatch.setattr(zem, "_residual", lambda lhs, rhs: math.nan)
+    argv = ["--suite", "K-transfer", "--trials", "75"]
+    one = _verify_bytes(monkeypatch, tmp_path, 1, *argv)
+    assert _verify_bytes(monkeypatch, tmp_path, 3, *argv) == one
+    suite = json.loads(one[1])["suites"][0]
+    assert one[0] == 1 and suite["max_residual"] == "NaN"
+    assert [f["trial"] for f in suite["failures"]] == list(range(75))
+
+
+def test_parent_runs_only_its_own_share(monkeypatch):
+    """With three shares the workers run trials 25 to 74: the split is not
+    silently serial, and the report is the serial one."""
+    ran = []
+    run_trial = zem._run_trial
+
+    def recording(suite, seed, trial, dims):
+        ran.append(trial)
+        return run_trial(suite, seed, trial, dims)
+
+    monkeypatch.setattr(zem, "_run_trial", recording)
+    _on_cpus(monkeypatch, 3)
+    split = identity_check("allW", trials=75, seed=3, tol=1e-14).to_json()
+    _assert_no_child_left()
+    assert ran == list(range(25))
+    _on_cpus(monkeypatch, 1)
+    ran.clear()
+    assert identity_check("allW", trials=75, seed=3, tol=1e-14).to_json() == split
+    assert ran == list(range(75))
+
+
+@pytest.mark.parametrize("raising", [(3, 60), (30, 60), (60, 70)],
+                         ids=["own-share", "first-worker", "last-worker"])
+def test_raising_trial_raises_as_in_one_process(monkeypatch, raising):
+    """The first raising trial in trial order raises, with the serial
+    message, whichever share it falls in; workers still running are killed
+    and every worker is reaped."""
+    run_trial = zem._run_trial
+
+    def failing(suite, seed, trial, dims):
+        if trial in raising:
+            raise DegenerateDrawError(f"suite {suite}, trial {trial}: no draw")
+        return run_trial(suite, seed, trial, dims)
+
+    monkeypatch.setattr(zem, "_run_trial", failing)
+    for cpus in (1, 3):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(DegenerateDrawError,
+                           match=rf"^suite K-transfer, trial {raising[0]}: no draw$"):
+            identity_check("K-transfer", trials=75, seed=3)
+        _assert_no_child_left()
+
+
+def test_share_of_a_dead_worker_runs_in_the_parent(monkeypatch):
+    """A worker that dies delivers nothing; its share is run here."""
+    parent = os.getpid()
+    run_trial = zem._run_trial
+
+    def dying(suite, seed, trial, dims):
+        if trial == 40 and os.getpid() != parent:
+            os._exit(3)
+        return run_trial(suite, seed, trial, dims)
+
+    monkeypatch.setattr(zem, "_run_trial", dying)
+    _on_cpus(monkeypatch, 3)
+    split = identity_check("EM-welldef", trials=75, seed=3, tol=1e-14).to_json()
+    _assert_no_child_left()
+    _on_cpus(monkeypatch, 1)
+    assert identity_check("EM-welldef", trials=75, seed=3, tol=1e-14).to_json() == split
+
+
+def test_share_that_cannot_fork_runs_in_the_parent(monkeypatch):
+    """Where the second fork finds no process to spare, the parent runs the
+    first share and the last, and the report is the serial one."""
+    ran = []
+    run_trial = zem._run_trial
+    forks = []
+    fork = os.fork
+
+    def recording(suite, seed, trial, dims):
+        ran.append(trial)
+        return run_trial(suite, seed, trial, dims)
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError("no process to spare")
+        return fork()
+
+    monkeypatch.setattr(zem, "_run_trial", recording)
+    monkeypatch.setattr(os, "fork", fork_once)
+    _on_cpus(monkeypatch, 3)
+    split = identity_check("spin-transfer", trials=75, seed=3, tol=1e-14).to_json()
+    _assert_no_child_left()
+    assert ran == [*range(25), *range(50, 75)]
+    _on_cpus(monkeypatch, 1)
+    assert identity_check("spin-transfer", trials=75, seed=3, tol=1e-14).to_json() == split
+
+
+def test_unwinding_kills_unfinished_workers(monkeypatch):
+    """A raise in the parent's own share does not wait for the workers: they
+    are killed, then reaped."""
+    parent = os.getpid()
+    run_trial = zem._run_trial
+
+    def slow_workers(suite, seed, trial, dims):
+        if os.getpid() != parent and trial in (25, 50):  # a worker's first trial
+            time.sleep(30)
+        elif trial == 3:
+            raise DegenerateDrawError("raised in the parent's share")
+        return run_trial(suite, seed, trial, dims)
+
+    monkeypatch.setattr(zem, "_run_trial", slow_workers)
+    _on_cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(DegenerateDrawError, match="parent's share"):
+        identity_check("K-transfer", trials=75, seed=3)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
