@@ -969,9 +969,13 @@ def _run_trial(suite, seed, trial, dims):
                               f"60 attempts (last: {last_error})")
 
 
-# the fewest trials a forked worker takes on: at about 0.1 ms a trial, a
-# share of 25 outweighs the fork and the pipe of its worker
-_MIN_SHARE = 25
+# the fewest trials a forked worker takes on.  On a 2-vCPU Xeon a fork costs
+# the parent 0.3-0.6 ms and an empty share arrives 1.7 ms after it, while a
+# trial takes 0.06-0.25 ms by suite.  In sets of 25 paired `verify --suite
+# all` runs, shares of 25 trials (--trials 50) gained 1-4 ms of 175-195,
+# within noise, and shares of 50 (--trials 100) 25-35 ms of 244-268; hosts
+# with more CPUs were not measured
+_MIN_SHARE = 50
 
 
 def _cpu_count():
@@ -998,11 +1002,10 @@ def _fork_share(report, share, dims):
     """Fork a worker that records ``share`` into a report of its own; returns
     its pid and the read end of its pipe.
 
-    The worker writes (trials done, max residual, failures) to the pipe as
-    far as it got: it stops at a trial that raises and leaves the rest to the
-    parent.  It leaves only through ``os._exit``, with status 0 once the pipe
-    holds all of it, so it never flushes the parent's buffers or runs its
-    exit handlers."""
+    The worker writes (max residual, failures) to the pipe and leaves only
+    through ``os._exit``: with status 0 once the pipe holds it all, with 1
+    if anything raised.  So it never flushes the parent's buffers or runs
+    its exit handlers."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -1017,16 +1020,9 @@ def _fork_share(report, share, dims):
     try:
         os.close(read_fd)
         part = IdentityReport(report.suite, len(share), report.seed, report.tol)
-        done = 0
-        try:
-            for trial in share:
-                residual, data = _run_trial(part.suite, part.seed, trial, dims)
-                part.record(trial, residual, data)
-                done += 1
-        except BaseException:
-            pass  # the parent runs the trial again, and raises it
+        _run_share(part, share, dims)
         with open(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps((done, part.max_residual, part.failures)))
+            pipe.write(marshal.dumps((part.max_residual, part.failures)))
         status = 0
     finally:
         os._exit(status)
@@ -1043,10 +1039,10 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
 
     The trials run in contiguous shares of at least _MIN_SHARE, one per CPU
     in ``os.sched_getaffinity(0)``: a forked worker runs each share after
-    the first, which runs here.  What a worker did not deliver, because a
-    trial raised or the worker died, runs here too, so a raising trial
-    raises as it would in one process; so does a share that found no
-    process to fork.  Every worker is reaped before this returns or
+    the first, which runs here.  The share of a worker that did not deliver,
+    because a trial raised or the worker died, runs here again, so a
+    raising trial raises as it would in one process; so does a share that
+    found no process to fork.  Every worker is reaped before this returns or
     raises, and killed first if it has not finished.
     """
     if suite not in _SUITES:
@@ -1073,18 +1069,21 @@ def identity_check(suite, trials=100, dims=8, seed=0, tol=None):
             pipe.close()
             status = os.waitpid(pid, 0)[1]
             del workers[0]
-            done = 0
             if status == 0:
-                done, max_residual, failures = marshal.loads(payload)
-                report.merge(max_residual, failures)
-            _run_share(report, share[done:], dims)
+                report.merge(*marshal.loads(payload))
+            else:
+                _run_share(report, share, dims)
         for share in unforked:
             _run_share(report, share, dims)
     finally:
         for _, pid, pipe in workers:  # only when unwinding from an exception
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:  # a worker reaped just before the exception landed is gone
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
     exact = _exact_component(suite, seed)
     if exact is not None:
         report.exact_checks = exact

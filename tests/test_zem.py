@@ -324,6 +324,10 @@ def test_c_constant_guard_is_an_explicit_error():
 # -- the split of a suite's trials over forked workers ----------------------
 
 
+# the smallest share, so that three CPUs give three shares of M trials
+M = zem._MIN_SHARE
+
+
 def _on_cpus(monkeypatch, n):
     monkeypatch.setattr(zem, "_cpu_count", lambda: n)
 
@@ -334,8 +338,9 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("trials, cpus, sizes", [
-    (1, 8, [1]), (49, 2, [49]), (50, 2, [25, 25]), (75, 3, [25, 25, 25]),
-    (99, 3, [33, 33, 33]), (100, 3, [33, 33, 34]), (2000, 1, [2000]),
+    (1, 8, [1]), (2 * M - 1, 2, [2 * M - 1]), (2 * M, 2, [M, M]),
+    (3 * M, 3, [M, M, M]), (3 * M, 8, [M, M, M]),
+    (3 * M + 2, 3, [M, M + 1, M + 1]), (2000, 1, [2000]),
 ])
 def test_shares_are_contiguous_and_not_too_small(monkeypatch, trials, cpus, sizes):
     _on_cpus(monkeypatch, cpus)
@@ -355,13 +360,13 @@ def _verify_bytes(monkeypatch, tmp_path, cpus, *argv):
 @pytest.mark.parametrize("tol", [[], ["--tol", "1e-14"]], ids=["default", "1e-14"])
 def test_verify_report_is_the_same_on_one_share_and_three(monkeypatch, tmp_path,
                                                           capsys, tol):
-    argv = ["--suite", "all", "--trials", "75", "--seed", "3", *tol]
+    argv = ["--suite", "all", "--trials", str(3 * M), "--seed", "3", *tol]
     one = _verify_bytes(monkeypatch, tmp_path, 1, *argv)
     assert _verify_bytes(monkeypatch, tmp_path, 3, *argv) == one
     report = json.loads(one[1])
     failed = {f["trial"] for s in report["suites"] for f in s.get("failures", ())}
     if tol:  # the workers' shares deliver failures of their own
-        assert one[0] == 1 and failed & set(range(25, 75))
+        assert one[0] == 1 and failed & set(range(M, 3 * M))
     else:
         assert one[0] == 0 and not failed
 
@@ -369,17 +374,17 @@ def test_verify_report_is_the_same_on_one_share_and_three(monkeypatch, tmp_path,
 def test_verify_nan_residual_is_the_same_on_one_share_and_three(monkeypatch,
                                                                 tmp_path, capsys):
     monkeypatch.setattr(zem, "_residual", lambda lhs, rhs: math.nan)
-    argv = ["--suite", "K-transfer", "--trials", "75"]
+    argv = ["--suite", "K-transfer", "--trials", str(3 * M)]
     one = _verify_bytes(monkeypatch, tmp_path, 1, *argv)
     assert _verify_bytes(monkeypatch, tmp_path, 3, *argv) == one
     suite = json.loads(one[1])["suites"][0]
     assert one[0] == 1 and suite["max_residual"] == "NaN"
-    assert [f["trial"] for f in suite["failures"]] == list(range(75))
+    assert [f["trial"] for f in suite["failures"]] == list(range(3 * M))
 
 
 def test_parent_runs_only_its_own_share(monkeypatch):
-    """With three shares the workers run trials 25 to 74: the split is not
-    silently serial, and the report is the serial one."""
+    """With three shares the workers run trials M to 3M - 1: the split is
+    not silently serial, and the report is the serial one."""
     ran = []
     run_trial = zem._run_trial
 
@@ -389,16 +394,17 @@ def test_parent_runs_only_its_own_share(monkeypatch):
 
     monkeypatch.setattr(zem, "_run_trial", recording)
     _on_cpus(monkeypatch, 3)
-    split = identity_check("allW", trials=75, seed=3, tol=1e-14).to_json()
+    split = identity_check("allW", trials=3 * M, seed=3, tol=1e-14).to_json()
     _assert_no_child_left()
-    assert ran == list(range(25))
+    assert ran == list(range(M))
     _on_cpus(monkeypatch, 1)
     ran.clear()
-    assert identity_check("allW", trials=75, seed=3, tol=1e-14).to_json() == split
-    assert ran == list(range(75))
+    assert identity_check("allW", trials=3 * M, seed=3, tol=1e-14).to_json() == split
+    assert ran == list(range(3 * M))
 
 
-@pytest.mark.parametrize("raising", [(3, 60), (30, 60), (60, 70)],
+@pytest.mark.parametrize("raising", [(3, 2 * M + 10), (M + 5, 2 * M + 10),
+                                     (2 * M + 10, 2 * M + 20)],
                          ids=["own-share", "first-worker", "last-worker"])
 def test_raising_trial_raises_as_in_one_process(monkeypatch, raising):
     """The first raising trial in trial order raises, with the serial
@@ -416,7 +422,7 @@ def test_raising_trial_raises_as_in_one_process(monkeypatch, raising):
         _on_cpus(monkeypatch, cpus)
         with pytest.raises(DegenerateDrawError,
                            match=rf"^suite K-transfer, trial {raising[0]}: no draw$"):
-            identity_check("K-transfer", trials=75, seed=3)
+            identity_check("K-transfer", trials=3 * M, seed=3)
         _assert_no_child_left()
 
 
@@ -426,16 +432,16 @@ def test_share_of_a_dead_worker_runs_in_the_parent(monkeypatch):
     run_trial = zem._run_trial
 
     def dying(suite, seed, trial, dims):
-        if trial == 40 and os.getpid() != parent:
+        if trial == M + 15 and os.getpid() != parent:
             os._exit(3)
         return run_trial(suite, seed, trial, dims)
 
     monkeypatch.setattr(zem, "_run_trial", dying)
     _on_cpus(monkeypatch, 3)
-    split = identity_check("EM-welldef", trials=75, seed=3, tol=1e-14).to_json()
+    split = identity_check("EM-welldef", trials=3 * M, seed=3, tol=1e-14).to_json()
     _assert_no_child_left()
     _on_cpus(monkeypatch, 1)
-    assert identity_check("EM-welldef", trials=75, seed=3, tol=1e-14).to_json() == split
+    assert identity_check("EM-welldef", trials=3 * M, seed=3, tol=1e-14).to_json() == split
 
 
 def test_share_that_cannot_fork_runs_in_the_parent(monkeypatch):
@@ -459,11 +465,11 @@ def test_share_that_cannot_fork_runs_in_the_parent(monkeypatch):
     monkeypatch.setattr(zem, "_run_trial", recording)
     monkeypatch.setattr(os, "fork", fork_once)
     _on_cpus(monkeypatch, 3)
-    split = identity_check("spin-transfer", trials=75, seed=3, tol=1e-14).to_json()
+    split = identity_check("spin-transfer", trials=3 * M, seed=3, tol=1e-14).to_json()
     _assert_no_child_left()
-    assert ran == [*range(25), *range(50, 75)]
+    assert ran == [*range(M), *range(2 * M, 3 * M)]
     _on_cpus(monkeypatch, 1)
-    assert identity_check("spin-transfer", trials=75, seed=3, tol=1e-14).to_json() == split
+    assert identity_check("spin-transfer", trials=3 * M, seed=3, tol=1e-14).to_json() == split
 
 
 def test_unwinding_kills_unfinished_workers(monkeypatch):
@@ -473,7 +479,7 @@ def test_unwinding_kills_unfinished_workers(monkeypatch):
     run_trial = zem._run_trial
 
     def slow_workers(suite, seed, trial, dims):
-        if os.getpid() != parent and trial in (25, 50):  # a worker's first trial
+        if os.getpid() != parent and trial in (M, 2 * M):  # a worker's first trial
             time.sleep(30)
         elif trial == 3:
             raise DegenerateDrawError("raised in the parent's share")
@@ -483,6 +489,34 @@ def test_unwinding_kills_unfinished_workers(monkeypatch):
     _on_cpus(monkeypatch, 3)
     start = time.monotonic()
     with pytest.raises(DegenerateDrawError, match="parent's share"):
-        identity_check("K-transfer", trials=75, seed=3)
+        identity_check("K-transfer", trials=3 * M, seed=3)
     assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_interrupt_after_a_reap_leaves_that_worker_alone(monkeypatch):
+    """An exception that lands after a worker is reaped but before it leaves
+    the list of workers propagates as it is; the cleanup neither signals
+    nor waits for the reaped pid again, and reaps the other worker."""
+    waitpid, kill = os.waitpid, os.kill
+    reaped, killed = [], []
+
+    def interrupted(pid, options):
+        result = waitpid(pid, options)
+        if options == 0 and not reaped:
+            reaped.append(pid)
+            raise KeyboardInterrupt
+        return result
+
+    def recording(pid, sig):
+        killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    monkeypatch.setattr(os, "kill", recording)
+    _on_cpus(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        identity_check("K-transfer", trials=3 * M, seed=3)
+    monkeypatch.undo()
+    assert len(reaped) == 1 and reaped[0] not in killed
     _assert_no_child_left()
