@@ -24,6 +24,12 @@ process may run on, each running a contiguous share of the trials, and
 merges their shares into the report the serial loop would give.  The one
 cache of exact series (``phi_exact``'s lru_cache in elliptic) is a plain
 memoization with no locking, and each process has its own.
+
+Every function and method defined here is reached by a command of ``cli``,
+save the few that tests/test_layering.py lists, each with its reason.  The
+independent sides of the identities that only the tests check (the exact
+EM_eps series, the numeric j-factor and Pfaffian) live in the tests'
+reference modules.
 """
 
 from .ring import PoleEvaluationError, RationalFunctionQi
@@ -43,23 +49,18 @@ from .spinchar import (
     RotationData,
     chi,
     epsilon_J,
-    j_factor,
     os_sign,
-    pfaffian,
     spinor_trace,
     v_sign,
 )
-from .witten import witten_char, witten_exact
+from .witten import witten_char
 from .zem import (
     IdentityReport,
     LatticeElement,
-    adapted_k,
     em_eps,
-    em_eps_exact,
     em_fun,
     identity_check,
     z_character,
-    z_exact,
     z_fun,
 )
 from .fixedpoint import (
@@ -89,22 +90,16 @@ __all__ = [
     "RotationData",
     "chi",
     "epsilon_J",
-    "j_factor",
     "os_sign",
-    "pfaffian",
     "spinor_trace",
     "v_sign",
     "witten_char",
-    "witten_exact",
     "IdentityReport",
     "LatticeElement",
-    "adapted_k",
     "em_eps",
-    "em_eps_exact",
     "em_fun",
     "identity_check",
     "z_character",
-    "z_exact",
     "z_fun",
     "CATALOG",
     "SpinCircleManifold",

@@ -123,7 +123,10 @@ def _parse_point(raw):
 
 def _tolerance(raw):
     """A tolerance that ``zem._require_tol`` accepts."""
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
     try:
         _require_tol(value)
     except ValueError as exc:
@@ -166,9 +169,11 @@ def cmd_verify(args):
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not suites:
             raise UsageError(f"no suite named in {args.suite!r}")
-        for s in suites:
+        for i, s in enumerate(suites):
             if s not in ALL_SUITES:
                 raise UsageError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
+            if s in suites[:i]:
+                raise UsageError(f"suite {s!r} is named twice")
     results = []
     all_passed = True
     for suite in suites:

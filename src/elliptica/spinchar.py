@@ -17,7 +17,7 @@ sign relative to the listed planes.  Two readings of the entries coexist:
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function
 here is invariant under that move.  The empty list is N = {0}: traces,
-chi, the Pfaffian and all signs degenerate to 1.
+chi and all signs degenerate to 1.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class SpinCharError(ValueError):
 
 class SupertraceZeroError(SpinCharError):
     """chi was requested where the supertrace vanishes."""
-
-
-class BranchPointError(SpinCharError):
-    """An angle sits where the square-root branch is ambiguous."""
 
 
 class AngleOnLatticeError(SpinCharError):
@@ -65,18 +61,6 @@ class RotationData:
 
     def is_integral(self):
         return all(isinstance(a, int) for a in self.entries)
-
-    def recode(self, j):
-        """Flip entry j and the orientation: the same oriented pair."""
-        entries = list(self.entries)
-        entries[j] = -entries[j]
-        return RotationData(tuple(entries), -self.orientation_sign)
-
-    def concat(self, other):
-        return RotationData(
-            self.entries + other.entries,
-            self.orientation_sign * other.orientation_sign,
-        )
 
     def scaled(self, factor):
         """Entry-wise scaling (e.g. rotation numbers -> angles 2 pi a / k)."""
@@ -142,32 +126,6 @@ def chi(g, R):
     return 1.0 / st
 
 
-def j_factor(R):
-    """j^{-1/2}(R) = prod_j phi_j / (2 sin(phi_j/2)), with the removable
-    singularity at phi_j = 0 evaluating to 1."""
-    out = 1.0 + 0j
-    for a in R.entries:
-        phi = complex(a)
-        sn = cmath.sin(phi / 2.0)
-        if abs(phi) < 1e-12:
-            continue
-        if abs(sn) < 1e-12:
-            raise BranchPointError(
-                f"angle {phi} is a nonzero multiple of 2 pi: square-root "
-                "branch ambiguous"
-            )
-        out *= phi / (2.0 * sn)
-    return out
-
-
-def pfaffian(R):
-    """det^{1/2} with respect to the stored orientation: sign * prod phi_j."""
-    out = complex(R.orientation_sign)
-    for a in R.entries:
-        out *= complex(a)
-    return out
-
-
 def epsilon_J(J):
     """(-1)^{sum of rotation numbers} for invertible integer data; the
     choice of signs in the entries does not matter mod 2."""
@@ -217,11 +175,6 @@ class CyclicAction:
 
     def has_eigenvalue_one(self):
         return any(r % self.k == 0 for r in self.residues)
-
-    def has_eigenvalue_minus_one(self):
-        return self.k % 2 == 0 and any(
-            r % self.k == self.k // 2 for r in self.residues
-        )
 
     def normalized_residues(self):
         """Residues pulled into {1, .., k-1}; requires no eigenvalue 1."""

@@ -10,9 +10,10 @@ For g acting on V with multiplicative eigenvalues x the traces are
 understood as Taylor series at q = 0.  Characters are computed from the
 eigenvalue list, never from matrices.
 
-``witten_exact`` takes integer weights w standing for the monomials
+``witten_factors`` gives the product factors of W_i below an integer
+truncation order on integer weights w standing for the monomials
 s^{2w} = e^{2 i pi w z} (complexified rotation data), which keeps every
-coefficient inside Q(s), and an integer truncation order;
+coefficient inside Q(s);
 ``witten_char`` takes one complex eigenvalue e per plane (the other is
 1/e) and an ``EllipticParams``, whose kernel ``theta_product`` sums the
 theta series of all the planes in one pass.
@@ -449,20 +450,6 @@ def unit_difference(order, left, k, right, unit):
         if (x or y) if unit % 2 else sign * x != y:
             return n
     return None
-
-
-def witten_exact(i, weights, order):
-    """Character of W_{i,q} on integer weights w (eigenvalues s^{2w}): a
-    PSeries over Q(s) truncated at ``order``."""
-    if i not in LAYOUT:
-        raise ValueError("Witten series index must be 1..4")
-    for w in weights:
-        if not isinstance(w, int):
-            raise ValueError(
-                "exact Witten characters need integer weights (eigenvalue "
-                f"s^(2w)); got {w!r}"
-            )
-    return laurent_sum(order, [(*witten_factors(i, weights, order), (0, 0, 1))])
 
 
 def witten_char(i, planes, params):

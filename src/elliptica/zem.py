@@ -60,7 +60,6 @@ from .spinchar import (
 )
 from .witten import (
     WittenDenominatorError,
-    laurent_sum,
     regrade,
     unit_difference,
     witten_char,
@@ -83,10 +82,6 @@ class SpecialCollisionError(ZemError):
 
 class BothEvenError(ZemError):
     """EM_eps requested with alpha and beta both even."""
-
-
-class AdaptedKError(ZemError):
-    """Adapted rotation data requested for an action with eigenvalue +-1."""
 
 
 class DegenerateDrawError(ZemError):
@@ -131,13 +126,6 @@ class LatticeElement:
         """gamma + d_alpha + d_beta*tau, staying in torsion form."""
         return LatticeElement(
             self.alpha + d_alpha * self.k, self.beta + d_beta * self.k, self.k
-        )
-
-    def same_point(self, other):
-        return (
-            self.k == other.k
-            and (self.alpha - other.alpha) % self.k == 0
-            and (self.beta - other.beta) % self.k == 0
         )
 
     def __str__(self):
@@ -193,7 +181,8 @@ def z_fun(gamma, J, R, params, *, strict=True):
     analyticity condition a*gamma not in the lattice; disable it for the
     identities that intentionally sit on lattice translates with R keeping
     the arguments off the poles.  ``z_character`` evaluates the same
-    function as C_1/Str, ``z_exact`` is the formal series.
+    function as C_1/Str, and the ``laurent_sum`` of ``z_term`` is the
+    formal series.
     """
     nu, points = _z_points(gamma, J, R, params, strict)
     return nu * params.theta_product(1, points)
@@ -204,13 +193,6 @@ def z_character(gamma, J, R, params):
     Witten-character code at the same points, not the phi_1 products."""
     nu, points = _z_points(gamma, J, R, params, True)
     return _z_tau_series_value(RotationData(points, nu), params)
-
-
-def z_exact(J, order):
-    """nu * prod_a phi_1(a z), s = e^{i pi z}, as the PSeries over Q(s)
-    truncated at ``order``: the ``laurent_sum`` of ``z_term``."""
-    _require_rotation_numbers(J)
-    return laurent_sum(order, [z_term(J.entries, order, J.orientation_sign)])
 
 
 def z_term(entries, order, nu=1):
@@ -304,44 +286,12 @@ def em_eps(gamma, R, params):
          c3 = q^{dim N/8} (-1)^{(alpha+beta-1) dim N/4},
          c4 = (i q^{1/4})^{dim N/2} (-1)^{(alpha+beta) dim N/4}:
     the quotient phi_i of ``HALF_PERIODS`` and its trace of ``PREFACTORS``.
-    ``em_eps_exact`` is the formal series.
     """
     case = _em_case(gamma)
     c = _c_constant_numeric(case, gamma.alpha, gamma.beta, R.planes, params)
     angles, eigs = _offset_angles(R.entries, R.orientation_sign)
     trace, w, power = _theta_parts(case, angles, eigs, params)
     return c * w / trace if power < 0 else c * trace * w
-
-
-def em_eps_exact(gamma, R, order):
-    """``em_eps`` for integer offsets R (multiples of the formal variable z)
-    as (j, series): EM_eps = i^j series, with j in {0, 1} and ``series`` a
-    PSeries over Q(s) truncated at ``order``: the ``theta_term`` of the
-    parity case's quotient.  Of the factor i^{unit dim N/2} in c, i^j stands
-    outside and (-1)^{floor(unit dim N/4)} goes into the term's sign, as in
-    ``witten.unit_substitute``; so does the sign that turns the prefactors
-    of the term into the trace of ``em_eps``, whose Str carries o_N."""
-    case = _em_case(gamma)
-    if not R.is_integral():
-        raise ZemError("exact em_eps needs integer offsets (multiples of z)")
-    planes = R.planes
-    i, unit, p_pow, sign = _c_constant(case, gamma.alpha, gamma.beta, planes)
-    kind, _, pre_sign = PREFACTORS[i]
-    sign *= (-1) ** (unit * planes // 2) * pre_sign**planes
-    if kind == "str":
-        sign *= R.orientation_sign
-    num, den, (p_pow, s_pow, t) = theta_term(i, R.entries, order, p_pow * planes)
-    return unit * planes % 2, laurent_sum(order, [(num, den, (p_pow, s_pow, sign * t))])
-
-
-def adapted_k(zeta):
-    """Canonical integer rotation data for a cyclic action without
-    eigenvalues +-1: residues pulled into {1, .., k-1} \\ {k/2}."""
-    if zeta.has_eigenvalue_one():
-        raise AdaptedKError("the action has eigenvalue 1: no adapted data")
-    if zeta.has_eigenvalue_minus_one():
-        raise AdaptedKError("the action has eigenvalue -1: no adapted data")
-    return RotationData(zeta.normalized_residues(), 1)
 
 
 def em_fun(gamma, zeta, R, params):

@@ -7,13 +7,22 @@ checks every Witten denominator.  The cutoff bounds the tail of the log of
 the product by log(1 +- x) <= 2|x| for |x| <= 1/2, below 1e-18 relative;
 a ``product_cutoff`` of 0 leaves the prefactor alone.  The series must
 agree with them to a relative 1e-13 (tests/test_numeric_tables.py).
+
+``j_factor`` and ``pfaffian`` are the independent side of the identity
+j^{-1/2} det^{-1/2} = (-i)^{dim N/2} chi that the acceptance and spinchar
+tests check against ``spinchar.chi``; no command of the package needs them.
 """
 
 import cmath
 import math
 
 from elliptica.elliptic import NUMERIC_TAIL_TARGET, POLE_GUARD, PoleError
+from elliptica.spinchar import SpinCharError
 from elliptica.witten import LAYOUT, WittenDenominatorError
+
+
+class BranchPointError(SpinCharError):
+    """An angle sits where the square-root branch is ambiguous."""
 
 
 def cutoff(tau, t_abs=1.0, product_cutoff=None):
@@ -103,4 +112,30 @@ def witten_numeric(i, eigenvalues, tau, product_cutoff=None):
                     n,
                 )
             out /= den
+    return out
+
+
+def j_factor(R):
+    """j^{-1/2}(R) = prod_j phi_j / (2 sin(phi_j/2)), with the removable
+    singularity at phi_j = 0 evaluating to 1."""
+    out = 1.0 + 0j
+    for a in R.entries:
+        phi = complex(a)
+        sn = cmath.sin(phi / 2.0)
+        if abs(phi) < 1e-12:
+            continue
+        if abs(sn) < 1e-12:
+            raise BranchPointError(
+                f"angle {phi} is a nonzero multiple of 2 pi: square-root "
+                "branch ambiguous"
+            )
+        out *= phi / (2.0 * sn)
+    return out
+
+
+def pfaffian(R):
+    """det^{1/2} with respect to the stored orientation: sign * prod phi_j."""
+    out = complex(R.orientation_sign)
+    for a in R.entries:
+        out *= complex(a)
     return out

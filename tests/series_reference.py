@@ -21,13 +21,21 @@ contributions *from the stored coefficients*.  Contributions that tail
 coefficients beyond the truncation would have made are the caller's
 responsibility: a caller of ``ps_substitute_t`` must supply enough input
 depth that the discarded tail can only land above the orders it reads.
+
+Two exact series that no command of the package builds are kept here
+too, each the ``laurent_sum`` of one term of the package's product
+engine: ``witten_series``, the character of W_i on integer weights, and
+``em_eps_exact``, the formal series of ``zem.em_eps``.
 """
 
 from dataclasses import dataclass
 
+from elliptica.elliptic import PREFACTORS, theta_term
 from elliptica.qseries import PSeries, QSeriesError, SubstitutionError
 from elliptica.ring import RationalFunctionQi, RingError
 from elliptica.spinchar import SpinCharError
+from elliptica.witten import laurent_sum, witten_factors
+from elliptica.zem import ZemError, _c_constant, _em_case
 from ring_reference import (
     RF,
     GaussianRational,
@@ -422,3 +430,31 @@ def spinor_trace_exact(kind, R):
     if kind == "str" and R.orientation_sign < 0:
         out = -out
     return out
+
+
+def witten_series(i, weights, order):
+    """Character of W_{i,q} on integer weights w (eigenvalues s^{2w}): a
+    PSeries over Q(s) truncated at ``order``."""
+    return laurent_sum(order, [(*witten_factors(i, weights, order), (0, 0, 1))])
+
+
+def em_eps_exact(gamma, R, order):
+    """``zem.em_eps`` for integer offsets R (multiples of the formal
+    variable z) as (j, series): EM_eps = i^j series, with j in {0, 1} and
+    ``series`` a PSeries over Q(s) truncated at ``order``: the
+    ``theta_term`` of the parity case's quotient.  Of the factor
+    i^{unit dim N/2} in c, i^j stands outside and (-1)^{floor(unit dim N/4)}
+    goes into the term's sign, as in ``witten.unit_substitute``; so does the
+    sign that turns the prefactors of the term into the trace of
+    ``em_eps``, whose Str carries o_N."""
+    case = _em_case(gamma)
+    if not R.is_integral():
+        raise ZemError("exact em_eps needs integer offsets (multiples of z)")
+    planes = R.planes
+    i, unit, p_pow, sign = _c_constant(case, gamma.alpha, gamma.beta, planes)
+    kind, _, pre_sign = PREFACTORS[i]
+    sign *= (-1) ** (unit * planes // 2) * pre_sign**planes
+    if kind == "str":
+        sign *= R.orientation_sign
+    num, den, (p_pow, s_pow, t) = theta_term(i, R.entries, order, p_pow * planes)
+    return unit * planes % 2, laurent_sum(order, [(num, den, (p_pow, s_pow, sign * t))])

@@ -17,8 +17,9 @@ from elliptica.fixedpoint import (
     simplify_character,
     witten_index,
 )
-from elliptica.spinchar import RotationData, chi, j_factor, pfaffian
+from elliptica.spinchar import RotationData, chi
 from elliptica.zem import identity_check
+from numeric_reference import j_factor, pfaffian
 from ring_reference import RF, package_value
 
 

@@ -486,6 +486,37 @@ def test_verify_bad_tol_is_usage_error(capsys, tol):
     assert "tol must be finite, > 0 and < 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["abc", "", "1e-3x"])
+def test_verify_non_numeric_tol_is_usage_error(capsys, tol):
+    """The message names the option and the value, not the parser's
+    private converter."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "K-transfer", "--trials", "2",
+              "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: not a number: {tol!r}" in err
+    assert "_tolerance" not in err
+
+
+@pytest.mark.parametrize("suite, repeated", [
+    ("K-transfer,K-transfer", "K-transfer"),
+    ("allW, translations,allW", "allW"),
+    ("translations,translations", "translations"),
+])
+def test_verify_repeated_suite_is_usage_error(capsys, monkeypatch, suite,
+                                              repeated):
+    """A suite named twice is refused before any suite runs."""
+    def run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "identity_check", run)
+    monkeypatch.setattr(cli, "phi_translate_check", run)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2 and out == ""
+    assert err == f"suite {repeated!r} is named twice\n"
+
+
 @pytest.mark.parametrize("suite", [",", " , ,"])
 def test_verify_empty_suite_list_is_usage_error(capsys, suite):
     code, out, err = run_cli(capsys, "verify", "--suite", suite)

@@ -36,16 +36,16 @@ from elliptica.witten import (
     regrade,
     row_layout,
     unit_substitute,
-    witten_exact,
     witten_factors,
 )
-from elliptica.zem import LatticeElement, em_eps_exact, z_exact, z_term
+from elliptica.zem import LatticeElement, z_term
 import row_reference
 from ring_reference import RF, GaussianRational
 from row_reference import dense
 from series_reference import (
     PS,
     Substitution,
+    em_eps_exact,
     monomial,
     ps_compose_power,
     ps_substitute_t,
@@ -541,8 +541,6 @@ _AT_ORDER = {  # name: an exact entry point as a function of the order
     "phi_exact": lambda order: phi_exact(1, order),
     **{f"phi_translate_check {w}": partial(phi_translate_check, w)
        for w in TRANSLATIONS},
-    "witten_exact": lambda order: witten_exact(1, [1, -1], order),
-    "z_exact": lambda order: z_exact(RotationData((1, 2), 1), order),
     "Z-periodicity exact": lambda order: zem._z_periodicity_exact([1, 2], order),
     "em_eps_exact": lambda order: em_eps_exact(
         LatticeElement.torsion(1, 0, 2), RotationData((1,), 1), order

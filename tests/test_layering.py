@@ -1,12 +1,17 @@
-"""Static checks of the package: each module imports only the modules
+"""Checks of the package's structure: each module imports only the modules
 listed above it in the layering of the package docstring and nothing
 outside the standard library, no module imports from the tests, no module
 or test file imports a name it never uses, no function picks its backend
 by an argument, no module carries the field arithmetic over Q(i)(s)
-or the number type Q(i) that the tests keep as their reference, and no
-module names the retired consistency check."""
+or the number type Q(i) that the tests keep as their reference, no
+module names a retired function, and a fixed list of commands calls every
+function and method the package defines, but a listed few."""
 
 import ast
+import contextlib
+import io
+import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -14,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import elliptica
+from elliptica import cli, elliptic
 
 SRC = Path(elliptica.__file__).resolve().parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -198,7 +204,8 @@ SCALING_METHODS = {"scale", "map_coefficients"}
 
 
 def _names(tree):
-    """Every name a module defines, imports or reads, attributes included."""
+    """Every name a module defines, imports (under its own name and any
+    alias) or reads, attributes included."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -208,7 +215,8 @@ def _names(tree):
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            out.update(alias.asname or alias.name for alias in node.names)
+            out.update(alias.name for alias in node.names)
+            out.update(alias.asname for alias in node.names if alias.asname)
     return out
 
 
@@ -282,7 +290,16 @@ RETIRED_NAMES = {"consistency_check", "ConsistencyReport", "SpecialPointError",
                  # usage errors take one path, cli.UsageError, and a trial's
                  # tau draws are retried in zem._run_trial alone
                  "_UnwritableOut", "_cannot_evaluate", "_load_or_exit",
-                 "_retry_draws"}
+                 "_retry_draws",
+                 # entry points that no command reached: the tests build the
+                 # Z- and W_i-series from laurent_sum, em_fun takes its
+                 # adapted data from normalized_residues, and the exact
+                 # EM_eps, the j-factor and the Pfaffian are the tests'
+                 # references (tests/series_reference.py,
+                 # tests/numeric_reference.py)
+                 "z_exact", "witten_exact", "em_eps_exact", "adapted_k",
+                 "AdaptedKError", "has_eigenvalue_minus_one", "same_point",
+                 "recode", "concat", "j_factor", "pfaffian"}
 
 
 def _names_and_strings(tree):
@@ -306,5 +323,150 @@ def test_retired_name_reader_flags_each_form():
                      "def cmd_consistency(args): pass\n"
                      "__all__ = ['consistency_check']\n"
                      "_UnwritableOut = _cannot_evaluate = _load_or_exit = "
-                     "_retry_draws = None\n")
+                     "_retry_draws = None\n"
+                     "from .zem import z_exact, em_eps_exact, adapted_k\n"
+                     "from .witten import witten_exact as w\n"
+                     "class AdaptedKError(ValueError): pass\n"
+                     "class RotationData:\n"
+                     "    def recode(self, j): pass\n"
+                     "    def concat(self, other): pass\n"
+                     "x = zeta.has_eigenvalue_minus_one() or g.same_point(h)\n"
+                     "__all__ += ['j_factor', 'pfaffian']\n")
     assert _names_and_strings(tree) >= RETIRED_NAMES
+
+
+# every def in the package is reached by a command: the seeded argvs below,
+# run through cli.main under sys.setprofile, cover each subcommand and call
+# every function and method but these, each kept for its reason
+_DUNDER = ("a value type's protocol method: the tests and interactive use "
+           "compare, hash and print values; no report does")
+_RAISED = ("an exception's constructor: runs only where the error it carries "
+           "data for is raised, on input none of the argvs gives")
+_IMPORTED = "builds the catalog when fixedpoint is imported, before any command"
+_FORKED = ("runs only where a suite forks its workers, on 100 trials or more "
+           "and 2 CPUs or more; tests/test_zem.py runs it")
+UNREACHED = {
+    "qseries.PSeries.__eq__": _DUNDER,
+    "qseries.PSeries.__hash__": _DUNDER,
+    "qseries.PSeries.__repr__": _DUNDER,
+    "qseries.PSeries.__str__": _DUNDER,
+    "ring.RationalFunctionQi.__eq__": _DUNDER,
+    "ring.RationalFunctionQi.__hash__": _DUNDER,
+    "ring.RationalFunctionQi.__repr__": _DUNDER,
+    "ring.PoleEvaluationError.__init__": _RAISED,
+    "witten.WittenDenominatorError.__init__": _RAISED,
+    "elliptic.PoleError.__init__": _RAISED,
+    "zem.SpecialCollisionError.__init__": _RAISED,
+    "fixedpoint.ManifoldValidationError.__init__": _RAISED,
+    "fixedpoint.linear_points": _IMPORTED,
+    "fixedpoint.product_points": _IMPORTED,
+    "zem._fork_share": _FORKED,
+    "zem.IdentityReport.merge": _FORKED,
+}
+
+
+def _command_argvs(tmp):
+    """(argv, exit code) pairs covering every subcommand and the inputs that
+    reach the rest of the package: a manifold file, one whose index is not a
+    Laurent polynomial, a twist whose index has a gcd to divide out, --at
+    and --out."""
+    lone = tmp / "lone.json"
+    lone.write_text(json.dumps({"name": "lone", "half_dim": 1,
+                                "points": [{"weights": [1]}]}))
+    dumped = str(tmp / "s2.json")
+    return [
+        (["verify", "--suite", "all", "--trials", "3", "--seed", "1",
+          "--q-order", "4"], 0),
+        (["verify", "--suite", "K-transfer,allW", "--trials", "2", "--seed", "2",
+          "--tol", "1e-6", "--dims", "4", "--out", str(tmp / "verify.json")], 0),
+        (["index", "--manifold", "cp3", "--twist", "tangent_witten",
+          "--q-order", "2", "--at", "0.2+0.01j", "--tau", "0.1+1.1j"], 0),
+        (["index", "--manifold", "s2", "--at", "0.2"], 0),
+        (["index", "--manifold", "cp3_alt", "--twist", "s2t"], 0),
+        (["index", "--manifold", "cp3", "--twist", "lambda3t"], 0),
+        (["index", "--manifold", str(lone)], 1),
+        (["rigidity", "--manifold", "cp3", "--q-order", "2"], 0),
+        (["special", "--manifold", "s2xs2xs2"], 0),
+        (["expand", "--phi", "2", "--q-order", "3", "--at", "0.2"], 0),
+        (["catalog"], 0),
+        (["catalog", "--dump", "s2", "--out", dumped], 0),
+        (["index", "--manifold", dumped], 0),
+    ]
+
+
+def _package_sources():
+    """{module: (path, source)} for every module of the package."""
+    return {name: (str(SRC / f"{name}.py"),
+                   (SRC / f"{name}.py").read_text(encoding="utf-8"))
+            for name in ["__init__", *MODULES]}
+
+
+def _defined_functions(sources):
+    """{(path, first line): 'module.Qual.name'} for every def in ``sources``,
+    methods and nested functions included.  A decorated function's first
+    line is its first decorator's, as in its code object."""
+    out = {}
+
+    def walk(body, path, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, path, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                out[(path, first)] = f"{prefix}{node.name}"
+                walk(node.body, path, f"{prefix}{node.name}.")
+
+    for name, (path, text) in sources.items():
+        walk(ast.parse(text).body, path, f"{name}.")
+    return out
+
+
+def _run_commands(argvs):
+    """The exit codes of ``argvs`` run through cli.main, and (path, first
+    line) of every function code they call."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    # a cached series would hide the functions that build it
+    elliptic.phi_exact.cache_clear()
+    previous = sys.getprofile()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(hook)
+        try:
+            codes = [cli.main(argv) for argv in argvs]
+        finally:
+            sys.setprofile(previous)
+    return codes, {(os.path.realpath(path), line) for path, line in seen}
+
+
+def _unreached(sources, reached):
+    return {name for key, name in _defined_functions(sources).items()
+            if key not in reached}
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    argvs, codes = zip(*_command_argvs(tmp_path))
+    got, reached = _run_commands(argvs)
+    assert got == list(codes)
+    unreached = _unreached(_package_sources(), reached)
+    # a def that no command calls, and an entry that a command now reaches
+    # or that names no def
+    assert sorted(unreached - UNREACHED.keys()) == []
+    assert sorted(UNREACHED.keys() - unreached) == []
+
+
+def test_reachability_reader_flags_an_added_function():
+    """The check above is not vacuous: a function added to a module is
+    flagged, while one a command calls is not."""
+    sources = _package_sources()
+    path, text = sources["cli"]
+    sources["cli"] = (path, text + "\n\ndef _never_called():\n    pass\n")
+    codes, reached = _run_commands([["catalog"]])
+    assert codes == [0]
+    unreached = _unreached(sources, reached)
+    assert "cli._never_called" in unreached
+    assert "cli.cmd_catalog" not in unreached and "cli.main" not in unreached

@@ -15,16 +15,18 @@ from elliptica.fixedpoint import (
     witten_index,
 )
 from elliptica.spinchar import RotationData
-from elliptica.witten import laurent_sum, witten_exact, witten_factors
-from elliptica.zem import LatticeElement, em_eps_exact, z_exact
+from elliptica.witten import laurent_sum, witten_factors
+from elliptica.zem import LatticeElement, z_term
 from ring_reference import RF, GaussianRational
 from series_reference import (
     PS,
+    em_eps_exact,
     monomial,
     ps_compose_power,
     ps_invert,
     shift_p,
     spinor_trace_exact,
+    witten_series,
 )
 
 ORDER = 6
@@ -56,7 +58,7 @@ def _phi1_product(weights, order):
 @pytest.mark.parametrize("entries", [(1,), (2, -1), (1, 2, 3), (-3, 1)])
 @pytest.mark.parametrize("nu", [1, -1])
 def test_exact_z_fun_matches_phi1_products(entries, nu):
-    got = z_exact(RotationData(entries, nu), ORDER)
+    got = laurent_sum(ORDER, [z_term(entries, ORDER, nu)])
     ref = _phi1_product(entries, ORDER)
     assert got == (ref if nu > 0 else -ref)
 
@@ -89,7 +91,7 @@ def test_theta_term_matches_composed_phi_products(i, weights, p_pow):
     rational-function prefactor times W_i on (1, -1), composed with
     s -> s^a and multiplied."""
     order = 8
-    phi = PS.of(witten_exact(i, [1, -1], order)).scale(phi_prefactor(i))
+    phi = PS.of(witten_series(i, [1, -1], order)).scale(phi_prefactor(i))
     ref = PS.one(RF, order)
     for a in weights:
         ref = ref * ps_compose_power(phi, a)
@@ -129,11 +131,11 @@ def _em_eps_reference(gamma, R, order):
     const = RF.constant(GaussianRational.i() ** planes * sign)
     tr = spinor_trace_exact("tr", RotationData(R.entries, 1))
     if case == (1, 0):
-        return PS.of(witten_exact(2, weights, order)).scale(tr.inverse() * const)
+        return PS.of(witten_series(2, weights, order)).scale(tr.inverse() * const)
     if case == (0, 1):
-        return shift_p(PS.of(witten_exact(3, weights, order)).scale(tr * sign), planes)
+        return shift_p(PS.of(witten_series(3, weights, order)).scale(tr * sign), planes)
     st = spinor_trace_exact("str", R)
-    return shift_p(PS.of(witten_exact(4, weights, order)).scale(st * const), planes)
+    return shift_p(PS.of(witten_series(4, weights, order)).scale(st * const), planes)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 3)])

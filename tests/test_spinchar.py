@@ -6,19 +6,17 @@ import pytest
 
 from elliptica.spinchar import (
     AngleOnLatticeError,
-    BranchPointError,
     CyclicAction,
     RotationData,
     SpinCharError,
     SupertraceZeroError,
     chi,
     epsilon_J,
-    j_factor,
     os_sign,
-    pfaffian,
     spinor_trace,
     v_sign,
 )
+from numeric_reference import BranchPointError, j_factor, pfaffian
 from ring_reference import RF
 from series_reference import spinor_trace_exact
 
@@ -144,13 +142,17 @@ def test_recoding_invariance():
         sig = 1 if rng.random() < 0.5 else -1
         r = RotationData(angles, sig)
         j = rng.randrange(n)
-        flipped = r.recode(j)
+        # flip entry j and the orientation: the same oriented space
+        flipped = RotationData(
+            tuple(-a if m == j else a for m, a in enumerate(angles)), -sig)
         assert abs(spinor_trace("str", r) - spinor_trace("str", flipped)) < 1e-13
         assert abs(spinor_trace("tr", r) - spinor_trace("tr", flipped)) < 1e-13
         assert abs(pfaffian(r) - pfaffian(flipped)) < 1e-13
         ints = RotationData(tuple(rng.choice([1, 2, 3]) for _ in range(n)), sig)
         k = rng.randrange(n)
-        assert epsilon_J(ints) == epsilon_J(ints.recode(k))
+        flipped = RotationData(
+            tuple(-a if m == k else a for m, a in enumerate(ints.entries)), -sig)
+        assert epsilon_J(ints) == epsilon_J(flipped)
 
 
 def test_supertrace_multiplicativity():
@@ -164,7 +166,8 @@ def test_supertrace_multiplicativity():
             tuple(rng.uniform(0.2, 2.8) for _ in range(rng.randint(1, 3))),
             1 if rng.random() < 0.5 else -1,
         )
-        lhs = spinor_trace("str", r1.concat(r2))
+        lhs = spinor_trace("str", RotationData(
+            r1.entries + r2.entries, r1.orientation_sign * r2.orientation_sign))
         rhs = spinor_trace("str", r1) * spinor_trace("str", r2)
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 

