@@ -28,11 +28,11 @@ checks never decode a row: they compare packed rows, as ints.
 Numeric backend, with an ``EllipticParams``: one kernel,
 ``EllipticParams.theta_product``, evaluates a whole product of theta
 quotients, or of W_i characters, in one pass: for each point the pole
-guard (``_lattice_offset``, the one statement of the distance to a pole),
-the reduction by m tau into the strip |Im z| <= Im tau / 2, and two
-Jacobi theta series by the triple product, cut where the tail bound
-falls below 1e-18 (3 to 6 terms for Im tau in [0.5, 2]); where |q| > 1/2
-they are summed at a modular image of tau.  What depends on tau alone is
+guard (``_lattice_offset``, the one statement of the distance to a pole,
+inlined in the loop), the reduction by m tau into the strip
+|Im z| <= Im tau / 2, and two Jacobi theta series by the triple product,
+cut where the tail bound falls below 1e-18 (3 to 6 terms for Im tau in
+[0.5, 2]); where |q| > 1/2 they are summed at a modular image of tau.  What depends on tau alone is
 computed once per ``EllipticParams``.  ``phi_numeric`` is the kernel on
 one point, ``witten.witten_char`` on the planes, and the numeric Z-products
 and fixed-point sums hand it their whole products.  The truncated products
@@ -133,7 +133,8 @@ class FarPointError(ValueError, OverflowError):
 def _lattice_offset(w, tau):
     """(distance from w to the nearest lattice point n + m tau, y, m):
     y = Im w / Im tau and m = round(y).  Every pole guard of the numeric
-    backend reads it, at w = z less the shift of its poles."""
+    backend reads it, at w = z less the shift of its poles; the loop of
+    ``theta_product`` does the same arithmetic inline."""
     y = w.imag / tau.imag
     x = w.real - y * tau.real
     dx = x - round(x)
@@ -141,20 +142,22 @@ def _lattice_offset(w, tau):
     return abs(dx + (y - m) * tau), y, m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EllipticParams:
     """tau and, optionally, the number of terms of its theta series (0: the
     q -> 0 limit, where every W_i is 1), which ``terms`` holds either way;
     what depends on tau alone is computed here, once, outside equality and
-    hashing.  Where |q| > ``DIRECT_Q`` the series are summed at a modular
-    image tau' of tau instead (``theta_product``); ValueError where the q
-    of tau' rounds to 0 (near Re tau = 0, Im tau below about 0.0085)."""
+    hashing: among it ``p``, q^{1/4} = e^{i pi tau / 2}, not a principal
+    root, which could wrap.  Where |q| > ``DIRECT_Q`` the series are summed
+    at a modular image tau' of tau instead (``theta_product``); ValueError
+    where the q of tau' rounds to 0 (near Re tau = 0, Im tau below about
+    0.0085)."""
 
     tau: complex
     series_terms: int | None = None
 
-    def __post_init__(self):
-        tau, n = self.tau, self.series_terms
+    def __init__(self, tau, series_terms=None):
+        n = series_terms
         if not cmath.isfinite(tau) or tau.imag <= 0:
             raise ValueError(
                 f"tau must be finite with positive imaginary part, got {tau}"
@@ -200,14 +203,15 @@ class EllipticParams:
                 pairs = [(-b if k % 2 else b, b) for k, (_, b) in enumerate(pairs, 1)]
             series = (b0 if j == 2 else 1.0 + 0j, b0, pairs)
             two_q8 = 2.0 * cmath.exp(0.25j * cmath.pi * image)
-            # the instance is frozen: set the derived values past __setattr__
-            self.__dict__.update(terms=dual.terms, _p=p, _series=series,
+            # the instance is frozen: set every value past __setattr__
+            self.__dict__.update(tau=tau, series_terms=series_terms,
+                                 terms=dual.terms, p=p, _series=series,
                                  _modular=(image, j, unit, scale, two_q8))
             return
         if n is None:  # the least n whose tail bound for |t| in
             # [|q|^{1/2}, |q|^{-1/2}], (2n + 5) |q|^{n(n+1)/2} / (1 - |q|), is met
-            n = 1
-            while (2 * n + 5) * qa ** (n * (n + 1) / 2) > NUMERIC_TAIL_TARGET * (1.0 - qa):
+            n, target = 1, NUMERIC_TAIL_TARGET * (1.0 - qa)
+            while (2 * n + 5) * qa ** (n * (n + 1) / 2) > target:
                 n += 1
         # (q^{k^2/2}, (-1)^k q^{k(k+1)/2}) for k = 1..n: the first is the last
         # times q^{k-1} q^{1/2}, the second minus the last times q^k
@@ -225,13 +229,8 @@ class EllipticParams:
             beta += c
             pairs.append((a, beta))
         pairs.reverse()
-        self.__dict__.update(terms=n, _p=p, _series=(1.0 + 0j, beta + 1.0, pairs),
-                             _modular=None)
-
-    @property
-    def p(self):
-        """q^{1/4} = e^{i pi tau / 2}, not a principal root, which could wrap."""
-        return self._p
+        self.__dict__.update(tau=tau, series_terms=series_terms, terms=n, p=p,
+                             _series=(1.0 + 0j, beta + 1.0, pairs), _modular=None)
 
     def theta_product(self, i, points, planes=False):
         """prod_z phi_i(z) over the complex ``points`` or, with ``planes``,
@@ -266,9 +265,14 @@ class EllipticParams:
         c = 1 if i in (2, 3) else -1  # the prefactor's 1 + c s^2
         n0, d0, pairs = self._series
         modular = self._modular
+        # what the loop reads of tau and of the shift of the poles, and the
+        # functions it calls, as locals
+        tau_re, tau_im, shift_re, shift_im = tau.real, tau.imag, shift.real, shift.imag
+        far = MAX_PERIODS * tau_im
+        exp, isfinite = cmath.exp, cmath.isfinite
         out = 1.0 + 0j
         for z in points:
-            if not cmath.isfinite(z) or planes and not z:
+            if not isfinite(z) or planes and not z:
                 raise (ValueError if cmath.isnan(z) else OverflowError)(
                     f"no theta series reaches the eigenvalue {z} at |t| = {abs(z)}"
                     if planes else f"phi_{i} has no value at the point z = {z}")
@@ -276,11 +280,16 @@ class EllipticParams:
                 if not terms:
                     continue
                 e, z = z, cmath.log(z) * _LOG_TO_R
-            elif not abs(z.imag) < MAX_PERIODS * tau.imag:
+            elif not abs(z.imag) < far:
                 raise FarPointError(f"z = {z} is too far from the real axis: Im z / Im tau "
-                                    f"= {z.imag / tau.imag:.3g} is no exact count of periods")
-            dist, y, my = _lattice_offset(z - shift, tau)
-            # y is Im z / Im tau, less 1/2 for the poles at tau/2 of phi_3, phi_4
+                                    f"= {z.imag / tau_im:.3g} is no exact count of periods")
+            # _lattice_offset(z - shift, tau), inlined: the distance to the
+            # nearest pole, and y is Im z / Im tau, less 1/2 for the poles at
+            # tau/2 of phi_3, phi_4
+            y = (z.imag - shift_im) / tau_im
+            x = z.real - shift_re - y * tau_re
+            my = round(y)
+            dist = abs(x - round(x) + (y - my) * tau)
             m = my if i < 3 else round(y + 0.5)
             if planes:
                 if dist < POLE_GUARD and (my or i > 2):
@@ -288,7 +297,7 @@ class EllipticParams:
                     raise WittenDenominatorError(f"W_{i} evaluated within {dist:.2e} of a "
                                                  f"pole: the factor n = {n} vanishes", n)
                 if m:
-                    f = cmath.exp(_MINUS_I_PI * m * tau)  # q^{-m/2}
+                    f = exp(_MINUS_I_PI * m * tau)  # q^{-m/2}
                     reduced = e * f * f
                     num, den = f * (1 + c * e), 1 + c * reduced
                     ratio = num / den if i < 3 else den / num
@@ -303,7 +312,7 @@ class EllipticParams:
                         raise FarPointError(f"z = {z} lies {m} periods off the real axis: "
                                          f"z - {m} tau keeps fewer than half of its digits")
                     z -= m * tau
-                s = cmath.exp(_I_PI * z)
+                s = exp(_I_PI * z)
                 # 1/(1/s - s), 1/(s + 1/s), s + 1/s and s - 1/s
                 d = s + 1.0 / s if c > 0 else 1.0 / s - s
                 pref = 1.0 / d if i < 3 else d if i == 3 else -d
@@ -319,7 +328,7 @@ class EllipticParams:
                 r = cmath.log(t) * _LOG_TO_R
                 k = round((scale * r).imag / image.imag)
                 w = scale * r - k * image
-                t = cmath.exp(_TWO_I_PI * w)
+                t = exp(_TWO_I_PI * w)
             a, b = n0, d0
             tk = tik = 1.0 + 0j
             ti = 1.0 / t

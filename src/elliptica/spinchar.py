@@ -40,20 +40,22 @@ class AngleOnLatticeError(SpinCharError):
     """An orientation sign was requested for an angle in 2 pi Z."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RotationData:
     """A maximal-torus element of so(N) plus an orientation sign."""
 
     entries: tuple = ()
     orientation_sign: int = 1
 
-    def __post_init__(self):
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if self.orientation_sign not in (1, -1):
+    def __init__(self, entries=(), orientation_sign=1):
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        if orientation_sign not in (1, -1):
             raise SpinCharError("orientation_sign must be +1 or -1")
-        if not self.entries and self.orientation_sign != 1:
+        if not entries and orientation_sign != 1:
             raise SpinCharError("the zero space carries only the + orientation")
+        _set_entries(self, entries)
+        _set_orientation_sign(self, orientation_sign)
 
     @property
     def planes(self):
@@ -69,14 +71,10 @@ class RotationData:
         )
 
 
-def _half_angles(R, shift):
-    out = []
-    for j, a in enumerate(R.entries):
-        w = complex(a) / 2.0
-        if shift is not None:
-            w += complex(shift[j])
-        out.append(w)
-    return out
+# the instance is frozen: its __init__ sets the fields through their slots,
+# past __setattr__
+_set_entries = RotationData.entries.__set__
+_set_orientation_sign = RotationData.orientation_sign.__set__
 
 
 def spinor_trace(kind, R, shift=None):
@@ -88,17 +86,24 @@ def spinor_trace(kind, R, shift=None):
     """
     if kind not in ("str", "tr"):
         raise ValueError("kind must be 'str' or 'tr'")
-    if shift is not None and len(shift) != R.planes:
+    entries = R.entries
+    if shift is None:
+        halves = [complex(a) / 2.0 for a in entries]
+    elif len(shift) != len(entries):
         raise SpinCharError("shift must give one offset per plane")
+    else:
+        halves = [complex(a) / 2.0 + complex(t) for a, t in zip(entries, shift)]
+    exp = cmath.exp
     out = 1.0 + 0j
-    for w in _half_angles(R, shift):
-        e = cmath.exp(1j * w)
-        if kind == "str":
-            out *= 1.0 / e - e
-        else:
-            out *= 1.0 / e + e
     if kind == "str":
+        for w in halves:
+            e = exp(1j * w)
+            out *= 1.0 / e - e
         out *= R.orientation_sign
+    else:
+        for w in halves:
+            e = exp(1j * w)
+            out *= 1.0 / e + e
     return out
 
 
@@ -110,7 +115,7 @@ def chi(g, R):
     e^{-i theta_j} - e^{i theta_j}); R's entries are SO-angles on the same
     planes.  Orientation signs multiply.
     """
-    if g is not None and g.planes != R.planes:
+    if g is not None and len(g.entries) != len(R.entries):
         raise SpinCharError("g and R must share the plane structure")
     shift = None
     sign = R.orientation_sign
@@ -157,24 +162,26 @@ def os_sign(Y):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CyclicAction:
     """An order-k rotation given by its residues mod k, one per 2-plane."""
 
     k: int
     residues: tuple = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k, residues=()):
+        if k < 1:
             raise SpinCharError("k must be a positive integer")
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
+        # the instance is frozen: set the fields past __setattr__
+        self.__dict__.update(k=k, residues=tuple([int(r) for r in residues]))
 
     @property
     def planes(self):
         return len(self.residues)
 
     def has_eigenvalue_one(self):
-        return any(r % self.k == 0 for r in self.residues)
+        k = self.k
+        return any([r % k == 0 for r in self.residues])
 
     def normalized_residues(self):
         """Residues pulled into {1, .., k-1}; requires no eigenvalue 1."""

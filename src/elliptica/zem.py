@@ -66,6 +66,7 @@ from .witten import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_TWO_I_PI = 2j * cmath.pi
 
 
 class ZemError(ValueError):
@@ -132,44 +133,41 @@ class LatticeElement:
         return f"({self.alpha}+{self.beta}*tau)/{self.k}"
 
 
-def _collides(gamma, gv, a, params):
-    """Does a*gamma lie on the lattice, the poles of phi_1 (exactly for
-    torsion, within POLE_GUARD for free points)?  gv is gamma at tau."""
-    if isinstance(gamma, LatticeElement):
-        return (a * gamma.alpha) % gamma.k == 0 and (a * gamma.beta) % gamma.k == 0
-    return _lattice_offset(a * gv, params.tau)[0] < POLE_GUARD
-
-
 # ---------------------------------------------------------------------------
 # Z
 
 
-def _require_rotation_numbers(J):
-    if not J.is_integral():
-        raise ZemError("z_fun needs integer rotation data J")
-    if 0 in J.entries:
-        raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
-
-
 def _z_points(gamma, J, R, params, strict):
     """(nu, points) of Z(gamma, J)(R): the orientation sign of J and R and
-    the points a*gamma + r_a, after the ``strict`` collision check."""
-    _require_rotation_numbers(J)
+    the points a*gamma + r_a, after the ``strict`` collision check: does
+    a*gamma lie on the lattice, the poles of phi_1 (exactly for torsion,
+    within POLE_GUARD for free points)?"""
+    entries = J.entries
+    zero = False
+    for a in entries:
+        if not isinstance(a, int):
+            raise ZemError("z_fun needs integer rotation data J")
+        if not a:
+            zero = True
+    if zero:
+        raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
     nu = J.orientation_sign
     if R is not None:
-        if R.planes != J.planes:
+        if len(R.entries) != len(entries):
             raise ZemError("R must share J's plane structure")
         nu *= R.orientation_sign
-    gv = gamma.value(params.tau) if isinstance(gamma, LatticeElement) else complex(gamma)
+    torsion = isinstance(gamma, LatticeElement)
+    gv = gamma.value(params.tau) if torsion else complex(gamma)
     if strict:
-        for a in J.entries:
-            if _collides(gamma, gv, a, params):
+        for a in entries:
+            if (a * gamma.alpha % gamma.k == 0 and a * gamma.beta % gamma.k == 0
+                    if torsion else _lattice_offset(a * gv, params.tau)[0] < POLE_GUARD):
                 raise SpecialCollisionError(
                     f"a*gamma lies on the lattice for rotation number a = {a}", a
                 )
     if R is None:
-        return nu, [a * gv for a in J.entries]
-    return nu, [a * gv + complex(r) for a, r in zip(J.entries, R.entries)]
+        return nu, [a * gv for a in entries]
+    return nu, [a * gv + complex(r) for a, r in zip(entries, R.entries)]
 
 
 def z_fun(gamma, J, R, params, *, strict=True):
@@ -206,8 +204,12 @@ def z_term(entries, order, nu=1):
 def _offset_angles(offsets, sign):
     """Offsets r (z-scale) as angle data 2 pi r with orientation ``sign``,
     plus the eigenvalue e = e^{2 pi i r} of each plane (the other is 1/e)."""
-    angles = RotationData(tuple(_TWO_PI * complex(r) for r in offsets), sign)
-    return angles, [cmath.exp(2j * cmath.pi * complex(r)) for r in offsets]
+    angles, eigs = [], []
+    for r in offsets:
+        r = complex(r)
+        angles.append(_TWO_PI * r)
+        eigs.append(cmath.exp(_TWO_I_PI * r))
+    return RotationData(angles, sign), eigs
 
 
 def _theta_parts(case, angles, eigs, params):
@@ -314,19 +316,22 @@ def em_fun(gamma, zeta, R, params):
         raise ZemError("R must give one offset per plane of the action")
     sigma = R.orientation_sign
     res = zeta.normalized_residues()
-    b_idx = [j for j, r in enumerate(res) if k % 2 == 0 and r == k // 2]
-    g_idx = [j for j, r in enumerate(res) if not (k % 2 == 0 and r == k // 2)]
+    half = k // 2 if k % 2 == 0 else None  # the residue of the -1 action
+    b_idx = [j for j, r in enumerate(res) if r == half]
+    g_idx = [j for j, r in enumerate(res) if r != half]
     out = 1.0 + 0j
     if b_idx:
         # when the unreflected part is empty the total orientation sign
         # belongs to the reflected factor
         b_sign = sigma if not g_idx else 1
-        r_b = RotationData(tuple(R.entries[j] for j in b_idx), b_sign)
+        r_b = RotationData([R.entries[j] for j in b_idx], b_sign)
         out *= em_eps(gamma, r_b, params)
     if g_idx:
-        kdata = RotationData(tuple(res[j] for j in g_idx), sigma)
-        r_g = RotationData(tuple(R.entries[j] for j in g_idx), 1)
-        os_k = os_sign(kdata.scaled(_TWO_PI / k))
+        g_res = [res[j] for j in g_idx] if b_idx else res
+        kdata = RotationData(g_res, sigma)
+        r_g = RotationData([R.entries[j] for j in g_idx] if b_idx else R.entries, 1)
+        angle = _TWO_PI / k
+        os_k = os_sign(RotationData([a * angle for a in g_res], sigma))
         out *= (os_k ** (gamma.alpha + gamma.beta)) * z_fun(
             gamma, kdata, r_g, params
         )
@@ -349,7 +354,11 @@ class IdentityReport:
     passed: bool = True
 
     def record(self, trial, residual, data):
-        self.max_residual = _worst(self.max_residual, residual)
+        # _worst of the two: a NaN kept stays, a NaN residual replaces, and
+        # else the larger, the first of two equal ones
+        worst = self.max_residual
+        if worst == worst and (residual != residual or residual > worst):
+            self.max_residual = residual
         if residual >= self.tol or residual != residual:  # NaN guard
             self.failures.append(
                 {"trial": trial, "residual": residual, "data": data}
@@ -399,12 +408,39 @@ def _residual(lhs, rhs):
     return abs(lhs - rhs) / scale
 
 
+# The trials draw through these helpers, in fewer Python calls than the
+# random.Random methods they stand for; each returns what its method returns,
+# from the same raw draws (tests/test_draws.py pins them).
+
+
+def _randint(rng, a, b):
+    """rng.randint(a, b), and rng.choice(seq) as seq[_randint(rng, 0,
+    len(seq) - 1)]: a plus a draw below the width n = b - a + 1, read from
+    getrandbits(n.bit_length()) and read again until it is below n."""
+    n = b - a + 1
+    if n < 1:
+        raise ValueError(f"randint({a}, {b}) has an empty range")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def _draw_complex(rng, re_low, re_high, im_low, im_high):
+    """complex(rng.uniform(re_low, re_high), rng.uniform(im_low, im_high)),
+    where uniform(a, b) is a + (b - a) * random()."""
+    random = rng.random
+    return complex(re_low + (re_high - re_low) * random(),
+                   im_low + (im_high - im_low) * random())
+
+
 def _draw_angle(rng):
-    return complex(rng.uniform(0.1, 3.0), rng.uniform(-0.2, 0.2))
+    return _draw_complex(rng, 0.1, 3.0, -0.2, 0.2)
 
 
 def _draw_offset(rng):
-    return _draw_angle(rng) / _TWO_PI
+    return _draw_complex(rng, 0.1, 3.0, -0.2, 0.2) / _TWO_PI
 
 
 def _draw_sign(rng):
@@ -413,17 +449,18 @@ def _draw_sign(rng):
 
 def _draw_nonzero_int(rng, bound):
     while True:
-        a = rng.randint(-bound, bound)
+        a = _randint(rng, -bound, bound)
         if a:
             return a
 
 
 def _draw_reduced_torsion(rng, k, bound=2):
+    m = bound * k
     for _ in range(200):
-        alpha = rng.randint(-bound * k, bound * k)
-        beta = rng.randint(-bound * k, bound * k)
-        if gcd(gcd(abs(alpha), abs(beta)), k) == 1:
-            return LatticeElement.torsion(alpha, beta, k)
+        alpha = _randint(rng, -m, m)
+        beta = _randint(rng, -m, m)
+        if gcd(alpha, beta, k) == 1:
+            return LatticeElement(alpha, beta, k)  # reduced: the check above
     raise DegenerateDrawError(f"no reduced torsion point of order {k} found")
 
 
@@ -447,8 +484,8 @@ def _max_planes(dims):
 
 
 def _trial_k_transfer(rng, dims, params):
-    planes_total = rng.randint(1, _max_planes(dims))
-    n1 = rng.randint(1, planes_total)
+    planes_total = _randint(rng, 1, _max_planes(dims))
+    n1 = _randint(rng, 1, planes_total)
     n0 = planes_total - n1
     sig0 = _draw_sign(rng) if n0 else 1  # the zero space only carries +
     sig1 = _draw_sign(rng)
@@ -459,17 +496,17 @@ def _trial_k_transfer(rng, dims, params):
 
     lhs = 1.0 + 0j
     if n0:
-        lhs *= chi(None, RotationData(tuple(y[j] + r[j] for j in range(n0)), sig0))
+        lhs *= chi(None, RotationData([y[j] + r[j] for j in range(n0)], sig0))
     lhs *= chi(
-        RotationData(tuple(theta), 1),
-        RotationData(tuple(y[n0 + j] + r[n0 + j] for j in range(n1)), sig1),
+        RotationData(theta, 1),
+        RotationData([y[n0 + j] + r[n0 + j] for j in range(n1)], sig1),
     )
     g_full = RotationData(
-        tuple(y[j] / 2.0 for j in range(n0))
-        + tuple(theta[j] + y[n0 + j] / 2.0 for j in range(n1)),
+        [y[j] / 2.0 for j in range(n0)]
+        + [theta[j] + y[n0 + j] / 2.0 for j in range(n1)],
         1,
     )
-    rhs = (sig_n * sig0 * sig1) * chi(g_full, RotationData(tuple(r), sig_n))
+    rhs = (sig_n * sig0 * sig1) * chi(g_full, RotationData(r, sig_n))
     return _residual(lhs, rhs), {
         "planes": planes_total,
         "n0_planes": n0,
@@ -500,19 +537,17 @@ def _z_periodicity_exact(entries, order):
 
 
 def _trial_z_periodicity(rng, dims, params):
-    planes = rng.randint(1, _max_planes(dims))
-    entries = tuple(_draw_nonzero_int(rng, 4) for _ in range(planes))
+    planes = _randint(rng, 1, _max_planes(dims))
+    entries = tuple([_draw_nonzero_int(rng, 4) for _ in range(planes)])
     sig = _draw_sign(rng)
     J = RotationData(entries, sig)
-    r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), 1)
-    gamma = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.25, 0.25))
-    y = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
+    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
+    gamma = _draw_complex(rng, -0.4, 0.4, -0.25, 0.25)
+    y = _draw_complex(rng, -0.2, 0.2, -0.1, 0.1)
     tau = params.tau
     eps = epsilon_J(J)
 
-    shifted = RotationData(
-        tuple(r.entries[j] + entries[j] * y for j in range(planes)), 1
-    )
+    shifted = RotationData([r.entries[j] + entries[j] * y for j in range(planes)], 1)
     lhs1 = z_fun(gamma, J, shifted, params)
     rhs1 = z_fun(gamma + y, J, r, params)
     res = _residual(lhs1, rhs1)
@@ -525,20 +560,18 @@ def _trial_z_periodicity(rng, dims, params):
 
 
 def _trial_order_k_trivial(rng, dims, params):
-    planes = rng.randint(1, _max_planes(dims))
-    k = rng.randint(1, 4)
-    mults = tuple(_draw_nonzero_int(rng, 3) for _ in range(planes))
+    planes = _randint(rng, 1, _max_planes(dims))
+    k = _randint(rng, 1, 4)
+    mults = tuple([_draw_nonzero_int(rng, 3) for _ in range(planes)])
     sig = _draw_sign(rng)
-    J = RotationData(tuple(k * m for m in mults), sig)
-    r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), 1)
-    alpha = rng.randint(-3, 3)
-    beta = rng.randint(-3, 3)
+    J = RotationData([k * m for m in mults], sig)
+    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
+    alpha = _randint(rng, -3, 3)
+    beta = _randint(rng, -3, 3)
     gamma = (alpha + beta * params.tau) / k
     lhs = z_fun(gamma, J, r, params, strict=False)
     eps_jk = epsilon_J(RotationData(mults, 1))
-    rhs = (eps_jk ** (alpha + beta)) * sig * _z_tau_series_value(
-        RotationData(r.entries, 1), params
-    )
+    rhs = (eps_jk ** (alpha + beta)) * sig * _z_tau_series_value(r, params)
     return _residual(lhs, rhs), {
         "k": k,
         "alpha": alpha,
@@ -550,29 +583,28 @@ def _trial_order_k_trivial(rng, dims, params):
 def _trial_all_w(rng, dims, params):
     """One draw of J with half-period rotation numbers, checked against all
     four parity cases of (alpha, beta)."""
-    planes = rng.randint(1, _max_planes(dims))
-    k = rng.choice([2, 4, 6])
-    entries = tuple(k // 2 + k * rng.randint(-2, 2) for _ in range(planes))
+    planes = _randint(rng, 1, _max_planes(dims))
+    k = (2, 4, 6)[_randint(rng, 0, 2)]
+    entries = tuple([k // 2 + k * _randint(rng, -2, 2) for _ in range(planes)])
     sig = _draw_sign(rng)
     J = RotationData(entries, sig)
-    r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), 1)
+    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
     tau = params.tau
     os_k = os_sign(J.scaled(_TWO_PI / k))
     angles, eigs = _offset_angles(r.entries, sig)
+    signed = RotationData(r.entries, sig)
 
     res = 0.0
     data = {"k": k, "em_eps_checked": False, "cases": []}
     for parity in HALF_PERIODS:
-        alpha = parity[0] + 2 * rng.randint(-2, 2)
-        beta = parity[1] + 2 * rng.randint(-2, 2)
+        alpha = parity[0] + 2 * _randint(rng, -2, 2)
+        beta = parity[1] + 2 * _randint(rng, -2, 2)
         gamma = (alpha + beta * tau) / k
         lhs = z_fun(gamma, J, r, params, strict=False)
-        if parity != (0, 0) and gcd(gcd(abs(alpha), abs(beta)), k) == 1:
+        if parity != (0, 0) and gcd(alpha, beta, k) == 1:
             # at a reduced torsion point the right side is em_eps itself
             gamma_pt = LatticeElement.torsion(alpha, beta, k)
-            rhs = (os_k ** (alpha + beta)) * em_eps(
-                gamma_pt, RotationData(r.entries, sig), params
-            )
+            rhs = (os_k ** (alpha + beta)) * em_eps(gamma_pt, signed, params)
             data["em_eps_checked"] = True
         else:
             c = _c_constant_numeric(parity, alpha, beta, planes, params)
@@ -588,34 +620,33 @@ def _draw_zeta(rng, k, planes, allow_minus_one):
     pool = [a for a in range(1, k) if allow_minus_one or 2 * a != k]
     if not pool:
         raise DegenerateDrawError(f"no admissible residues for k = {k}")
-    return tuple(rng.choice(pool) for _ in range(planes))
+    last = len(pool) - 1
+    return tuple([pool[_randint(rng, 0, last)] for _ in range(planes)])
 
 
 def _trial_em_welldef(rng, dims, params):
-    planes = rng.randint(1, _max_planes(dims))
+    planes = _randint(rng, 1, _max_planes(dims))
     # k = 2 admits only the residue k/2 (the -1 action), which has no
     # adapted data; the well-definedness statement starts at k = 3
-    k = rng.randint(3, 6)
+    k = _randint(rng, 3, 6)
     res_list = _draw_zeta(rng, k, planes, allow_minus_one=False)
     sig = _draw_sign(rng)
     gamma = _draw_reduced_torsion(rng, k)
-    r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), sig)
+    r = RotationData([_draw_offset(rng) for _ in range(planes)], sig)
     ab = gamma.alpha + gamma.beta
+    angle = _TWO_PI / k
+    offsets = RotationData(r.entries, 1)
 
     def em_via(lift_shifts):
-        kdata = RotationData(
-            tuple(res_list[j] + k * lift_shifts[j] for j in range(planes)), sig
-        )
-        os_k = os_sign(kdata.scaled(_TWO_PI / k))
-        return (os_k**ab) * z_fun(
-            gamma, kdata, RotationData(r.entries, 1), params
-        )
+        lifted = [res_list[j] + k * lift_shifts[j] for j in range(planes)]
+        os_k = os_sign(RotationData([a * angle for a in lifted], sig))
+        return (os_k**ab) * z_fun(gamma, RotationData(lifted, sig), offsets, params)
 
     # em_fun lifts by the canonical adapted data, em_via([0] * planes): the
     # two agree bit for bit, so em_fun is the base the other lifts meet
     base = em_fun(gamma, CyclicAction(k, res_list), r, params)
-    other = em_via([rng.randint(-2, 2) for _ in range(planes)])
-    third = em_via([rng.randint(-2, 2) for _ in range(planes)])
+    other = em_via([_randint(rng, -2, 2) for _ in range(planes)])
+    third = em_via([_randint(rng, -2, 2) for _ in range(planes)])
     res = _worst(_residual(base, other), _residual(base, third))
     return res, {"k": k, "residues": list(res_list), "gamma": str(gamma)}
 
@@ -627,41 +658,36 @@ def _transfer_sides(params, k, n0, n1, sig0, sig1, sig_n, j0, j1,
     ab = gamma.alpha + gamma.beta
     lhs = 1.0 + 0j
     if n0:
-        off0 = RotationData(
-            tuple(r[j] + j0[j] * y for j in range(n0)), sig0
-        )
+        off0 = RotationData([r[j] + j0[j] * y for j in range(n0)], sig0)
         lhs *= _z_tau_series_value(off0, params)
-    off1 = RotationData(
-        tuple(r[n0 + j] + j1[j] * y for j in range(n1)), sig1
-    )
+    off1 = RotationData([r[n0 + j] + j1[j] * y for j in range(n1)], sig1)
     lhs *= em_fun(gamma, CyclicAction(k, residues), off1, params)
 
-    j_full = RotationData(tuple(j0) + tuple(j1), sig_n)
-    r_full = RotationData(tuple(r), 1)
+    j_full = RotationData((*j0, *j1), sig_n)
+    r_full = RotationData(r, 1)
     gamma_y = gamma.value(params.tau) + y
     rhs_core = z_fun(gamma_y, j_full, r_full, params, strict=False)
 
-    os1 = os_sign(RotationData(tuple(j1), sig1).scaled(_TWO_PI / k)) ** ab
-    eps0 = (
-        epsilon_J(RotationData(tuple(a // k for a in j0), 1)) ** ab if n0 else 1
-    )
+    angle = _TWO_PI / k
+    os1 = os_sign(RotationData([a * angle for a in j1], sig1)) ** ab
+    eps0 = epsilon_J(RotationData([a // k for a in j0], 1)) ** ab if n0 else 1
     eps = os1 * eps0 * (sig_n * sig0 * sig1 if n0 else sig_n * sig1)
     return lhs, rhs_core, eps
 
 
 def _trial_elliptic_transfer(rng, dims, params):
-    planes = rng.randint(1, _max_planes(dims))
-    n1 = rng.randint(1, planes)
+    planes = _randint(rng, 1, _max_planes(dims))
+    n1 = _randint(rng, 1, planes)
     n0 = planes - n1
-    k = rng.randint(2, 6)
+    k = _randint(rng, 2, 6)
     residues = _draw_zeta(rng, k, n1, allow_minus_one=True)
     j0 = [k * _draw_nonzero_int(rng, 2) for _ in range(n0)]
-    j1 = [residues[j] + k * rng.randint(-2, 2) for j in range(n1)]
+    j1 = [residues[j] + k * _randint(rng, -2, 2) for j in range(n1)]
     sig0 = _draw_sign(rng)
     sig1 = _draw_sign(rng)
     sig_n = _draw_sign(rng)
     gamma = _draw_reduced_torsion(rng, k)
-    y = complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.06, 0.06))
+    y = _draw_complex(rng, -0.12, 0.12, -0.06, 0.06)
     r = [_draw_offset(rng) for _ in range(planes)]
     lhs, rhs_core, eps = _transfer_sides(
         params, k, n0, n1, sig0, sig1, sig_n, j0, j1, residues, gamma, y, r
@@ -683,8 +709,8 @@ def _trial_spin_transfer(rng, dims, params):
     # between the two prescriptions, so only draws where they agree are
     # instances of the statement.
     for _ in range(400):
-        planes = rng.randint(1, _max_planes(dims))
-        k = rng.randint(2, 6)
+        planes = _randint(rng, 1, _max_planes(dims))
+        k = _randint(rng, 2, 6)
         entries = [_draw_nonzero_int(rng, 2 * k) for _ in range(planes)]
         if sum(entries) % 2 != 0 or not any(a % k for a in entries):
             continue
@@ -697,7 +723,7 @@ def _trial_spin_transfer(rng, dims, params):
         for a in entries:
             if a < 0:
                 sig_n = -sig_n
-        eps0 = epsilon_J(RotationData(tuple(a // k for a in j0), 1)) if n0 else 1
+        eps0 = epsilon_J(RotationData([a // k for a in j0], 1)) if n0 else 1
         sig1 = eps0
         for a in j1:
             if math.sin(math.pi * a / k) < 0:
@@ -706,16 +732,17 @@ def _trial_spin_transfer(rng, dims, params):
             break
     else:
         raise DegenerateDrawError("no admissible spin draw found")
-    residues = tuple(a % k for a in j1)
+    residues = [a % k for a in j1]
     sig0 = sig_n * sig1
 
     # the sign identity behind the clean transfer: Os(J1/k, o1) eps(J0/k) = 1
-    os1 = os_sign(RotationData(tuple(j1), sig1).scaled(_TWO_PI / k))
+    angle = _TWO_PI / k
+    os1 = os_sign(RotationData([a * angle for a in j1], sig1))
     if os1 * eps0 != 1:
         return 1.0, {"sign_identity_violated": True, "entries": entries}
 
     gamma = _draw_reduced_torsion(rng, k)
-    y = complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.06, 0.06))
+    y = _draw_complex(rng, -0.12, 0.12, -0.06, 0.06)
     r = [_draw_offset(rng) for _ in range(planes)]
     r_sorted = [r[j] for j in idx0] + [r[j] for j in idx1]
     lhs, rhs_core, eps = _transfer_sides(
@@ -728,12 +755,12 @@ def _trial_spin_transfer(rng, dims, params):
 
 
 def _trial_spin_periodicity(rng, dims, params):
-    planes = rng.randint(1, _max_planes(dims))
-    k = rng.randint(2, 6)
+    planes = _randint(rng, 1, _max_planes(dims))
+    k = _randint(rng, 2, 6)
     residues = _draw_zeta(rng, k, planes, allow_minus_one=True)
     sig = _draw_sign(rng)
     gamma = _draw_reduced_torsion(rng, k)
-    r = RotationData(tuple(_draw_offset(rng) for _ in range(planes)), sig)
+    r = RotationData([_draw_offset(rng) for _ in range(planes)], sig)
     zeta = CyclicAction(k, residues)
     v = v_sign(zeta, sig)
 
@@ -765,24 +792,24 @@ def _trial_degenerate(rng, dims, q0):
     functions, and those combinations must satisfy the finite-order
     twisted multiplicativity identity among themselves.
     """
-    planes = rng.randint(1, _max_planes(dims))
-    n1 = rng.randint(1, planes)
+    planes = _randint(rng, 1, _max_planes(dims))
+    n1 = _randint(rng, 1, planes)
     n0 = planes - n1
-    k = rng.randint(2, 6)
+    k = _randint(rng, 2, 6)
     residues = _draw_zeta(rng, k, n1, allow_minus_one=True)
     j0 = [k * _draw_nonzero_int(rng, 2) for _ in range(n0)]
-    j1 = [residues[j] + k * rng.randint(-2, 2) for j in range(n1)]
+    j1 = [residues[j] + k * _randint(rng, -2, 2) for j in range(n1)]
     sig0 = _draw_sign(rng) if n0 else 1
     sig1 = _draw_sign(rng)
     sig_n = _draw_sign(rng)
     for _ in range(80):
-        alpha = rng.randint(-2 * k, 2 * k)
+        alpha = _randint(rng, -2 * k, 2 * k)
         if gcd(abs(alpha), k) == 1:
             break
     else:
         raise DegenerateDrawError("no unit alpha found")
     gamma = LatticeElement.torsion(alpha, 0, k)
-    y = complex(rng.uniform(-0.12, 0.12), rng.uniform(-0.06, 0.06))
+    y = _draw_complex(rng, -0.12, 0.12, -0.06, 0.06)
     r = [_draw_offset(rng) for _ in range(planes)]
 
     lhs_q0, rhs_core_q0, eps = _transfer_sides(
@@ -798,41 +825,34 @@ def _trial_degenerate(rng, dims, q0):
     if n0:
         chi_lhs *= chi(
             None,
-            RotationData(
-                tuple(_TWO_PI * (j0[j] * y + r[j]) for j in range(n0)), sig0
-            ),
+            RotationData([_TWO_PI * (j0[j] * y + r[j]) for j in range(n0)], sig0),
         )
     res_norm = [a % k for a in j1]
-    b_pos = [j for j, rr in enumerate(res_norm) if k % 2 == 0 and rr == k // 2]
-    g_pos = [j for j, rr in enumerate(res_norm) if not (k % 2 == 0 and rr == k // 2)]
+    half = k // 2 if k % 2 == 0 else None  # the residue of the -1 action
+    b_pos = [j for j, rr in enumerate(res_norm) if rr == half]
+    g_pos = [j for j, rr in enumerate(res_norm) if rr != half]
     if b_pos:
         b_sign = sig1 if not g_pos else 1
         angles_b = RotationData(
-            tuple(_TWO_PI * (j1[j] * y + r[n0 + j]) for j in b_pos), b_sign
+            [_TWO_PI * (j1[j] * y + r[n0 + j]) for j in b_pos], b_sign
         )
         c2 = _c_constant_numeric((1, 0), alpha, 0, len(b_pos), q0)
         chi_lhs *= c2 / spinor_trace("tr", angles_b)
     if g_pos:
-        g_theta = tuple(math.pi * res_norm[j] * gv for j in g_pos)
+        g_theta = [math.pi * res_norm[j] * gv for j in g_pos]
         angles_g = RotationData(
-            tuple(_TWO_PI * (j1[j] * y + r[n0 + j]) for j in g_pos), sig1
+            [_TWO_PI * (j1[j] * y + r[n0 + j]) for j in g_pos], sig1
         )
-        os_g = os_sign(
-            RotationData(tuple(res_norm[j] for j in g_pos), sig1).scaled(
-                _TWO_PI / k
-            )
-        )
-        chi_lhs *= (os_g**alpha) * chi(
-            RotationData(g_theta, 1), RotationData(angles_g.entries, sig1)
-        )
+        angle = _TWO_PI / k
+        os_g = os_sign(RotationData([res_norm[j] * angle for j in g_pos], sig1))
+        chi_lhs *= (os_g**alpha) * chi(RotationData(g_theta, 1), angles_g)
 
     # right side through the chi machinery: the finite-order element acts on
     # every plane, including the fixed part where it contributes signs
-    all_entries = tuple(j0) + tuple(j1)
-    g_all = RotationData(tuple(math.pi * a * gv for a in all_entries), 1)
+    all_entries = (*j0, *j1)
+    g_all = RotationData([math.pi * a * gv for a in all_entries], 1)
     r_all = RotationData(
-        tuple(_TWO_PI * (all_entries[j] * y + r[j]) for j in range(planes)),
-        sig_n,
+        [_TWO_PI * (all_entries[j] * y + r[j]) for j in range(planes)], sig_n
     )
     chi_rhs = eps * chi(g_all, r_all)
 
@@ -877,11 +897,11 @@ def _exact_component(suite, seed, order=_EXACT_ORDER):
         return None
     rng = random.Random(f"{seed}|{suite}|exact")
     if suite == "Z-periodicity":
-        entries = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        entries = [_randint(rng, 1, 3) for _ in range(_randint(rng, 1, 3))]
     else:
         # even total rotation number: exp(J) = 1 in the spin group, so the
         # gamma+1 substitution must reproduce the series with no sign
-        entries = [rng.randint(1, 3) for _ in range(2)]
+        entries = [_randint(rng, 1, 3) for _ in range(2)]
         if sum(entries) % 2:
             entries[0] += 1
     out = _z_periodicity_exact(entries, order)
@@ -908,9 +928,9 @@ def _run_trial(suite, seed, trial, dims):
     rng = random.Random(f"{seed}|{suite}|{trial}")
     last_error = None
     for _attempt in range(60):
-        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 2.0))
+        tau = _draw_complex(rng, -0.45, 0.45, 0.5, 2.0)
         try:
-            return body(rng, dims, EllipticParams(tau=tau, series_terms=terms))
+            return body(rng, dims, EllipticParams(tau, terms))
         except DegenerateDrawError:
             raise
         except _RETRIED as exc:
@@ -921,10 +941,10 @@ def _run_trial(suite, seed, trial, dims):
 
 # the fewest trials a forked worker takes on.  On a 2-vCPU Xeon a fork costs
 # the parent 0.3-0.6 ms and an empty share arrives 1.7 ms after it, while a
-# trial takes 0.06-0.25 ms by suite.  In sets of 25 paired `verify --suite
-# all` runs, shares of 25 trials (--trials 50) gained 1-4 ms of 175-195,
-# within noise, and shares of 50 (--trials 100) 25-35 ms of 244-268; hosts
-# with more CPUs were not measured
+# trial takes 0.036-0.143 ms by suite.  In sets of 25 paired `verify --suite
+# all` runs, when a trial took 0.06-0.25 ms, shares of 25 trials (--trials
+# 50) gained 1-4 ms of 175-195, within noise, and shares of 50 (--trials
+# 100) 25-35 ms of 244-268; hosts with more CPUs were not measured
 _MIN_SHARE = 50
 
 

@@ -10,6 +10,7 @@ from elliptica.elliptic import (
     EllipticParams,
     PoleError,
     TRANSLATIONS,
+    _lattice_offset,
     phi_exact,
     phi_numeric,
     phi_translate_check,
@@ -155,6 +156,23 @@ def test_pole_guard():
         phi_numeric(3, params, 0.5j)  # tau/2 at tau = i
     with pytest.raises(PoleError):
         phi_numeric(4, params, 0.5 + 0.5j)
+
+
+def test_kernel_pole_guard_is_the_lattice_offset():
+    """theta_product measures the distance to a pole by the arithmetic of
+    _lattice_offset, inlined: the distance a PoleError carries is the
+    function's, bit for bit, near poles n + m tau + shift of each phi_i."""
+    rng = random.Random(3)
+    for _ in range(200):
+        tau = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.5, 2.0))
+        params = EllipticParams(tau=tau)
+        for i, shift in enumerate((0j, 0.5 + 0j, tau / 2.0, 0.5 + tau / 2.0), 1):
+            n, m = rng.randint(-3, 3), rng.randint(-3, 3)
+            near = complex(rng.uniform(-5e-9, 5e-9), rng.uniform(-5e-9, 5e-9))
+            z = n + m * tau + shift + near
+            with pytest.raises(PoleError) as err:
+                phi_numeric(i, params, z)
+            assert err.value.distance == _lattice_offset(z - shift, tau)[0]
 
 
 @pytest.mark.parametrize("i", [0, 5, -1])
