@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 from math import gcd, isqrt
 
 from .ring import _poly_str
-from .elliptic import theta_term
+from .elliptic import POLE_GUARD, PoleError, theta_term
 from .witten import laurent_sum
 from .zem import LatticeElement
 
@@ -314,7 +314,8 @@ def witten_index(m, order):
 def index_numeric(m, z, bundle=None):
     """``equivariant_index`` as a complex value at the point z, and the
     largest |term| of its fixed-point sum.  OverflowError names z where
-    e^{i pi a z} leaves the floats."""
+    e^{i pi a z} leaves the floats, and PoleError the weight a that puts
+    a z within POLE_GUARD of an integer, a pole of 1/(s^-a - s^a)."""
     _require_bundle(m, bundle)
     z = complex(z)
     terms = []
@@ -328,6 +329,10 @@ def index_numeric(m, z, bundle=None):
             except OverflowError:
                 raise OverflowError(f"z = {z} is too far from the real axis: "
                                     f"e^(i pi a z) at a = {a} is no nonzero float") from None
+            dist = abs(a * z - round(a * z.real))
+            if dist < POLE_GUARD:
+                raise PoleError(f"a z lies within {dist:.2e} of an integer at weight "
+                                f"a = {a}: 1/(s^-a - s^a) has a pole there", dist)
             term *= 1.0 / (1.0 / e - e)
         if bundle is not None:
             term *= sum(cmath.exp(2j * cmath.pi * w * z) for w in bundle[i])

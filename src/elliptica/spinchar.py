@@ -2,7 +2,10 @@
 and every orientation sign the index formulas need.
 
 A ``RotationData`` lists one scalar per 2-plane plus a single orientation
-sign relative to the listed planes.  Two readings of the entries coexist:
+sign relative to the listed planes; it is passed only where that sign is
+read (``spinor_trace``, ``chi``'s R, ``os_sign``), and plain sequences carry
+the rest: ``chi``'s Spin parameters g and ``epsilon_J``'s rotation numbers.
+Two readings of the entries coexist:
 
 * numeric operations read an entry as the SO(2)-angle phi of its plane
   (complex angles are allowed); the Spin-level half-angle phi/2 is what
@@ -16,8 +19,9 @@ sign relative to the listed planes.  Two readings of the entries coexist:
 
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function
-here is invariant under that move.  The empty list is N = {0}: traces,
-chi and all signs degenerate to 1.
+here is invariant under that move (for ``chi``, with g's theta_j of that
+plane flipped too).  The empty list is N = {0}: traces, chi and all signs
+degenerate to 1.
 """
 
 from __future__ import annotations
@@ -61,15 +65,6 @@ class RotationData:
     def planes(self):
         return len(self.entries)
 
-    def is_integral(self):
-        return all(isinstance(a, int) for a in self.entries)
-
-    def scaled(self, factor):
-        """Entry-wise scaling (e.g. rotation numbers -> angles 2 pi a / k)."""
-        return RotationData(
-            tuple(a * factor for a in self.entries), self.orientation_sign
-        )
-
 
 # the instance is frozen: its __init__ sets the fields through their slots,
 # past __setattr__
@@ -110,20 +105,13 @@ def spinor_trace(kind, R, shift=None):
 def chi(g, R):
     """1/Str(g e^R): the reciprocal-supertrace invariant function.
 
-    ``g`` is None (untwisted) or RotationData whose entries are Spin-level
-    parameters theta_j (the supertrace factor of g alone is
+    ``g`` is None (untwisted) or a sequence of the per-plane Spin parameters
+    theta_j of g (the supertrace factor of g alone is
     e^{-i theta_j} - e^{i theta_j}); R's entries are SO-angles on the same
-    planes.  Orientation signs multiply.
+    planes, and R alone carries the orientation.
     """
-    if g is not None and len(g.entries) != len(R.entries):
-        raise SpinCharError("g and R must share the plane structure")
-    shift = None
-    sign = R.orientation_sign
-    if g is not None:
-        shift = [complex(t) for t in g.entries]
-        sign *= g.orientation_sign
-    st = spinor_trace("str", RotationData(R.entries, 1), shift=shift)
-    st *= sign
+    st = spinor_trace("str", RotationData(R.entries, 1), shift=g)
+    st *= R.orientation_sign
     if abs(st) < 1e-12:
         raise SupertraceZeroError(
             f"supertrace vanishes (|Str| = {abs(st):.2e}); chi has a pole here"
@@ -131,13 +119,13 @@ def chi(g, R):
     return 1.0 / st
 
 
-def epsilon_J(J):
-    """(-1)^{sum of rotation numbers} for invertible integer data; the
-    choice of signs in the entries does not matter mod 2."""
-    if not J.is_integral():
-        raise SpinCharError("epsilon needs integer rotation numbers")
+def epsilon_J(entries):
+    """(-1)^{sum of the rotation numbers ``entries``} for invertible integer
+    data; the choice of signs in the entries does not matter mod 2."""
     total = 0
-    for a in J.entries:
+    for a in entries:
+        if not isinstance(a, int):
+            raise SpinCharError("epsilon needs integer rotation numbers")
         if a == 0:
             raise SpinCharError("epsilon needs invertible data (no zero entries)")
         total += a

@@ -6,7 +6,9 @@ nu) and per-plane offsets r_a, the fundamental product is
     Z(gamma, J)(R) = nu * prod_a phi_1(a*gamma + r_a, tau),
 
 equal by construction to C_1 / Str evaluated at the combined rotation;
-both are implemented (``z_fun``, ``z_character``) and cross-checked.
+both are implemented (``z_fun``, ``z_character``) and cross-checked.  J
+alone carries the orientation: the offsets R = (r_a) are a plain sequence.
+Os(J/k, o), the orientation sign of the angles a * 2 pi / k, is ``_os_k``.
 EM_eps covers the parity cases at even-order torsion points via the
 W_2/W_3/W_4 characters that ``elliptic.HALF_PERIODS`` selects, with their
 traces and scalar constants; EM glues an adapted-K Z-value on the part
@@ -137,9 +139,9 @@ class LatticeElement:
 # Z
 
 
-def _z_points(gamma, J, R, params, strict):
-    """(nu, points) of Z(gamma, J)(R): the orientation sign of J and R and
-    the points a*gamma + r_a, after the ``strict`` collision check: does
+def _z_points(gamma, J, offsets, params, strict):
+    """(nu, points) of Z(gamma, J)(R): the orientation sign of J and the
+    points a*gamma + r_a, after the ``strict`` collision check: does
     a*gamma lie on the lattice, the poles of phi_1 (exactly for torsion,
     within POLE_GUARD for free points)?"""
     entries = J.entries
@@ -151,11 +153,8 @@ def _z_points(gamma, J, R, params, strict):
             zero = True
     if zero:
         raise ZemError("z_fun needs invertible J (no zero rotation numbers)")
-    nu = J.orientation_sign
-    if R is not None:
-        if len(R.entries) != len(entries):
-            raise ZemError("R must share J's plane structure")
-        nu *= R.orientation_sign
+    if offsets is not None and len(offsets) != len(entries):
+        raise ZemError("offsets must give one r_a per plane of J")
     torsion = isinstance(gamma, LatticeElement)
     gv = gamma.value(params.tau) if torsion else complex(gamma)
     if strict:
@@ -165,32 +164,32 @@ def _z_points(gamma, J, R, params, strict):
                 raise SpecialCollisionError(
                     f"a*gamma lies on the lattice for rotation number a = {a}", a
                 )
-    if R is None:
-        return nu, [a * gv for a in entries]
-    return nu, [a * gv + complex(r) for a, r in zip(entries, R.entries)]
+    points = ([a * gv for a in entries] if offsets is None
+              else [a * gv + complex(r) for a, r in zip(entries, offsets)])
+    return J.orientation_sign, points
 
 
-def z_fun(gamma, J, R, params, *, strict=True):
+def z_fun(gamma, J, offsets, params, *, strict=True):
     """The product invariant nu * prod_a phi_1(a*gamma + r_a), evaluated.
 
     gamma is a LatticeElement or complex; J carries the integer rotation
-    numbers and (with R) the orientation sign; R holds the per-plane
-    offsets r_a (z-scale; None means 0).  ``strict`` enforces the
+    numbers and the orientation sign nu; ``offsets`` is the sequence of
+    per-plane offsets r_a (z-scale; None means 0).  ``strict`` enforces the
     analyticity condition a*gamma not in the lattice; disable it for the
-    identities that intentionally sit on lattice translates with R keeping
-    the arguments off the poles.  ``z_character`` evaluates the same
-    function as C_1/Str, and the ``laurent_sum`` of ``z_term`` is the
-    formal series.
+    identities that intentionally sit on lattice translates with the
+    offsets keeping the arguments off the poles.  ``z_character`` evaluates
+    the same function as C_1/Str, and the ``laurent_sum`` of ``z_term`` is
+    the formal series.
     """
-    nu, points = _z_points(gamma, J, R, params, strict)
+    nu, points = _z_points(gamma, J, offsets, params, strict)
     return nu * params.theta_product(1, points)
 
 
-def z_character(gamma, J, R, params):
+def z_character(gamma, J, offsets, params):
     """``z_fun`` (strict) as C_1/Str: through the spinor-trace and
     Witten-character code at the same points, not the phi_1 products."""
-    nu, points = _z_points(gamma, J, R, params, True)
-    return _z_tau_series_value(RotationData(points, nu), params)
+    nu, points = _z_points(gamma, J, offsets, params, True)
+    return _z_tau_series_value(points, nu, params)
 
 
 def z_term(entries, order, nu=1):
@@ -221,14 +220,21 @@ def _theta_parts(case, angles, eigs, params):
     return spinor_trace(kind, angles), witten_char(i, eigs, params), power
 
 
-def _z_tau_series_value(R, params):
-    """Z(tau, N, o_N)(R) at offsets R as C_1 / Str: ``z_character`` at the
-    points a * gamma + r_a."""
-    angles, eigs = _offset_angles(R.entries, R.orientation_sign)
+def _z_tau_series_value(offsets, sign, params):
+    """Z(tau, N, o_N)(R) at ``offsets`` R, with o_N given by ``sign``, as
+    C_1 / Str: ``z_character`` at the points a * gamma + r_a."""
+    angles, eigs = _offset_angles(offsets, sign)
     st, w, _ = _theta_parts((0, 0), angles, eigs, params)
     if abs(st) < 1e-140:
         raise ZemError("supertrace vanished in C_1 / Str")
     return w / st
+
+
+def _os_k(entries, k, sign):
+    """Os(J/k, o): ``os_sign`` of the angles a * (2 pi / k) of the rotation
+    numbers a in ``entries``, with orientation sign ``sign``."""
+    angle = _TWO_PI / k
+    return os_sign(RotationData([a * angle for a in entries], sign))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +335,8 @@ def em_fun(gamma, zeta, R, params):
     if g_idx:
         g_res = [res[j] for j in g_idx] if b_idx else res
         kdata = RotationData(g_res, sigma)
-        r_g = RotationData([R.entries[j] for j in g_idx] if b_idx else R.entries, 1)
-        angle = _TWO_PI / k
-        os_k = os_sign(RotationData([a * angle for a in g_res], sigma))
+        r_g = [R.entries[j] for j in g_idx] if b_idx else R.entries
+        os_k = _os_k(g_res, k, sigma)
         out *= (os_k ** (gamma.alpha + gamma.beta)) * z_fun(
             gamma, kdata, r_g, params
         )
@@ -497,15 +502,9 @@ def _trial_k_transfer(rng, dims, params):
     lhs = 1.0 + 0j
     if n0:
         lhs *= chi(None, RotationData([y[j] + r[j] for j in range(n0)], sig0))
-    lhs *= chi(
-        RotationData(theta, 1),
-        RotationData([y[n0 + j] + r[n0 + j] for j in range(n1)], sig1),
-    )
-    g_full = RotationData(
-        [y[j] / 2.0 for j in range(n0)]
-        + [theta[j] + y[n0 + j] / 2.0 for j in range(n1)],
-        1,
-    )
+    lhs *= chi(theta, RotationData([y[n0 + j] + r[n0 + j] for j in range(n1)], sig1))
+    g_full = ([y[j] / 2.0 for j in range(n0)]
+              + [theta[j] + y[n0 + j] / 2.0 for j in range(n1)])
     rhs = (sig_n * sig0 * sig1) * chi(g_full, RotationData(r, sig_n))
     return _residual(lhs, rhs), {
         "planes": planes_total,
@@ -514,25 +513,25 @@ def _trial_k_transfer(rng, dims, params):
     }
 
 
-def _z_period_first_diff(J, m, k, order):
-    """First p-order at which Z = nu prod_a phi_1(a z) under s -> p^m s and
-    then s -> i^k s differs from eps_J Z, or None: z+1 is (m, k) = (0, 2)
-    and z+tau is (2, 0).  Every |d| of Z's factors is at most 2 max|a|, so
-    ``regrade`` needs them to p^{order + 2m max|a|}."""
-    depth = order + 2 * m * max(abs(a) for a in J.entries)
-    left = regrade(z_term(J.entries, depth, J.orientation_sign), m, order)
-    right = z_term(J.entries, order, J.orientation_sign)
-    return unit_difference(order, left, k, right, 0 if epsilon_J(J) > 0 else 2)
+def _z_period_first_diff(entries, m, k, order):
+    """First p-order at which Z = prod_a phi_1(a z) for the rotation numbers
+    ``entries`` under s -> p^m s and then s -> i^k s differs from eps_J Z,
+    or None: z+1 is (m, k) = (0, 2) and z+tau is (2, 0); an orientation sign
+    nu would multiply both sides.  Every |d| of Z's factors is at most
+    2 max|a|, so ``regrade`` needs them to p^{order + 2m max|a|}."""
+    depth = order + 2 * m * max(abs(a) for a in entries)
+    left = regrade(z_term(entries, depth), m, order)
+    right = z_term(entries, order)
+    return unit_difference(order, left, k, right, 0 if epsilon_J(entries) > 0 else 2)
 
 
 def _z_periodicity_exact(entries, order):
     """Exact gamma -> gamma+1 and gamma -> gamma+tau periodicity of the
     formal Z-series for positive rotation numbers ``entries``."""
-    J = RotationData(tuple(entries), 1)
     return {
-        "gamma_plus_one_first_diff": _z_period_first_diff(J, 0, 2, order),
-        "gamma_plus_tau_ok": _z_period_first_diff(J, 2, 0, order) is None,
-        "epsilon": epsilon_J(J),
+        "gamma_plus_one_first_diff": _z_period_first_diff(entries, 0, 2, order),
+        "gamma_plus_tau_ok": _z_period_first_diff(entries, 2, 0, order) is None,
+        "epsilon": epsilon_J(entries),
     }
 
 
@@ -541,13 +540,13 @@ def _trial_z_periodicity(rng, dims, params):
     entries = tuple([_draw_nonzero_int(rng, 4) for _ in range(planes)])
     sig = _draw_sign(rng)
     J = RotationData(entries, sig)
-    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
+    r = [_draw_offset(rng) for _ in range(planes)]
     gamma = _draw_complex(rng, -0.4, 0.4, -0.25, 0.25)
     y = _draw_complex(rng, -0.2, 0.2, -0.1, 0.1)
     tau = params.tau
-    eps = epsilon_J(J)
+    eps = epsilon_J(entries)
 
-    shifted = RotationData([r.entries[j] + entries[j] * y for j in range(planes)], 1)
+    shifted = [r[j] + entries[j] * y for j in range(planes)]
     lhs1 = z_fun(gamma, J, shifted, params)
     rhs1 = z_fun(gamma + y, J, r, params)
     res = _residual(lhs1, rhs1)
@@ -565,13 +564,13 @@ def _trial_order_k_trivial(rng, dims, params):
     mults = tuple([_draw_nonzero_int(rng, 3) for _ in range(planes)])
     sig = _draw_sign(rng)
     J = RotationData([k * m for m in mults], sig)
-    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
+    r = [_draw_offset(rng) for _ in range(planes)]
     alpha = _randint(rng, -3, 3)
     beta = _randint(rng, -3, 3)
     gamma = (alpha + beta * params.tau) / k
     lhs = z_fun(gamma, J, r, params, strict=False)
-    eps_jk = epsilon_J(RotationData(mults, 1))
-    rhs = (eps_jk ** (alpha + beta)) * sig * _z_tau_series_value(r, params)
+    eps_jk = epsilon_J(mults)
+    rhs = (eps_jk ** (alpha + beta)) * sig * _z_tau_series_value(r, 1, params)
     return _residual(lhs, rhs), {
         "k": k,
         "alpha": alpha,
@@ -588,11 +587,11 @@ def _trial_all_w(rng, dims, params):
     entries = tuple([k // 2 + k * _randint(rng, -2, 2) for _ in range(planes)])
     sig = _draw_sign(rng)
     J = RotationData(entries, sig)
-    r = RotationData([_draw_offset(rng) for _ in range(planes)], 1)
+    r = [_draw_offset(rng) for _ in range(planes)]
     tau = params.tau
-    os_k = os_sign(J.scaled(_TWO_PI / k))
-    angles, eigs = _offset_angles(r.entries, sig)
-    signed = RotationData(r.entries, sig)
+    os_k = _os_k(entries, k, sig)
+    angles, eigs = _offset_angles(r, sig)
+    signed = RotationData(r, sig)
 
     res = 0.0
     data = {"k": k, "em_eps_checked": False, "cases": []}
@@ -634,13 +633,11 @@ def _trial_em_welldef(rng, dims, params):
     gamma = _draw_reduced_torsion(rng, k)
     r = RotationData([_draw_offset(rng) for _ in range(planes)], sig)
     ab = gamma.alpha + gamma.beta
-    angle = _TWO_PI / k
-    offsets = RotationData(r.entries, 1)
 
     def em_via(lift_shifts):
         lifted = [res_list[j] + k * lift_shifts[j] for j in range(planes)]
-        os_k = os_sign(RotationData([a * angle for a in lifted], sig))
-        return (os_k**ab) * z_fun(gamma, RotationData(lifted, sig), offsets, params)
+        os_k = _os_k(lifted, k, sig)
+        return (os_k**ab) * z_fun(gamma, RotationData(lifted, sig), r.entries, params)
 
     # em_fun lifts by the canonical adapted data, em_via([0] * planes): the
     # two agree bit for bit, so em_fun is the base the other lifts meet
@@ -658,19 +655,16 @@ def _transfer_sides(params, k, n0, n1, sig0, sig1, sig_n, j0, j1,
     ab = gamma.alpha + gamma.beta
     lhs = 1.0 + 0j
     if n0:
-        off0 = RotationData([r[j] + j0[j] * y for j in range(n0)], sig0)
-        lhs *= _z_tau_series_value(off0, params)
+        lhs *= _z_tau_series_value([r[j] + j0[j] * y for j in range(n0)], sig0, params)
     off1 = RotationData([r[n0 + j] + j1[j] * y for j in range(n1)], sig1)
     lhs *= em_fun(gamma, CyclicAction(k, residues), off1, params)
 
     j_full = RotationData((*j0, *j1), sig_n)
-    r_full = RotationData(r, 1)
     gamma_y = gamma.value(params.tau) + y
-    rhs_core = z_fun(gamma_y, j_full, r_full, params, strict=False)
+    rhs_core = z_fun(gamma_y, j_full, r, params, strict=False)
 
-    angle = _TWO_PI / k
-    os1 = os_sign(RotationData([a * angle for a in j1], sig1)) ** ab
-    eps0 = epsilon_J(RotationData([a // k for a in j0], 1)) ** ab if n0 else 1
+    os1 = _os_k(j1, k, sig1) ** ab
+    eps0 = epsilon_J([a // k for a in j0]) ** ab if n0 else 1
     eps = os1 * eps0 * (sig_n * sig0 * sig1 if n0 else sig_n * sig1)
     return lhs, rhs_core, eps
 
@@ -723,7 +717,7 @@ def _trial_spin_transfer(rng, dims, params):
         for a in entries:
             if a < 0:
                 sig_n = -sig_n
-        eps0 = epsilon_J(RotationData([a // k for a in j0], 1)) if n0 else 1
+        eps0 = epsilon_J([a // k for a in j0]) if n0 else 1
         sig1 = eps0
         for a in j1:
             if math.sin(math.pi * a / k) < 0:
@@ -736,8 +730,7 @@ def _trial_spin_transfer(rng, dims, params):
     sig0 = sig_n * sig1
 
     # the sign identity behind the clean transfer: Os(J1/k, o1) eps(J0/k) = 1
-    angle = _TWO_PI / k
-    os1 = os_sign(RotationData([a * angle for a in j1], sig1))
+    os1 = _os_k(j1, k, sig1)
     if os1 * eps0 != 1:
         return 1.0, {"sign_identity_violated": True, "entries": entries}
 
@@ -843,14 +836,13 @@ def _trial_degenerate(rng, dims, q0):
         angles_g = RotationData(
             [_TWO_PI * (j1[j] * y + r[n0 + j]) for j in g_pos], sig1
         )
-        angle = _TWO_PI / k
-        os_g = os_sign(RotationData([res_norm[j] * angle for j in g_pos], sig1))
-        chi_lhs *= (os_g**alpha) * chi(RotationData(g_theta, 1), angles_g)
+        os_g = _os_k([res_norm[j] for j in g_pos], k, sig1)
+        chi_lhs *= (os_g**alpha) * chi(g_theta, angles_g)
 
     # right side through the chi machinery: the finite-order element acts on
     # every plane, including the fixed part where it contributes signs
     all_entries = (*j0, *j1)
-    g_all = RotationData([math.pi * a * gv for a in all_entries], 1)
+    g_all = [math.pi * a * gv for a in all_entries]
     r_all = RotationData(
         [_TWO_PI * (all_entries[j] * y + r[j]) for j in range(planes)], sig_n
     )

@@ -419,7 +419,7 @@ def spinor_trace_exact(kind, R):
     supertrace, the depth-0 ``zem.z_term``."""
     if kind not in ("str", "tr"):
         raise ValueError("kind must be 'str' or 'tr'")
-    if not R.is_integral():
+    if not all(isinstance(a, int) for a in R.entries):
         raise SpinCharError("exact spinor_trace needs integer rotation numbers")
     out = RF.one()
     for a in R.entries:
@@ -448,7 +448,7 @@ def em_eps_exact(gamma, R, order):
     sign that turns the prefactors of the term into the trace of
     ``em_eps``, whose Str carries o_N."""
     case = _em_case(gamma)
-    if not R.is_integral():
+    if not all(isinstance(a, int) for a in R.entries):
         raise ZemError("exact em_eps needs integer offsets (multiples of z)")
     planes = R.planes
     i, unit, p_pow, sign = _c_constant(case, gamma.alpha, gamma.beta, planes)

@@ -65,7 +65,7 @@ def test_criterion_2_sign_and_character_identities():
         )
         combined = RotationData(tuple(a + b for a, b in zip(y, rr)), sig)
         lhs = j_factor(combined) / pfaffian(combined)
-        g = RotationData(tuple(a / 2 for a in y), 1)
+        g = tuple(a / 2 for a in y)
         rhs = (-1j) ** n * chi(g, RotationData(rr, sig))
         assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-10
     rep = identity_check("K-transfer", trials=100, dims=8, seed=7, tol=1e-9)

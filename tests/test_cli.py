@@ -388,6 +388,10 @@ def test_malformed_point_is_usage_error(capsys, command):
         (["index", "--manifold", "cp3", "--twist", "tangent_witten"],
          "0.3+1e308j"),
         (["index", "--manifold", "s2", "--twist", "none"], "0.3+1e308j"),
+        # a z within POLE_GUARD of a pole of 1/(s^-a - s^a), untwisted and
+        # twisted, and a z at one: a weight a puts a z near an integer
+        *[(["index", "--manifold", "cp3", "--twist", twist], at)
+          for twist in ("none", "s2t") for at in ("1e-200", "2", "3e-9")],
     ],
 )
 def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):

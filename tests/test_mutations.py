@@ -20,7 +20,7 @@ import pytest
 
 import test_product_engine
 from elliptica import spinchar, zem
-from elliptica.zem import SUITE_NAMES, identity_check
+from elliptica.zem import identity_check
 
 SEED = 1
 
@@ -71,8 +71,14 @@ SUITE_ROWS = {
     "em_eps with the trace's power inverted": (
         zem, "em_eps", "if power < 0", "if power > 0", "allW", 1),
     "_z_points ignores J's orientation": (
-        zem, "_z_points", "nu = J.orientation_sign", "nu = 1",
+        zem, "_z_points", "return J.orientation_sign, points", "return 1, points",
         "order-k-trivial", 1),
+    "_os_k ignores the orientation, spin-periodicity": (
+        zem, "_os_k", "for a in entries], sign)", "for a in entries], 1)",
+        "spin-periodicity", 1),
+    "_os_k ignores the orientation, degenerate-reduction": (
+        zem, "_os_k", "for a in entries], sign)", "for a in entries], 1)",
+        "degenerate-reduction", 1),
 }
 
 
@@ -96,36 +102,10 @@ def test_the_exact_z_term_catches_a_dropped_nu(monkeypatch):
     check((1, 2, 3), 1)
 
 
-# mutations that no check catches: the slot they change carries no
-# information on any command path
-UNCAUGHT_TRIALS = 200
-UNCAUGHT_ROWS = {
-    "chi ignores g.orientation_sign": (
-        spinchar, "chi", "sign *= g.orientation_sign", "pass",
-        "dead slot: every g that reaches chi is built with orientation +1"),
-    "_z_points ignores R.orientation_sign": (
-        zem, "_z_points", "nu *= R.orientation_sign", "pass",
-        "dead slot: every R that reaches z_fun or z_character is built with "
-        "orientation +1"),
-}
-
-
-@pytest.mark.parametrize("row", [
-    pytest.param(row, marks=pytest.mark.xfail(strict=True, reason=spec[-1]))
-    for row, spec in UNCAUGHT_ROWS.items()])
-def test_a_suite_catches_the_dead_slot_mutation(row, monkeypatch):
-    module, name, snippet, replacement, _ = UNCAUGHT_ROWS[row]
-    monkeypatch.setattr(zem, name, _mutant(module, name, snippet, replacement))
-    assert any(not identity_check(suite, UNCAUGHT_TRIALS, seed=SEED).passed
-               for suite in SUITE_NAMES)
-
-
 def test_every_row_builds_where_the_suites_look():
-    """Every snippet is still in its function, the dead-slot rows' included
-    (an xfail would hide a stale one), and a mutant patched into spinchar
-    alone would change nothing the suites call: each row's function is a
-    name zem itself holds."""
-    for module, name, snippet, replacement, *_ in [*SUITE_ROWS.values(),
-                                                    *UNCAUGHT_ROWS.values()]:
+    """Every snippet is still in its function, and a mutant patched into
+    spinchar alone would change nothing the suites call: each row's function
+    is a name zem itself holds."""
+    for module, name, snippet, replacement, *_ in SUITE_ROWS.values():
         assert callable(_mutant(module, name, snippet, replacement))
         assert getattr(zem, name) is getattr(module, name)

@@ -12,7 +12,6 @@ import pytest
 from elliptica import zem
 from elliptica.elliptic import EllipticParams, phi_numeric, theta_term
 from elliptica.ring import zpoly_gcd
-from elliptica.spinchar import RotationData
 from elliptica.witten import laurent_sum, regrade, witten_char
 from ring_reference import (
     RF,
@@ -265,7 +264,7 @@ def test_divided_flip_needs_its_inverted_monomial(monkeypatch):
     (1, 2, 3); undone, both pass."""
 
     def checks():
-        firsts = [zem._z_period_first_diff(RotationData((a,), 1), 2, 0, 40)
+        firsts = [zem._z_period_first_diff((a,), 2, 0, 40)
                   for a in (2, 3)]
         return firsts, zem._z_periodicity_exact([1, 2, 3], 16)["gamma_plus_tau_ok"]
 

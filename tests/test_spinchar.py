@@ -39,7 +39,7 @@ def test_zero_space_traces():
     assert chi(None, empty) == 1
     assert pfaffian(empty) == 1
     assert j_factor(empty) == 1
-    assert epsilon_J(empty) == 1
+    assert epsilon_J(empty.entries) == 1
     assert os_sign(empty) == 1
     assert v_sign(CyclicAction(3, ())) == 1
 
@@ -56,7 +56,7 @@ def test_chi_examples():
     got = chi(None, RotationData((phi,)))
     assert abs(got - 1j / (2 * math.sin(phi / 2))) < 1e-14
     theta = 0.64
-    got = chi(RotationData((theta,)), RotationData((0.0,)))
+    got = chi((theta,), RotationData((0.0,)))
     assert abs(got - 1.0 / (cmath.exp(-1j * theta) - cmath.exp(1j * theta))) < 1e-14
 
 
@@ -66,7 +66,7 @@ def test_chi_specializes_at_identity():
         n = rng.randint(1, 4)
         angles = tuple(rng.uniform(0.2, 2.8) for _ in range(n))
         r = RotationData(angles, 1 if rng.random() < 0.5 else -1)
-        g1 = RotationData((0.0,) * n, 1)
+        g1 = (0.0,) * n
         assert abs(chi(None, r) - chi(g1, r)) < 1e-13 * abs(chi(None, r))
 
 
@@ -100,11 +100,13 @@ def test_pfaffian():
 
 
 def test_epsilon_examples():
-    assert epsilon_J(RotationData((1,))) == -1
-    assert epsilon_J(RotationData((2,))) == 1
-    assert epsilon_J(RotationData((1, 3))) == epsilon_J(RotationData((-1, 3))) == 1
+    assert epsilon_J((1,)) == -1
+    assert epsilon_J((2,)) == 1
+    assert epsilon_J((1, 3)) == epsilon_J((-1, 3)) == 1
     with pytest.raises(SpinCharError):
-        epsilon_J(RotationData((0, 1)))
+        epsilon_J((0, 1))
+    with pytest.raises(SpinCharError, match="integer"):
+        epsilon_J((1, 0.5))
 
 
 def test_os_sign_examples():
@@ -148,11 +150,26 @@ def test_recoding_invariance():
         assert abs(spinor_trace("str", r) - spinor_trace("str", flipped)) < 1e-13
         assert abs(spinor_trace("tr", r) - spinor_trace("tr", flipped)) < 1e-13
         assert abs(pfaffian(r) - pfaffian(flipped)) < 1e-13
-        ints = RotationData(tuple(rng.choice([1, 2, 3]) for _ in range(n)), sig)
+        ints = tuple(rng.choice([1, 2, 3]) for _ in range(n))
         k = rng.randrange(n)
-        flipped = RotationData(
-            tuple(-a if m == k else a for m, a in enumerate(ints.entries)), -sig)
+        flipped = tuple(-a if m == k else a for m, a in enumerate(ints))
         assert epsilon_J(ints) == epsilon_J(flipped)
+    # g is a Spin element on R's planes: flipping plane j's R entry, R's
+    # orientation sign and g's theta_j describes the same g e^R, so chi,
+    # where R alone carries the orientation, does not move
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        angles = [complex(rng.uniform(0.1, 3.0), rng.uniform(-0.2, 0.2))
+                  for _ in range(n)]
+        theta = [complex(rng.uniform(0.1, 1.4), rng.uniform(-0.1, 0.1))
+                 for _ in range(n)]
+        sig = 1 if rng.random() < 0.5 else -1
+        j = rng.randrange(n)
+        base = chi(theta, RotationData(angles, sig))
+        angles[j], theta[j] = -angles[j], -theta[j]
+        flipped = chi(theta, RotationData(angles, -sig))
+        assert abs(flipped - base) < 1e-13 * abs(base)
 
 
 def test_supertrace_multiplicativity():
@@ -194,7 +211,7 @@ def test_jeul_random_draws():
         sig = 1 if rng.random() < 0.5 else -1
         combined = RotationData(tuple(yj + rj for yj, rj in zip(y, r)), sig)
         lhs = j_factor(combined) / pfaffian(combined)
-        g = RotationData(tuple(yj / 2 for yj in y), 1)
+        g = tuple(yj / 2 for yj in y)
         rhs = (-1j) ** n * chi(g, RotationData(tuple(r), sig))
         assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-10
 

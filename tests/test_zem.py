@@ -58,7 +58,7 @@ def test_z_fun_single_factor_is_phi1():
     # one plane: the product is a single phi_1 value
     gamma = 0.21 + 0.09j
     j = RotationData((2,), 1)
-    r = offsets(0.07 - 0.02j)
+    r = (0.07 - 0.02j,)
     got = z_fun(gamma, j, r, PARAMS)
     want = phi_numeric(1, PARAMS, 2 * gamma + 0.07 - 0.02j)
     assert abs(got - want) < 1e-14 * abs(want)
@@ -70,10 +70,10 @@ def test_z_fun_gamma_zero_matches_character_definition():
     # at gamma = 0 the function is chi * C_1 evaluated on the offsets
     gamma = 0j
     j = RotationData((1, 3), 1)
-    r = offsets(0.11 + 0.01j, 0.19 - 0.03j)
+    r = (0.11 + 0.01j, 0.19 - 0.03j)
     got = z_fun(gamma, j, r, PARAMS, strict=False)
-    angles = RotationData(tuple(2 * math.pi * x for x in r.entries), 1)
-    eigs = [cmath.exp(2j * cmath.pi * x) for x in r.entries]
+    angles = RotationData(tuple(2 * math.pi * x for x in r), 1)
+    eigs = [cmath.exp(2j * cmath.pi * x) for x in r]
     want = witten_char(1, eigs, PARAMS) / spinor_trace("str", angles)
     assert abs(got - want) < 1e-12 * abs(want)
 
@@ -85,9 +85,9 @@ def test_z_fun_shift_property():
         j = RotationData(tuple(rng.choice([1, -1, 2, 3]) for _ in range(n)), 1)
         gamma = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
         y = complex(rng.uniform(-0.15, 0.15), rng.uniform(-0.1, 0.1))
-        r = offsets(*[complex(rng.uniform(0.03, 0.4), rng.uniform(-0.03, 0.03))
-                      for _ in range(n)])
-        shifted = offsets(*[r.entries[i] + j.entries[i] * y for i in range(n)])
+        r = [complex(rng.uniform(0.03, 0.4), rng.uniform(-0.03, 0.03))
+             for _ in range(n)]
+        shifted = [r[i] + j.entries[i] * y for i in range(n)]
         from elliptica.elliptic import PoleError
 
         try:
@@ -98,14 +98,32 @@ def test_z_fun_shift_property():
         assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), abs(rhs))
 
 
+def test_z_fun_recoding_flips_the_offset_with_j():
+    """phi_1 is odd: flipping J's a_j, J's orientation sign and the offset
+    r_j leaves Z, where J alone carries the orientation, unchanged."""
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        entries = [rng.choice([1, -1, 2, -2, 3]) for _ in range(n)]
+        r = [complex(rng.uniform(0.03, 0.4), rng.uniform(-0.03, 0.03))
+             for _ in range(n)]
+        sig = 1 if rng.random() < 0.5 else -1
+        gamma = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
+        j = rng.randrange(n)
+        base = z_fun(gamma, RotationData(entries, sig), r, PARAMS)
+        entries[j], r[j] = -entries[j], -r[j]
+        flipped = z_fun(gamma, RotationData(entries, -sig), r, PARAMS)
+        assert abs(flipped - base) < 1e-13 * abs(base)
+
+
 def test_z_fun_collision_error_names_rotation_number():
     gamma = LatticeElement.torsion(1, 0, 2)
     j = RotationData((2,), 1)
     with pytest.raises(SpecialCollisionError) as err:
-        z_fun(gamma, j, offsets(0.1), PARAMS)
+        z_fun(gamma, j, (0.1,), PARAMS)
     assert err.value.rotation_number == 2
     # non-strict evaluation goes through (the offset keeps it off the pole)
-    val = z_fun(gamma, j, offsets(0.1), PARAMS, strict=False)
+    val = z_fun(gamma, j, (0.1,), PARAMS, strict=False)
     assert abs(val) > 0
 
 
@@ -177,8 +195,8 @@ def test_em_fun_reduces_to_z_without_minus_one():
     k = RotationData(zeta.normalized_residues(), 1)
     from elliptica.spinchar import os_sign
 
-    os_k = os_sign(k.scaled(2 * math.pi / 5))
-    want = (os_k ** 2) * z_fun(gamma, k, RotationData(r.entries, 1), PARAMS)
+    os_k = os_sign(RotationData([a * 2 * math.pi / 5 for a in k.entries], 1))
+    want = (os_k ** 2) * z_fun(gamma, k, r.entries, PARAMS)
     assert abs(got - want) < 1e-13 * abs(want)
 
 
@@ -190,8 +208,8 @@ def test_em_fun_adapted_choice_independence():
 
     for shifts in ((1, 0), (0, -1), (2, 1)):
         j = RotationData((1 + 5 * shifts[0], 2 + 5 * shifts[1]), 1)
-        os_j = os_sign(j.scaled(2 * math.pi / 5)) ** 3
-        alt = os_j * z_fun(gamma, j, RotationData(r.entries, 1), PARAMS)
+        os_j = os_sign(RotationData([a * 2 * math.pi / 5 for a in j.entries], 1)) ** 3
+        alt = os_j * z_fun(gamma, j, r.entries, PARAMS)
         assert abs(alt - base) < 1e-9 * abs(base)
 
 
