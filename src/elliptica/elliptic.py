@@ -75,13 +75,14 @@ depth M once its factors reach that exponent: M + 2m for phi_1, whose
 The scalar substitutions s -> -s and s -> i s act on the factors too:
 1 + c p^e s^d becomes 1 + c i^{kd} p^e s^d, and the monomial s^r picks up
 i^{kr} (``unit_substitute``).  Every d of a theta quotient is even, so the
-factors stay integer and i^r factors out.  The five identities take one
-path, from the table ``_TRANSLATION_CHECKS``: phi_1 under s -> p^m s and
-then s -> i^k s against i^unit p^p_pow phi_i.  N_L / D_L = i^u N_R / D_R
-holds through p^M where N_L D_R = i^u N_R D_L does, each side's
-denominator factors crossed to the other side as numerator factors
-(``witten.unit_difference``): rows are compared as ints, no coefficient
-is reduced and no gcd is taken.
+factors stay integer and i^r factors out.  Every check takes one path,
+``translation_difference``: prod_a phi_1(a z) under s -> p^m s and then
+s -> i^k s against i^unit p^p_pow prod_a phi_i(a z), on the weight 1 for
+the five rows of ``_TRANSLATION_CHECKS`` and on J for Z's periodicity.
+N_L / D_L = i^u N_R / D_R holds through p^M where N_L D_R = i^u N_R D_L
+does, each side's denominator factors crossed to the other side as
+numerator factors (``witten.unit_difference``): rows are compared as
+ints, no coefficient is reduced and no gcd is taken.
 """
 
 from __future__ import annotations
@@ -440,15 +441,24 @@ _TRANSLATION_CHECKS = {
 TRANSLATIONS = tuple(_TRANSLATION_CHECKS)
 
 
+def translation_difference(weights, m, k, target, order):
+    """The first p-order through ``order`` at which prod_a phi_1(a z) on the
+    integer ``weights`` under s -> p^m s, then s -> i^k s, differs from
+    i^unit p^p_pow prod_a phi_i(a z), target = (i, unit, p_pow), or None.
+    Every |d| is at most 2 max|a|: ``regrade`` needs p^{order + 2m max|a|}."""
+    i, unit, p_pow = target
+    depth = order + 2 * m * max(abs(a) for a in weights)
+    left = regrade(theta_term(1, weights, depth), m, order)
+    return unit_difference(order, left, k, theta_term(i, weights, order, p_pow), unit)
+
+
 def phi_translate_check(which, order):
     """Exact check of one translation identity through p^order; returns a
     TranslationReport with the first failing p-exponent on failure."""
     if which not in _TRANSLATION_CHECKS:
         raise ValueError(f"unknown translation {which!r}")
-    m, k, (i, unit, p_pow), detail = _TRANSLATION_CHECKS[which]
-    # every |d| of phi_1's factors is 2: s -> p^m s needs them to p^{order + 2m}
-    left = regrade(theta_term(1, (1,), order + 2 * m), m, order)
-    first = unit_difference(order, left, k, theta_term(i, (1,), order, p_pow), unit)
+    m, k, target, detail = _TRANSLATION_CHECKS[which]
+    first = translation_difference((1,), m, k, target, order)
     return TranslationReport(
         which=which,
         truncation_order=order,

@@ -280,12 +280,15 @@ def _require_bundle(m, bundle):
         )
 
 
-def _sum_and_max(terms):
-    """The sum of the list of complex ``terms`` and the largest |term| in
-    it: a sum far below that is rounding noise."""
+def _sum_and_max(terms, z):
+    """The sum of the list of complex ``terms`` at z and the largest |term|
+    in it: a sum far below that is rounding noise.  OverflowError names z
+    where the sum is not finite, as it is wherever a term is not."""
     total = 0j
     for term in terms:
         total += term
+    if not cmath.isfinite(total):
+        raise OverflowError(f"the fixed-point sum at z = {z} is no finite float: {total}")
     return total, max(0.0, *map(abs, terms))
 
 
@@ -314,8 +317,8 @@ def witten_index(m, order):
 def index_numeric(m, z, bundle=None):
     """``equivariant_index`` as a complex value at the point z, and the
     largest |term| of its fixed-point sum.  OverflowError names z where
-    e^{i pi a z} leaves the floats, and PoleError the weight a that puts
-    a z within POLE_GUARD of an integer, a pole of 1/(s^-a - s^a)."""
+    e^{i pi a z} or the sum leaves the floats, and PoleError the weight a
+    that puts a z within POLE_GUARD of an integer, a pole of 1/(s^-a - s^a)."""
     _require_bundle(m, bundle)
     z = complex(z)
     terms = []
@@ -337,7 +340,7 @@ def index_numeric(m, z, bundle=None):
         if bundle is not None:
             term *= sum(cmath.exp(2j * cmath.pi * w * z) for w in bundle[i])
         terms.append(term)
-    return _sum_and_max(terms)
+    return _sum_and_max(terms, z)
 
 
 def witten_index_numeric(m, params, z):
@@ -345,7 +348,7 @@ def witten_index_numeric(m, params, z):
     series of ``params``, and the largest |term| of its fixed-point sum."""
     z = complex(z)
     return _sum_and_max([params.theta_product(1, [a * z for a in pt])
-                         for pt in m.points])
+                         for pt in m.points], z)
 
 
 @dataclass

@@ -3,9 +3,9 @@ and every orientation sign the index formulas need.
 
 A ``RotationData`` lists one scalar per 2-plane plus a single orientation
 sign relative to the listed planes; it is passed only where that sign is
-read (``spinor_trace``, ``chi``'s R, ``os_sign``), and plain sequences carry
-the rest: ``chi``'s Spin parameters g and ``epsilon_J``'s rotation numbers.
-Two readings of the entries coexist:
+read (``spinor_trace`` and ``chi``'s R), and plain sequences carry the
+rest: ``chi``'s Spin parameters g and the rotation numbers of
+``epsilon_J`` and ``os_sign``.  Two readings of the entries coexist:
 
 * numeric operations read an entry as the SO(2)-angle phi of its plane
   (complex angles are allowed); the Spin-level half-angle phi/2 is what
@@ -15,7 +15,8 @@ Two readings of the entries coexist:
   the plane turns with speed a in the circle parameter z, angle 2 pi a z)
   as powers of s = e^{i pi z}; the exact 1/Str is the depth-0
   ``elliptic.theta_term`` of phi_1, whose prefactor per plane is one entry
-  of ``elliptic.PREFACTORS``.  This module itself does no exact arithmetic.
+  of ``elliptic.PREFACTORS``.  Their signs are integer facts:
+  ``epsilon_J`` and Os(J/k, o) (``os_sign``) are parities, no sine taken.
 
 Re-coding invariance: flipping the sign of one entry together with the
 orientation sign describes the same oriented space, and every function
@@ -27,7 +28,6 @@ degenerate to 1.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 
@@ -110,8 +110,7 @@ def chi(g, R):
     e^{-i theta_j} - e^{i theta_j}); R's entries are SO-angles on the same
     planes, and R alone carries the orientation.
     """
-    st = spinor_trace("str", RotationData(R.entries, 1), shift=g)
-    st *= R.orientation_sign
+    st = spinor_trace("str", R, shift=g)
     if abs(st) < 1e-12:
         raise SupertraceZeroError(
             f"supertrace vanishes (|Str| = {abs(st):.2e}); chi has a pole here"
@@ -132,20 +131,18 @@ def epsilon_J(entries):
     return -1 if total % 2 else 1
 
 
-def os_sign(Y):
-    """Ratio of the orientation induced by exp(Y) in Spin(N) to the stored
-    one: sign * prod_j sign(sin(phi_j/2)) for real angles."""
-    out = Y.orientation_sign
-    for a in Y.entries:
-        phi = complex(a)
-        if abs(phi.imag) > 1e-12:
-            raise SpinCharError("os_sign needs real angles")
-        sn = math.sin(phi.real / 2.0)
-        if abs(sn) < 1e-12:
+def os_sign(entries, k, sign=1):
+    """Os(J/k, o): the orientation that the rotation by the angles
+    a * 2 pi / k, a the integer rotation numbers in ``entries``, induces in
+    Spin(N), relative to the one ``sign`` gives.  A plane's sin(pi a / k)
+    is negative where floor(a / k) is odd: sign * (-1)^(their number)."""
+    out = sign
+    for a in entries:
+        if not a % k:
             raise AngleOnLatticeError(
-                f"angle {phi.real} lies in 2 pi Z: exp(Y) does not orient"
+                f"angle {a} * 2 pi / {k} lies in 2 pi Z: the rotation does not orient"
             )
-        if sn < 0:
+        if a // k % 2:
             out = -out
     return out
 
@@ -166,10 +163,6 @@ class CyclicAction:
     @property
     def planes(self):
         return len(self.residues)
-
-    def has_eigenvalue_one(self):
-        k = self.k
-        return any([r % k == 0 for r in self.residues])
 
     def normalized_residues(self):
         """Residues pulled into {1, .., k-1}; requires no eigenvalue 1."""

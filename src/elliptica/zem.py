@@ -8,7 +8,8 @@ nu) and per-plane offsets r_a, the fundamental product is
 equal by construction to C_1 / Str evaluated at the combined rotation;
 both are implemented (``z_fun``, ``z_character``) and cross-checked.  J
 alone carries the orientation: the offsets R = (r_a) are a plain sequence.
-Os(J/k, o), the orientation sign of the angles a * 2 pi / k, is ``_os_k``.
+Os(J/k, o), the orientation sign of the angles a * 2 pi / k, is
+``spinchar.os_sign`` on the rotation numbers themselves.
 EM_eps covers the parity cases at even-order torsion points via the
 W_2/W_3/W_4 characters that ``elliptic.HALF_PERIODS`` selects, with their
 traces and scalar constants; EM glues an adapted-K Z-value on the part
@@ -48,7 +49,7 @@ from .elliptic import (
     EllipticParams,
     PoleError,
     _lattice_offset,
-    theta_term,
+    translation_difference,
 )
 from .spinchar import (
     CyclicAction,
@@ -60,12 +61,7 @@ from .spinchar import (
     spinor_trace,
     v_sign,
 )
-from .witten import (
-    WittenDenominatorError,
-    regrade,
-    unit_difference,
-    witten_char,
-)
+from .witten import WittenDenominatorError, witten_char
 
 _TWO_PI = 2.0 * math.pi
 _TWO_I_PI = 2j * cmath.pi
@@ -178,8 +174,8 @@ def z_fun(gamma, J, offsets, params, *, strict=True):
     analyticity condition a*gamma not in the lattice; disable it for the
     identities that intentionally sit on lattice translates with the
     offsets keeping the arguments off the poles.  ``z_character`` evaluates
-    the same function as C_1/Str, and the ``laurent_sum`` of ``z_term`` is
-    the formal series.
+    the same function as C_1/Str, and nu times the ``laurent_sum`` of
+    ``elliptic.theta_term(1, J.entries, order)`` is the formal series.
     """
     nu, points = _z_points(gamma, J, offsets, params, strict)
     return nu * params.theta_product(1, points)
@@ -190,14 +186,6 @@ def z_character(gamma, J, offsets, params):
     Witten-character code at the same points, not the phi_1 products."""
     nu, points = _z_points(gamma, J, offsets, params, True)
     return _z_tau_series_value(points, nu, params)
-
-
-def z_term(entries, order, nu=1):
-    """nu * prod_a phi_1(a z) for integer rotation numbers ``entries`` as a
-    ``laurent_sum`` term at depth ``order``: ``theta_term`` of phi_1 times
-    nu.  At depth 0 it is the reciprocal supertrace alone."""
-    num, den, (p_pow, s_pow, sign) = theta_term(1, entries, order)
-    return num, den, (p_pow, s_pow, nu * sign)
 
 
 def _offset_angles(offsets, sign):
@@ -228,13 +216,6 @@ def _z_tau_series_value(offsets, sign, params):
     if abs(st) < 1e-140:
         raise ZemError("supertrace vanished in C_1 / Str")
     return w / st
-
-
-def _os_k(entries, k, sign):
-    """Os(J/k, o): ``os_sign`` of the angles a * (2 pi / k) of the rotation
-    numbers a in ``entries``, with orientation sign ``sign``."""
-    angle = _TWO_PI / k
-    return os_sign(RotationData([a * angle for a in entries], sign))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,8 @@ def em_eps(gamma, R, params):
 
 
 def em_fun(gamma, zeta, R, params):
-    """EM at a torsion point for a cyclic action without eigenvalue 1.
+    """EM at a torsion point for a cyclic action without eigenvalue 1 (its
+    ``normalized_residues`` refuses one, with SpinCharError).
 
     Planes where zeta acts by -1 (residue k/2) go through em_eps; on the
     rest, Os(K/k, o)^{alpha+beta} * Z(gamma, K)(R) with the canonical
@@ -316,8 +298,6 @@ def em_fun(gamma, zeta, R, params):
     k = zeta.k
     if gamma.k != k:
         raise ZemError("gamma must have the exact order of the action")
-    if zeta.has_eigenvalue_one():
-        raise ZemError("the action has eigenvalue 1 on some plane")
     if R.planes != zeta.planes:
         raise ZemError("R must give one offset per plane of the action")
     sigma = R.orientation_sign
@@ -336,7 +316,7 @@ def em_fun(gamma, zeta, R, params):
         g_res = [res[j] for j in g_idx] if b_idx else res
         kdata = RotationData(g_res, sigma)
         r_g = [R.entries[j] for j in g_idx] if b_idx else R.entries
-        os_k = _os_k(g_res, k, sigma)
+        os_k = os_sign(g_res, k, sigma)
         out *= (os_k ** (gamma.alpha + gamma.beta)) * z_fun(
             gamma, kdata, r_g, params
         )
@@ -513,25 +493,17 @@ def _trial_k_transfer(rng, dims, params):
     }
 
 
-def _z_period_first_diff(entries, m, k, order):
-    """First p-order at which Z = prod_a phi_1(a z) for the rotation numbers
-    ``entries`` under s -> p^m s and then s -> i^k s differs from eps_J Z,
-    or None: z+1 is (m, k) = (0, 2) and z+tau is (2, 0); an orientation sign
-    nu would multiply both sides.  Every |d| of Z's factors is at most
-    2 max|a|, so ``regrade`` needs them to p^{order + 2m max|a|}."""
-    depth = order + 2 * m * max(abs(a) for a in entries)
-    left = regrade(z_term(entries, depth), m, order)
-    right = z_term(entries, order)
-    return unit_difference(order, left, k, right, 0 if epsilon_J(entries) > 0 else 2)
-
-
 def _z_periodicity_exact(entries, order):
-    """Exact gamma -> gamma+1 and gamma -> gamma+tau periodicity of the
-    formal Z-series for positive rotation numbers ``entries``."""
+    """Exact gamma -> gamma+1, (m, k) = (0, 2), and gamma -> gamma+tau,
+    (2, 0), of the formal Z-series prod_a phi_1(a z) for positive rotation
+    numbers ``entries``: each gives eps_J times the series (a sign nu would
+    multiply both sides)."""
+    eps = epsilon_J(entries)
+    target = (1, 0 if eps > 0 else 2, 0)
     return {
-        "gamma_plus_one_first_diff": _z_period_first_diff(entries, 0, 2, order),
-        "gamma_plus_tau_ok": _z_period_first_diff(entries, 2, 0, order) is None,
-        "epsilon": epsilon_J(entries),
+        "gamma_plus_one_first_diff": translation_difference(entries, 0, 2, target, order),
+        "gamma_plus_tau_ok": translation_difference(entries, 2, 0, target, order) is None,
+        "epsilon": eps,
     }
 
 
@@ -589,7 +561,7 @@ def _trial_all_w(rng, dims, params):
     J = RotationData(entries, sig)
     r = [_draw_offset(rng) for _ in range(planes)]
     tau = params.tau
-    os_k = _os_k(entries, k, sig)
+    os_k = os_sign(entries, k, sig)
     angles, eigs = _offset_angles(r, sig)
     signed = RotationData(r, sig)
 
@@ -636,7 +608,7 @@ def _trial_em_welldef(rng, dims, params):
 
     def em_via(lift_shifts):
         lifted = [res_list[j] + k * lift_shifts[j] for j in range(planes)]
-        os_k = _os_k(lifted, k, sig)
+        os_k = os_sign(lifted, k, sig)
         return (os_k**ab) * z_fun(gamma, RotationData(lifted, sig), r.entries, params)
 
     # em_fun lifts by the canonical adapted data, em_via([0] * planes): the
@@ -663,7 +635,7 @@ def _transfer_sides(params, k, n0, n1, sig0, sig1, sig_n, j0, j1,
     gamma_y = gamma.value(params.tau) + y
     rhs_core = z_fun(gamma_y, j_full, r, params, strict=False)
 
-    os1 = _os_k(j1, k, sig1) ** ab
+    os1 = os_sign(j1, k, sig1) ** ab
     eps0 = epsilon_J([a // k for a in j0]) ** ab if n0 else 1
     eps = os1 * eps0 * (sig_n * sig0 * sig1 if n0 else sig_n * sig1)
     return lhs, rhs_core, eps
@@ -718,10 +690,7 @@ def _trial_spin_transfer(rng, dims, params):
             if a < 0:
                 sig_n = -sig_n
         eps0 = epsilon_J([a // k for a in j0]) if n0 else 1
-        sig1 = eps0
-        for a in j1:
-            if math.sin(math.pi * a / k) < 0:
-                sig1 = -sig1
+        sig1 = os_sign(j1, k, eps0)
         if n0 or sig_n == sig1:
             break
     else:
@@ -730,7 +699,7 @@ def _trial_spin_transfer(rng, dims, params):
     sig0 = sig_n * sig1
 
     # the sign identity behind the clean transfer: Os(J1/k, o1) eps(J0/k) = 1
-    os1 = _os_k(j1, k, sig1)
+    os1 = os_sign(j1, k, sig1)
     if os1 * eps0 != 1:
         return 1.0, {"sign_identity_violated": True, "entries": entries}
 
@@ -836,7 +805,7 @@ def _trial_degenerate(rng, dims, q0):
         angles_g = RotationData(
             [_TWO_PI * (j1[j] * y + r[n0 + j]) for j in g_pos], sig1
         )
-        os_g = _os_k([res_norm[j] for j in g_pos], k, sig1)
+        os_g = os_sign([res_norm[j] for j in g_pos], k, sig1)
         chi_lhs *= (os_g**alpha) * chi(g_theta, angles_g)
 
     # right side through the chi machinery: the finite-order element acts on

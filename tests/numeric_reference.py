@@ -11,13 +11,15 @@ agree with them to a relative 1e-13 (tests/test_numeric_tables.py).
 ``j_factor`` and ``pfaffian`` are the independent side of the identity
 j^{-1/2} det^{-1/2} = (-i)^{dim N/2} chi that the acceptance and spinchar
 tests check against ``spinchar.chi``; no command of the package needs them.
+``angle_os_sign`` is the orientation sign on real angles, the reference
+for the integer ``spinchar.os_sign``.
 """
 
 import cmath
 import math
 
 from elliptica.elliptic import NUMERIC_TAIL_TARGET, POLE_GUARD, PoleError
-from elliptica.spinchar import SpinCharError
+from elliptica.spinchar import AngleOnLatticeError, SpinCharError
 from elliptica.witten import LAYOUT, WittenDenominatorError
 
 
@@ -130,6 +132,24 @@ def j_factor(R):
                 "branch ambiguous"
             )
         out *= phi / (2.0 * sn)
+    return out
+
+
+def angle_os_sign(Y):
+    """Ratio of the orientation induced by exp(Y) in Spin(N) to the stored
+    one: sign * prod_j sign(sin(phi_j/2)) for real angles."""
+    out = Y.orientation_sign
+    for a in Y.entries:
+        phi = complex(a)
+        if abs(phi.imag) > 1e-12:
+            raise SpinCharError("os_sign needs real angles")
+        sn = math.sin(phi.real / 2.0)
+        if abs(sn) < 1e-12:
+            raise AngleOnLatticeError(
+                f"angle {phi.real} lies in 2 pi Z: exp(Y) does not orient"
+            )
+        if sn < 0:
+            out = -out
     return out
 
 

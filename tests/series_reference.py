@@ -22,9 +22,10 @@ coefficients beyond the truncation would have made are the caller's
 responsibility: a caller of ``ps_substitute_t`` must supply enough input
 depth that the discarded tail can only land above the orders it reads.
 
-Two exact series that no command of the package builds are kept here
+Three exact series that no command of the package builds are kept here
 too, each the ``laurent_sum`` of one term of the package's product
-engine: ``witten_series``, the character of W_i on integer weights, and
+engine: ``z_term``, the formal Z-series of ``zem.z_fun``,
+``witten_series``, the character of W_i on integer weights, and
 ``em_eps_exact``, the formal series of ``zem.em_eps``.
 """
 
@@ -416,7 +417,7 @@ def spinor_trace_exact(kind, R):
     """``spinchar.spinor_trace`` for integer rotation numbers a_j as a
     rational function in s: w_j becomes pi a_j z, the factor
     s^{-a_j} -+ s^{a_j}.  The reference for the exact reciprocal
-    supertrace, the depth-0 ``zem.z_term``."""
+    supertrace, the depth-0 ``z_term``."""
     if kind not in ("str", "tr"):
         raise ValueError("kind must be 'str' or 'tr'")
     if not all(isinstance(a, int) for a in R.entries):
@@ -430,6 +431,14 @@ def spinor_trace_exact(kind, R):
     if kind == "str" and R.orientation_sign < 0:
         out = -out
     return out
+
+
+def z_term(entries, order, nu=1):
+    """nu * prod_a phi_1(a z) for integer rotation numbers ``entries`` as a
+    ``laurent_sum`` term at depth ``order``: ``theta_term`` of phi_1 times
+    nu.  At depth 0 it is the reciprocal supertrace alone."""
+    num, den, (p_pow, s_pow, sign) = theta_term(1, entries, order)
+    return num, den, (p_pow, s_pow, nu * sign)
 
 
 def witten_series(i, weights, order):

@@ -401,6 +401,21 @@ def test_numeric_point_at_a_pole_is_usage_error(capsys, argv, at):
     assert err.startswith(f"cannot evaluate at z = {at}: ")
 
 
+@pytest.mark.parametrize("twist, at", [("tangent_witten", "2e-8"), ("none", "2e-8"),
+                                       ("none", "1e-7")])
+def test_overflowing_fixed_point_sum_is_usage_error(capsys, tmp_path, twist, at):
+    """50 planes of weight +-1 near z = 0: each point's product leaves the
+    floats, to a NaN or an infinite sum, which is refused, not printed."""
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"name": "wide", "half_dim": 50, "points": [
+        {"weights": [1] * 50}, {"weights": [-1] * 50}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "index", "--manifold", str(wide), "--twist",
+                             twist, "--q-order", "2", "--at", at)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"cannot evaluate at z = {at}: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("index", "--manifold", "cp3", "--twist", "tangent_witten", "--q-order", "640"),
     ("expand", "--phi", "2", "--q-order", "640"),

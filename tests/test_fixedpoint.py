@@ -9,6 +9,7 @@ from elliptica.fixedpoint import (
     MAX_WEIGHT,
     ManifoldValidationError,
     SpinCircleManifold,
+    _sum_and_max,
     equivariant_index,
     index_numeric,
     lambda3_weights,
@@ -392,3 +393,14 @@ def test_point_too_far_from_the_real_axis_is_named(call):
     with pytest.raises(OverflowError, match="is too far from the real axis") as err:
         call(0.3 + 1e308j)
     assert "1e+308j" in str(err.value) and len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("terms", [[float("nan"), 1.0], [1.0, complex("nan")],
+                                   [float("inf"), 1.0], [1e308, 1e308]],
+                         ids=["nan-first", "nan-last", "inf", "sum-overflows"])
+def test_sum_that_leaves_the_floats_is_refused(terms):
+    """A NaN term, which max would drop where it is not first, an infinite
+    term, and finite terms whose sum overflows: each raises, naming z."""
+    with pytest.raises(OverflowError, match=r"at z = 0\.5"):
+        _sum_and_max(terms, 0.5)
+    assert _sum_and_max([1.0, -3j], 0.5) == (1 - 3j, 3.0)

@@ -38,7 +38,7 @@ from elliptica.witten import (
     unit_substitute,
     witten_factors,
 )
-from elliptica.zem import LatticeElement, z_term
+from elliptica.zem import LatticeElement
 import row_reference
 from ring_reference import RF, GaussianRational
 from row_reference import dense
@@ -50,6 +50,7 @@ from series_reference import (
     ps_compose_power,
     ps_substitute_t,
     shift_p,
+    z_term,
 )
 
 
@@ -142,7 +143,8 @@ def test_parts_check_needs_the_flip_monomial(monkeypatch, a, mutate):
     """Negative control: dropping the flips' monomial (or, where the flips
     carry c = -1, their sign) makes the check of phi_1(a (z + tau)) =
     (-1)^a phi_1(a z) fail."""
-    assert zem._z_period_first_diff((a,), 2, 0, 16) is None
+    target = (1, 2 * (a % 2), 0)
+    assert elliptic.translation_difference((a,), 2, 0, target, 16) is None
 
     def broken(term, m, order):
         """``regrade`` with the flips' part of the monomial mutated."""
@@ -151,8 +153,8 @@ def test_parts_check_needs_the_flip_monomial(monkeypatch, a, mutate):
         p, s, c = mutate(p_pow - p0, s_pow - s0, sign * sign0)
         return num, den, (p0 + p, s0 + s, sign0 * c)
 
-    monkeypatch.setattr(zem, "regrade", broken)
-    assert zem._z_period_first_diff((a,), 2, 0, 16) is not None
+    monkeypatch.setattr(elliptic, "regrade", broken)
+    assert elliptic.translation_difference((a,), 2, 0, target, 16) is not None
 
 
 def _reference_product(order, numerator, denominator):
@@ -435,7 +437,7 @@ def _translation(which, order=24):
 
 
 def _z_gamma_plus_one():
-    return zem._z_period_first_diff((1, 2), 0, 2, 16)
+    return zem._z_periodicity_exact((1, 2), 16)["gamma_plus_one_first_diff"]
 
 
 _unit_substitute = witten.unit_substitute

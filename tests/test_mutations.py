@@ -18,7 +18,6 @@ import textwrap
 
 import pytest
 
-import test_product_engine
 from elliptica import spinchar, zem
 from elliptica.zem import identity_check
 
@@ -74,10 +73,10 @@ SUITE_ROWS = {
         zem, "_z_points", "return J.orientation_sign, points", "return 1, points",
         "order-k-trivial", 1),
     "_os_k ignores the orientation, spin-periodicity": (
-        zem, "_os_k", "for a in entries], sign)", "for a in entries], 1)",
+        spinchar, "os_sign", "out = sign", "out = 1",
         "spin-periodicity", 1),
     "_os_k ignores the orientation, degenerate-reduction": (
-        zem, "_os_k", "for a in entries], sign)", "for a in entries], 1)",
+        spinchar, "os_sign", "out = sign", "out = 1",
         "degenerate-reduction", 1),
 }
 
@@ -89,17 +88,6 @@ def test_a_suite_catches_the_mutation(row, monkeypatch):
     report = identity_check(suite, trials, seed=SEED)
     assert not report.passed
     assert _fewest_failing_trials(report) == trials
-
-
-def test_the_exact_z_term_catches_a_dropped_nu(monkeypatch):
-    """z_term without nu passes every suite; the exact Z-series test, which
-    looks z_term up in its own module, catches it at nu = -1."""
-    check = test_product_engine.test_exact_z_fun_matches_phi1_products
-    monkeypatch.setattr(test_product_engine, "z_term", _mutant(
-        zem, "z_term", "(p_pow, s_pow, nu * sign)", "(p_pow, s_pow, sign)"))
-    with pytest.raises(AssertionError):
-        check((1, 2, 3), -1)
-    check((1, 2, 3), 1)
 
 
 def test_every_row_builds_where_the_suites_look():

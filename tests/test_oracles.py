@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from elliptica import zem
+from elliptica import elliptic, zem
 from elliptica.elliptic import EllipticParams, phi_numeric, theta_term
 from elliptica.ring import zpoly_gcd
 from elliptica.witten import laurent_sum, regrade, witten_char
@@ -264,11 +264,11 @@ def test_divided_flip_needs_its_inverted_monomial(monkeypatch):
     (1, 2, 3); undone, both pass."""
 
     def checks():
-        firsts = [zem._z_period_first_diff((a,), 2, 0, 40)
+        firsts = [elliptic.translation_difference((a,), 2, 0, (1, 2 * (a % 2), 0), 40)
                   for a in (2, 3)]
         return firsts, zem._z_periodicity_exact([1, 2, 3], 16)["gamma_plus_tau_ok"]
 
-    monkeypatch.setattr(zem, "regrade", _flip_not_inverted)
+    monkeypatch.setattr(elliptic, "regrade", _flip_not_inverted)
     assert checks() == ([0, 0], False)
     monkeypatch.undo()
     assert checks() == ([None, None], True)

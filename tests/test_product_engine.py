@@ -16,7 +16,7 @@ from elliptica.fixedpoint import (
 )
 from elliptica.spinchar import RotationData
 from elliptica.witten import laurent_sum, witten_factors
-from elliptica.zem import LatticeElement, z_term
+from elliptica.zem import LatticeElement
 from ring_reference import RF, GaussianRational
 from series_reference import (
     PS,
@@ -27,6 +27,7 @@ from series_reference import (
     shift_p,
     spinor_trace_exact,
     witten_series,
+    z_term,
 )
 
 ORDER = 6

@@ -16,7 +16,7 @@ from elliptica.spinchar import (
     spinor_trace,
     v_sign,
 )
-from numeric_reference import BranchPointError, j_factor, pfaffian
+from numeric_reference import BranchPointError, angle_os_sign, j_factor, pfaffian
 from ring_reference import RF
 from series_reference import spinor_trace_exact
 
@@ -40,7 +40,8 @@ def test_zero_space_traces():
     assert pfaffian(empty) == 1
     assert j_factor(empty) == 1
     assert epsilon_J(empty.entries) == 1
-    assert os_sign(empty) == 1
+    assert os_sign(empty.entries, 3) == 1
+    assert angle_os_sign(empty) == 1
     assert v_sign(CyclicAction(3, ())) == 1
 
 
@@ -110,10 +111,38 @@ def test_epsilon_examples():
 
 
 def test_os_sign_examples():
-    assert os_sign(RotationData((math.pi / 2,))) == 1
-    assert os_sign(RotationData((3 * math.pi,))) == -1
+    # the angles pi/2, 3 pi and 2 pi as a * 2 pi / k
+    assert os_sign((1,), 4) == 1
+    assert os_sign((3,), 2) == -1
+    assert os_sign((3,), 2, -1) == 1
+    assert os_sign((1, 3), 2) == os_sign((-1, 3), 2, -1) == -1
     with pytest.raises(AngleOnLatticeError):
-        os_sign(RotationData((2 * math.pi,)))
+        os_sign((1,), 1)
+
+
+def test_os_sign_matches_the_angle_reference():
+    """The integer Os(J/k, o) is the real-angle sign at the angles
+    a * 2 pi / k, plane by plane and on seeded lists of planes; where k
+    divides a both raise."""
+    for k in range(1, 13):
+        for a in range(-4 * k, 4 * k + 1):
+            for sign in (1, -1):
+                angles = RotationData((a * 2 * math.pi / k,), sign)
+                if a % k:
+                    assert os_sign((a,), k, sign) == angle_os_sign(angles), (a, k)
+                    continue
+                with pytest.raises(AngleOnLatticeError):
+                    os_sign((a,), k, sign)
+                with pytest.raises(AngleOnLatticeError):
+                    angle_os_sign(angles)
+    rng = random.Random(12)
+    for _ in range(200):
+        k = rng.randint(2, 12)
+        entries = [rng.choice([a for a in range(-4 * k, 4 * k + 1) if a % k])
+                   for _ in range(rng.randint(1, 6))]
+        sign = rng.choice([1, -1])
+        angles = RotationData([a * 2 * math.pi / k for a in entries], sign)
+        assert os_sign(entries, k, sign) == angle_os_sign(angles)
 
 
 def test_os_sign_matches_pfaffian_for_small_data():
@@ -124,7 +153,7 @@ def test_os_sign_matches_pfaffian_for_small_data():
         sig = 1 if rng.random() < 0.5 else -1
         y = RotationData(angles, sig)
         pf = pfaffian(y).real
-        assert os_sign(y) == (1 if pf > 0 else -1)
+        assert angle_os_sign(y) == (1 if pf > 0 else -1)
 
 
 def test_v_sign_examples():

@@ -30,9 +30,8 @@ from elliptica.zem import (
     em_fun,
     identity_check,
     z_fun,
-    z_term,
 )
-from series_reference import em_eps_exact
+from series_reference import em_eps_exact, z_term
 
 TAU = 0.21 + 1.05j
 PARAMS = EllipticParams(tau=TAU)
@@ -195,7 +194,7 @@ def test_em_fun_reduces_to_z_without_minus_one():
     k = RotationData(zeta.normalized_residues(), 1)
     from elliptica.spinchar import os_sign
 
-    os_k = os_sign(RotationData([a * 2 * math.pi / 5 for a in k.entries], 1))
+    os_k = os_sign(k.entries, 5)
     want = (os_k ** 2) * z_fun(gamma, k, r.entries, PARAMS)
     assert abs(got - want) < 1e-13 * abs(want)
 
@@ -208,7 +207,7 @@ def test_em_fun_adapted_choice_independence():
 
     for shifts in ((1, 0), (0, -1), (2, 1)):
         j = RotationData((1 + 5 * shifts[0], 2 + 5 * shifts[1]), 1)
-        os_j = os_sign(RotationData([a * 2 * math.pi / 5 for a in j.entries], 1)) ** 3
+        os_j = os_sign(j.entries, 5) ** 3
         alt = os_j * z_fun(gamma, j, r.entries, PARAMS)
         assert abs(alt - base) < 1e-9 * abs(base)
 
@@ -243,7 +242,7 @@ def test_em_fun_periodicity_with_v_sign():
 
 def test_em_fun_requires_no_eigenvalue_one():
     gamma = LatticeElement.torsion(1, 0, 3)
-    with pytest.raises(ZemError):
+    with pytest.raises(SpinCharError, match="residue 0"):
         em_fun(gamma, CyclicAction(3, (3,)), offsets(0.1), PARAMS)
 
 
